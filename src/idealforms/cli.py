@@ -2,8 +2,9 @@
 
 One verb per public operation; ``--json`` switches every verb to
 machine-readable output validating against docs/schemas/.  Exit codes:
-0 success, 1 parse error, 2 precondition violation, 3 internal invariant
-failure (a law broken, which is always a bug).
+0 success, 1 parse error, 2 precondition violation, 3 internal failure
+(a broken law or any other exception, which is always a bug).  Every
+error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -15,18 +16,9 @@ from fractions import Fraction
 
 from . import ideals, membership, oracle, orders, rank, text, trees
 from .classification import Borel, TreeClass, classify, classify_via_derivative
-from .errors import (
-    FiniteSchema,
-    NotASubset,
-    NotLimit,
-    ParseError,
-    QuotientOverflow,
-    UnknownContainment,
-)
+from .errors import BadArgument, IdealFormsError, ParseError
 from .oracle import Budget
 from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily
-
-_PRECONDITION_ERRORS = (NotASubset, NotLimit, FiniteSchema, UnknownContainment, QuotientOverflow)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,11 +29,11 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except _PRECONDITION_ERRORS as exc:
+    except IdealFormsError as exc:  # every other engine error is a precondition
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # a broken invariant or another bug: one line, no traceback
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.json:
         print(json.dumps(payload["json"], indent=2))
@@ -250,39 +242,25 @@ def _cmd_idwitness(args) -> dict:
 
 
 def _witness_json(w, checked: Budget | None) -> dict:
+    if isinstance(w, DominatingBranch):
+        kind, data = "dominating-branch", {"prefix": list(w.prefix), "period": list(w.period)}
+    elif isinstance(w, UnboundedFamily):
+        kind, data = "unbounded-family", {"elements": [list(u) for u in w.elements(12)]}
+    elif isinstance(w, EmbeddingWitness):
+        kind, data = "embedding", {
+            "label": w.label,
+            "provenance": list(w.provenance),
+            "generatedTree": w.generated,
+            "sampleImages": [list(w.map((k,))) for k in range(4)],
+        }
+    else:
+        kind, data = "frechet-subset", {"query": str(w)}
     budget = (
         {"depth": checked.depth, "width": checked.width, "count": checked.count}
         if checked
         else None
     )
-    if isinstance(w, DominatingBranch):
-        return {
-            "kind": "dominating-branch",
-            "data": {"prefix": list(w.prefix), "period": list(w.period)},
-            "checkedAtBudget": budget,
-        }
-    if isinstance(w, UnboundedFamily):
-        return {
-            "kind": "unbounded-family",
-            "data": {"elements": [list(u) for u in w.elements(12)]},
-            "checkedAtBudget": budget,
-        }
-    if isinstance(w, EmbeddingWitness):
-        return {
-            "kind": "embedding",
-            "data": {
-                "label": w.label,
-                "provenance": list(w.provenance),
-                "generatedTree": w.generated,
-                "sampleImages": [list(w.map((k,))) for k in range(4)],
-            },
-            "checkedAtBudget": budget,
-        }
-    return {
-        "kind": "frechet-subset",
-        "data": {"query": str(w)},
-        "checkedAtBudget": budget,
-    }
+    return {"kind": kind, "data": data, "checkedAtBudget": budget}
 
 
 def _cmd_enumerate(args) -> dict:
@@ -354,6 +332,8 @@ def _cmd_wo_reverse(args) -> dict:
 
 
 def _cmd_wo_rationalize(args) -> dict:
+    if args.count < 0:
+        raise BadArgument(f"--count must be >= 0, got {args.count}")
     values = orders.rationalize(text.parse_order(args.order), args.count)
     return {
         "text": ", ".join(str(v) for v in values),

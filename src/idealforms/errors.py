@@ -15,6 +15,10 @@ class ParseError(IdealFormsError):
     """Input text does not conform to one of the published grammars."""
 
 
+class BadArgument(IdealFormsError, ValueError):
+    """A well-formed term, budget or count is out of its allowed range."""
+
+
 class NotLimit(IdealFormsError):
     """An operation requiring a limit ordinal received 0 or a successor."""
 

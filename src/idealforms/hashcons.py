@@ -1,0 +1,65 @@
+"""Hash-consing of terms (Filliatre & Conchon, ML Workshop 2006).
+
+Every ``Ordinal``, ``TreeSchema`` and ``SchemaSeq`` is built through
+``_intern``, so structurally equal terms are one object: ``==`` and
+``hash`` are identity, validation runs once per distinct term, and facts
+derived from a term are memoized in private slots on the term itself.
+The table holds terms weakly; an unreferenced term leaves it, together
+with everything memoized on it.
+"""
+
+from __future__ import annotations
+
+import weakref
+from _weakref import _remove_dead_weakref
+
+_TABLE: dict[tuple, _Ref] = {}
+
+
+class _Ref(weakref.ref):
+    """Weak reference to an interned term that knows the term's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    # runs when a term dies; removes its entry unless a live term holds it
+    _remove_dead_weakref(_TABLE, ref.key)
+
+
+def _intern(*key) -> Interned:
+    """The one live term with this key: its class, then its fields.  Fields
+    are ints or interned terms (or tuples of them), so the key hashes in
+    time linear in the number of fields, never in the depth of the term."""
+    ref = _TABLE.get(key)
+    node = None if ref is None else ref()
+    if node is not None:
+        return node
+    node = object.__new__(key[0])
+    node._init(*key[1:])
+    ref = _Ref(node, _forget)
+    ref.key = key
+    # setdefault inserts atomically, so racing builders all get one term
+    while (old := _TABLE.setdefault(key, ref)) is not ref:
+        if (live := old()) is not None:
+            return live
+        _remove_dead_weakref(_TABLE, key)  # a dead term whose callback is pending
+    return node
+
+
+class Interned:
+    """Base of hash-consed terms; ``__match_args__`` names the fields."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+    __new__ = _intern
+
+    def _init(self) -> None:
+        """Set and validate the fields of a new term; raising keeps it out
+        of the table.  Subclasses with fields override this."""
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle intern again
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"

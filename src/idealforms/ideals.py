@@ -233,12 +233,3 @@ def format_expr(e: IdealExpr) -> str:
             inner = ",".join(format_expr(h) for h in heads)
             return f"mix({inner};{format_expr(tail)})"
     raise TypeError(f"not an ideal expression: {e!r}")
-
-
-def canonical_expr(c: CanonicalForm) -> IdealExpr:
-    """An expression denoting the canonical form (P, Q or their sum)."""
-    if c.kind is Kind.P:
-        return P(c.rank)
-    if c.kind is Kind.Q:
-        return Q(c.rank)
-    return Sum((P(c.rank), Q(c.rank)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ideals, trees
-from .errors import NotASubset, UnknownContainment
+from .errors import BadArgument, NotASubset, UnknownContainment
 from .ideals import IdealExpr
 from .trees import (
     Chain,
@@ -60,7 +60,7 @@ class FinSet(QueryTerm):
 
     def __post_init__(self) -> None:
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("finite set elements must be pairwise distinct")
+            raise BadArgument(f"finite set elements must be pairwise distinct: {self}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Transversal(QueryTerm):
 
     def __post_init__(self) -> None:
         if not isinstance(self.fan, Fan):
-            raise ValueError("transversal is only defined over a fan")
+            raise BadArgument(f"transversal is only defined over a fan, got {self.fan}")
 
 
 @dataclass(frozen=True)
@@ -204,16 +204,9 @@ def finite_elements(t: TreeSchema) -> list[Seq]:
             return [()]
         case Rooted(child):
             return sorted({()} | set(finite_elements(child)))
-        case Fan(heads, _):
-            out = [(n,) + u for n, h in enumerate(heads) for u in finite_elements(h)]
-            return sorted(out)
-        case Spine(heads, _):
-            out = [
-                trees.spine_root(n) + u
-                for n, h in enumerate(heads)
-                for u in finite_elements(h)
-            ]
-            return sorted(out)
+        case Fan(heads, _) | Spine(heads, _):
+            root = (lambda n: (n,)) if isinstance(t, Fan) else trees.spine_root
+            return sorted(root(n) + u for n, h in enumerate(heads) for u in finite_elements(h))
     raise ValueError(f"schema is not finite: {t}")
 
 
@@ -233,7 +226,7 @@ def subset_of(q: QueryTerm, s: TreeSchema) -> Ternary:
         case Transversal(fan):
             if subset_of(Schema(fan), s) is Ternary.YES:
                 return Ternary.YES
-            return _subset_search(q, s)
+            return _subset_search(q, Schema(s))
         case Schema(tree):
             return _subset_schema(tree, s)
     raise TypeError(f"not a query term: {q!r}")
@@ -252,14 +245,14 @@ def _subset_schema(t: TreeSchema, s: TreeSchema) -> Ternary:
     if isinstance(s, Rooted):
         if _subset_schema(t, s.child) is Ternary.YES:
             return Ternary.YES
-        return _subset_search(Schema(t), s)
+        return _subset_search(Schema(t), Schema(s))
     if isinstance(t, Chain) and isinstance(s, Chain):
         return Ternary.YES
     if type(t) is type(s) and isinstance(t, (Fan, Spine)):
         verdict = _subset_blockwise(t, s)
         if verdict is not Ternary.UNKNOWN:
             return verdict
-    return _subset_search(Schema(t), s)
+    return _subset_search(Schema(t), Schema(s))
 
 
 def _subset_blockwise(t: Fan | Spine, s: Fan | Spine) -> Ternary:
@@ -285,11 +278,11 @@ def _subset_blockwise(t: Fan | Spine, s: Fan | Spine) -> Ternary:
     return Ternary.UNKNOWN
 
 
-def _subset_search(q: QueryTerm, s: TreeSchema) -> Ternary:
+def _subset_search(q: QueryTerm, target: QueryTerm) -> Ternary:
     """Bounded counterexample search; never answers YES."""
     for length in range(_SEARCH_LEN + 1):
         for u in q_iter_len(q, length, _SEARCH_ENTRY):
-            if not trees.member_elem(u, s):
+            if not q_member(u, target):
                 return Ternary.NO
     return Ternary.UNKNOWN
 
@@ -307,11 +300,7 @@ def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
         return Ternary.YES if ok else Ternary.NO
     if w == q:
         return Ternary.YES
-    for length in range(_SEARCH_LEN + 1):
-        for u in q_iter_len(w, length, _SEARCH_ENTRY):
-            if not q_member(u, q):
-                return Ternary.NO
-    return Ternary.UNKNOWN
+    return _subset_search(w, q)
 
 
 # --------------------------------------------------------------------------
@@ -366,27 +355,19 @@ def _fw_schema(t: TreeSchema) -> TreeSchema:
             return trees.CHAIN
         case Rooted(child):
             return _fw_schema(child)
-        case Fan(heads, tail):
+        case Fan(heads, tail) | Spine(heads, tail):
             for n, h in enumerate(heads):
                 if not trees.is_empty(h) and not trees.in_wf(h):
-                    return Fan((trees.EMPTY,) * n + (_fw_schema(h),), trees.CONST_EMPTY)
+                    return type(t)((trees.EMPTY,) * n + (_fw_schema(h),), trees.CONST_EMPTY)
             assert not trees.tail_is_trivial(tail)
             block = trees.block_at(t, len(heads))
-            return Fan(
-                (trees.EMPTY,) * len(heads) + (_fw_schema(block),), trees.CONST_EMPTY
-            )
-        case Spine(heads, tail):
-            for n, h in enumerate(heads):
-                if not trees.is_empty(h) and not trees.in_wf(h):
-                    return Spine((trees.EMPTY,) * n + (_fw_schema(h),), trees.CONST_EMPTY)
-            assert not trees.tail_is_trivial(tail)
-            block = trees.block_at(t, len(heads))
-            if not trees.in_wf(block):
-                return Spine(
+            # a fan with well-founded heads has no well-founded tail block
+            if isinstance(t, Fan) or not trees.in_wf(block):
+                return type(t)(
                     (trees.EMPTY,) * len(heads) + (_fw_schema(block),), trees.CONST_EMPTY
                 )
-            # copies are well-founded but unboundedly many: take the fixed
-            # pick in every copy, a set dominated alongside the spine
+            # a spine's copies are well-founded but unboundedly many: take the
+            # fixed pick in every copy, a set dominated alongside the spine
             pick = trees.pick_least(block)
             assert pick is not None
             return Spine((trees.EMPTY,) * len(heads), Const(trees.singleton(pick)))

@@ -15,11 +15,11 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import ideals, membership, orders, ordinals, quotient, rank, trees
 from .classification import Borel, NonBorel, classify, classify_via_derivative, scaffold_class
-from .errors import QuotientOverflow
+from .errors import BadArgument, QuotientOverflow
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .membership import QueryTerm, Schema, Ternary
 from .ordinals import Ordinal
@@ -35,7 +35,9 @@ class Budget:
 
     def __post_init__(self) -> None:
         if min(self.depth, self.width, self.count) < 1:
-            raise ValueError("budget fields must all be >= 1")
+            raise BadArgument(
+                f"budget fields must all be >= 1, got {self.depth},{self.width},{self.count}"
+            )
 
 
 DEFAULT_BUDGET = Budget(6, 6, 200)
@@ -61,13 +63,12 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
     return [u for u in taken if len(u) <= b.depth and all(e <= b.width for e in u)]
 
 
-def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int):
-    if isinstance(x, TreeSchema):
-        yield from trees.iter_canonical(x, stage_cap)
-        return
+def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
+    """Budget-independent canonical order: by stage, shortlex within."""
+    q = Schema(x) if isinstance(x, TreeSchema) else x
     for k in range(stage_cap + 1):
         for length in range(k + 1):
-            for u in membership.q_iter_len(x, length, k - 1):
+            for u in membership.q_iter_len(q, length, k - 1):
                 if trees.stage_of(u) == k:
                     yield u
 
@@ -600,12 +601,7 @@ def _law_frechet(rng: random.Random) -> Optional[str]:
 def _law_id_witness(rng: random.Random) -> Optional[str]:
     t = rand_infinite_schema(rng, 7)
     q = Schema(t)
-    w = membership.id_witness(q)
-    if isinstance(w, DominatingBranch):
-        ok = check_witness(w, q, WITNESS_BUDGET)
-    else:
-        ok = check_witness(w, q, WITNESS_BUDGET)
-    if not ok:
+    if not check_witness(membership.id_witness(q), q, WITNESS_BUDGET):
         return f"id witness fails on {t}"
     return None
 

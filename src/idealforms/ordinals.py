@@ -10,9 +10,9 @@ canonical-form engine, which is all the rest of the package needs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import NotLimit
+from .hashcons import Interned, _intern
 
 
 class OrdKind(enum.Enum):
@@ -21,13 +21,18 @@ class OrdKind(enum.Enum):
     LIMIT = "limit"
 
 
-@dataclass(frozen=True)
-class Ordinal:
+class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
-    terms: tuple[tuple[Ordinal, int], ...] = ()
+    __slots__ = ("terms", "_fund")  # _fund: fund_seq values by index
+    __match_args__ = ("terms",)
+    terms: tuple[tuple[Ordinal, int], ...]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple[Ordinal, int], ...] = ()) -> Ordinal:
+        return _intern(cls, terms)
+
+    def _init(self, terms: tuple[tuple[Ordinal, int], ...]) -> None:
+        self.terms = terms
         prev = None
         for exponent, coeff in self.terms:
             if coeff < 1:
@@ -87,6 +92,8 @@ def to_int(a: Ordinal) -> int:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total CNF order; returns -1, 0 or 1."""
+    if a is b:
+        return 0  # interned: equal ordinals are one object
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = compare(ea, eb)
         if c != 0:
@@ -146,12 +153,21 @@ def fund_seq(a: Ordinal, n: int) -> Ordinal:
         raise NotLimit(f"fundamental sequence of non-limit ordinal {a}")
     if n < 0:
         raise ValueError("index must be >= 0")
-    exponent, coeff = a.terms[-1]
-    head = a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exponent, coeff - 1),)
-    base = Ordinal(head)
-    if kind(exponent) is OrdKind.SUCCESSOR:
-        return add(base, omega_power(pred(exponent), n + 1))
-    return add(base, omega_power(fund_seq(exponent, n)))
+    try:
+        memo = a._fund
+    except AttributeError:
+        memo = a._fund = {}
+    out = memo.get(n)
+    if out is None:
+        exponent, coeff = a.terms[-1]
+        head = a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exponent, coeff - 1),)
+        base = Ordinal(head)
+        if kind(exponent) is OrdKind.SUCCESSOR:
+            out = add(base, omega_power(pred(exponent), n + 1))
+        else:
+            out = add(base, omega_power(fund_seq(exponent, n)))
+        memo[n] = out
+    return out
 
 
 def format_ordinal(a: Ordinal) -> str:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import ordinals, trees
 from .ordinals import Ordinal
-from .trees import Chain, Const, Empty, Eps, Fan, Full, Rooted, Spine, TreeSchema
+from .trees import Chain, Const, Empty, Eps, Fan, Full, Rooted, SchemaSeq, Spine, TreeSchema
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ _EMPTY_INFO = RankInfo(ordinals.ZERO, True, ordinals.ZERO)
 _DOMINATED_INFO = RankInfo(ordinals.ONE, True, ordinals.ZERO)
 _FIXED_INFO = RankInfo(ordinals.ZERO, False, None)
 
-# cache writes are idempotent, so concurrent racing recomputation is benign
-_CACHE: dict[TreeSchema, RankInfo] = {}
-
 
 def _from_dom(dom: Ordinal) -> RankInfo:
     return RankInfo(ordinals.succ(dom), True, dom)
@@ -67,11 +64,11 @@ def tree_rank(t: TreeSchema) -> tuple[Ordinal, bool]:
 
 
 def rank_info(t: TreeSchema) -> RankInfo:
-    cached = _CACHE.get(t)
-    if cached is None:
-        cached = _compute(t)
-        _CACHE[t] = cached
-    return cached
+    try:
+        return t._rank
+    except AttributeError:
+        info = t._rank = _compute(t)
+        return info
 
 
 def _compute(t: TreeSchema) -> RankInfo:
@@ -84,9 +81,11 @@ def _compute(t: TreeSchema) -> RankInfo:
             return _FIXED_INFO
         case Rooted(child):
             return _DOMINATED_INFO if trees.is_empty(child) else rank_info(child)
-        case Fan(_, _):
+        case Fan() | Spine() if trees.is_empty(t):
+            return _EMPTY_INFO
+        case Fan():
             return _fan_info(t)
-        case Spine(_, _):
+        case Spine():
             return _spine_info(t)
     raise TypeError(f"not a schema: {t!r}")
 
@@ -95,38 +94,32 @@ def _head_infos(t: Fan | Spine) -> list[tuple[int, RankInfo]]:
     return [(n, rank_info(h)) for n, h in enumerate(t.heads) if not trees.is_empty(h)]
 
 
-def _fan_info(t: Fan) -> RankInfo:
-    if trees.is_empty(t):
-        return _EMPTY_INFO
-    heads = _head_infos(t)
-    tail = t.tail
+def _diag_info(tail: SchemaSeq) -> RankInfo:
+    """Stands for all blocks of a diagonal tail: their ranks and domination
+    stages are cofinal in the limit rank, the only stage callers need."""
+    return RankInfo(tail.rank, True, tail.rank)
 
-    if trees.tail_is_trivial(tail):
+
+def _fan_info(t: Fan) -> RankInfo:
+    heads = _head_infos(t)
+    if trees.tail_is_trivial(t.tail):
         # finitely many blocks: the root falls once every block is dominated
         if all(i.core_empty for _, i in heads):
             return _from_dom(_omax([i.dom_stage for _, i in heads]))
         return RankInfo(_omax([i.rank for _, i in heads]), False, None)
 
-    if isinstance(tail, Const):
-        it = rank_info(tail.block)
-        # infinitely many nonempty blocks keep the first coordinates
-        # unbounded, so the root needs every tail block to be fully gone
-        if it.core_empty and all(i.core_empty for _, i in heads):
-            return _from_dom(_omax([it.rank] + [i.dom_stage for _, i in heads]))
-        return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
-
-    lam = tail.rank  # sup of the diagonal block ranks
-    if all(i.core_empty for _, i in heads):
-        return _from_dom(_omax([lam] + [i.dom_stage for _, i in heads]))
-    return RankInfo(_omax([lam] + [i.rank for _, i in heads]), False, None)
+    # inline, not a helper: one more frame per level would cost depth
+    it = rank_info(t.tail.block) if isinstance(t.tail, Const) else _diag_info(t.tail)
+    # infinitely many nonempty blocks keep the first coordinates
+    # unbounded, so the root needs every tail block to be fully gone
+    if it.core_empty and all(i.core_empty for _, i in heads):
+        return _from_dom(_omax([it.rank] + [i.dom_stage for _, i in heads]))
+    return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
 
 
 def _spine_info(t: Spine) -> RankInfo:
-    if trees.is_empty(t):
-        return _EMPTY_INFO
     heads = _head_infos(t)
     tail = t.tail
-
     if trees.tail_is_trivial(tail):
         if all(i.core_empty for _, i in heads):
             # the spine accommodates dominated copies: no emptiness needed
@@ -139,22 +132,13 @@ def _spine_info(t: Spine) -> RankInfo:
             ranks.append(ordinals.succ(_omax(late)))
         return RankInfo(_omax(ranks), False, None)
 
-    if isinstance(tail, Const):
-        it = rank_info(tail.block)
-        if it.core_empty and all(i.core_empty for _, i in heads):
-            return _from_dom(_omax([it.dom_stage] + [i.dom_stage for _, i in heads]))
-        if not it.core_empty:
-            # surviving copies above every spine node pin the whole spine
-            return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
-        last_bad = max(n for n, i in heads if not i.core_empty)
-        late = [it.dom_stage] + [i.dom_stage for n, i in heads if n > last_bad]
-        ranks = [it.rank] + [i.rank for _, i in heads] + [ordinals.succ(_omax(late))]
-        return RankInfo(_omax(ranks), False, None)
-
-    lam = tail.rank  # sup of the diagonal block domination stages
-    if all(i.core_empty for _, i in heads):
-        return _from_dom(_omax([lam] + [i.dom_stage for _, i in heads]))
+    it = rank_info(tail.block) if isinstance(tail, Const) else _diag_info(tail)
+    if it.core_empty and all(i.core_empty for _, i in heads):
+        return _from_dom(_omax([it.dom_stage] + [i.dom_stage for _, i in heads]))
+    if not it.core_empty:
+        # surviving copies above every spine node pin the whole spine
+        return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
     last_bad = max(n for n, i in heads if not i.core_empty)
-    late = [lam] + [i.dom_stage for n, i in heads if n > last_bad]
-    ranks = [lam] + [i.rank for _, i in heads] + [ordinals.succ(_omax(late))]
+    late = [it.dom_stage] + [i.dom_stage for n, i in heads if n > last_bad]
+    ranks = [it.rank] + [i.rank for _, i in heads] + [ordinals.succ(_omax(late))]
     return RankInfo(_omax(ranks), False, None)

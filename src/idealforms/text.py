@@ -62,6 +62,17 @@ class _Stream:
             raise ParseError(f"expected a natural number, got {tok!r}")
         return int(tok)
 
+    def items(self, item, close: str, empty_ok: bool = False) -> list:
+        """``item (, item)*`` up to and including the ``close`` token."""
+        out = []
+        if not (empty_ok and self.peek() == close):
+            out.append(item(self))
+            while self.peek() == ",":
+                self.next()
+                out.append(item(self))
+        self.expect(close)
+        return out
+
 
 # --------------------------------------------------------------------------
 # ordinals
@@ -149,19 +160,10 @@ def _expr(s: _Stream) -> IdealExpr:
             return ideals.LimSum(rank)
         case "sum":
             s.expect("(")
-            parts = [_expr(s)]
-            while s.peek() == ",":
-                s.next()
-                parts.append(_expr(s))
-            s.expect(")")
-            return ideals.Sum(tuple(parts))
+            return ideals.Sum(tuple(s.items(_expr, ")")))
         case "mix":
             s.expect("(")
-            heads = [_expr(s)]
-            while s.peek() == ",":
-                s.next()
-                heads.append(_expr(s))
-            s.expect(";")
+            heads = s.items(_expr, ";")
             tail = _expr(s)
             s.expect(")")
             if not isinstance(tail, (ideals.OmegaSum, ideals.LimSum)):
@@ -199,25 +201,14 @@ def _tree(s: _Stream) -> TreeSchema:
             return trees.Rooted(inner)
         case "fan" | "spine":
             s.expect("(")
-            heads = _tree_list(s)
+            s.expect("[")
+            heads = s.items(_tree, "]", empty_ok=True)
             s.expect(";")
             tail = _tail(s)
             s.expect(")")
             cls = trees.Fan if tok == "fan" else trees.Spine
             return cls(tuple(heads), tail)
     raise ParseError(f"expected a tree schema, got {tok!r}")
-
-
-def _tree_list(s: _Stream) -> list[TreeSchema]:
-    s.expect("[")
-    out: list[TreeSchema] = []
-    if s.peek() != "]":
-        out.append(_tree(s))
-        while s.peek() == ",":
-            s.next()
-            out.append(_tree(s))
-    s.expect("]")
-    return out
 
 
 def _tail(s: _Stream) -> SchemaSeq:
@@ -258,12 +249,7 @@ def _query(s: _Stream) -> QueryTerm:
         case "finset":
             s.next()
             s.expect("{")
-            elems = [_seq(s)]
-            while s.peek() == ",":
-                s.next()
-                elems.append(_seq(s))
-            s.expect("}")
-            return membership.FinSet(tuple(elems))
+            return membership.FinSet(tuple(s.items(_seq, "}")))
         case "transversal":
             s.next()
             s.expect("(")
@@ -284,14 +270,7 @@ def _query(s: _Stream) -> QueryTerm:
 
 def _seq(s: _Stream) -> Seq:
     s.expect("<")
-    out: list[int] = []
-    if s.peek() != ">":
-        out.append(s.nat())
-        while s.peek() == ",":
-            s.next()
-            out.append(s.nat())
-    s.expect(">")
-    return tuple(out)
+    return tuple(s.items(_Stream.nat, ">", empty_ok=True))
 
 
 # --------------------------------------------------------------------------
@@ -319,22 +298,11 @@ def _order(s: _Stream) -> LinTerm:
             return orders.Rev(inner)
         case "cat":
             s.expect("(")
-            parts = [_order(s)]
-            while s.peek() == ",":
-                s.next()
-                parts.append(_order(s))
-            s.expect(")")
-            return orders.Cat(tuple(parts))
+            return orders.Cat(tuple(s.items(_order, ")")))
         case "osum":
             s.expect("(")
             s.expect("[")
-            heads: list[LinTerm] = []
-            if s.peek() != "]":
-                heads.append(_order(s))
-                while s.peek() == ",":
-                    s.next()
-                    heads.append(_order(s))
-            s.expect("]")
+            heads = s.items(_order, "]", empty_ok=True)
             s.expect(";")
             tail = _order(s)
             s.expect(")")

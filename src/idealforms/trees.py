@@ -11,102 +11,125 @@ below and under taking cones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ideals, ordinals
 from .errors import NotLimit
+from .hashcons import Interned, _intern
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .ordinals import Ordinal, OrdKind
 
 Seq = tuple[int, ...]
 
 
-class TreeSchema:
-    """Base class for schema terms; all subtypes are immutable."""
+class TreeSchema(Interned):
+    """Base class for schema terms; all subtypes are immutable and interned."""
 
-    __slots__ = ()
+    # facts memoized on first use by is_empty, pick_least and rank.rank_info
+    __slots__ = ("_empty", "_pick", "_rank")
 
     def __str__(self) -> str:
         return format_tree(self)
 
 
-class SchemaSeq:
+class SchemaSeq(Interned):
     """Base class for block sequences used as fan/spine tails."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(TreeSchema):
     """The empty set."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Eps(TreeSchema):
     """The singleton holding the empty sequence."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Chain(TreeSchema):
     """The set of all-zero sequences of positive length."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Full(TreeSchema):
     """Every finite sequence."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Rooted(TreeSchema):
     """The child set plus the empty sequence (cones of chains need this)."""
 
+    __slots__ = __match_args__ = ("child",)
     child: TreeSchema
 
+    def _init(self, child: TreeSchema) -> None:
+        self.child = child
 
-@dataclass(frozen=True)
-class Fan(TreeSchema):
+
+class _Blocks(TreeSchema):
+    """Head blocks followed by the blocks of a tail sequence."""
+
+    __slots__ = __match_args__ = ("heads", "tail")
+    heads: tuple[TreeSchema, ...]
+    tail: SchemaSeq
+
+    def _init(self, heads: tuple[TreeSchema, ...], tail: SchemaSeq) -> None:
+        self.heads, self.tail = heads, tail
+
+
+class Fan(_Blocks):
     """Block n translated under child n; heads first, then the tail blocks."""
 
-    heads: tuple[TreeSchema, ...]
-    tail: SchemaSeq
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Spine(TreeSchema):
+class Spine(_Blocks):
     """Copy n translated under 0^n 1 along the all-zero branch."""
 
-    heads: tuple[TreeSchema, ...]
-    tail: SchemaSeq
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(SchemaSeq):
+    __slots__ = __match_args__ = ("block",)
     block: TreeSchema
 
+    def _init(self, block: TreeSchema) -> None:
+        self.block = block
 
-@dataclass(frozen=True)
-class QDiag(SchemaSeq):
+
+class _Diag(SchemaSeq):
+    """Block n is the compiled schema at stage ``rank[n + offset]``."""
+
+    __slots__ = ("rank", "offset", "_blocks")  # _blocks: seq_block memo
+    __match_args__ = ("rank", "offset")
+    rank: Ordinal
+    offset: int
+
+    def __new__(cls, rank: Ordinal, offset: int = 0) -> _Diag:
+        return _intern(cls, rank, offset)
+
+    def _init(self, rank: Ordinal, offset: int) -> None:
+        if ordinals.kind(rank) is not OrdKind.LIMIT:
+            raise NotLimit(f"diagonal tail needs a limit rank, got {rank}")
+        self.rank, self.offset = rank, offset
+
+
+class QDiag(_Diag):
     """Block n denotes the compiled Q-schema at the n-th fundamental stage."""
 
-    rank: Ordinal
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        if ordinals.kind(self.rank) is not OrdKind.LIMIT:
-            raise NotLimit(f"diagonal tail needs a limit rank, got {self.rank}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PDiag(SchemaSeq):
+class PDiag(_Diag):
     """Block n denotes the compiled P-schema at the n-th fundamental stage."""
 
-    rank: Ordinal
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        if ordinals.kind(self.rank) is not OrdKind.LIMIT:
-            raise NotLimit(f"diagonal tail needs a limit rank, got {self.rank}")
+    __slots__ = ()
 
 
 EMPTY = Empty()
@@ -119,37 +142,27 @@ CONST_EMPTY = Const(EMPTY)
 # --------------------------------------------------------------------------
 # compiling canonical forms into schemas
 
-# cache writes are idempotent, so concurrent racing recomputation is benign
-_COMPILE_CACHE: dict[tuple[Kind, Ordinal], TreeSchema] = {}
-
 
 def compile_form(c: CanonicalForm) -> TreeSchema:
     """Schema whose denoted set restricts the well-founded ideal to ``c``."""
-    key = (c.kind, c.rank)
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        return cached
     rank_kind = ordinals.kind(c.rank)
     match c.kind:
         case Kind.P if rank_kind is OrdKind.ZERO:
-            out: TreeSchema = Fan((), Const(EPS))
+            return Fan((), Const(EPS))
         case Kind.P if rank_kind is OrdKind.SUCCESSOR:
-            out = Fan((), Const(compile_form(CanonicalForm(Kind.Q, ordinals.pred(c.rank)))))
+            return Fan((), Const(compile_form(CanonicalForm(Kind.Q, ordinals.pred(c.rank)))))
         case Kind.P:
-            out = Fan((), QDiag(c.rank))
+            return Fan((), QDiag(c.rank))
         case Kind.Q if rank_kind is OrdKind.ZERO:
-            out = CHAIN
+            return CHAIN
         case Kind.Q if rank_kind is OrdKind.SUCCESSOR:
-            out = Spine((), Const(compile_form(CanonicalForm(Kind.P, ordinals.pred(c.rank)))))
+            return Spine((), Const(compile_form(CanonicalForm(Kind.P, ordinals.pred(c.rank)))))
         case Kind.Q:
-            out = Spine((), PDiag(c.rank))
-        case Kind.PQ:
-            out = Fan(
-                (compile_form(CanonicalForm(Kind.P, c.rank)), compile_form(CanonicalForm(Kind.Q, c.rank))),
-                CONST_EMPTY,
-            )
-    _COMPILE_CACHE[key] = out
-    return out
+            return Spine((), PDiag(c.rank))
+    return Fan(
+        (compile_form(CanonicalForm(Kind.P, c.rank)), compile_form(CanonicalForm(Kind.Q, c.rank))),
+        CONST_EMPTY,
+    )
 
 
 def compile_ideal(e: IdealExpr) -> TreeSchema:
@@ -158,23 +171,28 @@ def compile_ideal(e: IdealExpr) -> TreeSchema:
 
 def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
     """Denoted block ``i`` of a tail sequence."""
-    match tail:
-        case Const(block):
-            return block
-        case QDiag(rank, offset):
-            return compile_form(CanonicalForm(Kind.Q, ordinals.fund_seq(rank, i + offset)))
-        case PDiag(rank, offset):
-            return compile_form(CanonicalForm(Kind.P, ordinals.fund_seq(rank, i + offset)))
-    raise TypeError(f"not a schema sequence: {tail!r}")
+    if isinstance(tail, Const):
+        return tail.block
+    if not isinstance(tail, _Diag):
+        raise TypeError(f"not a schema sequence: {tail!r}")
+    try:
+        memo = tail._blocks
+    except AttributeError:
+        memo = tail._blocks = {}
+    out = memo.get(i)
+    if out is None:
+        kind = Kind.Q if isinstance(tail, QDiag) else Kind.P
+        out = memo[i] = compile_form(
+            CanonicalForm(kind, ordinals.fund_seq(tail.rank, i + tail.offset))
+        )
+    return out
 
 
 def shift_tail(tail: SchemaSeq, k: int) -> SchemaSeq:
     if k == 0 or isinstance(tail, Const):
         return tail
-    if isinstance(tail, QDiag):
-        return QDiag(tail.rank, tail.offset + k)
-    if isinstance(tail, PDiag):
-        return PDiag(tail.rank, tail.offset + k)
+    if isinstance(tail, _Diag):
+        return type(tail)(tail.rank, tail.offset + k)
     raise TypeError(f"not a schema sequence: {tail!r}")
 
 
@@ -194,10 +212,10 @@ def tail_is_trivial(tail: SchemaSeq) -> bool:
 
 
 def is_empty(t: TreeSchema) -> bool:
-    # deep compiled schemas share sub-terms, so cache on the instance
-    cached = t.__dict__.get("_empty")
-    if cached is not None:
-        return cached
+    try:
+        return t._empty
+    except AttributeError:
+        pass
     match t:
         case Empty():
             out = True
@@ -207,7 +225,7 @@ def is_empty(t: TreeSchema) -> bool:
             out = all(is_empty(h) for h in heads) and tail_is_trivial(tail)
         case _:
             raise TypeError(f"not a schema: {t!r}")
-    object.__setattr__(t, "_empty", out)
+    t._empty = out
     return out
 
 
@@ -435,15 +453,6 @@ def stage_of(u: Seq) -> int:
     return max(len(u), max(u) + 1 if u else 0)
 
 
-def iter_canonical(t: TreeSchema, stage_cap: int) -> Iterator[Seq]:
-    """Budget-independent canonical order: by stage, shortlex within."""
-    for k in range(stage_cap + 1):
-        for length in range(k + 1):
-            for u in iter_len(t, length, k - 1):
-                if stage_of(u) == k:
-                    yield u
-
-
 def elements_up_to(t: TreeSchema, max_len: int, max_entry: int) -> list[Seq]:
     """Denoted elements within the box, in shortlex order (small boxes only)."""
     out: list[Seq] = []
@@ -462,12 +471,11 @@ def pick_least(t: TreeSchema) -> Optional[Seq]:
     Along constant and diagonal tails the block picks only get longer, so
     the first nonempty block already carries the least candidate.
     """
-    cached = t.__dict__.get("_pick", False)
-    if cached is not False:
-        return cached
-    out = _pick_least(t)
-    object.__setattr__(t, "_pick", out)
-    return out
+    try:
+        return t._pick  # an unset slot means not computed; None is an answer
+    except AttributeError:
+        out = t._pick = _pick_least(t)
+        return out
 
 
 def _pick_least(t: TreeSchema) -> Optional[Seq]:
@@ -562,12 +570,10 @@ def format_tree(t: TreeSchema) -> str:
             return "full"
         case Rooted(child):
             return f"rooted({format_tree(child)})"
-        case Fan(heads, tail):
+        case Fan(heads, tail) | Spine(heads, tail):
             inner = ",".join(format_tree(h) for h in heads)
-            return f"fan([{inner}];{format_seq(tail)})"
-        case Spine(heads, tail):
-            inner = ",".join(format_tree(h) for h in heads)
-            return f"spine([{inner}];{format_seq(tail)})"
+            name = "fan" if isinstance(t, Fan) else "spine"
+            return f"{name}([{inner}];{format_seq(tail)})"
     raise TypeError(f"not a schema: {t!r}")
 
 
@@ -575,10 +581,9 @@ def format_seq(s: SchemaSeq) -> str:
     match s:
         case Const(block):
             return f"const({format_tree(block)})"
-        case QDiag(rank, offset):
-            return f"qdiag({rank})" if offset == 0 else f"qdiag({rank},{offset})"
-        case PDiag(rank, offset):
-            return f"pdiag({rank})" if offset == 0 else f"pdiag({rank},{offset})"
+        case _Diag(rank, offset):
+            name = "qdiag" if isinstance(s, QDiag) else "pdiag"
+            return f"{name}({rank})" if offset == 0 else f"{name}({rank},{offset})"
     raise TypeError(f"not a schema sequence: {s!r}")
 
 

@@ -147,3 +147,12 @@ def test_exit_codes(capsys):
     assert run(capsys, "member", "finset{<1,1>}", "in", "FIN")[0] == 2
     assert run(capsys, "member", "chain", "inn", "FIN")[0] == 1
     assert run(capsys, "treerank", "fan([;const(eps))")[0] == 1
+    # well-formed arguments out of range: one line naming the argument
+    for argv, named in (
+        (("enumerate", "chain", "--budget", "0,0,0"), "budget"),
+        (("member", "finset{<0,0>,<0,0>}", "in", "P(1)"), "finset{<0,0>,<0,0>}"),
+        (("wo", "rationalize", "N", "--count", "-1"), "--count"),
+    ):
+        assert cli.main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1, err

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from idealforms import ordinals
+from idealforms import hashcons, ordinals
 from idealforms.errors import NotLimit
 from idealforms.oracle import rand_limit, rand_ordinal
 from idealforms.ordinals import OMEGA, ONE, ZERO, OrdKind, Ordinal
@@ -57,10 +57,19 @@ def test_pred_and_succ():
 
 
 def test_invalid_cnf_rejected():
-    with pytest.raises(ValueError):
-        Ordinal(((ZERO, 0),))
-    with pytest.raises(ValueError):
-        Ordinal(((ZERO, 1), (ONE, 1)))  # exponents must strictly decrease
+    size = len(hashcons._TABLE)
+    for _ in range(2):  # a rejected term is never stored, so it fails again
+        with pytest.raises(ValueError):
+            Ordinal(((ZERO, 0),))
+        with pytest.raises(ValueError):
+            Ordinal(((ZERO, 1), (ONE, 1)))  # exponents must strictly decrease
+    assert len(hashcons._TABLE) == size
+
+
+def test_equal_ordinals_are_one_object():
+    assert o("w^(w+1)*2+w+3") is o("w^(w+1)*2+w+3")
+    assert ordinals.add(o("w^2"), o("w*3+4")) is o("w^2+w*3+4")
+    assert Ordinal(((ONE, 1),)) is OMEGA and ordinals.from_int(0) is ZERO
 
 
 def test_total_order_sampled():

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
+import sys
+import threading
 
-from idealforms import trees
+import pytest
+
+from idealforms import classification, hashcons, ordinals, rank, trees
+from idealforms.errors import NotLimit
 from idealforms.oracle import rand_infinite_schema
-from idealforms.text import parse_expr, parse_tree
-from idealforms.trees import CHAIN, CONST_EMPTY, EMPTY, EPS, FULL, Const, Fan, Rooted, Spine
+from idealforms.text import parse_expr, parse_ordinal, parse_tree
+from idealforms.trees import (
+    CHAIN, CONST_EMPTY, EMPTY, EPS, FULL, Const, Fan, PDiag, QDiag, Rooted, Spine,
+)
 
 
 t = parse_tree
@@ -139,3 +148,72 @@ def test_iter_len_lex_order():
             for u in got:
                 assert len(u) == length and all(x <= 4 for x in u)
                 assert trees.member_elem(u, schema)
+
+
+def test_equal_schemas_are_one_object():
+    src = "spine([chain,fan([];qdiag(w^2,3))];const(rooted(eps)))"
+    assert parse_tree(src) is parse_tree(src)
+    assert copy.deepcopy(parse_tree(src)) is parse_tree(src)
+    w = parse_ordinal("w")
+    assert QDiag(w) is QDiag(w, 0)  # defaults are part of the key
+    assert QDiag(w) is not PDiag(w)  # so is the constructor
+    assert Fan((), Const(EMPTY)) is not Spine((), Const(EMPTY))
+
+
+def test_rejected_diagonal_leaves_no_entry():
+    three = ordinals.from_int(3)
+    size = len(hashcons._TABLE)
+    for _ in range(2):
+        with pytest.raises(NotLimit):
+            QDiag(three)
+    assert len(hashcons._TABLE) == size
+
+
+def _deep_pair(n: int) -> list[tuple[str, str]]:
+    out = []
+    for kind in ("P", "Q"):
+        schema = trees.compile_ideal(parse_expr(f"{kind}({n})"))
+        verdict = classification.classify(schema)
+        r, core_empty = rank.tree_rank(schema)
+        assert core_empty
+        out.append((str(verdict), str(r)))
+    return out
+
+
+def test_deep_chains_of_equal_depth_in_one_process():
+    # P(n) and Q(n) compile to disjoint chains of equal depth, which share
+    # no node and must never be compared structurally
+    n = 4000
+    _deep_pair(2)  # the chains end in long-lived nodes (ANTICHAIN): memoize those first
+    size = len(hashcons._TABLE)
+    want = [(f"Borel(P({n}))", str(n // 2 + 2)), (f"Borel(Q({n}))", str((n + 1) // 2 + 1))]
+    assert _deep_pair(n) == want
+    gc.collect()
+    assert len(hashcons._TABLE) == size  # the weak table released both chains
+
+
+def test_racing_builders_get_one_object():
+    # more threads than cores and a tiny switch interval, so that builders
+    # interleave between looking a term up and storing it
+    srcs = [f"spine([fan([];qdiag(w*{n + 1}))];const(rooted(chain)))" for n in range(300)]
+    built: list[list] = [[] for _ in range(4)]
+    start = threading.Barrier(len(built))
+
+    def build(out: list) -> None:
+        start.wait(timeout=30)
+        out.extend(parse_tree(src) for src in srcs)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == len(srcs) for out in built)
+    for same in zip(*built):
+        assert all(t is same[0] for t in same)
