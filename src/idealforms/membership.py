@@ -106,28 +106,37 @@ def _transversal_block_count(f: Fan) -> Optional[int]:
     return sum(1 for h in f.heads if not trees.is_empty(h))
 
 
-def q_iter_len(q: QueryTerm, length: int, max_entry: int) -> Iterator[Seq]:
-    """Query elements of exact length in lex order (mirrors the schema op)."""
+def q_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool = False) -> Iterator[Seq]:
+    """Query elements of exact length in lex order, each holding an entry
+    equal to ``max_entry`` when ``need`` is set (see ``trees.iter_len``)."""
     match q:
         case Schema(tree):
-            yield from trees.iter_len(tree, length, max_entry)
+            yield from trees.iter_len(tree, length, max_entry, need)
         case FinSet(elements):
             for u in sorted(elements):
-                if len(u) == length and all(x <= max_entry for x in u):
+                if len(u) == length and _in_box(u, max_entry, need):
                     yield u
         case Transversal(fan):
-            for n in range(max_entry + 1):
+            stop = max_entry + 1
+            if trees.tail_is_trivial(fan.tail):
+                stop = min(stop, len(fan.heads))
+            for n in range(stop):
                 p = _transversal_pick(fan, n)
-                if p is not None and len(p) == length and all(x <= max_entry for x in p):
+                if p is not None and len(p) == length and _in_box(p, max_entry, need):
                     yield p
         case Union(left, right):
             merged = heapq.merge(
-                q_iter_len(left, length, max_entry), q_iter_len(right, length, max_entry)
+                q_iter_len(left, length, max_entry, need),
+                q_iter_len(right, length, max_entry, need),
             )
             for u, _ in itertools.groupby(merged):
                 yield u
         case _:
             raise TypeError(f"not a query term: {q!r}")
+
+
+def _in_box(u: Seq, max_entry: int, need: bool) -> bool:
+    return all(x <= max_entry for x in u) and (not need or max_entry in u)
 
 
 def q_member(u: Seq, q: QueryTerm) -> bool:

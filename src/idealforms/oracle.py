@@ -52,7 +52,13 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
     """First ``count`` canonical elements, filtered to the depth/width box.
 
     The canonical order ignores the budget, so each field is monotone:
-    enlarging it never drops an element from the result.
+    enlarging it never drops an element from the result.  Each stage is
+    generated directly rather than filtered out of a larger box, and the
+    walk is pruned only by structural facts (emptiness, head counts, the
+    least element's length and entry bounds; see ``trees.iter_len``), so
+    the work follows the output.  The oracle stays independent of what it
+    checks: enumeration consults no ``in_wf``, ``in_id``, rank or
+    classifier.
     """
     stage_cap = max(b.depth, b.width + 1)
     taken: list[Seq] = []
@@ -64,13 +70,16 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
 
 
 def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
-    """Budget-independent canonical order: by stage, shortlex within."""
+    """Budget-independent canonical order: by stage, shortlex within.
+
+    Stage k holds the sequences of length at most k with entries below k
+    that miss every smaller box: those of length k, and the shorter ones
+    holding the entry k - 1.
+    """
     q = Schema(x) if isinstance(x, TreeSchema) else x
     for k in range(stage_cap + 1):
         for length in range(k + 1):
-            for u in membership.q_iter_len(q, length, k - 1):
-                if trees.stage_of(u) == k:
-                    yield u
+            yield from membership.q_iter_len(q, length, k - 1, length < k)
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,9 @@ Seq = tuple[int, ...]
 class TreeSchema(Interned):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
-    # facts memoized on first use by is_empty, pick_least and rank.rank_info
-    __slots__ = ("_empty", "_pick", "_rank")
+    # facts memoized on first use by is_empty, pick_least, _entry_bound and
+    # rank.rank_info
+    __slots__ = ("_empty", "_pick", "_bound", "_rank")
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -407,50 +408,103 @@ def depth_bound(t: TreeSchema) -> Optional[int]:
 # bounded enumeration and picks
 
 
-def iter_len(t: TreeSchema, length: int, max_entry: int) -> Iterator[Seq]:
+def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> Iterator[Seq]:
     """Denoted elements of exact ``length`` with entries <= max_entry, in
-    lexicographic order, produced lazily."""
-    if length < 0:
+    lexicographic order, produced lazily; with ``need``, only those holding
+    an entry equal to ``max_entry``.
+
+    The flag lets the oracle generate one stage of its canonical order
+    directly: each constructor passes it on to a block, or drops it once
+    the element's own entry (a fan index, a spine root's 1) meets it.
+    Four structural facts prune the walk, and none is a fact the oracle
+    checks (no ``in_wf``, ``in_id``, rank or classifier is consulted):
+
+    - an empty block is skipped;
+    - fan, spine and transversal indices stop at the head count when the
+      tail is trivial;
+    - nothing is shorter than the shortlex-least element ``pick_least``;
+    - with ``need``, a block whose entry bound is below ``max_entry`` is
+      skipped.
+    """
+    least = pick_least(t)
+    if least is None or length < len(least):
+        return
+    if need and (bound := _entry_bound(t)) is not None and bound < max_entry:
         return
     match t:
-        case Empty():
-            return
         case Eps():
-            if length == 0:
+            if length == 0 and not need:
                 yield ()
         case Chain():
-            if length >= 1:
+            if not need or max_entry == 0:
                 yield (0,) * length
         case Full():
-            if length == 0:
-                yield ()
-            else:
-                for u in itertools.product(range(max_entry + 1), repeat=length):
+            for u in itertools.product(range(max_entry + 1), repeat=length):
+                if not need or max_entry in u:
                     yield u
         case Rooted(child):
-            if length == 0:
+            if length:
+                yield from iter_len(child, length, max_entry, need)
+            elif not need:
                 yield ()
-            else:
-                yield from iter_len(child, length, max_entry)
-        case Fan(_, _):
-            if length >= 1:
-                for n in range(max_entry + 1):
-                    for v in iter_len(block_at(t, n), length - 1, max_entry):
-                        yield (n,) + v
-        case Spine(_, _):
-            if length >= 1 and max_entry >= 1:
+        case Fan(heads, tail):
+            stop = max_entry + 1
+            if tail_is_trivial(tail):
+                stop = min(stop, len(heads))
+            for n in range(stop):
+                for v in iter_len(block_at(t, n), length - 1, max_entry, need and n != max_entry):
+                    yield (n,) + v
+        case Spine(heads, tail):
+            if max_entry >= 1:
+                top = length - 1
+                if tail_is_trivial(tail):
+                    top = min(top, len(heads) - 1)
+                rest = need and max_entry != 1  # a copy root's 1 meets it
                 # copy roots 0^n 1 sort descending in n under lex order
-                for n in range(length - 1, -1, -1):
+                for n in range(top, -1, -1):
                     root = spine_root(n)
-                    for v in iter_len(block_at(t, n), length - n - 1, max_entry):
+                    for v in iter_len(block_at(t, n), length - n - 1, max_entry, rest):
                         yield root + v
         case _:
             raise TypeError(f"not a schema: {t!r}")
 
 
-def stage_of(u: Seq) -> int:
-    """Smallest k such that u fits the box of length k and entries < k."""
-    return max(len(u), max(u) + 1 if u else 0)
+def _entry_bound(t: TreeSchema) -> Optional[int]:
+    """Largest entry of any element (-1 when no element has one), or None
+    when entries are unbounded."""
+    try:
+        return t._bound  # an unset slot means not computed; None is an answer
+    except AttributeError:
+        out = t._bound = _compute_entry_bound(t)
+        return out
+
+
+def _compute_entry_bound(t: TreeSchema) -> Optional[int]:
+    match t:
+        case Empty() | Eps():
+            return -1
+        case Chain():
+            return 0
+        case Full():
+            return None
+        case Rooted(child):
+            return _entry_bound(child)
+        case Fan(heads, tail) | Spine(heads, tail):
+            live = [(n, h) for n, h in enumerate(heads) if not is_empty(h)]
+            if not tail_is_trivial(tail):
+                # a fan has unboundedly many children, and every diagonal
+                # tail holds blocks with unbounded entries
+                if isinstance(t, Fan) or not isinstance(tail, Const):
+                    return None
+                live.append((len(heads), tail.block))
+            out = -1
+            for n, h in live:
+                b = _entry_bound(h)
+                if b is None:
+                    return None
+                out = max(out, b, n if isinstance(t, Fan) else 1)
+            return out
+    raise TypeError(f"not a schema: {t!r}")
 
 
 def elements_up_to(t: TreeSchema, max_len: int, max_entry: int) -> list[Seq]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -166,3 +168,114 @@ def test_per_vertex_stage_agreement():
             assert got == info.dom_stage, str(cone)
             checked += 1
     assert checked >= 200
+
+
+# --------------------------------------------------------------------------
+# enumeration: pinned output, brute-force reference, least-length prune
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    if parts == 1:
+        return [(total,)] if total >= 1 else []
+    return [
+        (first,) + rest
+        for first in range(1, total - parts + 2)
+        for rest in _compositions(total - first, parts - 1)
+    ]
+
+
+def _constant_tail_schemas(max_size: int) -> list[trees.TreeSchema]:
+    """Every constant-tail schema of at most ``max_size`` constructor nodes,
+    by size, then constructor, head count, size split and children."""
+    by_size = {1: [trees.EMPTY, trees.EPS, trees.CHAIN, trees.FULL]}
+    for size in range(2, max_size + 1):
+        out = []
+        for ctor in (trees.Fan, trees.Spine):
+            for n_heads in range(3):
+                for *head_sizes, tail_size in _compositions(size - 1, n_heads + 1):
+                    for heads in itertools.product(*(by_size[s] for s in head_sizes)):
+                        for block in by_size[tail_size]:
+                            out.append(ctor(tuple(heads), trees.Const(block)))
+        by_size[size] = out
+    return [s for size in range(1, max_size + 1) for s in by_size[size]]
+
+
+# sha256 of "<schema>:<enumerate_schema output>" lines over the corpus, one
+# digest per budget; recorded before the enumerator generated stages directly
+ENUM_DIGESTS = {
+    Budget(3, 3, 50): "eed79e40df8dc8148cadcb6ae67f65aa1290eefc897cff06c3c1b288a17e0d41",
+    Budget(5, 2, 60): "47be55ac9a19164c43f7bfc758cddad2cdb8819418210c4d4733663dc26829a8",
+    Budget(2, 5, 40): "8db0aa4dc907b0085846ba551eca759bd2fa16faa1811847d711586d367a0c05",
+    Budget(4, 4, 120): "f60758030ff089083abea895d9b71db8cc9ec22702a0fbd988b95637cfc0ba11",
+}
+
+
+def test_enumeration_digest_pinned():
+    corpus = _constant_tail_schemas(5)
+    assert len(corpus) == 2780
+    for b, want in ENUM_DIGESTS.items():
+        h = hashlib.sha256()
+        for s in corpus:
+            h.update(f"{s}:{oracle.enumerate_schema(s, b)}\n".encode())
+        assert h.hexdigest() == want, b
+
+
+def _stage(u) -> int:
+    return max(len(u), max(u) + 1 if u else 0)
+
+
+def _reference_enumerate(q, b: Budget) -> list:
+    """Every sequence of stage <= the cap that belongs to ``q``, in canonical
+    order, cut to ``count`` and then to the depth/width box."""
+    cap = max(b.depth, b.width + 1)
+    universe = [
+        u for length in range(cap + 1) for u in itertools.product(range(cap), repeat=length)
+    ]
+    universe.sort(key=lambda u: (_stage(u), len(u), u))
+    taken = [u for u in universe if membership.q_member(u, q)][: b.count]
+    return [u for u in taken if len(u) <= b.depth and all(e <= b.width for e in u)]
+
+
+def _query_kinds(q) -> set[str]:
+    if isinstance(q, membership.Union):
+        return {"union"} | _query_kinds(q.left) | _query_kinds(q.right)
+    if isinstance(q, membership.FinSet):
+        return {"finset"}
+    if isinstance(q, membership.Transversal):
+        return {"transversal"}
+    text = str(q.tree)
+    return {"schema"} | {k for k in ("diag", "full", "rooted", "spine") if k in text}
+
+
+def test_enumerate_matches_brute_force_reference():
+    rng = random.Random(2013)
+    fixed = [
+        "fan([];qdiag(w^2))",
+        "spine([chain];pdiag(w,1))",
+        "fan([empty,full];const(empty))",
+        "spine([eps,empty,chain];const(empty))",
+        "rooted(fan([full];const(chain)))",
+        "union(finset{<0,3>,<2>,<>},transversal(fan([empty,chain];const(full))))",
+        "transversal(fan([eps,empty,spine([];const(eps))];const(empty)))",
+    ]
+    queries = [parse_query(src) for src in fixed]
+    for _ in range(160):
+        target = oracle.rand_schema(rng, 7)
+        q = oracle.rand_query(rng, target) if rng.random() < 0.6 else Schema(target)
+        if rng.random() < 0.2 and isinstance(q, Schema):
+            u = next(iter(oracle.enumerate_schema(target, Budget(3, 2, 5))), None)
+            if u:
+                q = Schema(trees.cone_of(target, u[:1]))
+        queries.append(q)
+    seen: set[str] = set()
+    for q in queries:
+        seen |= _query_kinds(q)
+        b = Budget(rng.randrange(1, 6), rng.randrange(1, 5), rng.randrange(1, 60))
+        assert oracle.enumerate_schema(q, b) == _reference_enumerate(q, b), (str(q), b)
+    assert seen >= {"diag", "full", "rooted", "spine", "finset", "transversal", "union"}
+
+
+def test_enumerate_skips_schemas_longer_than_the_box():
+    # every element is longer than depth 8, so nothing fits the box
+    q = parse_query("fan([];qdiag(w^w^6*3))")
+    assert oracle.enumerate_schema(q, Budget(8, 8, 100)) == []
