@@ -10,7 +10,8 @@ then assembles the pieces' classes; with infinitely many pieces the sum
 of their orthogonals gets one more orthogonal plus a finite-sets summand.
 
 The two answers differ exactly by the scaffold (the generated tree minus
-the denoted set), whose class ``scaffold_class`` computes independently.
+the denoted set), whose class ``scaffold_class`` computes with the sum
+algebra of ``classify`` over other leaf classes.
 """
 
 from __future__ import annotations
@@ -18,24 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import ideals, ordinals, rank, trees
+from . import ideals, rank, trees
 from .errors import FiniteSchema
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
-from .trees import (
-    Chain,
-    Const,
-    Empty,
-    Eps,
-    Fan,
-    Full,
-    PDiag,
-    QDiag,
-    Rooted,
-    Seq,
-    Spine,
-    TreeSchema,
-)
+from .trees import Const, Fan, Full, PDiag, QDiag, Rooted, Seq, Spine, TreeSchema
 from .witnesses import CoreEmbedding, EmbeddingWitness, Expansion, PrefixEmbedding
 
 # size markers for sub-blocks absorbed by the classification
@@ -75,14 +63,19 @@ def classify(t: TreeSchema) -> TreeClass:
     """Classification of the ideal restricted to the denoted set."""
     if trees.is_finite(t):
         raise FiniteSchema(f"schema denotes a finite set: {t}")
-    out = _cls(t)
+    out = trees._fold(t, _CLASS)
     if isinstance(out, _NB):
         return NonBorel(PrefixEmbedding(t, generated=False, provenance=out.prefix))
     assert isinstance(out, CanonicalForm)
     return Borel(out)
 
 
-def _fold(parts: list[Cls]) -> Cls:
+def scaffold_class(t: TreeSchema) -> Cls:
+    """Class of the prefix nodes the generated tree adds to the set."""
+    return trees._fold(t, _SCAFFOLD)
+
+
+def _sum(parts: list[Cls]) -> Cls:
     forms = [p for p in parts if isinstance(p, CanonicalForm)]
     if forms:
         return ideals.combine_all(forms)
@@ -91,135 +84,53 @@ def _fold(parts: list[Cls]) -> Cls:
     return EMPTY_CLS
 
 
-def _cls(t: TreeSchema) -> Cls | _NB:
-    match t:
-        case Empty():
-            return EMPTY_CLS
-        case Eps():
-            return FINITE_CLS
-        case Chain():
-            return FIN_FORM
-        case Full():
-            return _NB(())
-        case Rooted(child):
-            inner = _cls(child)
-            return FINITE_CLS if inner == EMPTY_CLS else inner
-        case Fan(heads, tail):
-            parts: list[Cls] = []
-            for n, h in enumerate(heads):
-                c = _cls(h)
-                if isinstance(c, _NB):
-                    return _NB((n,) + c.prefix)
-                parts.append(c)
-            if not trees.tail_is_trivial(tail):
-                if isinstance(tail, Const):
-                    c = _cls(tail.block)
-                    if isinstance(c, _NB):
-                        return _NB((len(heads),) + c.prefix)
-                    if c == FINITE_CLS:
-                        # omega many finite power sets sum to the power set
-                        parts.append(POW_FORM)
-                    elif isinstance(c, CanonicalForm):
-                        parts.append(ideals.omega_sum(c))
-                else:
-                    # diagonal block ranks are cofinal in the limit rank
-                    parts.append(CanonicalForm(Kind.P, tail.rank))
-            return _fold(parts)
-        case Spine(heads, tail):
-            if trees.tail_is_trivial(tail):
-                # finitely many copies hang at an antichain: a finite sum
-                parts = []
-                for n, h in enumerate(heads):
-                    c = _cls(h)
-                    if isinstance(c, _NB):
-                        return _NB(trees.spine_root(n) + c.prefix)
-                    parts.append(c)
-                return _fold(parts)
-            inner: list[CanonicalForm] = []
-            for n, h in enumerate(heads):
-                c = _cls(h)
-                if isinstance(c, _NB):
-                    return _NB(trees.spine_root(n) + c.prefix)
-                if isinstance(c, CanonicalForm):
-                    inner.append(ideals.perp(c))
-                # finite copies are absorbed into the infinite tail part
-            if isinstance(tail, Const):
-                c = _cls(tail.block)
-                if isinstance(c, _NB):
-                    return _NB(trees.spine_root(len(heads)) + c.prefix)
-                if c == FINITE_CLS:
-                    inner.append(POW_FORM)
-                else:
-                    assert isinstance(c, CanonicalForm)
-                    inner.append(ideals.omega_sum(ideals.perp(c)))
-            else:
-                # perps of the diagonal blocks keep ranks cofinal in the limit
-                inner.append(CanonicalForm(Kind.P, tail.rank))
-            return ideals.perp(ideals.combine_all(inner))
-    raise TypeError(f"not a schema: {t!r}")
+def _node(t: Fan | Spine, heads: list[tuple[int, Cls | _NB]], tail: Cls | _NB | None) -> Cls | _NB:
+    """A fan is the finite sum of its blocks plus the omega-sum of its
+    constant tail; a spine with finitely many copies is the same finite
+    sum, and with infinitely many it is the orthogonal of the sum of the
+    copies' orthogonals.  Each node also adds its own prefix nodes:
+    FINITE (a fan's root, a finite spine) or FIN (an infinite spine's
+    zero branch).  They are the scaffold's share and are absorbed in the
+    class of a nonempty denoted set."""
+    spine = isinstance(t, Spine)
+    for n, c in heads + [(len(t.heads), tail)]:
+        if isinstance(c, _NB):
+            return _NB((trees.spine_root(n) if spine else (n,)) + c.prefix)
+    if tail is None:
+        return _sum([FINITE_CLS] + [c for _, c in heads]) if heads else EMPTY_CLS
+    if not isinstance(t.tail, Const):
+        rest = [tail]  # a diagonal tail's answer already is its blocks' sum
+    elif isinstance(tail, CanonicalForm):
+        rest = [ideals.omega_sum(ideals.perp(tail) if spine else tail)]
+    else:
+        # omega many finite power sets sum to the power set
+        rest = [POW_FORM] if tail == FINITE_CLS else []
+    if not spine:
+        return _sum([FINITE_CLS] + [c for _, c in heads] + rest)
+    # finite copies are absorbed into the infinite tail part
+    inner = [ideals.perp(c) for _, c in heads if isinstance(c, CanonicalForm)] + rest
+    return _sum([FIN_FORM] + ([ideals.perp(ideals.combine_all(inner))] if inner else []))
 
 
-# --------------------------------------------------------------------------
+def _p_limit(tail) -> CanonicalForm:
+    # block classes along a diagonal tail, and their orthogonals, have
+    # ranks cofinal in the limit rank
+    return CanonicalForm(Kind.P, tail.rank)
+
+
+_CLASS = trees._Algebra(
+    "_cls",
+    {trees.EMPTY: EMPTY_CLS, trees.EPS: FINITE_CLS, trees.CHAIN: FIN_FORM, trees.FULL: _NB(())},
+    _node,
+    diag=_p_limit,
+)
 # scaffold: the generated tree minus the denoted set
-
-
-def scaffold_class(t: TreeSchema) -> Cls:
-    """Class of the prefix nodes the generated tree adds to the set."""
-    match t:
-        case Empty() | Eps() | Full():
-            return EMPTY_CLS
-        case Chain():
-            return FINITE_CLS
-        case Rooted(child):
-            return scaffold_class(child)
-        case Fan(heads, tail):
-            if trees.is_empty(t):
-                return EMPTY_CLS
-            parts: list[Cls] = [FINITE_CLS]  # the root node
-            for h in heads:
-                if not trees.is_empty(h):
-                    parts.append(scaffold_class(h))
-            if not trees.tail_is_trivial(tail):
-                if isinstance(tail, Const):
-                    s = scaffold_class(tail.block)
-                    if s == FINITE_CLS:
-                        parts.append(POW_FORM)
-                    elif isinstance(s, CanonicalForm):
-                        parts.append(ideals.omega_sum(s))
-                else:
-                    # block scaffolds have ranks cofinal in the limit rank
-                    parts.append(CanonicalForm(Kind.P, tail.rank))
-            return _fold(parts)
-        case Spine(heads, tail):
-            if trees.is_empty(t):
-                return EMPTY_CLS
-            parts = []
-            if trees.tail_is_trivial(tail):
-                parts.append(FINITE_CLS)  # a finite spine prefix
-                for h in heads:
-                    if not trees.is_empty(h):
-                        parts.append(scaffold_class(h))
-                return _fold(parts)
-            parts.append(FIN_FORM)  # the all-zero branch plus the copy roots
-            inner: list[CanonicalForm] = []
-            for h in heads:
-                if trees.is_empty(h):
-                    continue
-                s = scaffold_class(h)
-                if isinstance(s, CanonicalForm):
-                    inner.append(ideals.perp(s))
-            if isinstance(tail, Const):
-                s = scaffold_class(tail.block)
-                if s == FINITE_CLS:
-                    inner.append(POW_FORM)
-                elif isinstance(s, CanonicalForm):
-                    inner.append(ideals.omega_sum(ideals.perp(s)))
-            else:
-                inner.append(CanonicalForm(Kind.P, tail.rank))
-            if inner:
-                parts.append(ideals.perp(ideals.combine_all(inner)))
-            return _fold(parts)
-    raise TypeError(f"not a schema: {t!r}")
+_SCAFFOLD = trees._Algebra(
+    "_scaffold",
+    {trees.EMPTY: EMPTY_CLS, trees.EPS: EMPTY_CLS, trees.CHAIN: FINITE_CLS, trees.FULL: EMPTY_CLS},
+    _node,
+    diag=_p_limit,
+)
 
 
 # --------------------------------------------------------------------------

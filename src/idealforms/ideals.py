@@ -102,7 +102,7 @@ class Kind(enum.Enum):
     PQ = "PQ"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     kind: Kind
     rank: Ordinal

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import ordinals, trees
 from .ordinals import Ordinal
-from .trees import Chain, Const, Empty, Eps, Fan, Full, Rooted, SchemaSeq, Spine, TreeSchema
+from .trees import Fan, Spine, TreeSchema
 
 
 @dataclass(frozen=True)
@@ -67,78 +67,38 @@ def rank_info(t: TreeSchema) -> RankInfo:
     try:
         return t._rank
     except AttributeError:
-        info = t._rank = _compute(t)
-        return info
+        return trees._fold(t, _RANK)
 
 
-def _compute(t: TreeSchema) -> RankInfo:
-    match t:
-        case Empty():
-            return _EMPTY_INFO
-        case Eps() | Chain():
-            return _DOMINATED_INFO
-        case Full():
-            return _FIXED_INFO
-        case Rooted(child):
-            return _DOMINATED_INFO if trees.is_empty(child) else rank_info(child)
-        case Fan() | Spine() if trees.is_empty(t):
-            return _EMPTY_INFO
-        case Fan():
-            return _fan_info(t)
-        case Spine():
-            return _spine_info(t)
-    raise TypeError(f"not a schema: {t!r}")
-
-
-def _head_infos(t: Fan | Spine) -> list[tuple[int, RankInfo]]:
-    return [(n, rank_info(h)) for n, h in enumerate(t.heads) if not trees.is_empty(h)]
-
-
-def _diag_info(tail: SchemaSeq) -> RankInfo:
-    """Stands for all blocks of a diagonal tail: their ranks and domination
-    stages are cofinal in the limit rank, the only stage callers need."""
-    return RankInfo(tail.rank, True, tail.rank)
-
-
-def _fan_info(t: Fan) -> RankInfo:
-    heads = _head_infos(t)
-    if trees.tail_is_trivial(t.tail):
-        # finitely many blocks: the root falls once every block is dominated
-        if all(i.core_empty for _, i in heads):
-            return _from_dom(_omax([i.dom_stage for _, i in heads]))
-        return RankInfo(_omax([i.rank for _, i in heads]), False, None)
-
-    # inline, not a helper: one more frame per level would cost depth
-    it = rank_info(t.tail.block) if isinstance(t.tail, Const) else _diag_info(t.tail)
-    # infinitely many nonempty blocks keep the first coordinates
-    # unbounded, so the root needs every tail block to be fully gone
-    if it.core_empty and all(i.core_empty for _, i in heads):
-        return _from_dom(_omax([it.rank] + [i.dom_stage for _, i in heads]))
-    return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
-
-
-def _spine_info(t: Spine) -> RankInfo:
-    heads = _head_infos(t)
-    tail = t.tail
-    if trees.tail_is_trivial(tail):
-        if all(i.core_empty for _, i in heads):
-            # the spine accommodates dominated copies: no emptiness needed
-            return _from_dom(_omax([i.dom_stage for _, i in heads]))
+def _node(t: Fan | Spine, heads: list[tuple[int, RankInfo]], tail: RankInfo | None) -> RankInfo:
+    if tail is not None:
+        if isinstance(t, Fan):
+            # infinitely many nonempty blocks keep the first coordinates
+            # unbounded, so the root needs every tail block to be fully gone
+            tail = RankInfo(tail.rank, tail.core_empty, tail.rank)
+        heads = heads + [(len(t.heads), tail)]
+    if not heads:
+        return _EMPTY_INFO
+    if all(i.core_empty for _, i in heads):
+        # the root falls once every block is dominated; a spine
+        # accommodates dominated copies, so no emptiness is needed there
+        return _from_dom(_omax([i.dom_stage for _, i in heads]))
+    ranks = [i.rank for _, i in heads]
+    if isinstance(t, Spine):
         last_bad = max(n for n, i in heads if not i.core_empty)
-        ranks = [i.rank for _, i in heads]
         late = [i.dom_stage for n, i in heads if n > last_bad]
         if late:
             # spine nodes past the last surviving copy still get removed
             ranks.append(ordinals.succ(_omax(late)))
-        return RankInfo(_omax(ranks), False, None)
-
-    it = rank_info(tail.block) if isinstance(tail, Const) else _diag_info(tail)
-    if it.core_empty and all(i.core_empty for _, i in heads):
-        return _from_dom(_omax([it.dom_stage] + [i.dom_stage for _, i in heads]))
-    if not it.core_empty:
-        # surviving copies above every spine node pin the whole spine
-        return RankInfo(_omax([it.rank] + [i.rank for _, i in heads]), False, None)
-    last_bad = max(n for n, i in heads if not i.core_empty)
-    late = [it.dom_stage] + [i.dom_stage for n, i in heads if n > last_bad]
-    ranks = [it.rank] + [i.rank for _, i in heads] + [ordinals.succ(_omax(late))]
     return RankInfo(_omax(ranks), False, None)
+
+
+# the blocks of a diagonal tail have ranks and domination stages cofinal
+# in the limit rank, the only stage callers need
+_RANK = trees._Algebra(
+    "_rank",
+    {trees.EMPTY: _EMPTY_INFO, trees.EPS: _DOMINATED_INFO, trees.CHAIN: _DOMINATED_INFO,
+     trees.FULL: _FIXED_INFO},
+    _node,
+    diag=lambda tail: RankInfo(tail.rank, True, tail.rank),
+)

@@ -11,7 +11,8 @@ below and under taking cones.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+import math
+from typing import Callable, Iterator, Optional
 
 from . import ideals, ordinals
 from .errors import NotLimit
@@ -25,9 +26,8 @@ Seq = tuple[int, ...]
 class TreeSchema(Interned):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
-    # facts memoized on first use by is_empty, pick_least, _entry_bound and
-    # rank.rank_info
-    __slots__ = ("_empty", "_pick", "_bound", "_rank")
+    # one slot per _Algebra: the facts _fold memoizes on each term
+    __slots__ = ("_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls", "_scaffold")
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -141,6 +141,88 @@ CONST_EMPTY = Const(EMPTY)
 
 
 # --------------------------------------------------------------------------
+# the fold: bottom-up facts (a catamorphism; Meijer, Fokkinga & Paterson 1991)
+
+
+def _same(answer):
+    return answer
+
+
+class _Algebra:
+    """One bottom-up fact about schemas, memoized by ``_fold`` in the slot
+    ``slot`` of every term it reaches.
+
+    ``leaves`` holds the answers at EMPTY, EPS, CHAIN and FULL (stored in
+    their slots at once).  ``rooted`` maps a nonempty child's answer to
+    the answer of ``Rooted(child)``; with an empty child it denotes EPS.
+    ``node(t, heads, tail)`` answers for a fan or spine ``t``: ``heads``
+    pairs the index and answer of every nonempty head, and ``tail`` is
+    None for a trivial tail, the block's answer for a constant tail, and
+    ``diag(tail)`` for a diagonal tail, or block 0's answer when ``diag``
+    is None.  No answer of a nonempty term is None: unbounded lengths and
+    entries are ``math.inf``.
+    """
+
+    __slots__ = ("slot", "node", "rooted", "diag")
+
+    def __init__(
+        self,
+        slot: str,
+        leaves: dict[TreeSchema, object],
+        node: Callable,
+        rooted: Callable = _same,
+        diag: Optional[Callable[[SchemaSeq], object]] = None,
+    ) -> None:
+        self.slot, self.node, self.rooted, self.diag = slot, node, rooted, diag
+        for leaf, answer in leaves.items():
+            setattr(leaf, slot, answer)
+
+
+def _fold(t: TreeSchema, alg: _Algebra):
+    """The answer of ``alg`` at ``t``.  The walk keeps its own stack, so
+    depth costs no Python frames; each term finished also gets its
+    emptiness in ``_empty``, which the next fold reads to find live heads
+    and trivial tails."""
+    slot, block0 = alg.slot, alg.diag is None
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            if hasattr(node, slot):
+                continue
+            if type(node) is Rooted:
+                kids: tuple[TreeSchema, ...] = (node.child,)
+            elif isinstance(node, _Blocks):
+                tail = node.tail
+                if type(tail) is Const:
+                    kids = node.heads + (tail.block,)
+                else:
+                    kids = node.heads + (seq_block(tail, 0),) if block0 else node.heads
+            else:
+                raise TypeError(f"not a schema: {node!r}")
+            # None marks that every subterm above it is done
+            stack += (node, None)
+            stack += [k for k in kids if not hasattr(k, slot)]
+            continue
+        node = stack.pop()
+        if type(node) is Rooted:
+            child = node.child
+            node._empty = False
+            answer = getattr(EPS, slot) if child._empty else alg.rooted(getattr(child, slot))
+        else:
+            heads = [(n, getattr(h, slot)) for n, h in enumerate(node.heads) if not h._empty]
+            tail = node.tail
+            if type(tail) is Const:
+                tail_answer = None if tail.block._empty else getattr(tail.block, slot)
+            else:
+                tail_answer = getattr(seq_block(tail, 0), slot) if block0 else alg.diag(tail)
+            node._empty = not heads and tail_answer is None
+            answer = alg.node(node, heads, tail_answer)
+        setattr(node, slot, answer)
+    return getattr(t, slot)
+
+
+# --------------------------------------------------------------------------
 # compiling canonical forms into schemas
 
 
@@ -212,36 +294,25 @@ def tail_is_trivial(tail: SchemaSeq) -> bool:
 # denotation basics
 
 
+_EMPTY = _Algebra(
+    "_empty",
+    {EMPTY: True, EPS: False, CHAIN: False, FULL: False},
+    lambda t, heads, tail: not heads and tail is None,
+    rooted=lambda answer: False,
+    diag=lambda tail: False,
+)
+
+
 def is_empty(t: TreeSchema) -> bool:
     try:
         return t._empty
     except AttributeError:
-        pass
-    match t:
-        case Empty():
-            out = True
-        case Eps() | Chain() | Full() | Rooted():
-            out = False
-        case Fan(heads, tail) | Spine(heads, tail):
-            out = all(is_empty(h) for h in heads) and tail_is_trivial(tail)
-        case _:
-            raise TypeError(f"not a schema: {t!r}")
-    t._empty = out
-    return out
+        return _fold(t, _EMPTY)
 
 
 def is_finite(t: TreeSchema) -> bool:
-    match t:
-        case Empty() | Eps():
-            return True
-        case Chain() | Full():
-            return False
-        case Rooted(child):
-            return is_finite(child)
-        case Fan(heads, tail) | Spine(heads, tail):
-            # a non-trivial tail repeats a nonempty block infinitely often
-            return all(is_finite(h) for h in heads) and tail_is_trivial(tail)
-    raise TypeError(f"not a schema: {t!r}")
+    # a set of sequences is finite iff its lengths and entries are bounded
+    return _fold(t, _DEPTH) < math.inf and _entry_bound(t) < math.inf
 
 
 def member_elem(u: Seq, t: TreeSchema) -> bool:
@@ -326,82 +397,53 @@ def cone_of(t: TreeSchema, u: Seq) -> TreeSchema:
 # a diagonal tail and block 0 decides them.
 
 
-def _tail_blocks_all(tail: SchemaSeq, pred) -> bool:
-    if isinstance(tail, Const):
-        return is_empty(tail.block) or pred(tail.block)
-    return pred(seq_block(tail, 0))
+# blocks sit under an antichain of a fan, so any branch enters one block;
+# infinitely many spine copies force the zero branch
+_WF = _Algebra(
+    "_wf",
+    {EMPTY: True, EPS: True, CHAIN: False, FULL: False},
+    lambda t, heads, tail: (tail is None or type(t) is Fan and tail) and all(a for _, a in heads),
+)
+# a fan tail makes first coordinates unbounded; spine entries are at most
+# 1 and copy offsets keep each position influenced by finitely many copies
+_ID = _Algebra(
+    "_id",
+    {EMPTY: True, EPS: True, CHAIN: True, FULL: False},
+    lambda t, heads, tail: (tail is None or type(t) is Spine and tail) and all(a for _, a in heads),
+)
 
 
 def in_wf(t: TreeSchema) -> bool:
     """True iff the denoted set is contained in a well-founded tree."""
-    match t:
-        case Empty() | Eps():
-            return True
-        case Chain() | Full():
-            return False
-        case Rooted(child):
-            return in_wf(child)
-        case Fan(heads, tail):
-            # blocks sit under an antichain: any branch enters one block
-            return all(in_wf(h) for h in heads) and _tail_blocks_all(tail, in_wf)
-        case Spine(heads, tail):
-            if not tail_is_trivial(tail):
-                return False  # infinitely many copies force the zero branch
-            return all(is_empty(h) or in_wf(h) for h in heads)
-    raise TypeError(f"not a schema: {t!r}")
+    return _fold(t, _WF)
 
 
 def in_id(t: TreeSchema) -> bool:
     """True iff the denoted set is dominated by a single branch."""
-    match t:
-        case Empty() | Eps() | Chain():
-            return True
-        case Full():
-            return False
-        case Rooted(child):
-            return in_id(child)
-        case Fan(heads, tail):
-            if not tail_is_trivial(tail):
-                return False  # unbounded first coordinates
-            return all(is_empty(h) or in_id(h) for h in heads)
-        case Spine(heads, tail):
-            # spine entries are at most 1 and copy offsets keep each
-            # position influenced by finitely many copies
-            return all(is_empty(h) or in_id(h) for h in heads) and _tail_blocks_all(tail, in_id)
-    raise TypeError(f"not a schema: {t!r}")
+    return _fold(t, _ID)
+
+
+def _depth_node(t: Fan | Spine, heads: list, tail):
+    if isinstance(t, Fan):
+        bounds = [b for _, b in heads] + ([] if tail is None else [tail])
+        return 1 + max(bounds) if bounds else 0
+    if tail is not None:
+        return math.inf  # copy roots alone have unbounded length
+    return max((n + 1 + b for n, b in heads), default=0)
+
+
+_DEPTH = _Algebra(
+    "_depth",
+    {EMPTY: 0, EPS: 0, CHAIN: math.inf, FULL: math.inf},
+    _depth_node,
+    diag=lambda tail: math.inf,
+)
 
 
 def depth_bound(t: TreeSchema) -> Optional[int]:
     """Maximum element length, or None when lengths are unbounded."""
-    match t:
-        case Empty() | Eps():
-            return 0
-        case Chain() | Full():
-            return None
-        case Rooted(child):
-            return depth_bound(child)
-        case Fan(heads, tail):
-            bounds = [depth_bound(h) for h in heads if not is_empty(h)]
-            if not tail_is_trivial(tail):
-                if not isinstance(tail, Const):
-                    return None
-                bounds.append(depth_bound(tail.block))
-            if any(b is None for b in bounds):
-                return None
-            return 1 + max(bounds, default=-1) if bounds else 0
-        case Spine(heads, tail):
-            if not tail_is_trivial(tail):
-                return None  # copy roots alone have unbounded length
-            bounds = []
-            for n, h in enumerate(heads):
-                if is_empty(h):
-                    continue
-                b = depth_bound(h)
-                if b is None:
-                    return None
-                bounds.append(n + 1 + b)
-            return max(bounds, default=0)
-    raise TypeError(f"not a schema: {t!r}")
+    out = _fold(t, _DEPTH)
+    return None if out == math.inf else out
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +471,7 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
     least = pick_least(t)
     if least is None or length < len(least):
         return
-    if need and (bound := _entry_bound(t)) is not None and bound < max_entry:
+    if need and _entry_bound(t) < max_entry:
         return
     match t:
         case Eps():
@@ -469,42 +511,30 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
             raise TypeError(f"not a schema: {t!r}")
 
 
-def _entry_bound(t: TreeSchema) -> Optional[int]:
-    """Largest entry of any element (-1 when no element has one), or None
+def _entry_node(t: Fan | Spine, heads: list, tail):
+    fan = isinstance(t, Fan)
+    if tail is not None:
+        # a fan tail has unboundedly many children
+        heads = heads + [(math.inf if fan else len(t.heads), tail)]
+    return max([-1] + [max(b, n if fan else 1) for n, b in heads])
+
+
+# every diagonal tail holds blocks with unbounded entries
+_ENTRY = _Algebra(
+    "_bound",
+    {EMPTY: -1, EPS: -1, CHAIN: 0, FULL: math.inf},
+    _entry_node,
+    diag=lambda tail: math.inf,
+)
+
+
+def _entry_bound(t: TreeSchema) -> float:
+    """Largest entry of any element: -1 when no element has one, ``inf``
     when entries are unbounded."""
     try:
-        return t._bound  # an unset slot means not computed; None is an answer
+        return t._bound
     except AttributeError:
-        out = t._bound = _compute_entry_bound(t)
-        return out
-
-
-def _compute_entry_bound(t: TreeSchema) -> Optional[int]:
-    match t:
-        case Empty() | Eps():
-            return -1
-        case Chain():
-            return 0
-        case Full():
-            return None
-        case Rooted(child):
-            return _entry_bound(child)
-        case Fan(heads, tail) | Spine(heads, tail):
-            live = [(n, h) for n, h in enumerate(heads) if not is_empty(h)]
-            if not tail_is_trivial(tail):
-                # a fan has unboundedly many children, and every diagonal
-                # tail holds blocks with unbounded entries
-                if isinstance(t, Fan) or not isinstance(tail, Const):
-                    return None
-                live.append((len(heads), tail.block))
-            out = -1
-            for n, h in live:
-                b = _entry_bound(h)
-                if b is None:
-                    return None
-                out = max(out, b, n if isinstance(t, Fan) else 1)
-            return out
-    raise TypeError(f"not a schema: {t!r}")
+        return _fold(t, _ENTRY)
 
 
 def elements_up_to(t: TreeSchema, max_len: int, max_entry: int) -> list[Seq]:
@@ -519,46 +549,26 @@ def shortlex(u: Seq) -> tuple[int, Seq]:
     return (len(u), u)
 
 
+def _least_node(t: Fan | Spine, heads: list, tail) -> Optional[Seq]:
+    if tail is not None:
+        heads = heads + [(len(t.heads), tail)]
+    root = (lambda n: (n,)) if isinstance(t, Fan) else spine_root
+    return min((root(n) + p for n, p in heads), key=shortlex, default=None)
+
+
+# along constant and diagonal tails the block picks only get longer, so
+# the first tail block already carries the least candidate
+_LEAST = _Algebra(
+    "_pick", {EMPTY: None, EPS: (), CHAIN: (0,), FULL: ()}, _least_node, rooted=lambda p: ()
+)
+
+
 def pick_least(t: TreeSchema) -> Optional[Seq]:
-    """Shortlex-least denoted element; None for the empty set.
-
-    Along constant and diagonal tails the block picks only get longer, so
-    the first nonempty block already carries the least candidate.
-    """
+    """Shortlex-least denoted element; None for the empty set."""
     try:
-        return t._pick  # an unset slot means not computed; None is an answer
+        return t._pick
     except AttributeError:
-        out = t._pick = _pick_least(t)
-        return out
-
-
-def _pick_least(t: TreeSchema) -> Optional[Seq]:
-    match t:
-        case Empty():
-            return None
-        case Eps() | Full():
-            return ()
-        case Chain():
-            return (0,)
-        case Rooted(_):
-            return ()
-        case Fan(heads, tail) | Spine(heads, tail):
-            candidates = []
-            for n, h in enumerate(heads):
-                p = pick_least(h)
-                if p is not None:
-                    candidates.append((n, p))
-            if not tail_is_trivial(tail):
-                base = len(heads)
-                p = pick_least(seq_block(tail, 0))
-                if p is not None:
-                    candidates.append((base, p))
-            if not candidates:
-                return None
-            if isinstance(t, Fan):
-                return min(((n,) + p for n, p in candidates), key=shortlex)
-            return min((spine_root(n) + p for n, p in candidates), key=shortlex)
-    raise TypeError(f"not a schema: {t!r}")
+        return _fold(t, _LEAST)
 
 
 def singleton(u: Seq) -> TreeSchema:

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from idealforms import membership, oracle, quotient, rank, trees
-from idealforms.errors import QuotientOverflow
+from idealforms import classification, membership, oracle, quotient, rank, trees
+from idealforms.errors import FiniteSchema, QuotientOverflow
 from idealforms.membership import Schema
 from idealforms.oracle import Budget
 from idealforms.text import parse_expr, parse_query, parse_tree
@@ -210,6 +210,9 @@ ENUM_DIGESTS = {
 }
 
 
+FACTS_DIGEST = "409b9b32fb8df3797e6862430333989b246f05bdd00bcde0b782ab32b07769d8"
+
+
 def test_enumeration_digest_pinned():
     corpus = _constant_tail_schemas(5)
     assert len(corpus) == 2780
@@ -218,6 +221,33 @@ def test_enumeration_digest_pinned():
         for s in corpus:
             h.update(f"{s}:{oracle.enumerate_schema(s, b)}\n".encode())
         assert h.hexdigest() == want, b
+
+
+def _facts(s: trees.TreeSchema) -> str:
+    info = rank.rank_info(s)
+    try:
+        verdict = classification.classify(s)
+    except FiniteSchema:
+        verdict = "finite"
+    return (
+        f"{s}:{trees.is_empty(s)},{trees.is_finite(s)},{trees.in_wf(s)},{trees.in_id(s)},"
+        f"{trees.depth_bound(s)},{trees.pick_least(s)},{info.rank},{info.core_empty},"
+        f"{info.dom_stage},{verdict},{classification.scaffold_class(s)}"
+    )
+
+
+def test_structural_facts_pinned():
+    # sha256 of the _facts lines over every constant-tail schema of size
+    # <= 5, 2 000 random schemas (diagonal tails, full, spines) and rooted
+    # copies of the first 500 of those; recorded before the bottom-up
+    # walkers became algebras over one fold
+    rng = random.Random(4)
+    drawn = [oracle.rand_schema(rng, 7) for _ in range(2000)]
+    corpus = _constant_tail_schemas(5) + drawn + [trees.Rooted(s) for s in drawn[:500]]
+    h = hashlib.sha256()
+    for s in corpus:
+        h.update(f"{_facts(s)}\n".encode())
+    assert h.hexdigest() == FACTS_DIGEST
 
 
 def _stage(u) -> int:

@@ -192,6 +192,29 @@ def test_deep_chains_of_equal_depth_in_one_process():
     assert len(hashcons._TABLE) == size  # the weak table released both chains
 
 
+def test_deep_schema_facts_in_one_process():
+    # the bottom-up facts walk a compiled chain without a frame per level
+    n = 12000
+    schema = trees.compile_ideal(parse_expr(f"P({n})"))
+    assert str(classification.classify(schema)) == f"Borel(P({n}))"
+    assert rank.tree_rank(schema) == (ordinals.from_int(n // 2 + 2), True)
+    assert str(classification.scaffold_class(schema)) == f"P({n - 1})"
+    assert not trees.in_wf(schema) and not trees.in_id(schema)
+    assert not trees.is_finite(schema)
+    assert trees.depth_bound(schema) is None
+
+
+def test_every_fact_slot_has_one_algebra():
+    # two algebras sharing a slot would silently return each other's answers
+    algebras = [
+        v for m in (trees, rank, classification) for v in vars(m).values()
+        if isinstance(v, trees._Algebra)
+    ]
+    slots = [a.slot for a in algebras]
+    assert len(set(slots)) == len(slots)
+    assert set(slots) == set(trees.TreeSchema.__slots__)
+
+
 def test_racing_builders_get_one_object():
     # more threads than cores and a tiny switch interval, so that builders
     # interleave between looking a term up and storing it
