@@ -6,12 +6,15 @@ orthogonal of the sum of the copies' orthogonals, with finite sub-blocks
 absorbed by shift bijections.  ``classify_via_derivative`` targets the
 generated tree instead: it reads the removal stages off the rank engine,
 splits the tree into the top-stage part H and the pieces hanging off it,
-then assembles the pieces' classes; with infinitely many pieces the sum
-of their orthogonals gets one more orthogonal plus a finite-sets summand.
+then sums the pieces' classes; with infinitely many pieces the sum of
+their orthogonals gets one more orthogonal plus a finite-sets summand.
 
 The two answers differ exactly by the scaffold (the generated tree minus
 the denoted set), whose class ``scaffold_class`` computes with the sum
-algebra of ``classify`` over other leaf classes.
+algebra of ``classify`` over other leaf classes.  Each classifier is an
+algebra over ``trees._fold``, so neither spends a Python frame per level;
+the derivative algebra reads no answer of the other two, which keeps the
+two classifications independent derivations.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import ideals, rank, trees
 from .errors import FiniteSchema
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
-from .trees import Const, Fan, Full, PDiag, QDiag, Rooted, Seq, Spine, TreeSchema
+from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
 from .witnesses import CoreEmbedding, EmbeddingWitness, Expansion, PrefixEmbedding
 
 # size markers for sub-blocks absorbed by the classification
@@ -141,158 +144,115 @@ def classify_via_derivative(t: TreeSchema) -> TreeClass:
     """Classification of the ideal restricted to the generated tree."""
     if trees.is_finite(t):
         raise FiniteSchema(f"schema denotes a finite set: {t}")
-    info = rank.rank_info(t)
-    if not info.core_empty:
+    if not rank.rank_info(t).core_empty:
         return NonBorel(CoreEmbedding(t, find_expansion))
-    return Borel(_via_form(t))
+    return Borel(trees._fold(t, _VIA)[0])
 
 
-def _via_form(t: TreeSchema) -> CanonicalForm:
-    beta = rank.rank_info(t).dom_stage
-    assert beta is not None
-    if beta.is_zero():
+# The pieces hanging off the top-stage part H of a generated tree, kept as
+# three sums: the classes of the pieces that hang finitely often, the
+# orthogonal-side contributions of those that hang infinitely often (each
+# EMPTY_CLS when there is none), and whether H is infinite.  A sum of
+# canonical forms is a join, and perp and omega_sum preserve joins
+# (omega_sum is also idempotent), so the sums give the class that the list
+# of pieces would.
+_Pieces = tuple[Cls, Cls, bool]
+
+
+def _orth_sum(p: _Pieces) -> Cls:
+    """Sum of the orthogonals of the pieces."""
+    fin, orth, _ = p
+    return _sum([orth] + ([ideals.perp(fin)] if isinstance(fin, CanonicalForm) else []))
+
+
+def _hang(acc: _Pieces, c: Cls | None) -> _Pieces:
+    """One more piece of class ``c`` hanging off H; finite pieces vanish."""
+    return (_sum([acc[0], c]), acc[1], acc[2]) if isinstance(c, CanonicalForm) else acc
+
+
+def _merge(acc: _Pieces, sub: _Pieces) -> _Pieces:
+    """Add the pieces of a block whose top-stage part belongs to H."""
+    return _sum([acc[0], sub[0]]), _sum([acc[1], sub[1]]), acc[2] or sub[2]
+
+
+def _dom(t: TreeSchema) -> Ordinal:
+    return rank.rank_info(t).dom_stage
+
+
+def _via_node(t: Fan | Spine, heads: list, tail) -> tuple[Cls | None, _Pieces | None]:
+    """Class of the generated tree, read off the stage ``beta`` at which
+    its survivors are dominated: a block that reaches ``beta`` too lies in
+    H and passes its pieces up, a block that falls earlier is one piece;
+    with H infinite the sum of the pieces' orthogonals gets one more
+    orthogonal plus a finite-sets summand.  The answer pairs the class
+    with the pieces (None at stage 0)."""
+    info = rank.rank_info(t)
+    if info.dom_stage.is_zero():
         # one derivative step empties the tree: it is branch-dominated
-        return FIN_FORM
-    parts, extras, h_inf = _assemble(t, beta)
-    if h_inf:
-        inner = list(extras)
-        for c, mult in parts:
-            inner.append(ideals.omega_sum(ideals.perp(c)) if mult is None else ideals.perp(c))
-        return ideals.combine(ideals.perp(ideals.combine_all(inner)), FIN_FORM)
-    assert parts, "a rank >= 2 tree with finite top part must hang pieces"
-    assert all(mult is not None for _, mult in parts)
-    return ideals.combine_all([c for c, _ in parts])
+        if tail is None:
+            if not heads:
+                return _EMPTY
+            if all(c == FINITE_CLS for _, (c, _) in heads):
+                return _FINITE
+        return _DOMINATED
+    assemble = _assemble_fan if isinstance(t, Fan) else _assemble_spine
+    pieces = assemble(t, heads, tail, info.dom_stage)
+    if pieces[2]:
+        return ideals.combine(ideals.perp(_orth_sum(pieces)), FIN_FORM), pieces
+    assert isinstance(pieces[0], CanonicalForm), "a rank >= 2 tree must hang pieces"
+    return pieces[0], pieces
 
 
-def _via_class(t: TreeSchema) -> Cls:
-    if trees.is_empty(t):
-        return EMPTY_CLS
-    if trees.is_finite(t):
-        return FINITE_CLS
-    return _via_form(t)
-
-
-_Parts = list[tuple[CanonicalForm, int | None]]
-
-
-def _assemble(t: TreeSchema, beta: Ordinal) -> tuple[_Parts, list[CanonicalForm], bool]:
-    """Pieces hanging off the top-stage part H of the generated tree.
-
-    Returns per-H-node piece classes with multiplicity (None for an
-    infinite block of identical pieces), pre-aggregated orthogonal-sum
-    contributions for diagonal piece families, and whether H is infinite.
-    """
-    match t:
-        case Rooted(child):
-            return _assemble(child, beta)
-        case Fan(heads, tail):
-            return _assemble_fan(t, heads, tail, beta)
-        case Spine(heads, tail):
-            return _assemble_spine(t, heads, tail, beta)
-    raise AssertionError(f"no pieces to assemble in {t}")
-
-
-def _merge(
-    acc: tuple[_Parts, list[CanonicalForm], bool],
-    sub: tuple[_Parts, list[CanonicalForm], bool],
-    infinite_copies: bool,
-) -> tuple[_Parts, list[CanonicalForm], bool]:
-    parts, extras, h_inf = acc
-    sub_parts, sub_extras, sub_inf = sub
-    if infinite_copies:
-        parts.extend((c, None) for c, _ in sub_parts)
-        extras.extend(ideals.omega_sum(e) for e in sub_extras)
-        return parts, extras, True
-    parts.extend(sub_parts)
-    extras.extend(sub_extras)
-    return parts, extras, h_inf or sub_inf
-
-
-def _assemble_fan(
-    t: Fan, heads: tuple[TreeSchema, ...], tail, beta: Ordinal
-) -> tuple[_Parts, list[CanonicalForm], bool]:
-    acc: tuple[_Parts, list[CanonicalForm], bool] = ([], [], False)
-    root_comps: list[CanonicalForm] = []
-    for h in heads:
-        if trees.is_empty(h):
-            continue
-        ih = rank.rank_info(h)
-        assert ih.core_empty
-        if ih.dom_stage == beta:
-            acc = _merge(acc, _assemble(h, beta), infinite_copies=False)
-        else:
-            c = _via_class(h)
-            if isinstance(c, CanonicalForm):
-                root_comps.append(c)
-    if not trees.tail_is_trivial(tail):
-        if isinstance(tail, Const):
-            it = rank.rank_info(tail.block)
-            if it.dom_stage == beta:
-                acc = _merge(acc, _assemble(tail.block, beta), infinite_copies=True)
-            else:
-                c = _via_class(tail.block)
-                if c == FINITE_CLS:
-                    root_comps.append(POW_FORM)  # omega many finite pieces
-                elif isinstance(c, CanonicalForm):
-                    root_comps.append(ideals.omega_sum(c))
-        else:
-            # all diagonal blocks fall before beta; their piece classes
-            # have ranks cofinal in the limit rank
-            root_comps.append(CanonicalForm(Kind.P, tail.rank))
-    parts, extras, h_inf = acc
-    if root_comps:
-        parts.append((ideals.combine_all(root_comps), 1))
-    return parts, extras, h_inf
-
-
-def _assemble_spine(
-    t: Spine, heads: tuple[TreeSchema, ...], tail, beta: Ordinal
-) -> tuple[_Parts, list[CanonicalForm], bool]:
-    acc: tuple[_Parts, list[CanonicalForm], bool] = ([], [], False)
-    head_infos = [
-        (n, rank.rank_info(h), h) for n, h in enumerate(heads) if not trees.is_empty(h)
-    ]
-    if isinstance(tail, Const) and not trees.tail_is_trivial(tail):
-        tail_dom = rank.rank_info(tail.block).dom_stage
-    elif isinstance(tail, (QDiag, PDiag)):
-        tail_dom = tail.rank  # sup of the diagonal block domination stages
-    else:
-        tail_dom = None
-
-    if tail_dom == beta:
-        # the whole spine survives to the top stage: H is infinite
-        for _, ih, h in head_infos:
-            if ih.dom_stage == beta:
-                acc = _merge(acc, _assemble(h, beta), infinite_copies=False)
-            else:
-                c = _via_class(h)
-                if isinstance(c, CanonicalForm):
-                    acc[0].append((c, 1))
-        if isinstance(tail, Const):
-            acc = _merge(acc, _assemble(tail.block, beta), infinite_copies=True)
-        else:
-            # one piece per spine node, classes with ranks cofinal in the limit
-            acc[1].append(CanonicalForm(Kind.P, tail.rank))
-        return acc[0], acc[1], True
-
-    # the spine leaves H after the last copy whose domination stage is beta
-    tops = [n for n, ih, _ in head_infos if ih.dom_stage == beta]
-    assert tops, "beta must be attained among the copies"
-    last_top = max(tops)
-    for n, ih, h in head_infos:
-        if n > last_top:
-            continue
-        if ih.dom_stage == beta:
-            acc = _merge(acc, _assemble(h, beta), infinite_copies=False)
-        else:
-            c = _via_class(h)
-            if isinstance(c, CanonicalForm):
-                acc[0].append((c, 1))
-    rest = trees.cone_of(t, (0,) * (last_top + 1))
-    c = _via_class(rest)
-    if isinstance(c, CanonicalForm):
-        acc[0].append((c, 1))
+def _assemble_heads(t: Fan | Spine, heads: list, beta: Ordinal) -> _Pieces:
+    acc: _Pieces = (EMPTY_CLS, EMPTY_CLS, False)
+    for n, (c, sub) in heads:
+        acc = _merge(acc, sub) if _dom(t.heads[n]) == beta else _hang(acc, c)
     return acc
+
+
+def _assemble_fan(t: Fan, heads: list, tail, beta: Ordinal) -> _Pieces:
+    acc = _assemble_heads(t, heads, beta)
+    if tail is None:
+        return acc
+    c = tail[0]
+    # every tail block falls before beta (rank_info counts a fan tail with
+    # its rank, one more than a block's domination stage), so each hangs
+    if not isinstance(t.tail, Const):
+        return _hang(acc, c)  # diagonal piece classes: ranks cofinal in the limit
+    # omega many finite pieces give the power set
+    return _hang(acc, POW_FORM if c == FINITE_CLS else ideals.omega_sum(c))
+
+
+def _assemble_spine(t: Spine, heads: list, tail, beta: Ordinal) -> _Pieces:
+    if tail is not None:
+        c, sub = tail
+        if isinstance(t.tail, Const):
+            tail_dom = _dom(t.tail.block)
+        else:
+            tail_dom = t.tail.rank  # sup of the diagonal block domination stages
+        if tail_dom == beta:
+            # the whole spine survives to the top stage: H is infinite
+            acc = _assemble_heads(t, heads, beta)
+            if isinstance(t.tail, Const):
+                # each piece of the block hangs infinitely often
+                c = ideals.omega_sum(_orth_sum(sub))
+            # else one piece per spine node, classes with ranks cofinal in the limit
+            return acc[0], _sum([acc[1], c]), True
+    # the spine leaves H after the last copy whose domination stage is beta
+    last_top = max(n for n, _ in heads if _dom(t.heads[n]) == beta)
+    acc = _assemble_heads(t, [(n, a) for n, a in heads if n <= last_top], beta)
+    return _hang(acc, trees._fold(trees.cone_of(t, (0,) * (last_top + 1)), _VIA)[0])
+
+
+# answers without pieces, shared by every term that has them; full has a
+# nonempty core, so the fold never reaches it below a classified term
+_EMPTY, _FINITE, _DOMINATED = (EMPTY_CLS, None), (FINITE_CLS, None), (FIN_FORM, None)
+_VIA = trees._Algebra(
+    "_via",
+    {trees.EMPTY: _EMPTY, trees.EPS: _FINITE, trees.CHAIN: _DOMINATED, trees.FULL: (None, None)},
+    _via_node,
+    diag=lambda tail: (_p_limit(tail), None),  # compiles no diagonal block
+)
 
 
 # --------------------------------------------------------------------------
@@ -306,31 +266,29 @@ def find_expansion(c: TreeSchema) -> Expansion:
     branching node; the search descends into a surviving block until the
     branching lives at the current root.
     """
-    match c:
-        case Full():
-            return Expansion((), lambda k: k, trees.FULL)
-        case Rooted(child):
-            return find_expansion(child)
-        case Fan(heads, tail):
-            if (
-                isinstance(tail, Const)
-                and not trees.tail_is_trivial(tail)
-                and not rank.rank_info(tail.block).core_empty
-            ):
-                base = len(heads)
-                return Expansion((), lambda k: base + k, tail.block)
-            for n, h in enumerate(heads):
-                if not trees.is_empty(h) and not rank.rank_info(h).core_empty:
-                    sub = find_expansion(h)
-                    return Expansion((n,) + sub.path, sub.index, sub.child)
-        case Spine(heads, tail):
-            for n, h in enumerate(heads):
-                if not trees.is_empty(h) and not rank.rank_info(h).core_empty:
-                    sub = find_expansion(h)
-                    return Expansion(trees.spine_root(n) + sub.path, sub.index, sub.child)
-            if isinstance(tail, Const) and not rank.rank_info(tail.block).core_empty:
-                sub = find_expansion(tail.block)
-                return Expansion(
-                    trees.spine_root(len(heads)) + sub.path, sub.index, sub.child
-                )
-    raise AssertionError(f"no expansion point in {c}: core is empty")
+    path: list[int] = []
+    while True:
+        match c:
+            case Full():
+                return Expansion(tuple(path), lambda k: k, trees.FULL)
+            case Rooted(child):
+                c = child
+                continue
+            case Fan(heads, tail):
+                if isinstance(tail, Const) and not rank.rank_info(tail.block).core_empty:
+                    base = len(heads)
+                    return Expansion(tuple(path), lambda k: base + k, tail.block)
+                blocks = list(enumerate(heads))
+            case Spine(heads, tail):
+                blocks = list(enumerate(heads))
+                if isinstance(tail, Const):
+                    blocks.append((len(heads), tail.block))
+            case _:
+                blocks = []
+        for n, h in blocks:
+            if not rank.rank_info(h).core_empty:
+                break
+        else:
+            raise AssertionError(f"no expansion point in {c}: core is empty")
+        path.extend(trees.spine_root(n) if isinstance(c, Spine) else (n,))
+        c = h

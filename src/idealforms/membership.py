@@ -204,21 +204,6 @@ _SEARCH_LEN = 5
 _SEARCH_ENTRY = 5
 
 
-def finite_elements(t: TreeSchema) -> list[Seq]:
-    """All elements of a schema known to denote a finite set."""
-    match t:
-        case Empty():
-            return []
-        case Eps():
-            return [()]
-        case Rooted(child):
-            return sorted({()} | set(finite_elements(child)))
-        case Fan(heads, _) | Spine(heads, _):
-            root = (lambda n: (n,)) if isinstance(t, Fan) else trees.spine_root
-            return sorted(root(n) + u for n, h in enumerate(heads) for u in finite_elements(h))
-    raise ValueError(f"schema is not finite: {t}")
-
-
 def subset_of(q: QueryTerm, s: TreeSchema) -> Ternary:
     """Syntactic, conservative containment of a query in a schema."""
     match q:
@@ -245,7 +230,8 @@ def _subset_schema(t: TreeSchema, s: TreeSchema) -> Ternary:
     if t == s or isinstance(s, Full) or trees.is_empty(t):
         return Ternary.YES
     if trees.is_finite(t):
-        ok = all(trees.member_elem(u, s) for u in finite_elements(t))
+        elements = trees.elements_up_to(t, trees.depth_bound(t), max(trees._entry_bound(t), 0))
+        ok = all(trees.member_elem(u, s) for u in elements)
         return Ternary.YES if ok else Ternary.NO
     if isinstance(t, Rooted):
         if not trees.member_elem((), s):

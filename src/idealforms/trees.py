@@ -27,7 +27,9 @@ class TreeSchema(Interned):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
     # one slot per _Algebra: the facts _fold memoizes on each term
-    __slots__ = ("_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls", "_scaffold")
+    __slots__ = (
+        "_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls", "_scaffold", "_via"
+    )
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -622,33 +624,38 @@ def gen_member(u: Seq, t: TreeSchema) -> bool:
 # printing (grammar documented in docs/grammar.md)
 
 
-def format_tree(t: TreeSchema) -> str:
-    match t:
-        case Empty():
-            return "empty"
-        case Eps():
-            return "eps"
-        case Chain():
-            return "chain"
-        case Full():
-            return "full"
-        case Rooted(child):
-            return f"rooted({format_tree(child)})"
-        case Fan(heads, tail) | Spine(heads, tail):
-            inner = ",".join(format_tree(h) for h in heads)
-            name = "fan" if isinstance(t, Fan) else "spine"
-            return f"{name}([{inner}];{format_seq(tail)})"
-    raise TypeError(f"not a schema: {t!r}")
+def format_tree(t: TreeSchema | SchemaSeq) -> str:
+    """Text of a schema or block sequence.  The walk keeps its own stack of
+    terms still to print and literal text still to emit, so depth costs no
+    Python frames."""
+    out: list[str] = []
+    stack: list[object] = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, _Blocks):
+            out.append("fan([" if type(x) is Fan else "spine([")
+            heads = x.heads
+            stack += (")", x.tail, "];")
+            for h in reversed(heads[1:]):
+                stack += (h, ",")
+            stack += heads[:1]
+        elif isinstance(x, (Rooted, Const)):
+            out.append("rooted(" if type(x) is Rooted else "const(")
+            stack += (")", x.child if type(x) is Rooted else x.block)
+        elif isinstance(x, _Diag):
+            name = "qdiag" if type(x) is QDiag else "pdiag"
+            out.append(f"{name}({x.rank})" if x.offset == 0 else f"{name}({x.rank},{x.offset})")
+        elif x in _LEAF_TEXT:
+            out.append(_LEAF_TEXT[x])
+        else:
+            raise TypeError(f"not a schema term: {x!r}")
+    return "".join(out)
 
 
-def format_seq(s: SchemaSeq) -> str:
-    match s:
-        case Const(block):
-            return f"const({format_tree(block)})"
-        case _Diag(rank, offset):
-            name = "qdiag" if isinstance(s, QDiag) else "pdiag"
-            return f"{name}({rank})" if offset == 0 else f"{name}({rank},{offset})"
-    raise TypeError(f"not a schema sequence: {s!r}")
+_LEAF_TEXT = {EMPTY: "empty", EPS: "eps", CHAIN: "chain", FULL: "full"}
+format_seq = format_tree
 
 
 def format_seq_elem(u: Seq) -> str:

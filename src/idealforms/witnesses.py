@@ -9,6 +9,7 @@ maps realized lazily with memoized expansion state.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -53,9 +54,7 @@ def merge_branches(branches: list[DominatingBranch]) -> DominatingBranch:
     if not branches:
         return constant_branch(0)
     prefix_len = max(len(b.prefix) for b in branches)
-    period_len = 1
-    for b in branches:
-        period_len = period_len * len(b.period) // _gcd(period_len, len(b.period))
+    period_len = math.lcm(*(len(b.period) for b in branches))
     prefix = tuple(max(b.value(i) for b in branches) for i in range(prefix_len))
     period = tuple(
         max(b.value(prefix_len + i) for b in branches) for i in range(period_len)
@@ -65,12 +64,6 @@ def merge_branches(branches: list[DominatingBranch]) -> DominatingBranch:
 
 def prepend_branch(head: tuple[int, ...], b: DominatingBranch) -> DominatingBranch:
     return DominatingBranch(head + b.prefix, b.period)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass

@@ -100,6 +100,17 @@ def test_core_embedding_extends_inputs():
     assert check_witness(w, None, WITNESS_BUDGET)
 
 
+def test_core_expansion_walks_deep_terms():
+    # the expansion search descends one block per loop step, not per frame
+    deep = trees.FULL
+    for _ in range(25000):
+        deep = trees.Fan((deep,), trees.CONST_EMPTY)
+    out = classify.classify_via_derivative(deep)
+    assert isinstance(out, NonBorel)
+    assert out.witness.map((0,)) == (0,) * 25001
+    assert out.witness.map((3, 2)) == (0,) * 25000 + (3, 2)
+
+
 def test_round_trip_on_named_forms():
     for src in ("FIN", "POW", "P(1)", "Q(1)", "sum(P(0),Q(0))", "P(w)", "Q(w+1)", "sum(P(w),Q(w))"):
         expr = e(src)

@@ -236,18 +236,38 @@ def _facts(s: trees.TreeSchema) -> str:
     )
 
 
-def test_structural_facts_pinned():
-    # sha256 of the _facts lines over every constant-tail schema of size
-    # <= 5, 2 000 random schemas (diagonal tails, full, spines) and rooted
-    # copies of the first 500 of those; recorded before the bottom-up
-    # walkers became algebras over one fold
+def _facts_corpus() -> list[trees.TreeSchema]:
+    """Every constant-tail schema of size <= 5, 2 000 random schemas
+    (diagonal tails, full, spines) and rooted copies of the first 500."""
     rng = random.Random(4)
     drawn = [oracle.rand_schema(rng, 7) for _ in range(2000)]
-    corpus = _constant_tail_schemas(5) + drawn + [trees.Rooted(s) for s in drawn[:500]]
+    return _constant_tail_schemas(5) + drawn + [trees.Rooted(s) for s in drawn[:500]]
+
+
+def test_structural_facts_pinned():
+    # sha256 of the _facts lines over _facts_corpus(); recorded before the
+    # bottom-up walkers became algebras over one fold
     h = hashlib.sha256()
-    for s in corpus:
+    for s in _facts_corpus():
         h.update(f"{_facts(s)}\n".encode())
     assert h.hexdigest() == FACTS_DIGEST
+
+
+# sha256 of "<schema>:<classify_via_derivative or finite>" lines over
+# _facts_corpus(); recorded before the derivative classifier became an
+# algebra over the fold
+VIA_DIGEST = "10513bcd227e8e0073430679b47f38246d42cf75eddfd8ed84a8c02a65c1ac61"
+
+
+def test_derivative_classes_pinned():
+    h = hashlib.sha256()
+    for s in _facts_corpus():
+        try:
+            verdict = str(classification.classify_via_derivative(s))
+        except FiniteSchema:
+            verdict = "finite"
+        h.update(f"{s}:{verdict}\n".encode())
+    assert h.hexdigest() == VIA_DIGEST
 
 
 def _stage(u) -> int:

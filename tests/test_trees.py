@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from idealforms import classification, hashcons, ordinals, rank, trees
+from idealforms import classification, hashcons, ideals, ordinals, rank, trees
 from idealforms.errors import NotLimit
 from idealforms.oracle import rand_infinite_schema
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
@@ -193,10 +193,17 @@ def test_deep_chains_of_equal_depth_in_one_process():
 
 
 def test_deep_schema_facts_in_one_process():
-    # the bottom-up facts walk a compiled chain without a frame per level
+    # the bottom-up facts, the derivative classifier and the printer walk a
+    # compiled chain without a frame per level
     n = 12000
     schema = trees.compile_ideal(parse_expr(f"P({n})"))
     assert str(classification.classify(schema)) == f"Borel(P({n}))"
+    assert classification.classify_via_derivative(schema) == classification.Borel(
+        ideals.CanonicalForm(ideals.Kind.P, ordinals.from_int(n))
+    )
+    # P(2k) compiles to fan([];const(spine([];const(P(2k-2))))), P(0) to fan([];const(eps))
+    half = n // 2
+    assert str(schema) == "fan([];const(spine([];const(" * half + "fan([];const(eps))" + "))))" * half
     assert rank.tree_rank(schema) == (ordinals.from_int(n // 2 + 2), True)
     assert str(classification.scaffold_class(schema)) == f"P({n - 1})"
     assert not trees.in_wf(schema) and not trees.in_id(schema)
