@@ -109,7 +109,8 @@ class Const(SchemaSeq):
 class _Diag(SchemaSeq):
     """Block n is the compiled schema at stage ``rank[n + offset]``."""
 
-    __slots__ = ("rank", "offset", "_blocks")  # _blocks: seq_block memo
+    # _blocks: block i by index, and compile_form's chain levels by (is P, rank)
+    __slots__ = ("rank", "offset", "_blocks")
     __match_args__ = ("rank", "offset")
     rank: Ordinal
     offset: int
@@ -228,26 +229,37 @@ def _fold(t: TreeSchema, alg: _Algebra):
 # compiling canonical forms into schemas
 
 
-def compile_form(c: CanonicalForm) -> TreeSchema:
-    """Schema whose denoted set restricts the well-founded ideal to ``c``."""
-    rank_kind = ordinals.kind(c.rank)
-    match c.kind:
-        case Kind.P if rank_kind is OrdKind.ZERO:
-            return Fan((), Const(EPS))
-        case Kind.P if rank_kind is OrdKind.SUCCESSOR:
-            return Fan((), Const(compile_form(CanonicalForm(Kind.Q, ordinals.pred(c.rank)))))
-        case Kind.P:
-            return Fan((), QDiag(c.rank))
-        case Kind.Q if rank_kind is OrdKind.ZERO:
-            return CHAIN
-        case Kind.Q if rank_kind is OrdKind.SUCCESSOR:
-            return Spine((), Const(compile_form(CanonicalForm(Kind.P, ordinals.pred(c.rank)))))
-        case Kind.Q:
-            return Spine((), PDiag(c.rank))
-    return Fan(
-        (compile_form(CanonicalForm(Kind.P, c.rank)), compile_form(CanonicalForm(Kind.Q, c.rank))),
-        CONST_EMPTY,
-    )
+def compile_form(c: CanonicalForm, memo: Optional[dict] = None) -> TreeSchema:
+    """Schema whose denoted set restricts the well-founded ideal to ``c``.
+
+    A P- or Q-form compiles to a chain of fans and spines that alternate
+    down the predecessors of its rank to a zero or limit rank.  A loop
+    walks down that chain, then builds it bottom-up, so depth costs no
+    Python frames.  ``memo`` maps (is a P-form, rank) to chain levels
+    already built, and the walk stops at the first one it meets; a
+    diagonal tail passes its own, so each new block starts from the
+    levels of earlier blocks and the memo dies with the tail.
+    """
+    if c.kind is Kind.PQ:
+        return Fan((compile_form(CanonicalForm(Kind.P, c.rank), memo),
+                    compile_form(CanonicalForm(Kind.Q, c.rank), memo)), CONST_EMPTY)
+    memo = {} if memo is None else memo
+    p, rank = c.kind is Kind.P, c.rank
+    down = []
+    while (p, rank) not in memo and ordinals.kind(rank) is OrdKind.SUCCESSOR:
+        down.append((p, rank))
+        p, rank = not p, ordinals.pred(rank)
+    out = memo.get((p, rank))
+    if out is None:
+        zero = rank.is_zero()
+        if p:
+            out = Fan((), Const(EPS) if zero else QDiag(rank))
+        else:
+            out = CHAIN if zero else Spine((), PDiag(rank))
+        memo[p, rank] = out
+    for key in reversed(down):
+        out = memo[key] = (Fan if key[0] else Spine)((), Const(out))
+    return out
 
 
 def compile_ideal(e: IdealExpr) -> TreeSchema:
@@ -267,9 +279,8 @@ def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
     out = memo.get(i)
     if out is None:
         kind = Kind.Q if isinstance(tail, QDiag) else Kind.P
-        out = memo[i] = compile_form(
-            CanonicalForm(kind, ordinals.fund_seq(tail.rank, i + tail.offset))
-        )
+        rank = ordinals.fund_seq(tail.rank, i + tail.offset)
+        out = memo[i] = compile_form(CanonicalForm(kind, rank), memo)
     return out
 
 
@@ -317,40 +328,47 @@ def is_finite(t: TreeSchema) -> bool:
     return _fold(t, _DEPTH) < math.inf and _entry_bound(t) < math.inf
 
 
+def _descend(t: TreeSchema, u: Seq) -> tuple[TreeSchema, int]:
+    """Follow ``u`` down from ``t`` to the first node that decides: the node
+    reached and the index of the first entry of ``u`` not consumed.
+
+    The walk carries its position in ``u`` instead of slicing it, and
+    builds no cone term.  It stops when ``u`` is consumed, at a leaf, or
+    at a spine with only zeros left (``u`` still on its zero branch); a
+    sequence that leaves a spine's zero branch by an entry other than 1
+    falls out of every block, which reads as EMPTY with ``u`` consumed.
+    """
+    i, end = 0, len(u)
+    while i < end:
+        kind = type(t)
+        if kind is Fan:
+            t = block_at(t, u[i])
+            i += 1
+        elif kind is Spine:
+            j = i
+            while j < end and u[j] == 0:
+                j += 1
+            if j == end:
+                break
+            if u[j] != 1:
+                return EMPTY, end
+            t = block_at(t, j - i)
+            i = j + 1
+        elif kind is Rooted:
+            t = t.child
+        else:
+            break
+    if not isinstance(t, TreeSchema):
+        raise TypeError(f"not a schema: {t!r}")
+    return t, i
+
+
 def member_elem(u: Seq, t: TreeSchema) -> bool:
     """Point membership of a sequence in the denoted set."""
-    match t:
-        case Empty():
-            return False
-        case Eps():
-            return u == ()
-        case Chain():
-            return len(u) >= 1 and all(x == 0 for x in u)
-        case Full():
-            return True
-        case Rooted(child):
-            return u == () or member_elem(u, child)
-        case Fan(_, _):
-            if not u:
-                return False
-            return member_elem(u[1:], block_at(t, u[0]))
-        case Spine(_, _):
-            split = _split_spine(u)
-            if split is None:
-                return False
-            n, rest = split
-            return member_elem(rest, block_at(t, n))
-    raise TypeError(f"not a schema: {t!r}")
-
-
-def _split_spine(u: Seq) -> Optional[tuple[int, Seq]]:
-    """Split ``0^n 1 rest`` into (n, rest); None if u misses every copy root."""
-    n = 0
-    while n < len(u) and u[n] == 0:
-        n += 1
-    if n == len(u) or u[n] != 1:
-        return None
-    return n, u[n + 1 :]
+    t, i = _descend(t, u)
+    if i == len(u):
+        return t is EPS or t is FULL or type(t) is Rooted
+    return t is FULL or t is CHAIN and not any(u[i:])
 
 
 def spine_root(n: int) -> Seq:
@@ -359,34 +377,18 @@ def spine_root(n: int) -> Seq:
 
 def cone_of(t: TreeSchema, u: Seq) -> TreeSchema:
     """Schema of the elements extending ``u``, re-rooted at ``u``."""
-    if not u:
+    t, i = _descend(t, u)
+    if i == len(u):
         return t
-    match t:
-        case Empty() | Eps():
-            return EMPTY
-        case Chain():
-            if all(x == 0 for x in u):
-                return Rooted(CHAIN)
-            return EMPTY
-        case Full():
-            return FULL
-        case Rooted(child):
-            return cone_of(child, u)
-        case Fan(_, _):
-            return cone_of(block_at(t, u[0]), u[1:])
-        case Spine(heads, tail):
-            zeros = 0
-            while zeros < len(u) and u[zeros] == 0:
-                zeros += 1
-            if zeros == len(u):
-                # still on the spine: blocks below index ``zeros`` fall away
-                if zeros < len(heads):
-                    return Spine(heads[zeros:], tail)
-                return Spine((), shift_tail(tail, zeros - len(heads)))
-            if u[zeros] != 1:
-                return EMPTY
-            return cone_of(block_at(t, zeros), u[zeros + 1 :])
-    raise TypeError(f"not a schema: {t!r}")
+    if type(t) is Spine:
+        # still on the spine: blocks below index ``zeros`` fall away
+        zeros, heads = len(u) - i, t.heads
+        if zeros < len(heads):
+            return Spine(heads[zeros:], t.tail)
+        return Spine((), shift_tail(t.tail, zeros - len(heads)))
+    if t is CHAIN:
+        return EMPTY if any(u[i:]) else Rooted(CHAIN)
+    return FULL if t is FULL else EMPTY
 
 
 # --------------------------------------------------------------------------
@@ -588,36 +590,16 @@ def singleton(u: Seq) -> TreeSchema:
 
 def gen_member(u: Seq, t: TreeSchema) -> bool:
     """Membership of ``u`` in the tree generated by the denoted set."""
-    match t:
-        case Empty():
-            return False
-        case Eps():
-            return u == ()
-        case Chain():
-            return all(x == 0 for x in u)
-        case Full():
-            return True
-        case Rooted(child):
-            return u == () or gen_member(u, child)
-        case Fan(_, _):
-            if not u:
-                return not is_empty(t)
-            return gen_member(u[1:], block_at(t, u[0]))
-        case Spine(heads, tail):
-            if is_empty(t):
-                return False
-            zeros = 0
-            while zeros < len(u) and u[zeros] == 0:
-                zeros += 1
-            if zeros == len(u):
-                # on the spine: some copy at or above this depth must be alive
-                if not tail_is_trivial(tail):
-                    return True
-                return any(not is_empty(h) for h in heads[zeros:])
-            if u[zeros] != 1:
-                return False
-            return gen_member(u[zeros + 1 :], block_at(t, zeros))
-    raise TypeError(f"not a schema: {t!r}")
+    t, i = _descend(t, u)
+    if type(t) is Fan:
+        return not is_empty(t)
+    if type(t) is Spine:
+        # on the spine: some copy at or above this depth must be alive
+        zeros = len(u) - i
+        return not tail_is_trivial(t.tail) or any(not is_empty(h) for h in t.heads[zeros:])
+    if i == len(u):
+        return t is not EMPTY
+    return t is FULL or t is CHAIN and not any(u[i:])
 
 
 # --------------------------------------------------------------------------

@@ -156,3 +156,11 @@ def test_exit_codes(capsys):
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1, err
+    # argv that argparse rejects (a missing argument, an unknown choice)
+    # exits 2 with a usage line
+    for argv in (("normalize",), ("compile", "P(1)", "--emit", "png")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: idealforms") and "Traceback" not in err, err

@@ -13,7 +13,9 @@ from idealforms.errors import FiniteSchema, QuotientOverflow
 from idealforms.membership import Schema
 from idealforms.oracle import Budget
 from idealforms.text import parse_expr, parse_query, parse_tree
-from idealforms.witnesses import UnboundedFamily, constant_branch
+from idealforms.witnesses import (
+    EmbeddingWitness, PrefixEmbedding, UnboundedFamily, constant_branch, iter_domain,
+)
 
 
 t = parse_tree
@@ -121,6 +123,59 @@ def test_check_witness_embedding_rejects_collapse():
 
     broken = Collapse(t("full"), True, (), "collapse")
     assert not oracle.check_witness(broken, None, oracle.WITNESS_BUDGET)
+
+
+def _pairwise_embedding_check(w, b: Budget) -> bool:
+    """Reference: the pairwise comparison the inverse-image check replaced."""
+
+    def is_prefix(u, v):
+        return len(u) <= len(v) and v[: len(u)] == u
+
+    domain = iter_domain(min(b.depth, 4), min(b.width, 4), b.count)
+    images = {}
+    for u in domain:
+        v = w.map(u)
+        if not w.image_member(u):
+            return False
+        images[u] = v
+    if len(set(images.values())) != len(images):
+        return False
+    for u, v in itertools.combinations(domain, 2):
+        if is_prefix(images[u], images[v]) != is_prefix(u, v):
+            return False
+        if is_prefix(images[v], images[u]) != is_prefix(v, u):
+            return False
+    return True
+
+
+class _Mapped(EmbeddingWitness):
+    def __init__(self, fn, target=trees.FULL, generated=True):
+        super().__init__(target, generated, (), "hand-made")
+        self.fn = fn
+
+    def map(self, u):
+        return self.fn(u)
+
+
+def test_embedding_check_matches_pairwise_reference():
+    cases = {
+        # two leaves of the sampled domain share an image; nothing else is wrong
+        "non-injective": (_Mapped(lambda u: (0, 0, 0, 0) if u == (0, 0, 0, 1) else u), False),
+        # (a,) < (a,b) but (a,) is no prefix of (a+5,b)
+        "prefix to non-prefix": (_Mapped(lambda u: (u[0] + 5, u[1]) if len(u) == 2 else u), False),
+        # (1,) is no prefix of (2,...), but its image is a prefix of (1,9,...)
+        "non-prefix to prefix": (_Mapped(lambda u: (1, 9) + u[1:] if u[:1] == (2,) else u), False),
+        "image outside the target": (PrefixEmbedding(trees.CHAIN, False, ()), False),
+        "prefix embedding": (PrefixEmbedding(trees.FULL, True, (0, 2)), True),
+        "into a generated tree": (PrefixEmbedding(t("fan([chain];const(full))"), True, (3,)), True),
+    }
+    for source in ("full", "fan([chain];const(full))", "spine([];const(full))"):
+        out = classification.classify_via_derivative(t(source))
+        cases[source] = (out.witness, True)
+    for b in (oracle.WITNESS_BUDGET, Budget(6, 3, 150)):
+        for name, (w, want) in cases.items():
+            assert _pairwise_embedding_check(w, b) is want, name
+            assert oracle.check_witness(w, None, b) is want, name
 
 
 def test_law_suite_report_shape():
@@ -268,6 +323,31 @@ def test_derivative_classes_pinned():
             verdict = "finite"
         h.update(f"{s}:{verdict}\n".encode())
     assert h.hexdigest() == VIA_DIGEST
+
+
+# sha256 of "<schema>:<u>:<member_elem>,<gen_member>,<cone_of>" lines over
+# _facts_corpus() and every sequence of length <= 3 with entries <= 2;
+# recorded before the three walkers became callers of one descent
+DESCENT_DIGEST = "50e3fa8b627422b0c73aa4c6e78fd60b1bab84e8d89b4578a827b103c9e14388"
+
+
+def test_descent_answers_pinned():
+    seqs = [u for n in range(4) for u in itertools.product(range(3), repeat=n)]
+    h = hashlib.sha256()
+    names: dict[trees.TreeSchema, str] = {}  # cones repeat: print each once
+    for s in _facts_corpus():
+        text = str(s)
+        for u in seqs:
+            member, gen, cone = trees.member_elem(u, s), trees.gen_member(u, s), trees.cone_of(s, u)
+            # membership is the empty sequence in the cone, and the generated
+            # tree holds u exactly when the cone is nonempty
+            assert member == trees.member_elem((), cone), (text, u)
+            assert gen == (not trees.is_empty(cone)), (text, u)
+            name = names.get(cone)
+            if name is None:
+                name = names[cone] = str(cone)
+            h.update(f"{text}:{u}:{member},{gen},{name}\n".encode())
+    assert h.hexdigest() == DESCENT_DIGEST
 
 
 def _stage(u) -> int:

@@ -211,6 +211,23 @@ def test_deep_schema_facts_in_one_process():
     assert trees.depth_bound(schema) is None
 
 
+def test_compile_and_descend_deep_chains_in_one_process():
+    # compile_form builds a chain with a loop and the descent follows u by
+    # an index, so a chain deeper than the recursion limit costs no frames
+    n = 50000
+    assert sys.getrecursionlimit() < n
+    p, q = (trees.compile_ideal(parse_expr(f"{kind}({n})")) for kind in "PQ")
+    assert trees.compile_ideal(parse_expr(f"sum(P({n}),Q({n}))")) is Fan((p, q), CONST_EMPTY)
+    # P(2k) compiles to fan([];const(spine([];const(P(2k-2))))), so its
+    # shortlex-least element is (0, 1) * k + (0,): one entry per level
+    u = (0, 1) * (n // 2) + (0,)
+    assert trees.pick_least(trees.compile_ideal(parse_expr("P(2000)"))) == u[:2001]
+    assert trees.member_elem(u, p) and not trees.member_elem(u[:-1], p)
+    assert trees.gen_member(u, p) and trees.gen_member(u[:-1], p)
+    assert trees.cone_of(p, u) is EPS
+    assert trees.cone_of(p, u[:-1]) is trees.compile_ideal(parse_expr("P(0)"))
+
+
 def test_every_fact_slot_has_one_algebra():
     # two algebras sharing a slot would silently return each other's answers
     algebras = [
