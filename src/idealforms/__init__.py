@@ -6,6 +6,10 @@ realize them, classifies arbitrary schemas (with embedding witnesses in
 the non-Borel case), decides membership of finitely presented query sets
 with checkable certificates, and maps scattered countable linear orders
 to the same classification.
+
+Submodules load on first use (PEP 562): ``import idealforms`` runs none
+of them, and a public name imports its defining module the first time it
+is looked up, so a CLI verb pays only for the modules it runs.
 """
 
 import sys as _sys
@@ -14,116 +18,44 @@ import sys as _sys
 # default interpreter limit is too tight for structural recursion on them
 _sys.setrecursionlimit(max(_sys.getrecursionlimit(), 20000))
 
-from .errors import (
-    FiniteSchema,
-    IdealFormsError,
-    NotASubset,
-    NotLimit,
-    ParseError,
-    QuotientOverflow,
-    UnknownContainment,
-)
-from .ideals import CanonicalForm, IdealExpr, Kind, b_rank, combine, iso_check, normalize, perp
-from .ordinals import Ordinal, OrdKind, add, compare, fund_seq, kind
-from .classification import Borel, NonBorel, TreeClass, classify, classify_via_derivative, scaffold_class
-from .membership import (
-    FinSet,
-    QueryTerm,
-    Schema,
-    Ternary,
-    Transversal,
-    Union,
-    frechet_witness,
-    id_witness,
-    member_of,
-    member_perp,
-    q_in_id,
-    q_in_wf,
-    subset_of,
-)
-from .oracle import Budget, check_witness, enumerate_schema, explicit_derivative, law_suite
-from .orders import (
-    LinTerm,
-    NonScattered,
-    Scattered,
-    WoClass,
-    rationalize,
-    scattered_check,
-    wo_classify,
-    wo_self_dual,
-)
-from .rank import tree_rank
-from .trees import TreeSchema, compile_ideal, cone_of, in_id, in_wf, member_elem
-from .text import parse_expr, parse_order, parse_ordinal, parse_query, parse_tree
-from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily
+# each public name, by the submodule that defines it
+_EXPORTS = {
+    "errors": "FiniteSchema IdealFormsError NotASubset NotLimit ParseError "
+              "QuotientOverflow UnknownContainment",
+    "ideals": "CanonicalForm IdealExpr Kind b_rank combine iso_check normalize perp",
+    "ordinals": "Ordinal OrdKind add compare fund_seq kind",
+    "classification": "Borel NonBorel TreeClass classify classify_via_derivative "
+                      "scaffold_class",
+    "membership": "FinSet QueryTerm Schema Ternary Transversal Union frechet_witness "
+                  "id_witness member_of member_perp q_in_id q_in_wf subset_of",
+    "oracle": "Budget check_witness enumerate_schema explicit_derivative law_suite",
+    "orders": "LinTerm NonScattered Scattered WoClass rationalize scattered_check "
+              "wo_classify wo_self_dual",
+    "rank": "tree_rank",
+    "trees": "TreeSchema compile_ideal cone_of in_id in_wf member_elem",
+    "text": "parse_expr parse_order parse_ordinal parse_query parse_tree",
+    "witnesses": "DominatingBranch EmbeddingWitness UnboundedFamily",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "hashcons", "quotient"}
 
-__all__ = [
-    "Borel",
-    "Budget",
-    "CanonicalForm",
-    "DominatingBranch",
-    "EmbeddingWitness",
-    "FinSet",
-    "FiniteSchema",
-    "IdealExpr",
-    "IdealFormsError",
-    "Kind",
-    "LinTerm",
-    "NonBorel",
-    "NonScattered",
-    "NotASubset",
-    "NotLimit",
-    "OrdKind",
-    "Ordinal",
-    "ParseError",
-    "QueryTerm",
-    "QuotientOverflow",
-    "Scattered",
-    "Schema",
-    "Ternary",
-    "Transversal",
-    "TreeClass",
-    "TreeSchema",
-    "UnboundedFamily",
-    "Union",
-    "UnknownContainment",
-    "WoClass",
-    "add",
-    "b_rank",
-    "check_witness",
-    "classify",
-    "classify_via_derivative",
-    "combine",
-    "compare",
-    "compile_ideal",
-    "cone_of",
-    "enumerate_schema",
-    "explicit_derivative",
-    "frechet_witness",
-    "fund_seq",
-    "id_witness",
-    "in_id",
-    "in_wf",
-    "iso_check",
-    "kind",
-    "law_suite",
-    "member_elem",
-    "member_of",
-    "member_perp",
-    "normalize",
-    "parse_expr",
-    "parse_order",
-    "parse_ordinal",
-    "parse_query",
-    "parse_tree",
-    "perp",
-    "q_in_id",
-    "q_in_wf",
-    "rationalize",
-    "scaffold_class",
-    "scattered_check",
-    "subset_of",
-    "tree_rank",
-    "wo_classify",
-    "wo_self_dual",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def _submodule(name: str):
+    # __import__ rather than importlib, so that -X importtime lists the load
+    __import__(f"{__name__}.{name}")
+    return _sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(_submodule(module), name)
+    if name in _SUBMODULES:
+        return _submodule(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

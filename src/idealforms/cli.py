@@ -5,6 +5,9 @@ machine-readable output validating against docs/schemas/.  Exit codes:
 0 success, 1 parse error, 2 precondition violation, 3 internal failure
 (a broken law or any other exception, which is always a bug).  Every
 error is one line on stderr, never a traceback.
+
+Each handler imports the modules it runs, so a process that runs one
+verb loads only what that verb needs.
 """
 
 from __future__ import annotations
@@ -12,13 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import ideals, membership, oracle, orders, rank, text, trees
-from .classification import Borel, TreeClass, classify, classify_via_derivative
 from .errors import BadArgument, IdealFormsError, ParseError
-from .oracle import Budget
-from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,31 +106,43 @@ def _form_json(c: ideals.CanonicalForm) -> dict:
 
 
 def _cmd_normalize(args) -> dict:
+    from . import ideals, text
+
     c = ideals.normalize(text.parse_expr(args.expr))
     return {"text": str(c), "json": _form_json(c)}
 
 
 def _cmd_rank(args) -> dict:
+    from . import ideals, text
+
     r = ideals.b_rank(text.parse_expr(args.expr))
     return {"text": str(r), "json": {"rank": str(r)}}
 
 
 def _cmd_perp(args) -> dict:
+    from . import ideals, text
+
     c = ideals.perp(ideals.normalize(text.parse_expr(args.expr)))
     return {"text": str(c), "json": _form_json(c)}
 
 
 def _cmd_iso(args) -> dict:
+    from . import ideals, text
+
     same = ideals.iso_check(text.parse_expr(args.expr1), text.parse_expr(args.expr2))
     word = "isomorphic" if same else "non-isomorphic"
     return {"text": word, "json": {"isomorphic": same}}
 
 
 def _cmd_compile(args) -> dict:
+    from . import text, trees
+
     t = trees.compile_ideal(text.parse_expr(args.expr))
     if args.emit is None:
         return {"text": str(t), "json": {"schema": str(t)}}
-    budget = Budget(args.depth, args.width, args.count)
+    from . import oracle
+
+    budget = oracle.Budget(args.depth, args.width, args.count)
     elems = oracle.enumerate_schema(t, budget)
     if args.emit == "json":
         payload = {
@@ -147,6 +157,8 @@ def _cmd_compile(args) -> dict:
 
 
 def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
+    from . import trees
+
     nodes: set[trees.Seq] = {()}
     for u in elems:
         for i in range(len(u) + 1):
@@ -164,8 +176,10 @@ def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
     return "\n".join(lines)
 
 
-def _class_payload(out: TreeClass) -> dict:
-    if isinstance(out, Borel):
+def _class_payload(out: classification.TreeClass) -> dict:
+    from . import classification, trees
+
+    if isinstance(out, classification.Borel):
         return {
             "text": f"BOREL {out.form}",
             "json": {"verdict": "borel", "form": _form_json(out.form)},
@@ -183,12 +197,16 @@ def _class_payload(out: TreeClass) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from . import classification, text
+
     t = text.parse_tree(args.tree)
-    out = classify_via_derivative(t) if args.via else classify(t)
+    out = classification.classify_via_derivative(t) if args.via else classification.classify(t)
     return _class_payload(out)
 
 
 def _cmd_treerank(args) -> dict:
+    from . import rank, text
+
     r, core_empty = rank.tree_rank(text.parse_tree(args.tree))
     return {
         "text": f"rank {r}, core {'empty' if core_empty else 'nonempty'}",
@@ -197,12 +215,16 @@ def _cmd_treerank(args) -> dict:
 
 
 def _parse_member_args(args) -> tuple[membership.QueryTerm, ideals.IdealExpr]:
+    from . import text
+
     if args.in_kw != "in":
         raise ParseError(f"expected the keyword 'in', got {args.in_kw!r}")
     return text.parse_query(args.query), text.parse_expr(args.expr)
 
 
 def _cmd_member(args) -> dict:
+    from . import ideals, membership
+
     q, e = _parse_member_args(args)
     if args.perp:
         verdict = membership.member_perp(q, e)
@@ -218,6 +240,8 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_frechet(args) -> dict:
+    from . import membership, oracle
+
     q, e = _parse_member_args(args)
     w = membership.frechet_witness(q, e)
     checked = oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
@@ -229,11 +253,13 @@ def _cmd_frechet(args) -> dict:
 
 
 def _cmd_idwitness(args) -> dict:
+    from . import membership, oracle, text, trees, witnesses
+
     q = text.parse_query(args.query)
     w = membership.id_witness(q)
     checked = oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
     assert checked, "emitted domination witness failed its own check"
-    if isinstance(w, DominatingBranch):
+    if isinstance(w, witnesses.DominatingBranch):
         txt = f"dominating branch {w}"
     else:
         sample = ", ".join(trees.format_seq_elem(u) for u in w.elements(4))
@@ -241,12 +267,14 @@ def _cmd_idwitness(args) -> dict:
     return {"text": txt, "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}
 
 
-def _witness_json(w, checked: Budget | None) -> dict:
-    if isinstance(w, DominatingBranch):
+def _witness_json(w, checked: oracle.Budget | None) -> dict:
+    from . import witnesses
+
+    if isinstance(w, witnesses.DominatingBranch):
         kind, data = "dominating-branch", {"prefix": list(w.prefix), "period": list(w.period)}
-    elif isinstance(w, UnboundedFamily):
+    elif isinstance(w, witnesses.UnboundedFamily):
         kind, data = "unbounded-family", {"elements": [list(u) for u in w.elements(12)]}
-    elif isinstance(w, EmbeddingWitness):
+    elif isinstance(w, witnesses.EmbeddingWitness):
         kind, data = "embedding", {
             "label": w.label,
             "provenance": list(w.provenance),
@@ -264,12 +292,14 @@ def _witness_json(w, checked: Budget | None) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
+    from . import oracle, text, trees
+
     q = text.parse_query(args.query)
     try:
         d, w, c = (int(x) for x in args.budget.split(","))
     except ValueError as exc:
         raise ParseError(f"budget must be D,W,C: {args.budget!r}") from exc
-    elems = oracle.enumerate_schema(q, Budget(d, w, c))
+    elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))
     return {
         "text": "\n".join(trees.format_seq_elem(u) for u in elems) or "(no elements)",
         "json": {
@@ -280,6 +310,8 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_selftest(args) -> dict:
+    from . import oracle
+
     report = oracle.law_suite(args.seed, args.trials)
     lines = [
         f"{'ok  ' if law.failures == 0 else 'FAIL'} {law.name}: "
@@ -296,11 +328,17 @@ def _cmd_selftest(args) -> dict:
 
 
 def _cmd_wo_classify(args) -> dict:
+    from . import orders, text
+
     out = orders.wo_classify(text.parse_order(args.order))
     return _wo_payload(out)
 
 
 def _wo_payload(out: orders.WoClass) -> dict:
+    from fractions import Fraction
+
+    from . import orders
+
     if isinstance(out, orders.Scattered):
         return {
             "text": f"scattered, {out.form}",
@@ -323,6 +361,8 @@ def _wo_payload(out: orders.WoClass) -> dict:
 
 
 def _cmd_wo_reverse(args) -> dict:
+    from . import orders, text
+
     rev, out = orders.wo_self_dual(text.parse_order(args.order))
     inner = _wo_payload(out)
     return {
@@ -332,6 +372,8 @@ def _cmd_wo_reverse(args) -> dict:
 
 
 def _cmd_wo_rationalize(args) -> dict:
+    from . import orders, text
+
     if args.count < 0:
         raise BadArgument(f"--count must be >= 0, got {args.count}")
     values = orders.rationalize(text.parse_order(args.order), args.count)

@@ -6,7 +6,9 @@ explicit derivative iterates removal on the finite block quotient using
 only the domination test on surviving cones, with no ordinal arithmetic;
 it must agree with the symbolic rank whenever the quotient is finite.
 The law suite replays every cross-module invariant on seeded random
-instances and reports failures with their first counterexample.
+instances and reports failures with their first counterexample.  Only the
+laws use ``orders``, ``rank`` and ``classification``; each law imports
+them itself, so enumeration and witness checks load none of them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from . import ideals, membership, orders, ordinals, quotient, rank, trees
-from .classification import Borel, NonBorel, classify, classify_via_derivative, scaffold_class
+from . import ideals, membership, ordinals, quotient, trees
 from .errors import BadArgument, QuotientOverflow
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .membership import QueryTerm, Schema, Ternary
@@ -345,6 +346,8 @@ class SuiteReport:
 
 def law_suite(seed: int, trials: int) -> SuiteReport:
     """Replay every cross-module invariant on seeded random instances."""
+    if trials < 0:
+        raise BadArgument(f"trials must be >= 0, got {trials}")
     laws: list[tuple[str, Callable[[random.Random], Optional[str]]]] = [
         ("ordinal-total-order", _law_ord_order),
         ("ordinal-add-identities", _law_ord_add),
@@ -478,6 +481,8 @@ def _law_omega_regroup(rng: random.Random) -> Optional[str]:
 
 
 def _law_round_trip(rng: random.Random) -> Optional[str]:
+    from .classification import Borel, classify
+
     e = rand_expr(rng, 10)
     want = ideals.normalize(e)
     got = classify(trees.compile_ideal(e))
@@ -487,6 +492,8 @@ def _law_round_trip(rng: random.Random) -> Optional[str]:
 
 
 def _two_path_check(t: TreeSchema) -> Optional[str]:
+    from .classification import Borel, classify, classify_via_derivative, scaffold_class
+
     left = classify(t)
     right = classify_via_derivative(t)
     if isinstance(left, Borel) != isinstance(right, Borel):
@@ -506,6 +513,9 @@ def _law_two_path(rng: random.Random) -> Optional[str]:
 
 
 def _law_trichotomy(rng: random.Random) -> Optional[str]:
+    from . import rank
+    from .classification import Borel, NonBorel, classify, classify_via_derivative
+
     t = rand_infinite_schema(rng, 8)
     _, core_empty = rank.tree_rank(t)
     borel = isinstance(classify(t), Borel)
@@ -537,6 +547,8 @@ def _law_domination_budget(rng: random.Random) -> Optional[str]:
 
 
 def _law_rank_agreement(rng: random.Random) -> Optional[str]:
+    from . import rank
+
     t = rand_schema(rng, 6)
     try:
         got = explicit_derivative(t, Budget(6, 6, 64))
@@ -618,6 +630,8 @@ def _law_id_witness(rng: random.Random) -> Optional[str]:
 
 
 def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.LinTerm:
+    from . import orders
+
     if size <= 1:
         if dense and rng.random() < 0.3:
             return orders.RATQ
@@ -638,6 +652,8 @@ def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.Li
 
 
 def _law_wo_duality(rng: random.Random) -> Optional[str]:
+    from . import orders
+
     t = _rand_order(rng, 7)
     left = orders.wo_classify(orders.reverse_term(t))
     right = orders.wo_classify(t)
@@ -648,6 +664,8 @@ def _law_wo_duality(rng: random.Random) -> Optional[str]:
 
 
 def _law_wo_sum(rng: random.Random) -> Optional[str]:
+    from . import orders
+
     t1, t2 = _rand_order(rng, 5), _rand_order(rng, 5)
     whole = orders.wo_classify(orders.Cat((t1, t2)))
     a, b = orders.wo_classify(t1), orders.wo_classify(t2)
@@ -658,6 +676,8 @@ def _law_wo_sum(rng: random.Random) -> Optional[str]:
 
 
 def _law_rationalize(rng: random.Random) -> Optional[str]:
+    from . import orders
+
     t = _rand_order(rng, 6)
     positions = list(itertools.islice(orders.enumerate_positions(t), 20))
     values = [orders.embed_position(t, p) for p in positions]
@@ -670,14 +690,16 @@ def _law_rationalize(rng: random.Random) -> Optional[str]:
 
 
 def _law_dense(rng: random.Random) -> Optional[str]:
+    from fractions import Fraction
+
+    from . import orders
+
     t = _rand_order(rng, 6, dense=True)
     if orders.scattered_check(t):
         return None
     out = orders.wo_classify(t)
     if not isinstance(out, orders.NonScattered):
         return f"{t} not flagged dense"
-    from fractions import Fraction
-
     samples = [Fraction(k, 7) for k in range(-10, 11)]
     images = [out.embedding.map(q) for q in samples]
     if sorted(images) != images or len(set(images)) != len(images):

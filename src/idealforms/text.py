@@ -1,21 +1,26 @@
 """Parsers for the published grammars (documented in docs/grammar.md).
 
 Each parser is recursive descent over one shared token stream; printers
-live next to their types and round-trip through these parsers.
+live next to their types and round-trip through these parsers.  Only the
+ordinal and ideal-expression grammars load their modules up front; the
+tree, query and order grammars import theirs when they build a term.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import ideals, membership, orders, ordinals, trees
+from . import ideals, ordinals
 from .errors import ParseError
 from .ideals import IdealExpr
-from .membership import QueryTerm
-from .orders import LinTerm
 from .ordinals import Ordinal
-from .trees import SchemaSeq, Seq, TreeSchema
+
+if TYPE_CHECKING:
+    from .membership import QueryTerm
+    from .orders import LinTerm
+    from .trees import SchemaSeq, Seq, TreeSchema
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+|\d+|[()\[\]{},;<>^*+])")
 
@@ -184,6 +189,8 @@ def parse_tree(text: str) -> TreeSchema:
 
 
 def _tree(s: _Stream) -> TreeSchema:
+    from . import trees
+
     tok = s.next()
     match tok:
         case "empty":
@@ -212,6 +219,8 @@ def _tree(s: _Stream) -> TreeSchema:
 
 
 def _tail(s: _Stream) -> SchemaSeq:
+    from . import trees
+
     tok = s.next()
     match tok:
         case "const":
@@ -244,6 +253,8 @@ def parse_query(text: str) -> QueryTerm:
 
 
 def _query(s: _Stream) -> QueryTerm:
+    from . import membership
+
     tok = s.peek()
     match tok:
         case "finset":
@@ -285,6 +296,8 @@ def parse_order(text: str) -> LinTerm:
 
 
 def _order(s: _Stream) -> LinTerm:
+    from . import orders
+
     tok = s.next()
     match tok:
         case "N":

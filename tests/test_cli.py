@@ -152,6 +152,7 @@ def test_exit_codes(capsys):
         (("enumerate", "chain", "--budget", "0,0,0"), "budget"),
         (("member", "finset{<0,0>,<0,0>}", "in", "P(1)"), "finset{<0,0>,<0,0>}"),
         (("wo", "rationalize", "N", "--count", "-1"), "--count"),
+        (("selftest", "--trials", "-1"), "trials"),
     ):
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err

@@ -1,0 +1,74 @@
+"""What a fresh interpreter loads, and the CLI run as ``python -m``.
+
+Every other CLI test calls ``cli.main`` in-process, where the whole
+package is already imported; these tests start new interpreters, so a
+handler that forgets to import what it runs fails here.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from idealforms import cli
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+# run one verb in-process with its output swallowed, then list the
+# package modules that are loaded
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from idealforms import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m.split(".")[1] for m in sys.modules if m.startswith("idealforms."))))
+"""
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV)
+
+
+def _loaded_after(argv: list[str]) -> set[str]:
+    proc = _python("-c", LOADED_AFTER, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_each_verb_loads_only_what_it_runs():
+    normalize = _loaded_after(["normalize", "omega(FIN)"])
+    assert normalize == {"cli", "errors", "hashcons", "ideals", "ordinals", "text"}
+    assert not normalize & {"oracle", "classification", "membership", "orders",
+                            "quotient", "rank", "trees", "witnesses"}
+    wo = _loaded_after(["wo", "classify", "cat(N,rev(N))"])
+    assert "orders" in wo and not wo & {"oracle", "trees", "membership"}
+    enum = _loaded_after(["enumerate", "chain", "--budget", "3,3,10"])
+    assert "oracle" in enum and not enum & {"orders", "classification", "rank"}
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _python("-c", "import sys, idealforms\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('idealforms.')))\n"
+                         "print(idealforms.ordinals.from_int(3))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["normalize", "omega(FIN)"], 0),
+    (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], 0),
+    (["normalize", "omega("], 1),
+    (["normalize", "limsum(3)"], 2),
+])
+def test_cold_start_matches_in_process(capsys, argv, code):
+    proc = _python("-m", "idealforms.cli", *argv)
+    assert cli.main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert "Traceback" not in proc.stderr
