@@ -19,11 +19,11 @@ two classifications independent derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import ideals, rank, trees
 from .errors import FiniteSchema
+from .hashcons import Interned
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
 from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
@@ -36,17 +36,16 @@ FINITE_CLS = "finite"
 Cls = Union[str, CanonicalForm]
 
 
-@dataclass(frozen=True)
-class Borel:
-    form: CanonicalForm
+class Borel(Interned):
+    __slots__ = __match_args__ = ("form",)
 
     def __str__(self) -> str:
         return f"Borel({self.form})"
 
 
-@dataclass(eq=False)
 class NonBorel:
-    witness: EmbeddingWitness
+    def __init__(self, witness: EmbeddingWitness) -> None:
+        self.witness = witness
 
     def __str__(self) -> str:
         return f"NonBorel({self.witness.label})"
@@ -55,11 +54,10 @@ class NonBorel:
 TreeClass = Union[Borel, NonBorel]
 
 
-@dataclass(frozen=True)
-class _NB:
+class _NB(Interned):
     """Internal marker: a full sub-block was found under this prefix."""
 
-    prefix: Seq
+    __slots__ = __match_args__ = ("prefix",)
 
 
 def classify(t: TreeSchema) -> TreeClass:

@@ -13,7 +13,6 @@ verb loads only what that verb needs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import BadArgument, IdealFormsError, ParseError
@@ -33,7 +32,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a broken invariant or another bug: one line, no traceback
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
+    if args.json or "text" not in payload:  # compile --emit json has no text form
+        import json
+
         print(json.dumps(payload["json"], indent=2))
     else:
         print(payload["text"])
@@ -145,13 +146,12 @@ def _cmd_compile(args) -> dict:
     budget = oracle.Budget(args.depth, args.width, args.count)
     elems = oracle.enumerate_schema(t, budget)
     if args.emit == "json":
-        payload = {
+        return {"json": {
             "schema": str(t),
             "budget": {"depth": budget.depth, "width": budget.width, "count": budget.count},
             "elements": [list(u) for u in elems],
             "truncated": True,
-        }
-        return {"text": json.dumps(payload, indent=2), "json": payload}
+        }}
     dot = _dot_of(t, elems)
     return {"text": dot, "json": {"schema": str(t), "dot": dot}}
 

@@ -1,6 +1,7 @@
 """Hash-consing of terms (Filliatre & Conchon, ML Workshop 2006).
 
-Every ``Ordinal``, ``TreeSchema`` and ``SchemaSeq`` is built through
+Every ordinal, schema and syntax term (``IdealExpr``, ``QueryTerm``,
+``LinTerm``), and the small records built from them, is built through
 ``_intern``, so structurally equal terms are one object: ``==`` and
 ``hash`` are identity, validation runs once per distinct term, and facts
 derived from a term are memoized in private slots on the term itself.
@@ -29,8 +30,8 @@ def _forget(ref: _Ref) -> None:
 
 def _intern(*key) -> Interned:
     """The one live term with this key: its class, then its fields.  Fields
-    are ints or interned terms (or tuples of them), so the key hashes in
-    time linear in the number of fields, never in the depth of the term."""
+    are ints, canonical forms or interned terms (or tuples of them), so the
+    key hashes in time linear in its size, never in the depth of the term."""
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is not None:
@@ -54,9 +55,15 @@ class Interned:
     __match_args__: tuple[str, ...] = ()
     __new__ = _intern
 
-    def _init(self) -> None:
+    def _init(self, *fields) -> None:
         """Set and validate the fields of a new term; raising keeps it out
-        of the table.  Subclasses with fields override this."""
+        of the table.  This default stores the fields named in
+        ``__match_args__``; subclasses that validate override it."""
+        names = self.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            setattr(self, name, value)
 
     def __getnewargs__(self) -> tuple:  # copy and pickle intern again
         return tuple(getattr(self, name) for name in self.__match_args__)

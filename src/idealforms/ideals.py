@@ -10,10 +10,10 @@ iff their canonical forms coincide.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import ordinals
 from .errors import NotLimit
+from .hashcons import Interned
 from .ordinals import Ordinal, OrdKind
 
 
@@ -21,8 +21,8 @@ from .ordinals import Ordinal, OrdKind
 # expression terms
 
 
-class IdealExpr:
-    """Base class for ideal expression terms; all subtypes are immutable."""
+class IdealExpr(Interned):
+    """Base class for ideal expression terms; all subtypes are immutable and interned."""
 
     __slots__ = ()
 
@@ -30,66 +30,62 @@ class IdealExpr:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Fin(IdealExpr):
     """The ideal of finite sets."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Pow(IdealExpr):
     """The full power set (the trivial ideal)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class P(IdealExpr):
-    rank: Ordinal
+    __slots__ = __match_args__ = ("rank",)
 
 
-@dataclass(frozen=True)
 class Q(IdealExpr):
-    rank: Ordinal
+    __slots__ = __match_args__ = ("rank",)
 
 
-@dataclass(frozen=True)
 class Perp(IdealExpr):
-    child: IdealExpr
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True)
 class Sum(IdealExpr):
     """Finite direct sum; at least one summand."""
 
-    parts: tuple[IdealExpr, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def _init(self, parts: tuple[IdealExpr, ...]) -> None:
+        if not parts:
             raise ValueError("finite sum needs at least one summand")
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class OmegaSum(IdealExpr):
     """Countable direct sum of copies of one ideal."""
 
-    child: IdealExpr
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True)
 class LimSum(IdealExpr):
     """Canonical diagonal sum along the fundamental sequence of a limit rank."""
 
-    rank: Ordinal
+    __slots__ = __match_args__ = ("rank",)
 
 
-@dataclass(frozen=True)
 class MixSum(IdealExpr):
     """Finitely many leading summands followed by an infinite tail sum."""
 
-    heads: tuple[IdealExpr, ...]
-    tail: IdealExpr
+    __slots__ = __match_args__ = ("heads", "tail")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tail, (OmegaSum, LimSum)):
+    def _init(self, heads: tuple[IdealExpr, ...], tail: IdealExpr) -> None:
+        if not isinstance(tail, (OmegaSum, LimSum)):
             raise ValueError("mix tail must be an omega-sum or a limit sum")
+        self.heads, self.tail = heads, tail
 
 
 # --------------------------------------------------------------------------
@@ -102,10 +98,25 @@ class Kind(enum.Enum):
     PQ = "PQ"
 
 
-@dataclass(frozen=True, slots=True)
 class CanonicalForm:
-    kind: Kind
-    rank: Ordinal
+    """``P(rank)``, ``Q(rank)`` or ``PQ(rank)``; a plain value, not interned,
+    because forms are built at every chain level where a lookup costs more."""
+
+    __slots__ = ("kind", "rank")
+
+    def __init__(self, kind: Kind, rank: Ordinal) -> None:
+        self.kind, self.rank = kind, rank
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CanonicalForm:
+            return NotImplemented
+        return self.kind is other.kind and self.rank is other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.rank))
+
+    def __repr__(self) -> str:
+        return f"CanonicalForm(kind={self.kind!r}, rank={self.rank!r})"
 
     def __str__(self) -> str:
         if self.rank.is_zero():

@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ideals, trees
 from .errors import BadArgument, NotASubset, UnknownContainment
+from .hashcons import Interned
 from .ideals import IdealExpr
 from .trees import (
     Chain,
@@ -40,8 +40,8 @@ from .witnesses import (
 )
 
 
-class QueryTerm:
-    """Base class for finitely presented query sets."""
+class QueryTerm(Interned):
+    """Base class for finitely presented query sets; all subtypes are interned."""
 
     __slots__ = ()
 
@@ -49,35 +49,32 @@ class QueryTerm:
         return format_query(self)
 
 
-@dataclass(frozen=True)
 class Schema(QueryTerm):
-    tree: TreeSchema
+    __slots__ = __match_args__ = ("tree",)
 
 
-@dataclass(frozen=True)
 class FinSet(QueryTerm):
-    elements: tuple[Seq, ...]
+    __slots__ = __match_args__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.elements)) != len(self.elements):
+    def _init(self, elements: tuple[Seq, ...]) -> None:
+        self.elements = elements
+        if len(set(elements)) != len(elements):
             raise BadArgument(f"finite set elements must be pairwise distinct: {self}")
 
 
-@dataclass(frozen=True)
 class Transversal(QueryTerm):
     """Shortlex-least element of every nonempty block of a fan."""
 
-    fan: TreeSchema
+    __slots__ = __match_args__ = ("fan",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.fan, Fan):
-            raise BadArgument(f"transversal is only defined over a fan, got {self.fan}")
+    def _init(self, fan: TreeSchema) -> None:
+        if not isinstance(fan, Fan):
+            raise BadArgument(f"transversal is only defined over a fan, got {fan}")
+        self.fan = fan
 
 
-@dataclass(frozen=True)
 class Union(QueryTerm):
-    left: QueryTerm
-    right: QueryTerm
+    __slots__ = __match_args__ = ("left", "right")
 
 
 class Ternary(enum.Enum):

@@ -14,13 +14,12 @@ them itself, so enumeration and witness checks load none of them.
 from __future__ import annotations
 
 import itertools
-import json
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import ideals, membership, ordinals, quotient, trees
 from .errors import BadArgument, QuotientOverflow
+from .hashcons import Interned
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .membership import QueryTerm, Schema, Ternary
 from .ordinals import Ordinal
@@ -28,17 +27,13 @@ from .trees import Seq, TreeSchema
 from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily, iter_domain
 
 
-@dataclass(frozen=True)
-class Budget:
-    depth: int
-    width: int
-    count: int
+class Budget(Interned):
+    __slots__ = __match_args__ = ("depth", "width", "count")
 
-    def __post_init__(self) -> None:
-        if min(self.depth, self.width, self.count) < 1:
-            raise BadArgument(
-                f"budget fields must all be >= 1, got {self.depth},{self.width},{self.count}"
-            )
+    def _init(self, depth: int, width: int, count: int) -> None:
+        if min(depth, width, count) < 1:
+            raise BadArgument(f"budget fields must all be >= 1, got {depth},{width},{count}")
+        self.depth, self.width, self.count = depth, width, count
 
 
 DEFAULT_BUDGET = Budget(6, 6, 200)
@@ -306,12 +301,10 @@ def rand_query(rng: random.Random, target: TreeSchema) -> QueryTerm:
 # the law suite
 
 
-@dataclass
 class LawReport:
-    name: str
-    trials: int
-    failures: int
-    first_counterexample: Optional[str]
+    def __init__(self, name: str, trials: int, failures: int, first_counterexample: Optional[str]):
+        self.name, self.trials, self.failures = name, trials, failures
+        self.first_counterexample = first_counterexample
 
     def to_json(self) -> dict:
         return {
@@ -322,11 +315,9 @@ class LawReport:
         }
 
 
-@dataclass
 class SuiteReport:
-    seed: int
-    trials: int
-    laws: list[LawReport]
+    def __init__(self, seed: int, trials: int, laws: list[LawReport]) -> None:
+        self.seed, self.trials, self.laws = seed, trials, laws
 
     @property
     def all_pass(self) -> bool:
@@ -339,9 +330,6 @@ class SuiteReport:
             "allPass": self.all_pass,
             "laws": [law.to_json() for law in self.laws],
         }
-
-    def render(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def law_suite(seed: int, trials: int) -> SuiteReport:

@@ -12,19 +12,19 @@ embedding of the rationals routed through that occurrence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union as TUnion
 
 from . import ideals
+from .hashcons import Interned
 from .ideals import CanonicalForm, POW_FORM
 
 Interval = tuple[Optional[Fraction], Optional[Fraction]]
 Pos = tuple
 
 
-class LinTerm:
-    """Base class for linear order terms."""
+class LinTerm(Interned):
+    """Base class for linear order terms; all subtypes are interned."""
 
     __slots__ = ()
 
@@ -32,36 +32,35 @@ class LinTerm:
         return format_order(self)
 
 
-@dataclass(frozen=True)
 class Nat(LinTerm):
     """Order type of the naturals."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Rev(LinTerm):
-    child: LinTerm
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True)
 class Cat(LinTerm):
-    parts: tuple[LinTerm, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def _init(self, parts: tuple[LinTerm, ...]) -> None:
+        if not parts:
             raise ValueError("concatenation needs at least one part")
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class OmegaCat(LinTerm):
     """Omega-indexed sum, eventually the constant tail order."""
 
-    heads: tuple[LinTerm, ...]
-    tail: LinTerm
+    __slots__ = __match_args__ = ("heads", "tail")
 
 
-@dataclass(frozen=True)
 class RatQ(LinTerm):
     """Order type of the rationals."""
+
+    __slots__ = ()
 
 
 NAT = Nat()
@@ -72,17 +71,16 @@ RATQ = RatQ()
 # classification
 
 
-@dataclass(frozen=True)
-class Scattered:
-    form: CanonicalForm
+class Scattered(Interned):
+    __slots__ = __match_args__ = ("form",)
 
     def __str__(self) -> str:
         return f"Scattered({self.form})"
 
 
-@dataclass(eq=False)
 class NonScattered:
-    embedding: "OrderEmbedding"
+    def __init__(self, embedding: OrderEmbedding) -> None:
+        self.embedding = embedding
 
     def __str__(self) -> str:
         return "NonScattered(dense-order embedding)"

@@ -11,8 +11,6 @@ overflow the representative budget by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import trees
 from .errors import QuotientOverflow
 from .trees import Const, Empty, Eps, Chain, Fan, Full, Rooted, Spine, TreeSchema
@@ -75,12 +73,12 @@ def _bump(acc: dict[TreeSchema, int | None], key: TreeSchema, mult: int | None) 
         acc[key] = acc.get(key, 0) + mult
 
 
-@dataclass
 class Quotient:
     """Vertex 0 is the root class; edges index into ``vertices``."""
 
-    vertices: list[TreeSchema] = field(default_factory=list)
-    edges: list[list[tuple[int, int | None]]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.vertices: list[TreeSchema] = []
+        self.edges: list[list[tuple[int, int | None]]] = []
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -17,7 +17,6 @@ compiled block of stage ``a`` has rank between a split of ``a`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import ordinals, trees
@@ -25,19 +24,31 @@ from .ordinals import Ordinal
 from .trees import Fan, Spine, TreeSchema
 
 
-@dataclass(frozen=True)
 class RankInfo:
     """Rank data of the tree generated by a schema.
 
     ``rank`` is the first fixpoint stage of the iterated derivative,
     ``core_empty`` tells whether the fixpoint is empty, and ``dom_stage``
     is the first stage at which the survivors are branch-dominated (None
-    exactly when a nonempty core survives).
+    exactly when a nonempty core survives).  Equal fields give equal values.
     """
 
-    rank: Ordinal
-    core_empty: bool
-    dom_stage: Optional[Ordinal]
+    __slots__ = ("rank", "core_empty", "dom_stage")
+
+    def __init__(self, rank: Ordinal, core_empty: bool, dom_stage: Optional[Ordinal]) -> None:
+        self.rank, self.core_empty, self.dom_stage = rank, core_empty, dom_stage
+
+    def _key(self) -> tuple:
+        return (self.rank, self.core_empty, self.dom_stage)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is RankInfo else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RankInfo(rank={self.rank!r}, core_empty={self.core_empty!r}, dom_stage={self.dom_stage!r})"
 
 
 _EMPTY_INFO = RankInfo(ordinals.ZERO, True, ordinals.ZERO)

@@ -9,7 +9,6 @@ tree, query and order grammars import theirs when they build a term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import ideals, ordinals
@@ -22,22 +21,18 @@ if TYPE_CHECKING:
     from .orders import LinTerm
     from .trees import SchemaSeq, Seq, TreeSchema
 
-_TOKEN = re.compile(r"\s*([A-Za-z]+|\d+|[()\[\]{},;<>^*+])")
+_TOKEN = re.compile(r"\s*([A-Za-z]+|[0-9]+|[()\[\]{},;<>^*+])")
 
 
-@dataclass
 class _Stream:
-    text: str
-    tokens: list[str] = field(default_factory=list)
-    pos: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(self, text: str) -> None:
+        self.text, self.tokens, self.pos = text, [], 0
         i = 0
-        while i < len(self.text):
-            m = _TOKEN.match(self.text, i)
+        while i < len(text):
+            m = _TOKEN.match(text, i)
             if m is None:
-                if self.text[i:].strip():
-                    raise ParseError(f"bad character at {i}: {self.text[i:i+8]!r}")
+                if text[i:].strip():
+                    raise ParseError(f"bad character at {i}: {text[i:i+8]!r}")
                 break
             self.tokens.append(m.group(1))
             i = m.end()

@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import trees
+from .hashcons import Interned
 from .trees import Seq, TreeSchema
 
 
-@dataclass(frozen=True)
-class DominatingBranch:
+class DominatingBranch(Interned):
     """Eventually periodic branch dominating every element of a set."""
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = __match_args__ = ("prefix", "period")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def _init(self, prefix: tuple[int, ...], period: tuple[int, ...]) -> None:
+        if not period:
             raise ValueError("period must be nonempty")
+        self.prefix, self.period = prefix, period
 
     def value(self, i: int) -> int:
         if i < len(self.prefix):
@@ -66,12 +65,11 @@ def prepend_branch(head: tuple[int, ...], b: DominatingBranch) -> DominatingBran
     return DominatingBranch(head + b.prefix, b.period)
 
 
-@dataclass
 class UnboundedFamily:
     """Enumerates set elements whose coordinate maxima strictly increase."""
 
-    source: Callable[[], Iterator[Seq]]
-    note: str = ""
+    def __init__(self, source: Callable[[], Iterator[Seq]], note: str = "") -> None:
+        self.source, self.note = source, note
 
     def elements(self, count: int) -> list[Seq]:
         out: list[Seq] = []
@@ -121,7 +119,6 @@ class PrefixEmbedding(EmbeddingWitness):
         return self.provenance + u
 
 
-@dataclass(frozen=True)
 class Expansion:
     """A core node (relative path) with infinitely many core children.
 
@@ -129,9 +126,8 @@ class Expansion:
     same cone schema ``child``.
     """
 
-    path: Seq
-    index: Callable[[int], int]
-    child: TreeSchema
+    def __init__(self, path: Seq, index: Callable[[int], int], child: TreeSchema) -> None:
+        self.path, self.index, self.child = path, index, child
 
 
 class CoreEmbedding(EmbeddingWitness):

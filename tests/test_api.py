@@ -1,12 +1,18 @@
-"""The public names of the package, which load their modules on first use."""
+"""The public names of the package, which load their modules on first use,
+and the contract of its record types."""
 
 from __future__ import annotations
 
+import copy
 import importlib
+import pickle
 
 import pytest
 
 import idealforms
+from idealforms import classification, ideals, membership, oracle, orders, quotient, rank, text, trees, witnesses
+from idealforms.errors import BadArgument
+from idealforms.ordinals import OMEGA, ONE, ZERO
 
 
 def test_every_public_name_is_its_defining_object():
@@ -32,3 +38,103 @@ def test_unknown_names_raise():
         idealforms.no_such_name
     with pytest.raises(ImportError):
         from idealforms import no_such_name  # noqa: F401
+
+
+FORM = ideals.CanonicalForm(ideals.Kind.P, ONE)
+FAN = trees.Fan((trees.EPS,), trees.Const(trees.CHAIN))
+
+
+def _interned_records():
+    """One builder per interned record type, called twice by each test."""
+    return [
+        lambda: ideals.Fin(), lambda: ideals.Pow(), lambda: ideals.P(ONE), lambda: ideals.Q(OMEGA),
+        lambda: ideals.Perp(ideals.Fin()), lambda: ideals.Sum((ideals.Fin(), ideals.P(ONE))),
+        lambda: ideals.OmegaSum(ideals.Q(ONE)), lambda: ideals.LimSum(OMEGA),
+        lambda: ideals.MixSum((ideals.Pow(),), ideals.OmegaSum(ideals.Fin())),
+        lambda: membership.Schema(FAN), lambda: membership.FinSet(((0, 3), ())),
+        lambda: membership.Transversal(FAN),
+        lambda: membership.Union(membership.Schema(trees.CHAIN), membership.FinSet(((1,),))),
+        lambda: orders.Nat(), lambda: orders.Rev(orders.Nat()), lambda: orders.Cat((orders.Nat(), orders.RatQ())),
+        lambda: orders.OmegaCat((orders.Nat(),), orders.Rev(orders.Nat())), lambda: orders.RatQ(),
+        lambda: classification.Borel(ideals.CanonicalForm(ideals.Kind.P, ONE)),
+        lambda: orders.Scattered(ideals.CanonicalForm(ideals.Kind.Q, ZERO)),
+        lambda: classification._NB((0, 2)), lambda: oracle.Budget(3, 2, 10),
+        lambda: witnesses.DominatingBranch((4,), (1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("build", _interned_records())
+def test_interned_records_are_one_object_per_value(build):
+    x = build()
+    assert x is build() and x == build() and hash(x) == hash(build())
+    assert copy.copy(x) is x and copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    assert type(x)(*x.__getnewargs__()) is x  # positional, fields in __match_args__ order
+    assert [getattr(x, f) for f in x.__match_args__] == list(x.__getnewargs__())
+
+
+def test_interned_records_differ_by_fields():
+    assert ideals.P(ONE) != ideals.P(OMEGA) and ideals.P(ONE) != ideals.Q(ONE)
+    assert oracle.Budget(1, 2, 3) != oracle.Budget(1, 2, 4)
+    assert orders.Scattered(FORM) is orders.Scattered(ideals.CanonicalForm(ideals.Kind.P, ONE))
+    match ideals.MixSum((ideals.Fin(),), ideals.LimSum(OMEGA)):
+        case ideals.MixSum(heads, ideals.LimSum(r)):
+            assert heads == (ideals.Fin(),) and r is OMEGA
+    with pytest.raises(TypeError):
+        ideals.P()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ideals.Sum(()), ValueError, "finite sum needs at least one summand"),
+    (lambda: ideals.MixSum((ideals.Fin(),), ideals.Fin()), ValueError,
+     "mix tail must be an omega-sum or a limit sum"),
+    (lambda: membership.FinSet(((0,), (0,))), BadArgument,
+     "finite set elements must be pairwise distinct: finset{<0>,<0>}"),
+    (lambda: membership.Transversal(trees.CHAIN), BadArgument,
+     "transversal is only defined over a fan, got chain"),
+    (lambda: orders.Cat(()), ValueError, "concatenation needs at least one part"),
+    (lambda: oracle.Budget(0, 1, 1), BadArgument, "budget fields must all be >= 1, got 0,1,1"),
+    (lambda: witnesses.DominatingBranch((), ()), ValueError, "period must be nonempty"),
+])
+def test_record_validation(build, error, message):
+    for _ in range(2):  # a rejected term is not kept
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ideals.CanonicalForm(ideals.Kind.PQ, OMEGA),
+    lambda: rank.RankInfo(OMEGA, True, ONE),
+    lambda: rank.RankInfo(ZERO, False, None),
+])
+def test_value_records_compare_by_fields(build):
+    x, y = build(), build()
+    assert x is not y and x == y and hash(x) == hash(y) and not x != y
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    assert x != classification.FINITE_CLS and x != classification.EMPTY_CLS
+
+
+def test_value_records_differ_by_fields():
+    assert ideals.CanonicalForm(ideals.Kind.P, OMEGA) != ideals.CanonicalForm(ideals.Kind.Q, OMEGA)
+    assert ideals.CanonicalForm(ideals.Kind.P, OMEGA) != ideals.CanonicalForm(ideals.Kind.P, ONE)
+    assert rank.RankInfo(ONE, True, ONE) != rank.RankInfo(ONE, True, ZERO)
+    assert ideals.CanonicalForm(ideals.Kind.P, ONE) != rank.RankInfo(ONE, True, ONE)
+
+
+def test_plain_records_take_their_fields_positionally():
+    source = lambda: iter([(0,), (1,)])  # noqa: E731
+    family = witnesses.UnboundedFamily(source)
+    assert (family.source, family.note) == (source, "")
+    assert witnesses.UnboundedFamily(source, "chain").note == "chain"
+    exp = witnesses.Expansion((0, 1), abs, trees.FULL)
+    assert (exp.path, exp.index, exp.child) == ((0, 1), abs, trees.FULL)
+    law = oracle.LawReport("idempotence", 5, 1, "FIN")
+    report = oracle.SuiteReport(7, 5, [law])
+    assert (report.seed, report.trials, report.laws, report.all_pass) == (7, 5, [law], False)
+    assert law.to_json() == {"name": "idempotence", "trials": 5, "failures": 1, "firstCounterexample": "FIN"}
+    a, b = quotient.Quotient(), quotient.Quotient()
+    a.vertices.append(trees.EPS)
+    assert (len(a), len(b), b.edges) == (1, 0, [])  # no shared lists
+    assert classification.NonBorel(None).witness is None and orders.NonScattered(None).embedding is None
+    s = text._Stream("P( 12 )")
+    assert (s.text, s.tokens, s.pos) == ("P( 12 )", ["P", "(", "12", ")"], 0)

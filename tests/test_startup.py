@@ -7,7 +7,6 @@ handler that forgets to import what it runs fails here.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -20,14 +19,14 @@ from idealforms import cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
-# run one verb in-process with its output swallowed, then list the
-# package modules that are loaded
+# run one verb in-process with its output swallowed, then list every
+# loaded module; the probe itself imports nothing that the CLI may not
 LOADED_AFTER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from idealforms import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(json.loads(sys.argv[1])) == 0
-print(json.dumps(sorted(m.split(".")[1] for m in sys.modules if m.startswith("idealforms."))))
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sys.modules))
 """
 
 
@@ -35,10 +34,14 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV)
 
 
-def _loaded_after(argv: list[str]) -> set[str]:
-    proc = _python("-c", LOADED_AFTER, json.dumps(argv))
+def _modules_after(argv: list[str]) -> set[str]:
+    proc = _python("-c", LOADED_AFTER, *argv)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(proc.stdout.split())
+
+
+def _loaded_after(argv: list[str]) -> set[str]:
+    return {m.split(".")[1] for m in _modules_after(argv) if m.startswith("idealforms.")}
 
 
 def test_each_verb_loads_only_what_it_runs():
@@ -50,6 +53,21 @@ def test_each_verb_loads_only_what_it_runs():
     assert "orders" in wo and not wo & {"oracle", "trees", "membership"}
     enum = _loaded_after(["enumerate", "chain", "--budget", "3,3,10"])
     assert "oracle" in enum and not enum & {"orders", "classification", "rank"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "omega(FIN)"],
+    ["classify", "full"],
+    ["frechet", "fan([];const(chain))", "in", "P(1)"],
+    ["enumerate", "chain", "--budget", "3,3,10"],
+    ["wo", "classify", "cat(N,rev(N))"],
+    ["--json", "normalize", "omega(FIN)"],
+    ["compile", "P(1)", "--emit", "json"],
+])
+def test_no_verb_loads_dataclasses_and_json_only_on_request(argv):
+    loaded = _modules_after(argv)
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("json" in loaded) == ("json" in argv or "--json" in argv)
 
 
 def test_bare_import_loads_no_submodule():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from idealforms import membership, oracle, orders, text, trees
+from idealforms import cli, membership, oracle, orders, text, trees
 from idealforms.errors import ParseError
 
 
@@ -105,3 +105,17 @@ def test_structural_validation():
         membership.FinSet(((0,), (0,)))
     with pytest.raises(ValueError):
         orders.Cat(())
+
+
+# NAT is [0-9]+: other Unicode digits (fullwidth, Arabic-Indic) are no numbers
+@pytest.mark.parametrize("parser, src, argv", [
+    (text.parse_expr, "P(\uff13)", ["normalize", "P(\uff13)"]),
+    (text.parse_ordinal, "w+\u0663", ["rank", "P(w+\u0663)"]),
+    (text.parse_query, "finset{<0,\u0663>}", ["enumerate", "finset{<0,\u0663>}"]),
+    (text.parse_tree, "fan([];qdiag(w,\uff13))", ["treerank", "fan([];qdiag(w,\uff13))"]),
+])
+def test_nat_is_ascii_digits(capsys, parser, src, argv):
+    with pytest.raises(ParseError):
+        parser(src)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
