@@ -261,32 +261,25 @@ def find_expansion(c: TreeSchema) -> Expansion:
     """A core node with infinitely many core children, relative to ``c``.
 
     The core is not dominated, so (being a tree) it has an infinitely
-    branching node; the search descends into a surviving block until the
-    branching lives at the current root.
+    branching node; the search descends into the first block with a
+    nonempty core until the branching lives at the current root.
     """
     path: list[int] = []
-    while True:
-        match c:
-            case Full():
-                return Expansion(tuple(path), lambda k: k, trees.FULL)
-            case Rooted(child):
-                c = child
-                continue
-            case Fan(heads, tail):
-                if isinstance(tail, Const) and not rank.rank_info(tail.block).core_empty:
-                    base = len(heads)
-                    return Expansion(tuple(path), lambda k: base + k, tail.block)
-                blocks = list(enumerate(heads))
-            case Spine(heads, tail):
-                blocks = list(enumerate(heads))
-                if isinstance(tail, Const):
-                    blocks.append((len(heads), tail.block))
-            case _:
-                blocks = []
-        for n, h in blocks:
-            if not rank.rank_info(h).core_empty:
-                break
-        else:
+    while type(c) is not Full:
+        if type(c) is Rooted:
+            c = c.child
+            continue
+        if type(c) is not Fan and type(c) is not Spine:
             raise AssertionError(f"no expansion point in {c}: core is empty")
-        path.extend(trees.spine_root(n) if isinstance(c, Spine) else (n,))
-        c = h
+        tail = c.tail
+        if type(c) is Fan and type(tail) is Const and not _core_empty(tail.block):
+            base = len(c.heads)
+            return Expansion(tuple(path), lambda k: base + k, tail.block)
+        n = trees.first_failing(c, _core_empty)
+        path.extend(trees.spine_root(n) if type(c) is Spine else (n,))
+        c = trees.block_at(c, n)
+    return Expansion(tuple(path), lambda k: k, trees.FULL)
+
+
+def _core_empty(t: TreeSchema) -> bool:
+    return rank.rank_info(t).core_empty

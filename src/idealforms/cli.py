@@ -41,6 +41,19 @@ def main(argv: list[str] | None = None) -> int:
     return payload.get("exit", 0)
 
 
+def _integer(text: str) -> int:
+    """An integer spelled in ASCII digits, as the term grammars spell
+    numbers; a leading ``-`` is kept so that the range checks can name a
+    negative value."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its usage error
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idealforms",
@@ -65,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verb("compile", _cmd_compile, "schema of the standard copy",
          (["expr"], {}),
          (["--emit"], {"choices": ["dot", "json"], "default": None}),
-         (["--depth"], {"type": int, "default": 6}),
-         (["--width"], {"type": int, "default": 6}),
-         (["--count"], {"type": int, "default": 200}))
+         (["--depth"], {"type": _integer, "default": 6}),
+         (["--width"], {"type": _integer, "default": 6}),
+         (["--count"], {"type": _integer, "default": 200}))
     verb("classify", _cmd_classify, "classification of a schema's restriction",
          (["tree"], {}),
          (["--via"], {"choices": ["derivative"], "default": None}))
@@ -84,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
          (["query"], {}),
          (["--budget"], {"default": "6,6,200", "metavar": "D,W,C"}))
     verb("selftest", _cmd_selftest, "seeded law suite across all modules",
-         (["--seed"], {"type": int, "default": 42}),
-         (["--trials"], {"type": int, "default": 50}))
+         (["--seed"], {"type": _integer, "default": 42}),
+         (["--trials"], {"type": _integer, "default": 50}))
 
     wo = sub.add_parser("wo", help="well-ordered-subset ideals of linear orders")
     wo_sub = wo.add_subparsers(required=True, metavar="verb")
@@ -97,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_wo_reverse)
     p = wo_sub.add_parser("rationalize", help="embed the order into the rationals")
     p.add_argument("order")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_integer, default=10)
     p.set_defaults(handler=_cmd_wo_rationalize)
     return parser
 
@@ -296,7 +309,7 @@ def _cmd_enumerate(args) -> dict:
 
     q = text.parse_query(args.query)
     try:
-        d, w, c = (int(x) for x in args.budget.split(","))
+        d, w, c = (_integer(x) for x in args.budget.split(","))
     except ValueError as exc:
         raise ParseError(f"budget must be D,W,C: {args.budget!r}") from exc
     elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))

@@ -19,25 +19,8 @@ from . import ideals, trees
 from .errors import BadArgument, NotASubset, UnknownContainment
 from .hashcons import Interned
 from .ideals import IdealExpr
-from .trees import (
-    Chain,
-    Const,
-    Empty,
-    Eps,
-    Fan,
-    Full,
-    Rooted,
-    Seq,
-    Spine,
-    TreeSchema,
-)
-from .witnesses import (
-    DominatingBranch,
-    UnboundedFamily,
-    constant_branch,
-    merge_branches,
-    prepend_branch,
-)
+from .trees import Chain, Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
+from .witnesses import DominatingBranch, UnboundedFamily, merge_branches
 
 
 class QueryTerm(Interned):
@@ -54,6 +37,11 @@ class Schema(QueryTerm):
 
 
 class FinSet(QueryTerm):
+    """An explicit finite set.  It is answered from its elements, not a
+    schema: the prefix trie of ``<1000000000>`` would be a fan of a billion
+    heads, and schema facts such as ``pick_least`` cost the square of the
+    longest element, where these paths cost the length of the text."""
+
     __slots__ = __match_args__ = ("elements",)
 
     def _init(self, elements: tuple[Seq, ...]) -> None:
@@ -321,7 +309,14 @@ def member_perp(q: QueryTerm, target: IdealExpr) -> bool:
 
 
 # --------------------------------------------------------------------------
-# orthogonal subset extraction (the Frechet recursion)
+# orthogonal subset extraction (the Frechet property)
+#
+# The orthogonal subset here and the unbounded family below are each
+# found by one loop down the schema that takes, at every fan or spine,
+# the first block failing the ideal's predicate (trees.first_failing):
+# a walk down to a witness (Vene & Uustalu, "Functional Programming with
+# Apomorphisms", 1998).  The dominating branch is one more loop, over
+# the schema's depths.  None of them spends a Python frame per level.
 
 
 def frechet_witness(q: QueryTerm, target: IdealExpr) -> QueryTerm:
@@ -342,28 +337,33 @@ def _fw_query(q: QueryTerm) -> TreeSchema:
 
 
 def _fw_schema(t: TreeSchema) -> TreeSchema:
-    match t:
-        case Chain() | Full():
-            return trees.CHAIN
-        case Rooted(child):
-            return _fw_schema(child)
-        case Fan(heads, tail) | Spine(heads, tail):
-            for n, h in enumerate(heads):
-                if not trees.is_empty(h) and not trees.in_wf(h):
-                    return type(t)((trees.EMPTY,) * n + (_fw_schema(h),), trees.CONST_EMPTY)
-            assert not trees.tail_is_trivial(tail)
-            block = trees.block_at(t, len(heads))
-            # a fan with well-founded heads has no well-founded tail block
-            if isinstance(t, Fan) or not trees.in_wf(block):
-                return type(t)(
-                    (trees.EMPTY,) * len(heads) + (_fw_schema(block),), trees.CONST_EMPTY
-                )
-            # a spine's copies are well-founded but unboundedly many: take the
-            # fixed pick in every copy, a set dominated alongside the spine
+    """Down through blocks that are not well-founded to a chain, a full
+    set or a spine of well-founded copies; the subset found there is then
+    wrapped back up, alone in the block it was taken from."""
+    path: list[tuple[type, int]] = []  # each fan or spine passed, and the block taken
+    while t is not trees.CHAIN and t is not trees.FULL:
+        if type(t) is Rooted:
+            t = t.child
+            continue
+        if type(t) is not Fan and type(t) is not Spine:
+            raise AssertionError(f"schema is well-founded: {t}")
+        n = trees.first_failing(t, trees.in_wf)
+        block = trees.block_at(t, n)
+        # a fan with well-founded heads has no well-founded tail block; a
+        # spine's copies may be well-founded but unboundedly many: take the
+        # fixed pick in every copy, a set dominated alongside the spine
+        if type(t) is Spine and n == len(t.heads) and trees.in_wf(block):
             pick = trees.pick_least(block)
             assert pick is not None
-            return Spine((trees.EMPTY,) * len(heads), Const(trees.singleton(pick)))
-    raise AssertionError(f"schema is well-founded: {t}")
+            out = Spine((trees.EMPTY,) * n, Const(trees.singleton(pick)))
+            break
+        path.append((type(t), n))
+        t = block
+    else:
+        out = trees.CHAIN
+    for node, n in reversed(path):
+        out = node((trees.EMPTY,) * n + (out,), trees.CONST_EMPTY)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def id_witness(q: QueryTerm) -> DominatingBranch | UnboundedFamily:
     family refuting every candidate branch."""
     if q_in_id(q):
         return _branch_query(q)
-    return UnboundedFamily(lambda: _unb_query(q), note=format_query(q))
+    return UnboundedFamily(lambda: _unb_query(q))
 
 
 def _branch_query(q: QueryTerm) -> DominatingBranch:
@@ -383,10 +383,8 @@ def _branch_query(q: QueryTerm) -> DominatingBranch:
         case Schema(tree):
             return _branch_schema(tree)
         case FinSet(elements):
-            return _branch_finite(list(elements))
+            return _branch_finite(elements)
         case Transversal(fan):
-            count = _transversal_block_count(fan)
-            assert count is not None
             picks = [p for n in range(len(fan.heads)) if (p := _transversal_pick(fan, n))]
             return _branch_finite(picks)
         case Union(left, right):
@@ -394,36 +392,44 @@ def _branch_query(q: QueryTerm) -> DominatingBranch:
     raise TypeError(f"not a query term: {q!r}")
 
 
-def _branch_finite(elems: list[Seq]) -> DominatingBranch:
-    if not elems:
-        return constant_branch(0)
-    width = max(len(u) for u in elems)
-    prefix = tuple(max((u[i] for u in elems if len(u) > i), default=0) for i in range(width))
-    return DominatingBranch(prefix, (0,))
+def _branch_finite(elems: tuple[Seq, ...] | list[Seq]) -> DominatingBranch:
+    """The largest entry at each position, then zeros."""
+    prefix = [0] * max(map(len, elems), default=0)
+    for u in elems:
+        for i, x in enumerate(u):
+            prefix[i] = max(prefix[i], x)
+    return DominatingBranch(tuple(prefix), (0,))
 
 
 def _branch_schema(t: TreeSchema) -> DominatingBranch:
-    match t:
-        case Empty() | Eps() | Chain():
-            return constant_branch(0)
-        case Rooted(child):
-            return _branch_schema(child)
-        case Fan(heads, _):
-            live = [(n, h) for n, h in enumerate(heads) if not trees.is_empty(h)]
-            if not live:
-                return constant_branch(0)
-            first = max(n for n, _ in live)
-            rest = merge_branches([_branch_schema(h) for _, h in live])
-            return prepend_branch((first,), rest)
-        case Spine(heads, tail):
-            subs = [_branch_schema(h) for h in heads if not trees.is_empty(h)]
-            if isinstance(tail, Const) and not trees.tail_is_trivial(tail):
-                subs.append(_branch_schema(tail.block))
-            # spine entries stay at most 1; copy offsets shift block
-            # branches, so their overall supremum dominates every position
-            bound = max([1] + [b.sup() for b in subs])
-            return constant_branch(bound)
-    raise AssertionError(f"schema is not dominated: {t}")
+    """The largest root entry of a live fan at each depth.  Spine entries
+    stay at most 1 and copy offsets shift the blocks, so a live spine at
+    depth d raises every position from d on, and the period, to the
+    largest entry below it.  One walk over the distinct (term, depth)
+    pairs builds the branch once and stores nothing on the terms; a
+    dominated fan's tail is trivial, so its live heads are all its blocks."""
+    top: list[int] = []  # per depth, the largest fan index there
+    floor: dict[int, int] = {}  # per depth, the largest entry below a spine there
+    stack, seen = [(t, 0)], set()
+    while stack:
+        s, d = item = stack.pop()
+        if item in seen or trees.is_empty(s):
+            continue
+        seen.add(item)
+        if type(s) is Rooted:
+            stack.append((s.child, d))
+        elif type(s) is Fan:
+            live = [n for n, h in enumerate(s.heads) if not trees.is_empty(h)]
+            top += [0] * (d + 1 - len(top))
+            top[d] = max(top[d], live[-1])
+            stack += [(s.heads[n], d + 1) for n in live]
+        elif type(s) is Spine:
+            floor[d] = max(floor.get(d, 0), trees._entry_bound(s))
+    prefix, reach = [], 0  # reach: the largest floor at or above this depth
+    for d, x in enumerate(top):
+        reach = max(reach, floor.get(d, 0))
+        prefix.append(max(x, reach))
+    return DominatingBranch(tuple(prefix), (max([0, *floor.values()]),))
 
 
 def _unb_query(q: QueryTerm) -> Iterator[Seq]:
@@ -442,36 +448,23 @@ def _unb_query(q: QueryTerm) -> Iterator[Seq]:
 
 
 def _unb_schema(t: TreeSchema) -> Iterator[Seq]:
-    match t:
-        case Full():
-            for n in itertools.count():
-                yield (n,)
-        case Rooted(child):
-            yield from _unb_schema(child)
-        case Fan(heads, tail):
-            if trees.tail_is_trivial(tail):
-                for n, h in enumerate(heads):
-                    if not trees.is_empty(h) and not trees.in_id(h):
-                        for u in _unb_schema(h):
-                            yield (n,) + u
-                        return
-                raise AssertionError(f"schema is dominated: {t}")
-            for n in itertools.count():
-                p = trees.pick_least(trees.block_at(t, n))
-                if p is not None:
-                    yield (n,) + p
-        case Spine(heads, tail):
-            for n, h in enumerate(heads):
-                if not trees.is_empty(h) and not trees.in_id(h):
-                    for u in _unb_schema(h):
-                        yield trees.spine_root(n) + u
-                    return
-            block = trees.block_at(t, len(heads))
-            assert not trees.in_id(block)
-            for u in _unb_schema(block):
-                yield trees.spine_root(len(heads)) + u
-        case _:
+    """Down through blocks that are not dominated, carrying the prefix, to
+    a full set or a fan with infinitely many blocks; their elements of
+    unbounded first entry, under the prefix, are the family."""
+    path: list[int] = []
+    while t is not trees.FULL and (type(t) is not Fan or trees.tail_is_trivial(t.tail)):
+        if type(t) is Rooted:
+            t = t.child
+        elif type(t) is Fan or type(t) is Spine:
+            n = trees.first_failing(t, trees.in_id)
+            path += (n,) if type(t) is Fan else trees.spine_root(n)
+            t = trees.block_at(t, n)
+        else:
             raise AssertionError(f"schema is dominated: {t}")
+    prefix = tuple(path)
+    family = ((n,) for n in itertools.count()) if t is trees.FULL else _unb_query(Transversal(t))
+    for u in family:
+        yield prefix + u
 
 
 # --------------------------------------------------------------------------

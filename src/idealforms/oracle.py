@@ -36,7 +36,6 @@ class Budget(Interned):
         self.depth, self.width, self.count = depth, width, count
 
 
-DEFAULT_BUDGET = Budget(6, 6, 200)
 WITNESS_BUDGET = Budget(8, 8, 200)
 
 

@@ -91,40 +91,37 @@ WoClass = TUnion[Scattered, NonScattered]
 
 def scattered_check(t: LinTerm) -> bool:
     """True iff the term contains no copy of the rationals."""
-    match t:
-        case Nat():
-            return True
-        case RatQ():
-            return False
-        case Rev(child):
-            return scattered_check(child)
-        case Cat(parts):
-            return all(scattered_check(p) for p in parts)
-        case OmegaCat(heads, tail):
-            return all(scattered_check(h) for h in heads) and scattered_check(tail)
-    raise TypeError(f"not an order term: {t!r}")
+    return _wo_form(t) is not None
 
 
 def wo_classify(t: LinTerm) -> WoClass:
     """Canonical form of the well-ordered-subset ideal, or a dense witness."""
-    if not scattered_check(t):
+    form = _wo_form(t)
+    if form is None:
         return NonScattered(OrderEmbedding(t))
-    return Scattered(_wo_form(t))
+    return Scattered(form)
 
 
-def _wo_form(t: LinTerm) -> CanonicalForm:
+def _wo_form(t: LinTerm) -> Optional[CanonicalForm]:
+    """Canonical form of the well-ordered-subset ideal; None when the term
+    contains the rationals."""
     match t:
         case Nat():
             return POW_FORM  # every subset of an omega-chain is well-ordered
+        case RatQ():
+            return None
         case Rev(child):
-            return ideals.perp(_wo_form(child))
+            form = _wo_form(child)
+            return None if form is None else ideals.perp(form)
         case Cat(parts):
-            return ideals.combine_all([_wo_form(p) for p in parts])
+            forms = [_wo_form(p) for p in parts]
         case OmegaCat(heads, tail):
-            forms = [_wo_form(h) for h in heads]
-            forms.append(ideals.omega_sum(_wo_form(tail)))
-            return ideals.combine_all(forms)
-    raise AssertionError(f"term is not scattered: {t}")
+            forms = [_wo_form(p) for p in (*heads, tail)]
+            if forms[-1] is not None:
+                forms[-1] = ideals.omega_sum(forms[-1])
+        case _:
+            raise TypeError(f"not an order term: {t!r}")
+    return None if any(f is None for f in forms) else ideals.combine_all(forms)
 
 
 def reverse_term(t: LinTerm) -> LinTerm:
@@ -231,8 +228,7 @@ def _atom_positions(t: LinTerm) -> Iterator[Pos]:
 
 
 def _block_position(t: OmegaCat, k: int, idx: int) -> Pos:
-    block = t.heads[k] if k < len(t.heads) else t.tail
-    return next(itertools.islice(enumerate_positions(block), idx, None))
+    return next(itertools.islice(enumerate_positions(_block_of(t, k)), idx, None))
 
 
 def _block_of(t: OmegaCat, k: int) -> LinTerm:

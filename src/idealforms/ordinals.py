@@ -81,15 +81,6 @@ def omega_power(exponent: Ordinal, coeff: int = 1) -> Ordinal:
     return Ordinal(((exponent, coeff),))
 
 
-def to_int(a: Ordinal) -> int:
-    """Inverse of ``from_int``; raises for infinite ordinals."""
-    if a.is_zero():
-        return 0
-    if len(a.terms) == 1 and a.terms[0][0].is_zero():
-        return a.terms[0][1]
-    raise ValueError(f"{a} is not a natural number")
-
-
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total CNF order; returns -1, 0 or 1."""
     if a is b:

@@ -21,7 +21,9 @@ if TYPE_CHECKING:
     from .orders import LinTerm
     from .trees import SchemaSeq, Seq, TreeSchema
 
-_TOKEN = re.compile(r"\s*([A-Za-z]+|[0-9]+|[()\[\]{},;<>^*+])")
+# whitespace is space, tab, CR and LF only (docs/grammar.md)
+_SPACE = " \t\r\n"
+_TOKEN = re.compile(rf"[{re.escape(_SPACE)}]*([A-Za-z]+|[0-9]+|[()\[\]{{}},;<>^*+])")
 
 
 class _Stream:
@@ -31,7 +33,7 @@ class _Stream:
         while i < len(text):
             m = _TOKEN.match(text, i)
             if m is None:
-                if text[i:].strip():
+                if text[i:].strip(_SPACE):
                     raise ParseError(f"bad character at {i}: {text[i:i+8]!r}")
                 break
             self.tokens.append(m.group(1))

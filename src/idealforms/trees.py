@@ -576,12 +576,22 @@ def pick_least(t: TreeSchema) -> Optional[Seq]:
 
 
 def singleton(u: Seq) -> TreeSchema:
-    """Schema denoting exactly the one sequence ``u``."""
-    if not u:
-        return EPS
-    inner = singleton(u[1:])
-    heads = (EMPTY,) * u[0] + (inner,)
-    return Fan(heads, CONST_EMPTY)
+    """Schema denoting exactly the one sequence ``u``, built from its last
+    entry up."""
+    out = EPS
+    for x in reversed(u):
+        out = Fan((EMPTY,) * x + (out,), CONST_EMPTY)
+    return out
+
+
+def first_failing(t: Fan | Spine, ok: Callable[[TreeSchema], bool]) -> int:
+    """Index of the first nonempty head of ``t`` on which ``ok`` fails, or
+    ``len(t.heads)``, the first tail block, when there is none: the one
+    step of every walk down a schema to a witness."""
+    for n, h in enumerate(t.heads):
+        if not is_empty(h) and not ok(h):
+            return n
+    return len(t.heads)
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +647,6 @@ def format_tree(t: TreeSchema | SchemaSeq) -> str:
 
 
 _LEAF_TEXT = {EMPTY: "empty", EPS: "eps", CHAIN: "chain", FULL: "full"}
-format_seq = format_tree
 
 
 def format_seq_elem(u: Seq) -> str:

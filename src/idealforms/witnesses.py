@@ -61,15 +61,11 @@ def merge_branches(branches: list[DominatingBranch]) -> DominatingBranch:
     return DominatingBranch(prefix, period)
 
 
-def prepend_branch(head: tuple[int, ...], b: DominatingBranch) -> DominatingBranch:
-    return DominatingBranch(head + b.prefix, b.period)
-
-
 class UnboundedFamily:
     """Enumerates set elements whose coordinate maxima strictly increase."""
 
-    def __init__(self, source: Callable[[], Iterator[Seq]], note: str = "") -> None:
-        self.source, self.note = source, note
+    def __init__(self, source: Callable[[], Iterator[Seq]]) -> None:
+        self.source = source
 
     def elements(self, count: int) -> list[Seq]:
         out: list[Seq] = []

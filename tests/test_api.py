@@ -124,8 +124,7 @@ def test_value_records_differ_by_fields():
 def test_plain_records_take_their_fields_positionally():
     source = lambda: iter([(0,), (1,)])  # noqa: E731
     family = witnesses.UnboundedFamily(source)
-    assert (family.source, family.note) == (source, "")
-    assert witnesses.UnboundedFamily(source, "chain").note == "chain"
+    assert family.source == source
     exp = witnesses.Expansion((0, 1), abs, trees.FULL)
     assert (exp.path, exp.index, exp.child) == ((0, 1), abs, trees.FULL)
     law = oracle.LawReport("idempotence", 5, 1, "FIN")

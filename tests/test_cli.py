@@ -153,13 +153,24 @@ def test_exit_codes(capsys):
         (("member", "finset{<0,0>,<0,0>}", "in", "P(1)"), "finset{<0,0>,<0,0>}"),
         (("wo", "rationalize", "N", "--count", "-1"), "--count"),
         (("selftest", "--trials", "-1"), "trials"),
+        (("compile", "P(1)", "--emit", "json", "--count", "-1"), "budget"),
     ):
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1, err
-    # argv that argparse rejects (a missing argument, an unknown choice)
-    # exits 2 with a usage line
-    for argv in (("normalize",), ("compile", "P(1)", "--emit", "png")):
+    # numbers are ASCII digits: another Unicode digit or an underscore in
+    # a budget field is a parse error
+    for budget in ("\u0663,3,10", "3,3,1_0", "3,+3,10", "3, 3,10"):
+        assert cli.main(["enumerate", "chain", "--budget", budget]) == 1
+        assert capsys.readouterr().err.startswith("parse error: budget")
+    # argv that argparse rejects (a missing argument, an unknown choice, a
+    # number not in ASCII digits) exits 2 with a usage line
+    for argv in (
+        ("normalize",), ("compile", "P(1)", "--emit", "png"),
+        ("compile", "P(1)", "--depth", "\uff13"), ("compile", "P(1)", "--width", "1_0"),
+        ("compile", "P(1)", "--count", "\u0663"), ("selftest", "--seed", "\u00b2"),
+        ("selftest", "--trials", "1_0"), ("wo", "rationalize", "N", "--count", "+3"),
+    ):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))
         assert exc.value.code == 2

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,7 @@ from idealforms.oracle import (
     rand_query,
 )
 from idealforms.text import parse_expr, parse_query, parse_tree
+from idealforms.trees import CONST_EMPTY, Const, Fan, Spine
 from idealforms.witnesses import DominatingBranch, UnboundedFamily
 
 
@@ -162,3 +165,43 @@ def test_restriction_coherence():
         b = Budget(depth, 8, 400)
         inter = set(enumerate_schema(q, b)) & set(enumerate_schema(r, b))
         assert len(inter) <= 1
+
+
+def test_witnesses_of_deep_schemas():
+    # the witness builders are loops, so a schema deeper than the
+    # recursion limit costs no frames
+    n = 50000
+    assert sys.getrecursionlimit() < n
+    # P(2k) compiles to fan([];const(spine([];const(P(2k-2))))) and P(0) is
+    # well-founded: the subset takes block 0 down to P(2)'s spine and there
+    # the pick <0> of every copy
+    w = membership.frechet_witness(Schema(trees.compile_ideal(e(f"P({n})"))), e(f"P({n})"))
+    want = Fan((Spine((), Const(trees.singleton((0,)))),), CONST_EMPTY)
+    for _ in range(n // 2 - 1):
+        want = Fan((Spine((want,), CONST_EMPTY),), CONST_EMPTY)
+    assert w is Schema(want)
+    nest = trees.CHAIN
+    for _ in range(n):
+        nest = Spine((), Const(nest))
+    assert str(membership.id_witness(Schema(nest))) == "[](1)*"
+
+
+def test_witnesses_cost_the_length_of_the_text():
+    # a finite set answers from its elements, and a dominating branch is
+    # built once, not a prefix per level: neither a large entry nor a long
+    # element or fan nest costs more than its length (a prefix per level
+    # of these 5 000 would hold 12.5 million entries, about 100 MB)
+    n = 5000
+    long = (0,) * (n - 1) + (2,)
+    want = f"[{'0,' * (n - 1)}2](0)*"
+    nest = Schema(trees.singleton(long))
+    tracemalloc.start()
+    try:
+        assert membership.member_of(FinSet(((10**9,),)), e("POW"))
+        assert str(membership.id_witness(FinSet(((10**9,), (7, 3))))) == "[1000000000,3](0)*"
+        assert str(membership.id_witness(FinSet((long,)))) == want
+        assert str(membership.id_witness(nest)) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from idealforms import classification, membership, oracle, quotient, rank, trees
-from idealforms.errors import FiniteSchema, QuotientOverflow
+from idealforms.errors import FiniteSchema, NotASubset, QuotientOverflow, UnknownContainment
 from idealforms.membership import Schema
 from idealforms.oracle import Budget
 from idealforms.text import parse_expr, parse_query, parse_tree
@@ -348,6 +348,46 @@ def test_descent_answers_pinned():
                 name = names[cone] = str(cone)
             h.update(f"{text}:{u}:{member},{gen},{name}\n".encode())
     assert h.hexdigest() == DESCENT_DIGEST
+
+
+# sha256 of the witness lines below: id_witness over the _facts_corpus()
+# schemas with an element of positive length, and frechet_witness and
+# id_witness over seeded random queries; recorded before the witness
+# builders became loops
+WITNESS_DIGEST = "d5d2515c082bcea6b1a3d1ec1d7952e64ba514632d0f072d8368ce2f67c0cbd5"
+
+
+def _witness_text(build) -> str:
+    try:
+        w = build()
+    except (NotASubset, UnknownContainment) as err:
+        return type(err).__name__
+    return str(w.elements(8)) if isinstance(w, UnboundedFamily) else str(w)
+
+
+def _schema_parts(q):
+    if isinstance(q, membership.Union):
+        return _schema_parts(q.left) + _schema_parts(q.right)
+    return [q.tree] if type(q) is Schema else []  # a finite set's branch is pinned at any depth
+
+
+def test_witness_answers_pinned():
+    h = hashlib.sha256()
+    for s in _facts_corpus():
+        text = _witness_text(lambda: membership.id_witness(Schema(s)))
+        if trees.depth_bound(s) != 0:
+            h.update(f"{s}:{text}\n".encode())
+        else:  # s denotes the empty set or {()}: the zero branch
+            assert text == "[](0)*", str(s)
+    rng = random.Random(9)
+    for _ in range(1500):
+        expr = oracle.rand_expr(rng, 6)
+        q = oracle.rand_query(rng, trees.compile_ideal(expr))
+        line = f"{q}:{expr}:{_witness_text(lambda: membership.frechet_witness(q, expr))}"
+        if all(trees.depth_bound(s) != 0 for s in _schema_parts(q)):
+            line += f":{_witness_text(lambda: membership.id_witness(q))}"
+        h.update(f"{line}\n".encode())
+    assert h.hexdigest() == WITNESS_DIGEST
 
 
 def _stage(u) -> int:

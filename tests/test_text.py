@@ -119,3 +119,18 @@ def test_nat_is_ascii_digits(capsys, parser, src, argv):
         parser(src)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+# whitespace is space, tab, CR and LF: other Unicode spaces (ideographic,
+# no-break) separate nothing
+@pytest.mark.parametrize("parser, src, argv", [
+    (text.parse_expr, "P(\u30003)", ["normalize", "P(\u30003)"]),
+    (text.parse_expr, "P(\u00a03)", ["normalize", "P(\u00a03)"]),
+    (text.parse_tree, "fan([];const(eps))\u00a0", ["treerank", "fan([];const(eps))\u00a0"]),
+])
+def test_whitespace_is_ascii(capsys, parser, src, argv):
+    with pytest.raises(ParseError):
+        parser(src)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
+    assert parser(src.replace("\u3000", " \t\r\n").replace("\u00a0", " "))

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from idealforms import classification, hashcons, ideals, ordinals, rank, trees
+from idealforms import classification, hashcons, ideals, membership, ordinals, rank, trees
 from idealforms.errors import NotLimit
 from idealforms.oracle import rand_infinite_schema
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
@@ -123,6 +125,12 @@ def test_singleton():
     s = trees.singleton((2, 0, 1))
     assert trees.member_elem((2, 0, 1), s)
     assert trees.elements_up_to(s, 5, 5) == [(2, 0, 1)]
+    assert s is t("fan([empty,empty,fan([fan([empty,eps];const(empty))];const(empty))];const(empty))")
+    assert trees.singleton(()) is EPS
+    # built in a loop, so a sequence longer than the recursion limit is fine
+    deep = (1,) * 50000
+    assert sys.getrecursionlimit() < len(deep)
+    assert trees.member_elem(deep, trees.singleton(deep))
 
 
 def test_gen_member():
@@ -231,12 +239,57 @@ def test_compile_and_descend_deep_chains_in_one_process():
 def test_every_fact_slot_has_one_algebra():
     # two algebras sharing a slot would silently return each other's answers
     algebras = [
-        v for m in (trees, rank, classification) for v in vars(m).values()
+        v for m in (trees, rank, classification, membership) for v in vars(m).values()
         if isinstance(v, trees._Algebra)
     ]
     slots = [a.slot for a in algebras]
     assert len(set(slots)) == len(slots)
     assert set(slots) == set(trees.TreeSchema.__slots__)
+
+
+# every function of the package that calls itself (by name, or as a method
+# on self); a schema walker that recurses once per level must be added here
+# on purpose, where a reader of the change sees it
+SELF_CALLING = {
+    # per level of an ideal expression, ordinal or order term
+    "ideals.normalize", "ideals.format_expr", "ordinals.compare", "ordinals.fund_seq",
+    "ordinals.format_ordinal", "orders._wo_form", "orders.reverse_term",
+    "orders.enumerate_positions", "orders.pos_cmp", "orders.embed_position",
+    "orders._dense_occurrence", "orders.format_order",
+    # the five grammars
+    "text._ordinal_atom", "text._expr", "text._tree", "text._query", "text._order",
+    # per union side, and the containment check
+    "membership.q_iter_len", "membership.q_member", "membership.q_is_infinite",
+    "membership.q_in_wf", "membership.q_in_id", "membership.subset_of",
+    "membership._subset_schema", "membership.query_subset", "membership._fw_query",
+    "membership._branch_query", "membership._unb_query", "membership.format_query",
+    # compile_form's one-level PQ call; iter_len yields per level, lazily
+    "trees.compile_form", "trees.iter_len",
+    # seeded generators, the quotient's classes and the lazy core embedding
+    "oracle.rand_ordinal", "oracle.rand_expr", "oracle.rand_schema", "oracle.prune_schema",
+    "oracle._rand_order", "quotient.child_classes", "witnesses._position",
+}
+
+
+def _self_calling(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            f = getattr(call, "func", None)
+            if isinstance(f, ast.Name) and f.id == node.name or (
+                isinstance(f, ast.Attribute) and f.attr == node.name
+                and isinstance(f.value, ast.Name) and f.value.id == "self"
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_self_calling_functions_are_listed():
+    src = Path(trees.__file__).parent
+    found = set().union(*(_self_calling(p) for p in src.glob("*.py")))
+    assert found == SELF_CALLING
 
 
 def test_racing_builders_get_one_object():
