@@ -15,7 +15,7 @@ from idealforms import (
     normalize,
     parse_expr,
 )
-from idealforms.trees import format_seq_elem
+from idealforms.text import format_seq_elem
 
 
 for src in ("FIN", "POW", "P(1)", "Q(1)", "P(2)", "sum(P(0),Q(0))", "P(w)", "Q(w)"):

@@ -17,7 +17,7 @@ from idealforms import (
     parse_tree,
     tree_rank,
 )
-from idealforms.trees import format_seq_elem
+from idealforms.text import format_seq_elem
 
 CASES = [
     "chain",

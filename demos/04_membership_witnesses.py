@@ -21,7 +21,7 @@ from idealforms import (
     parse_query,
     parse_tree,
 )
-from idealforms.trees import format_seq_elem
+from idealforms.text import format_seq_elem
 from idealforms.witnesses import DominatingBranch
 
 P1 = parse_expr("P(1)")

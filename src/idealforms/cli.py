@@ -170,7 +170,7 @@ def _cmd_compile(args) -> dict:
 
 
 def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
-    from . import trees
+    from . import text, trees
 
     nodes: set[trees.Seq] = {()}
     for u in elems:
@@ -180,7 +180,7 @@ def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
     names = {u: f"n{i}" for i, u in enumerate(sorted(nodes, key=trees.shortlex))}
     for u in sorted(nodes, key=trees.shortlex):
         shape = "doublecircle" if trees.member_elem(u, t) else "circle"
-        label = trees.format_seq_elem(u)
+        label = text.format_seq_elem(u)
         lines.append(f'  {names[u]} [label="{label}", shape={shape}];')
     for u in sorted(nodes, key=trees.shortlex):
         if u:
@@ -190,7 +190,7 @@ def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
 
 
 def _class_payload(out: classification.TreeClass) -> dict:
-    from . import classification, trees
+    from . import classification, text
 
     if isinstance(out, classification.Borel):
         return {
@@ -201,7 +201,7 @@ def _class_payload(out: classification.TreeClass) -> dict:
     sample = [list(w.map((k,))) for k in range(4)]
     return {
         "text": f"NON-BOREL (embedding witness: {w.label}; "
-                f"images of <0>..<3>: {', '.join(trees.format_seq_elem(tuple(u)) for u in sample)})",
+                f"images of <0>..<3>: {', '.join(text.format_seq_elem(tuple(u)) for u in sample)})",
         "json": {
             "verdict": "non-borel",
             "witness": _witness_json(w, checked=None),
@@ -266,7 +266,7 @@ def _cmd_frechet(args) -> dict:
 
 
 def _cmd_idwitness(args) -> dict:
-    from . import membership, oracle, text, trees, witnesses
+    from . import membership, oracle, text, witnesses
 
     q = text.parse_query(args.query)
     w = membership.id_witness(q)
@@ -275,7 +275,7 @@ def _cmd_idwitness(args) -> dict:
     if isinstance(w, witnesses.DominatingBranch):
         txt = f"dominating branch {w}"
     else:
-        sample = ", ".join(trees.format_seq_elem(u) for u in w.elements(4))
+        sample = ", ".join(text.format_seq_elem(u) for u in w.elements(4))
         txt = f"unbounded family: {sample}, ..."
     return {"text": txt, "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}
 
@@ -305,7 +305,7 @@ def _witness_json(w, checked: oracle.Budget | None) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    from . import oracle, text, trees
+    from . import oracle, text
 
     q = text.parse_query(args.query)
     try:
@@ -314,7 +314,7 @@ def _cmd_enumerate(args) -> dict:
         raise ParseError(f"budget must be D,W,C: {args.budget!r}") from exc
     elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))
     return {
-        "text": "\n".join(trees.format_seq_elem(u) for u in elems) or "(no elements)",
+        "text": "\n".join(text.format_seq_elem(u) for u in elems) or "(no elements)",
         "json": {
             "budget": {"depth": d, "width": w, "count": c},
             "elements": [list(u) for u in elems],

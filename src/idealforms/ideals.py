@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from . import ordinals
+from . import ordinals, text
 from .errors import NotLimit
 from .hashcons import Interned
 from .ordinals import Ordinal, OrdKind
@@ -27,7 +27,7 @@ class IdealExpr(Interned):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return format_expr(self)
+        return text.format_term(self)
 
 
 class Fin(IdealExpr):
@@ -216,31 +216,3 @@ def b_rank(e: IdealExpr) -> Ordinal:
 def iso_check(e1: IdealExpr, e2: IdealExpr) -> bool:
     """True iff the two expressions denote isomorphic ideals."""
     return normalize(e1) == normalize(e2)
-
-
-# --------------------------------------------------------------------------
-# printing (grammar documented in docs/grammar.md)
-
-
-def format_expr(e: IdealExpr) -> str:
-    match e:
-        case Fin():
-            return "FIN"
-        case Pow():
-            return "POW"
-        case P(rank):
-            return f"P({rank})"
-        case Q(rank):
-            return f"Q({rank})"
-        case Perp(child):
-            return f"perp({format_expr(child)})"
-        case Sum(parts):
-            return f"sum({','.join(format_expr(p) for p in parts)})"
-        case OmegaSum(child):
-            return f"omega({format_expr(child)})"
-        case LimSum(rank):
-            return f"limsum({rank})"
-        case MixSum(heads, tail):
-            inner = ",".join(format_expr(h) for h in heads)
-            return f"mix({inner};{format_expr(tail)})"
-    raise TypeError(f"not an ideal expression: {e!r}")

@@ -15,11 +15,11 @@ import heapq
 import itertools
 from typing import Iterator, Optional
 
-from . import ideals, trees
+from . import ideals, text, trees
 from .errors import BadArgument, NotASubset, UnknownContainment
 from .hashcons import Interned
 from .ideals import IdealExpr
-from .trees import Chain, Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
+from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
 from .witnesses import DominatingBranch, UnboundedFamily, merge_branches
 
 
@@ -29,7 +29,7 @@ class QueryTerm(Interned):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return format_query(self)
+        return text.format_term(self)
 
 
 class Schema(QueryTerm):
@@ -215,9 +215,7 @@ def _subset_schema(t: TreeSchema, s: TreeSchema) -> Ternary:
     if t == s or isinstance(s, Full) or trees.is_empty(t):
         return Ternary.YES
     if trees.is_finite(t):
-        elements = trees.elements_up_to(t, trees.depth_bound(t), max(trees._entry_bound(t), 0))
-        ok = all(trees.member_elem(u, s) for u in elements)
-        return Ternary.YES if ok else Ternary.NO
+        return _subset_finite(t, s)
     if isinstance(t, Rooted):
         if not trees.member_elem((), s):
             return Ternary.NO
@@ -226,13 +224,33 @@ def _subset_schema(t: TreeSchema, s: TreeSchema) -> Ternary:
         if _subset_schema(t, s.child) is Ternary.YES:
             return Ternary.YES
         return _subset_search(Schema(t), Schema(s))
-    if isinstance(t, Chain) and isinstance(s, Chain):
-        return Ternary.YES
     if type(t) is type(s) and isinstance(t, (Fan, Spine)):
         verdict = _subset_blockwise(t, s)
         if verdict is not Ternary.UNKNOWN:
             return verdict
     return _subset_search(Schema(t), Schema(s))
+
+
+def _subset_finite(t: TreeSchema, s: TreeSchema) -> Ternary:
+    """Containment of a finite ``t``: one loop down ``t`` that checks each
+    block against the cone of ``s`` at the node the block hangs from, taken
+    from the cone of its parent.  A finite schema has trivial tails and no
+    chain or full set, so its live heads are all its blocks."""
+    stack = [(t, s)]
+    while stack:
+        t, s = stack.pop()
+        if t == s or s is trees.FULL or trees.is_empty(t):
+            continue
+        if t is trees.EPS or type(t) is Rooted:
+            if not trees.member_elem((), s):
+                return Ternary.NO
+            if type(t) is Rooted:
+                stack.append((t.child, s))
+            continue
+        root = (lambda n: (n,)) if type(t) is Fan else trees.spine_root
+        stack += [(h, trees.cone_of(s, root(n))) for n, h in enumerate(t.heads)
+                  if not trees.is_empty(h)]
+    return Ternary.YES
 
 
 def _subset_blockwise(t: Fan | Spine, s: Fan | Spine) -> Ternary:
@@ -465,21 +483,3 @@ def _unb_schema(t: TreeSchema) -> Iterator[Seq]:
     family = ((n,) for n in itertools.count()) if t is trees.FULL else _unb_query(Transversal(t))
     for u in family:
         yield prefix + u
-
-
-# --------------------------------------------------------------------------
-# printing (grammar documented in docs/grammar.md)
-
-
-def format_query(q: QueryTerm) -> str:
-    match q:
-        case Schema(tree):
-            return trees.format_tree(tree)
-        case FinSet(elements):
-            inner = ",".join(trees.format_seq_elem(u) for u in elements)
-            return f"finset{{{inner}}}"
-        case Transversal(fan):
-            return f"transversal({trees.format_tree(fan)})"
-        case Union(left, right):
-            return f"union({format_query(left)},{format_query(right)})"
-    raise TypeError(f"not a query term: {q!r}")

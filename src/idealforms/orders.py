@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Union as TUnion
 
-from . import ideals
+from . import ideals, text
 from .hashcons import Interned
 from .ideals import CanonicalForm, POW_FORM
 
@@ -29,7 +29,7 @@ class LinTerm(Interned):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return format_order(self)
+        return text.format_term(self)
 
 
 class Nat(LinTerm):
@@ -306,7 +306,7 @@ class OrderEmbedding:
 
     def __init__(self, term: LinTerm):
         self.term = term
-        path, interval, flips = _dense_occurrence(term, (None, None), False)
+        path, interval, flips = _dense_occurrence(term)
         self.path = path
         self.interval = interval
         self.flips = flips
@@ -329,50 +329,36 @@ class OrderEmbedding:
         return -v if self.flips else v
 
 
-def _dense_occurrence(
-    t: LinTerm, interval: Interval, flipped: bool
-) -> tuple[tuple, Interval, bool]:
-    """Path, target interval and net reversal of the first dense atom."""
-    match t:
-        case RatQ():
-            return (), interval, flipped
-        case Rev(child):
-            sub, iv, fl = _dense_occurrence(child, _mirror(interval), not flipped)
-            return ("rev",) + sub, iv, fl
-        case Cat(parts):
-            for i, part in enumerate(parts):
-                if not scattered_check(part):
-                    sub, iv, fl = _dense_occurrence(
-                        part, _cuts(interval, len(parts))[i], flipped
-                    )
-                    return (("cat", i),) + sub, iv, fl
-        case OmegaCat(heads, tail):
-            for k, h in enumerate(heads):
-                if not scattered_check(h):
-                    sub, iv, fl = _dense_occurrence(h, _omega_cut(interval, k), flipped)
-                    return (("block", k),) + sub, iv, fl
-            if not scattered_check(tail):
-                k = len(heads)
-                sub, iv, fl = _dense_occurrence(tail, _omega_cut(interval, k), flipped)
-                return (("block", k),) + sub, iv, fl
-    raise AssertionError(f"no dense occurrence in {t}")
+def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:
+    """Path, target interval and net reversal of the first dense atom.
 
-
-# --------------------------------------------------------------------------
-# printing (grammar documented in docs/grammar.md)
-
-
-def format_order(t: LinTerm) -> str:
-    match t:
-        case Nat():
-            return "N"
-        case RatQ():
-            return "QQ"
-        case Rev(child):
-            return f"rev({format_order(child)})"
-        case Cat(parts):
-            return f"cat({','.join(format_order(p) for p in parts)})"
-        case OmegaCat(heads, tail):
-            inner = ",".join(format_order(h) for h in heads)
-            return f"osum([{inner}];{format_order(tail)})"
-    raise TypeError(f"not an order term: {t!r}")
+    The first part that is not scattered is the part holding the first
+    ``QQ`` from the left, so one walk down, left to right, finds the
+    path; the interval and the flips are then folded along it."""
+    stack: list[tuple] = [(t, None)]  # a term and the link to its path
+    while stack:
+        node, link = stack.pop()
+        if node is RATQ:
+            break
+        if type(node) is Rev:
+            stack.append((node.child, ("rev", link)))
+        elif type(node) is Cat or type(node) is OmegaCat:
+            parts = node.parts if type(node) is Cat else (*node.heads, node.tail)
+            step = "cat" if type(node) is Cat else "block"
+            stack += [(p, ((step, i), link)) for i, p in reversed(list(enumerate(parts)))]
+    else:
+        raise AssertionError(f"no dense occurrence in {t}")
+    path: list = []
+    while link is not None:
+        step, link = link
+        path.append(step)
+    path.reverse()
+    interval, flipped, node = (None, None), False, t
+    for step in path:
+        if step == "rev":
+            interval, flipped, node = _mirror(interval), not flipped, node.child
+        elif step[0] == "cat":
+            interval, node = _cuts(interval, len(node.parts))[step[1]], node.parts[step[1]]
+        else:
+            interval, node = _omega_cut(interval, step[1]), _block_of(node, step[1])
+    return tuple(path), interval, flipped

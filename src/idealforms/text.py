@@ -1,25 +1,26 @@
-"""Parsers for the published grammars (documented in docs/grammar.md).
+"""Parsers and the printer for the published grammars (docs/grammar.md).
 
-Each parser is recursive descent over one shared token stream; printers
-live next to their types and round-trip through these parsers.  Only the
-ordinal and ideal-expression grammars load their modules up front; the
-tree, query and order grammars import theirs when they build a term.
+Ordinals have an infix grammar.  Every other sort has one table of
+keywords, each with its class and the shape of the text after it; one
+parser and one printer read the tables, so printed terms parse back,
+and neither spends a Python frame per level.
 """
 
 from __future__ import annotations
 
 import re
+from importlib import import_module
 from typing import TYPE_CHECKING
 
-from . import ideals, ordinals
+from . import ordinals
 from .errors import ParseError
-from .ideals import IdealExpr
 from .ordinals import Ordinal
 
 if TYPE_CHECKING:
+    from .ideals import IdealExpr
     from .membership import QueryTerm
     from .orders import LinTerm
-    from .trees import SchemaSeq, Seq, TreeSchema
+    from .trees import Seq, TreeSchema
 
 # whitespace is space, tab, CR and LF only (docs/grammar.md)
 _SPACE = " \t\r\n"
@@ -43,11 +44,11 @@ class _Stream:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos == len(self.tokens):
             raise ParseError(f"unexpected end of input in {self.text!r}")
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -64,27 +65,13 @@ class _Stream:
             raise ParseError(f"expected a natural number, got {tok!r}")
         return int(tok)
 
-    def items(self, item, close: str, empty_ok: bool = False) -> list:
-        """``item (, item)*`` up to and including the ``close`` token."""
-        out = []
-        if not (empty_ok and self.peek() == close):
-            out.append(item(self))
-            while self.peek() == ",":
-                self.next()
-                out.append(item(self))
-        self.expect(close)
-        return out
-
 
 # --------------------------------------------------------------------------
 # ordinals
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    s = _Stream(text)
-    out = _ordinal(s)
-    s.done()
-    return out
+    return _parse(text, "ord")
 
 
 def _ordinal(s: _Stream) -> Ordinal:
@@ -128,193 +115,179 @@ def _ordinal_atom(s: _Stream) -> Ordinal:
 
 
 # --------------------------------------------------------------------------
-# ideal expressions
+# the keyword grammars
+
+# sort: (module, {keyword: "Class shape"}).  A shape item is a literal
+# token, a sort or leaf read once, or a comma list X* (maybe empty) or X+
+# up to the next token; each item but a literal fills the next field of
+# the class.  A query with no keyword is a tree.
+_EXPR = {
+    "FIN": "Fin", "POW": "Pow", "P": "P ( ord )", "Q": "Q ( ord )",
+    "perp": "Perp ( expr )", "sum": "Sum ( expr+ )", "omega": "OmegaSum ( expr )",
+    "limsum": "LimSum ( ord )", "mix": "MixSum ( expr+ ; mix )",
+}
+_GRAMMARS = {
+    "expr": ("ideals", _EXPR),
+    "mix": ("ideals", {k: _EXPR[k] for k in ("omega", "limsum")}),
+    "tree": ("trees", {
+        "empty": "Empty", "eps": "Eps", "chain": "Chain", "full": "Full",
+        "rooted": "Rooted ( tree )", "fan": "Fan ( [ tree* ] ; tail )",
+        "spine": "Spine ( [ tree* ] ; tail )",
+    }),
+    "tail": ("trees", {
+        "const": "Const ( tree )", "qdiag": "QDiag ( ord ,nat )", "pdiag": "PDiag ( ord ,nat )",
+    }),
+    "query": ("membership", {
+        "": "Schema tree", "finset": "FinSet { seq+ }", "transversal": "Transversal ( tree )",
+        "union": "Union ( query , query )",
+    }),
+    "order": ("orders", {
+        "N": "Nat", "QQ": "RatQ", "rev": "Rev ( order )", "cat": "Cat ( order+ )",
+        "osum": "OmegaCat ( [ order* ] ; order )",
+    }),
+}
 
 
-def parse_expr(text: str) -> IdealExpr:
-    s = _Stream(text)
-    out = _expr(s)
-    s.done()
-    return out
-
-
-def _expr(s: _Stream) -> IdealExpr:
-    tok = s.next()
-    match tok:
-        case "FIN":
-            return ideals.Fin()
-        case "POW":
-            return ideals.Pow()
-        case "P" | "Q":
-            s.expect("(")
-            rank = _ordinal(s)
-            s.expect(")")
-            return ideals.P(rank) if tok == "P" else ideals.Q(rank)
-        case "perp" | "omega":
-            s.expect("(")
-            inner = _expr(s)
-            s.expect(")")
-            return ideals.Perp(inner) if tok == "perp" else ideals.OmegaSum(inner)
-        case "limsum":
-            s.expect("(")
-            rank = _ordinal(s)
-            s.expect(")")
-            return ideals.LimSum(rank)
-        case "sum":
-            s.expect("(")
-            return ideals.Sum(tuple(s.items(_expr, ")")))
-        case "mix":
-            s.expect("(")
-            heads = s.items(_expr, ";")
-            tail = _expr(s)
-            s.expect(")")
-            if not isinstance(tail, (ideals.OmegaSum, ideals.LimSum)):
-                raise ParseError("mix tail must be omega(...) or limsum(...)")
-            return ideals.MixSum(tuple(heads), tail)
-    raise ParseError(f"expected an ideal expression, got {tok!r}")
-
-
-# --------------------------------------------------------------------------
-# tree schemas
-
-
-def parse_tree(text: str) -> TreeSchema:
-    s = _Stream(text)
-    out = _tree(s)
-    s.done()
-    return out
-
-
-def _tree(s: _Stream) -> TreeSchema:
-    from . import trees
-
-    tok = s.next()
-    match tok:
-        case "empty":
-            return trees.EMPTY
-        case "eps":
-            return trees.EPS
-        case "chain":
-            return trees.CHAIN
-        case "full":
-            return trees.FULL
-        case "rooted":
-            s.expect("(")
-            inner = _tree(s)
-            s.expect(")")
-            return trees.Rooted(inner)
-        case "fan" | "spine":
-            s.expect("(")
-            s.expect("[")
-            heads = s.items(_tree, "]", empty_ok=True)
-            s.expect(";")
-            tail = _tail(s)
-            s.expect(")")
-            cls = trees.Fan if tok == "fan" else trees.Spine
-            return cls(tuple(heads), tail)
-    raise ParseError(f"expected a tree schema, got {tok!r}")
-
-
-def _tail(s: _Stream) -> SchemaSeq:
-    from . import trees
-
-    tok = s.next()
-    match tok:
-        case "const":
-            s.expect("(")
-            block = _tree(s)
-            s.expect(")")
-            return trees.Const(block)
-        case "qdiag" | "pdiag":
-            s.expect("(")
-            rank = _ordinal(s)
-            offset = 0
-            if s.peek() == ",":
-                s.next()
-                offset = s.nat()
-            s.expect(")")
-            cls = trees.QDiag if tok == "qdiag" else trees.PDiag
-            return cls(rank, offset)
-    raise ParseError(f"expected a tail (const/qdiag/pdiag), got {tok!r}")
-
-
-# --------------------------------------------------------------------------
-# query terms
-
-
-def parse_query(text: str) -> QueryTerm:
-    s = _Stream(text)
-    out = _query(s)
-    s.done()
-    return out
-
-
-def _query(s: _Stream) -> QueryTerm:
-    from . import membership
-
-    tok = s.peek()
-    match tok:
-        case "finset":
-            s.next()
-            s.expect("{")
-            return membership.FinSet(tuple(s.items(_seq, "}")))
-        case "transversal":
-            s.next()
-            s.expect("(")
-            fan = _tree(s)
-            s.expect(")")
-            return membership.Transversal(fan)
-        case "union":
-            s.next()
-            s.expect("(")
-            left = _query(s)
-            s.expect(",")
-            right = _query(s)
-            s.expect(")")
-            return membership.Union(left, right)
-        case _:
-            return membership.Schema(_tree(s))
+def format_seq_elem(u: Seq) -> str:
+    return "<" + ",".join(map(str, u)) + ">"
 
 
 def _seq(s: _Stream) -> Seq:
     s.expect("<")
-    return tuple(s.items(_Stream.nat, ">", empty_ok=True))
+    out = [] if s.peek() == ">" else [s.nat()]
+    while s.peek() == ",":
+        s.next()
+        out.append(s.nat())
+    s.expect(">")
+    return tuple(out)
 
 
-# --------------------------------------------------------------------------
-# linear orders
+def _offset(s: _Stream) -> int:
+    return s.nat() if s.peek() == "," and s.next() else 0
 
 
-def parse_order(text: str) -> LinTerm:
+# leaf: (reader, writer); ,nat is an offset, 0 when absent
+_LEAVES = {
+    "ord": (_ordinal, str), "nat": (_Stream.nat, str), "seq": (_seq, format_seq_elem),
+    ",nat": (_offset, lambda n: f",{n}" if n else ""),
+}
+_LIT, _LIST, _MORE, _BUILD = range(4)
+_TABLES: dict[str, dict] = {}  # sort -> keyword -> parse items, last first
+_PLANS: dict[type, tuple] = {}  # class -> first text, print pieces last first
+
+
+def _compile(sort: str) -> dict:
+    """The table of ``sort`` and the print pieces of its classes.  A parse
+    item is a sort or leaf, or (kind, x, arg); a print piece is text or
+    (field, leaf writer, is a list)."""
+    name, spec = _GRAMMARS[sort]
+    module, table = import_module(f".{name}", __package__), {}
+    for keyword, shape in spec.items():
+        name, *items = shape.split()
+        cls = getattr(module, name)
+        fields, todo, plan = iter(cls.__match_args__), [], [keyword]
+        for k, item in enumerate(items):
+            x, many = item.rstrip("*+"), item[-1] in "*+"
+            if x not in _LEAVES and x not in _GRAMMARS:
+                todo.append((_LIT, x, None))
+                plan[-1] += x
+                continue
+            plan += [(next(fields), _LEAVES.get(x, (None, None))[1], many), ""]
+            # an empty list peeks at the token after it
+            todo.append((_LIST, x, items[k + 1] if item[-1] == "*" else None) if many else x)
+        table[keyword] = ((_BUILD, cls, len(cls.__match_args__)), *reversed(todo))
+        _PLANS[cls] = (plan[0], tuple(p for p in reversed(plan[1:]) if p))
+    _TABLES[sort] = table
+    return table
+
+
+def _read(s: _Stream, sort: str):
+    """An LL(1) parse with two stacks: the items still to read, last first,
+    and the values read, where a built term replaces its fields."""
+    todo, values = [sort], []
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            if item in _LEAVES:
+                values.append(_LEAVES[item][0](s))
+                continue
+            table = _TABLES.get(item) or _compile(item)
+            entry = table.get(s.next())
+            if entry is None:
+                s.pos -= 1  # a keyword-less entry reads the token itself
+                entry = table.get("")
+                if entry is None:
+                    raise ParseError(f"expected {item} ({'/'.join(table)}), got {s.peek()!r}")
+            todo += entry
+            continue
+        kind, x, arg = item
+        if kind is _LIT:
+            s.expect(x)
+        elif kind is _BUILD:  # x is the class, arg its number of fields
+            arg = len(values) - arg
+            values[arg:] = [x(*values[arg:])]
+        elif kind is _LIST:  # arg is the close token of a list that may be empty
+            if arg is not None and s.peek() == arg:
+                values.append(())
+            else:
+                todo += ((_MORE, x, len(values)), x)
+        elif s.peek() == ",":  # _MORE: the list started at values[arg]
+            s.next()
+            todo += (item, x)
+        else:
+            values[arg:] = [tuple(values[arg:])]
+    return values[0]
+
+
+def format_term(term) -> str:
+    """Text of a term of a keyword grammar, from a stack of terms still to
+    print and text still to emit."""
+    out: list[str] = []
+    stack = [term]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        plan = _PLANS.get(type(x))
+        if plan is None:  # compile the tables of the term's module
+            for sort, (name, _) in _GRAMMARS.items():
+                if type(x).__module__ == f"{__package__}.{name}":
+                    _compile(sort)
+            plan = _PLANS[type(x)]
+        out.append(plan[0])
+        for piece in plan[1]:
+            if type(piece) is str:
+                stack.append(piece)
+                continue
+            field, write, many = piece
+            value = getattr(x, field)
+            if not many:
+                stack.append(write(value) if write else value)
+                continue
+            items = list(map(write, value)) if write else list(value)
+            stack += [y for item in reversed(items) for y in (item, ",")][:-1]
+    return "".join(out)
+
+
+def _parse(text: str, sort: str):
     s = _Stream(text)
-    out = _order(s)
+    out = _read(s, sort)
     s.done()
     return out
 
 
-def _order(s: _Stream) -> LinTerm:
-    from . import orders
+def parse_expr(text: str) -> IdealExpr:
+    return _parse(text, "expr")
 
-    tok = s.next()
-    match tok:
-        case "N":
-            return orders.NAT
-        case "QQ":
-            return orders.RATQ
-        case "rev":
-            s.expect("(")
-            inner = _order(s)
-            s.expect(")")
-            return orders.Rev(inner)
-        case "cat":
-            s.expect("(")
-            return orders.Cat(tuple(s.items(_order, ")")))
-        case "osum":
-            s.expect("(")
-            s.expect("[")
-            heads = s.items(_order, "]", empty_ok=True)
-            s.expect(";")
-            tail = _order(s)
-            s.expect(")")
-            return orders.OmegaCat(tuple(heads), tail)
-    raise ParseError(f"expected a linear order term, got {tok!r}")
+
+def parse_tree(text: str) -> TreeSchema:
+    return _parse(text, "tree")
+
+
+def parse_query(text: str) -> QueryTerm:
+    return _parse(text, "query")
+
+
+def parse_order(text: str) -> LinTerm:
+    return _parse(text, "order")

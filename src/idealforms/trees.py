@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Callable, Iterator, Optional
 
-from . import ideals, ordinals
+from . import ideals, ordinals, text
 from .errors import NotLimit
 from .hashcons import Interned, _intern
 from .ideals import CanonicalForm, IdealExpr, Kind
@@ -32,13 +32,16 @@ class TreeSchema(Interned):
     )
 
     def __str__(self) -> str:
-        return format_tree(self)
+        return text.format_term(self)
 
 
 class SchemaSeq(Interned):
     """Base class for block sequences used as fan/spine tails."""
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return text.format_term(self)
 
 
 class Empty(TreeSchema):
@@ -541,14 +544,6 @@ def _entry_bound(t: TreeSchema) -> float:
         return _fold(t, _ENTRY)
 
 
-def elements_up_to(t: TreeSchema, max_len: int, max_entry: int) -> list[Seq]:
-    """Denoted elements within the box, in shortlex order (small boxes only)."""
-    out: list[Seq] = []
-    for length in range(max_len + 1):
-        out.extend(iter_len(t, length, max_entry))
-    return out
-
-
 def shortlex(u: Seq) -> tuple[int, Seq]:
     return (len(u), u)
 
@@ -610,44 +605,3 @@ def gen_member(u: Seq, t: TreeSchema) -> bool:
     if i == len(u):
         return t is not EMPTY
     return t is FULL or t is CHAIN and not any(u[i:])
-
-
-# --------------------------------------------------------------------------
-# printing (grammar documented in docs/grammar.md)
-
-
-def format_tree(t: TreeSchema | SchemaSeq) -> str:
-    """Text of a schema or block sequence.  The walk keeps its own stack of
-    terms still to print and literal text still to emit, so depth costs no
-    Python frames."""
-    out: list[str] = []
-    stack: list[object] = [t]
-    while stack:
-        x = stack.pop()
-        if type(x) is str:
-            out.append(x)
-        elif isinstance(x, _Blocks):
-            out.append("fan([" if type(x) is Fan else "spine([")
-            heads = x.heads
-            stack += (")", x.tail, "];")
-            for h in reversed(heads[1:]):
-                stack += (h, ",")
-            stack += heads[:1]
-        elif isinstance(x, (Rooted, Const)):
-            out.append("rooted(" if type(x) is Rooted else "const(")
-            stack += (")", x.child if type(x) is Rooted else x.block)
-        elif isinstance(x, _Diag):
-            name = "qdiag" if type(x) is QDiag else "pdiag"
-            out.append(f"{name}({x.rank})" if x.offset == 0 else f"{name}({x.rank},{x.offset})")
-        elif x in _LEAF_TEXT:
-            out.append(_LEAF_TEXT[x])
-        else:
-            raise TypeError(f"not a schema term: {x!r}")
-    return "".join(out)
-
-
-_LEAF_TEXT = {EMPTY: "empty", EPS: "eps", CHAIN: "chain", FULL: "full"}
-
-
-def format_seq_elem(u: Seq) -> str:
-    return "<" + ",".join(str(x) for x in u) + ">"

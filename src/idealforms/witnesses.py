@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Callable, Iterator
 
-from . import trees
+from . import text, trees
 from .hashcons import Interned
 from .trees import Seq, TreeSchema
 
@@ -108,7 +108,7 @@ class PrefixEmbedding(EmbeddingWitness):
     """Identity embedding re-rooted under a fixed prefix (full sub-block)."""
 
     def __init__(self, target: TreeSchema, generated: bool, provenance: Seq):
-        label = "identity" if not provenance else f"identity under {trees.format_seq_elem(provenance)}"
+        label = "identity" if not provenance else f"identity under {text.format_seq_elem(provenance)}"
         super().__init__(target, generated, provenance, label)
 
     def map(self, u: Seq) -> Seq:

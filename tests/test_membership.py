@@ -205,3 +205,21 @@ def test_witnesses_cost_the_length_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_finite_containment_checks_blocks_against_cones():
+    # a finite schema is checked block by block against cones of the target
+    # instead of listing its elements, whose shortlex picks cost the square
+    # of the longest element (about 130 MB for the one element here)
+    n = 4000
+    target = trees.compile_ideal(e(f"P({n})"))
+    inside = (0, 1) * (n // 2) + (0,)
+    assert trees.member_elem(inside, target)
+    tracemalloc.start()
+    try:
+        assert membership.subset_of(Schema(trees.singleton(inside)), target) is Ternary.YES
+        assert membership.subset_of(Schema(trees.singleton((0,) * n)), target) is Ternary.NO
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

@@ -390,6 +390,35 @@ def test_witness_answers_pinned():
     assert h.hexdigest() == WITNESS_DIGEST
 
 
+# sha256 of containment answers: subset_of over every pair of a
+# constant-tail schema of size <= 4 in every seventh of them, over drawn schemas
+# and their pruned copies, and subset_of and query_subset over seeded
+# random queries; recorded before a finite schema's blocks were checked
+# against cones instead of listing its elements
+CONTAIN_DIGEST = "b3fdefd2c36ed5ad8a8d0275ba2632f3936b650b300a7cb78aca4eccbdebef17"
+
+
+def test_containment_answers_pinned():
+    h = hashlib.sha256()
+    small = _constant_tail_schemas(4)
+    for s in small[::7]:
+        for u in small:
+            h.update(f"{u}<{s}:{membership.subset_of(Schema(u), s).value}\n".encode())
+    rng = random.Random(12)
+    drawn = [oracle.rand_schema(rng, 7) for _ in range(400)]
+    for s in drawn:
+        for _ in range(5):
+            u = oracle.prune_schema(rng, s) if rng.random() < 0.5 else rng.choice(drawn)
+            h.update(f"{u}<{s}:{membership.subset_of(Schema(u), s).value}\n".encode())
+    for _ in range(600):
+        target = trees.compile_ideal(oracle.rand_expr(rng, 6))
+        q, w = oracle.rand_query(rng, target), oracle.rand_query(rng, target)
+        answers = (membership.subset_of(q, target), membership.query_subset(w, q),
+                   membership.query_subset(q, w))
+        h.update(f"{q}:{w}:{target}:{','.join(a.value for a in answers)}\n".encode())
+    assert h.hexdigest() == CONTAIN_DIGEST
+
+
 def _stage(u) -> int:
     return max(len(u), max(u) + 1 if u else 0)
 

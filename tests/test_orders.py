@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
-from idealforms import ideals, orders
+from idealforms import ideals, oracle, orders
 from idealforms.ideals import CanonicalForm, Kind
 from idealforms.orders import Cat, NonScattered, OmegaCat, Rev, Scattered
 from idealforms.text import parse_order, parse_ordinal
@@ -121,3 +122,44 @@ def test_embedding_lands_inside_the_copy():
     ]
     q_images = [out.embedding.map(Fraction(k)) for k in (-3, 0, 3)]
     assert max(nat_values) < min(q_images)  # the dense part sits above the (0,...) block
+
+
+# sha256 of "<term>:<path>:<interval>:<flips>" over the non-scattered terms
+# among seeded dense orders; recorded before the first dense atom was found
+# in one walk
+DENSE_DIGEST = "995d2c6cd10e29cc93f513820cc13dc959f19a259d1f9a020fb758028cd6ce98"
+
+
+def test_dense_occurrences_pinned():
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    seen = 0
+    for _ in range(1500):
+        term = oracle._rand_order(rng, 8, dense=True)
+        out = orders.wo_classify(term)
+        if isinstance(out, NonScattered):
+            emb = out.embedding
+            h.update(f"{term}:{emb.path}:{emb.interval}:{emb.flips}\n".encode())
+            seen += 1
+    assert seen > 500
+    assert h.hexdigest() == DENSE_DIGEST
+
+
+def test_dense_occurrence_classifies_each_part_once(monkeypatch):
+    # finding the first dense atom walks the term once; checking each
+    # level for scatteredness made the classifier run quadratically often
+    calls = []
+    real = orders._wo_form
+
+    def counting(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(orders, "_wo_form", counting)
+    counts = []
+    for depth in (50, 100, 200, 400):
+        term = t("cat(N," * depth + "QQ" + ")" * depth)
+        calls.clear()
+        assert isinstance(orders.wo_classify(term), NonScattered)
+        counts.append(len(calls))
+    assert all(b <= 2 * a + 2 for a, b in zip(counts, counts[1:])), counts

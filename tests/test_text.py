@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idealforms import cli, membership, oracle, orders, text, trees
-from idealforms.errors import ParseError
+from idealforms import cli, ideals, membership, oracle, ordinals, orders, text, trees
+from idealforms.errors import IdealFormsError, ParseError
 
 
 ORDINALS = ["0", "7", "w", "w*2", "w+1", "w^2*3+w*2+5", "w^w", "w^(w+1)", "w^w^2+w^3*2+1"]
@@ -134,3 +139,201 @@ def test_whitespace_is_ascii(capsys, parser, src, argv):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("parse error: ")
     assert parser(src.replace("\u3000", " \t\r\n").replace("\u00a0", " "))
+
+
+# --------------------------------------------------------------------------
+# pinned outcomes over valid and mutated texts
+
+PARSERS = {
+    "ordinal": text.parse_ordinal, "expr": text.parse_expr, "tree": text.parse_tree,
+    "query": text.parse_query, "order": text.parse_order,
+}
+# every keyword of the five grammars, their punctuation, and a few tokens
+# that no grammar accepts
+VOCABULARY = (
+    "FIN POW P Q perp omega limsum sum mix empty eps chain full rooted fan spine const "
+    "qdiag pdiag finset transversal union N QQ rev cat osum w 0 1 2 12 ( ) [ ] { } , ; < > "
+    "^ * + x $"
+).split()
+_PIECE = re.compile(r"[A-Za-z]+|[0-9]+|\S")
+
+
+def _valid_texts() -> list[str]:
+    rng = random.Random(10)
+    out = ORDINALS + EXPRS + TREES + QUERIES + ORDERS
+    for _ in range(250):
+        out.append(str(oracle.rand_ordinal(rng, 3)))
+        out.append(str(oracle.rand_expr(rng, 9)))
+        out.append(str(oracle.rand_schema(rng, 7)))
+        out.append(str(oracle._rand_order(rng, 6, dense=True)))
+        out.append(str(oracle.rand_query(rng, trees.compile_ideal(oracle.rand_expr(rng, 4)))))
+    return out
+
+
+def _mutants(src: str, rng: random.Random, count: int) -> list[str]:
+    """Token-level mutations: drop, repeat, swap, replace or insert a token."""
+    pieces = _PIECE.findall(src)
+    out = []
+    for _ in range(count):
+        p = list(pieces)
+        i = rng.randrange(len(p))
+        op = rng.randrange(5)
+        if op == 0:
+            del p[i]
+        elif op == 1:
+            p.insert(i, p[i])
+        elif op == 2 and i + 1 < len(p):
+            p[i], p[i + 1] = p[i + 1], p[i]
+        elif op == 3:
+            p[i] = rng.choice(VOCABULARY)
+        else:
+            p.insert(i, rng.choice(VOCABULARY))
+        out.append((" " if rng.random() < 0.3 else "").join(p))
+    return out
+
+
+def _outcome(parser, src: str) -> str:
+    try:
+        return str(parser(src))
+    except Exception as err:  # noqa: BLE001 - the class is the outcome
+        return type(err).__name__
+
+
+# sha256 of "<grammar>:<input>:<printed term or exception class>" lines,
+# every input under all five parsers; recorded before the grammars became
+# tables
+PARSE_DIGEST = "640f685219bdeadf5d31c676379abbf506ebf059891a38fd56fdbe64c6c00e99"
+
+
+def test_parse_outcomes_pinned():
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    for src in _valid_texts():
+        for s in [src] + _mutants(src, rng, 4):
+            for name, parser in PARSERS.items():
+                h.update(f"{name}:{s!r}:{_outcome(parser, s)}\n".encode())
+    assert h.hexdigest() == PARSE_DIGEST
+
+
+# --------------------------------------------------------------------------
+# depth: the parser and the printer keep their own stacks
+
+DEEP = 50000
+
+
+def _nest(outer: str, leaf: str) -> str:
+    return outer * DEEP + leaf + ")" * DEEP
+
+
+def test_deep_terms_parse_and_print_under_the_default_recursion_limit():
+    expr, tree = _nest("perp(", "FIN"), _nest("rooted(", "chain")
+    query, order = _nest("union(chain,", "eps"), _nest("rev(", "N")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        e, t = text.parse_expr(expr), text.parse_tree(tree)
+        q, o = text.parse_query(query), text.parse_order(order)
+        assert (str(e), str(t), str(q), str(o)) == (expr, tree, query, order)
+        p = trees.compile_ideal(text.parse_expr(f"P({DEEP})"))
+        assert text.parse_tree(str(p)) is p
+        for _ in range(DEEP):
+            e, t, q, o = e.child, t.child, q.right, o.child
+        assert (str(e), str(t), str(q), str(o)) == ("FIN", "chain", "eps", "N")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# --------------------------------------------------------------------------
+# fuzzing (MacIver et al., "Hypothesis", JOSS 2019): derandomized, with a
+# fixed number of examples and no example database
+
+FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+small = st.integers(0, 4)
+ords = st.recursive(
+    small.map(ordinals.from_int),
+    lambda sub: st.one_of(st.tuples(sub, sub).map(lambda ab: ordinals.add(*ab)),
+                          st.tuples(sub, small.filter(bool)).map(lambda ec: ordinals.omega_power(*ec))),
+    max_leaves=4,
+)
+limits = ords.map(lambda a: ordinals.omega_power(ordinals.succ(a)))
+
+
+def _tuples(sub, lo: int = 0):
+    return st.lists(sub, min_size=lo, max_size=3).map(tuple)
+
+
+exprs = st.recursive(
+    st.one_of(st.just(ideals.Fin()), st.just(ideals.Pow()), ords.map(ideals.P),
+              ords.map(ideals.Q), limits.map(ideals.LimSum)),
+    lambda sub: st.one_of(
+        sub.map(ideals.Perp), sub.map(ideals.OmegaSum), _tuples(sub, 1).map(ideals.Sum),
+        st.builds(ideals.MixSum, _tuples(sub, 1),
+                  st.one_of(sub.map(ideals.OmegaSum), limits.map(ideals.LimSum))),
+    ),
+    max_leaves=8,
+)
+tails = st.one_of(st.builds(trees.QDiag, limits, small), st.builds(trees.PDiag, limits, small))
+schemas = st.recursive(
+    st.sampled_from([trees.EMPTY, trees.EPS, trees.CHAIN, trees.FULL]),
+    lambda sub: st.one_of(
+        sub.map(trees.Rooted),
+        st.builds(trees.Fan, _tuples(sub), st.one_of(sub.map(trees.Const), tails)),
+        st.builds(trees.Spine, _tuples(sub), st.one_of(sub.map(trees.Const), tails)),
+    ),
+    max_leaves=8,
+)
+fans = st.builds(trees.Fan, _tuples(schemas), schemas.map(trees.Const))
+queries = st.recursive(
+    st.one_of(
+        schemas.map(membership.Schema), fans.map(membership.Transversal),
+        st.lists(_tuples(st.integers(0, 12)), min_size=1, max_size=3, unique=True)
+        .map(lambda us: membership.FinSet(tuple(us))),
+    ),
+    lambda sub: st.builds(membership.Union, sub, sub),
+    max_leaves=4,
+)
+linear = st.recursive(
+    st.sampled_from([orders.NAT, orders.RATQ]),
+    lambda sub: st.one_of(sub.map(orders.Rev), _tuples(sub, 1).map(orders.Cat),
+                          st.builds(orders.OmegaCat, _tuples(sub), sub)),
+    max_leaves=8,
+)
+# a drawn pattern of wrappers, repeated to a drawn depth
+deep_exprs = st.tuples(st.integers(0, 5000),
+                       st.lists(st.sampled_from([ideals.Perp, ideals.OmegaSum]), min_size=1),
+                       exprs)
+
+
+@FUZZ
+@given(ords, exprs, schemas, queries, linear)
+def test_printing_then_parsing_is_the_identity(a, e, t, q, o):
+    assert text.parse_ordinal(str(a)) is a
+    assert text.parse_expr(str(e)) is e
+    assert text.parse_tree(str(t)) is t
+    assert text.parse_query(str(q)) is q
+    assert text.parse_order(str(o)) is o
+
+
+@settings(FUZZ, max_examples=20)
+@given(deep_exprs)
+def test_deep_drawn_nests_round_trip(drawn):
+    depth, wraps, e = drawn
+    for i in range(depth):
+        e = wraps[i % len(wraps)](e)
+    assert text.parse_expr(str(e)) is e
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(alphabet="FINPOWQperpsumixlchaftdgvkNRrq()[]{},;<>^*+w0123 \t\u3000\uff13x$",
+            max_size=40),
+    st.lists(st.sampled_from(VOCABULARY), max_size=30).map("".join),
+    st.lists(st.sampled_from(VOCABULARY), max_size=30).map(" ".join),
+))
+def test_any_text_parses_or_raises_an_engine_error(src):
+    for parser in PARSERS.values():
+        try:
+            parser(src)
+        except IdealFormsError:
+            pass
