@@ -239,16 +239,13 @@ def _cmd_member(args) -> dict:
     from . import ideals, membership
 
     q, e = _parse_member_args(args)
-    if args.perp:
-        verdict = membership.member_perp(q, e)
-        where = f"orthogonal of {ideals.normalize(e)}"
-    else:
-        verdict = membership.member_of(q, e)
-        where = str(ideals.normalize(e))
+    verdict = (membership.member_perp if args.perp else membership.member_of)(q, e)
+    target = str(ideals.normalize(e))
+    where = f"orthogonal of {target}" if args.perp else target
     word = "member" if verdict else "not a member"
     return {
         "text": f"{word} of {where}",
-        "json": {"member": verdict, "perp": args.perp, "target": str(ideals.normalize(e))},
+        "json": {"member": verdict, "perp": args.perp, "target": target},
     }
 
 

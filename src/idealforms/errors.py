@@ -32,7 +32,7 @@ class NotASubset(IdealFormsError):
 
 
 class UnknownContainment(IdealFormsError):
-    """Containment could not be decided by the conservative subset check."""
+    """Containment was left undecided past a diagonal tail, or for a transversal."""
 
 
 class QuotientOverflow(IdealFormsError):

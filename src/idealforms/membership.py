@@ -1,9 +1,10 @@
 """Membership of finitely presented query sets and witness extraction.
 
 Queries are schemas, explicit finite sets, fan transversals, or finite
-unions.  Containment in a target schema is decided syntactically and
-conservatively; membership in the compiled target ideal then reduces to
-the two structural predicates.  Negative membership yields a checkable
+unions.  Containment in a target schema is one walk over pairs of
+derivatives, exact on constant tails and bounded past diagonal ones;
+membership in the compiled target ideal then reduces to the two
+structural predicates.  Negative membership yields a checkable
 orthogonal subset, and every domination claim ships a branch or an
 unbounded family that the oracle can re-verify at any budget.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from collections import deque
 from typing import Iterator, Optional
 
 from . import ideals, text, trees
 from .errors import BadArgument, NotASubset, UnknownContainment
 from .hashcons import Interned
 from .ideals import IdealExpr
-from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
+from .trees import Const, Fan, Rooted, Seq, Spine, TreeSchema
 from .witnesses import DominatingBranch, UnboundedFamily, merge_branches
 
 
@@ -183,110 +185,120 @@ def q_in_id(q: QueryTerm) -> bool:
 
 
 # --------------------------------------------------------------------------
-# conservative containment
+# containment
+#
+# A schema is checked by one breadth-first walk over the pairs
+# (cone_of(t, u), cone_of(s, u)) of Brzozowski derivatives (JACM 1964),
+# nullable when they hold the empty sequence.  Interning makes equal
+# pairs one key, as in Hopcroft & Karp's pair exploration (Cornell TR
+# 71-114, 1971).  One letter per class (trees.derivatives) makes the walk
+# run out on constant tails, so its YES is exact.  Past the heads a
+# diagonal tail has a new block per letter: those letters are free when
+# the two tails align, when the query's blocks are empty or when the
+# target's are full, and are otherwise taken one at a time.  Each such
+# letter, and each pair holding a spine with a diagonal tail, spends one
+# of _DIAG_PAIRS.
 
+_DIAG_PAIRS = 300
+_SPINES = Spine((), trees.CONST_FULL)  # every sequence a spine can hold
 _SEARCH_LEN = 5
 _SEARCH_ENTRY = 5
 
 
 def subset_of(q: QueryTerm, s: TreeSchema) -> Ternary:
-    """Syntactic, conservative containment of a query in a schema."""
-    match q:
-        case FinSet(elements):
-            ok = all(trees.member_elem(u, s) for u in elements)
-            return Ternary.YES if ok else Ternary.NO
-        case Union(left, right):
-            a, b = subset_of(left, s), subset_of(right, s)
-            if Ternary.NO in (a, b):
-                return Ternary.NO
-            if a is Ternary.YES and b is Ternary.YES:
-                return Ternary.YES
-            return Ternary.UNKNOWN
-        case Transversal(fan):
-            if subset_of(Schema(fan), s) is Ternary.YES:
-                return Ternary.YES
-            return _subset_search(q, Schema(s))
-        case Schema(tree):
-            return _subset_schema(tree, s)
-    raise TypeError(f"not a query term: {q!r}")
+    """Containment of a query in a schema: UNKNOWN only past diagonal tails,
+    or for a transversal that neither the walk nor a bounded search decides."""
+    return _containment(q, s)[0]
 
 
-def _subset_schema(t: TreeSchema, s: TreeSchema) -> Ternary:
-    if t == s or isinstance(s, Full) or trees.is_empty(t):
-        return Ternary.YES
-    if trees.is_finite(t):
-        return _subset_finite(t, s)
-    if isinstance(t, Rooted):
-        if not trees.member_elem((), s):
-            return Ternary.NO
-        return _subset_schema(t.child, s)
-    if isinstance(s, Rooted):
-        if _subset_schema(t, s.child) is Ternary.YES:
-            return Ternary.YES
-        return _subset_search(Schema(t), Schema(s))
-    if type(t) is type(s) and isinstance(t, (Fan, Spine)):
-        verdict = _subset_blockwise(t, s)
-        if verdict is not Ternary.UNKNOWN:
-            return verdict
-    return _subset_search(Schema(t), Schema(s))
-
-
-def _subset_finite(t: TreeSchema, s: TreeSchema) -> Ternary:
-    """Containment of a finite ``t``: one loop down ``t`` that checks each
-    block against the cone of ``s`` at the node the block hangs from, taken
-    from the cone of its parent.  A finite schema has trivial tails and no
-    chain or full set, so its live heads are all its blocks."""
-    stack = [(t, s)]
+def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
+    """The answer, with a counterexample for NO and for UNKNOWN the sequence
+    where the walk stopped: for a transversal, the walk over its fan."""
+    stack, unknown = [q], None
     while stack:
-        t, s = stack.pop()
-        if t == s or s is trees.FULL or trees.is_empty(t):
-            continue
-        if t is trees.EPS or type(t) is Rooted:
-            if not trees.member_elem((), s):
-                return Ternary.NO
-            if type(t) is Rooted:
-                stack.append((t.child, s))
-            continue
-        root = (lambda n: (n,)) if type(t) is Fan else trees.spine_root
-        stack += [(h, trees.cone_of(s, root(n))) for n, h in enumerate(t.heads)
-                  if not trees.is_empty(h)]
-    return Ternary.YES
+        q = stack.pop()
+        match q:
+            case Union(left, right):
+                stack += (right, left)
+                continue
+            case FinSet(elements):
+                bad = next((u for u in elements if not trees.member_elem(u, s)), None)
+                verdict = (Ternary.YES, None) if bad is None else (Ternary.NO, bad)
+            case Transversal(fan):
+                verdict = _walk(fan, s)
+                if verdict[0] is not Ternary.YES:
+                    bad = _search(q, Schema(s))
+                    verdict = (Ternary.UNKNOWN, verdict[1]) if bad is None else (Ternary.NO, bad)
+            case Schema(tree):
+                verdict = _walk(tree, s)
+            case _:
+                raise TypeError(f"not a query term: {q!r}")
+        if verdict[0] is Ternary.NO:
+            return verdict
+        unknown = unknown or (verdict if verdict[0] is Ternary.UNKNOWN else None)
+    return unknown or (Ternary.YES, None)
 
 
-def _subset_blockwise(t: Fan | Spine, s: Fan | Spine) -> Ternary:
-    span = max(len(t.heads), len(s.heads))
-    sure = True
-    for n in range(span):
-        v = _subset_schema(trees.block_at(t, n), trees.block_at(s, n))
-        if v is Ternary.NO:
-            return Ternary.NO
-        sure = sure and v is Ternary.YES
-    t_tail, s_tail = t.tail, s.tail
-    if trees.tail_is_trivial(t_tail):
-        return Ternary.YES if sure else Ternary.UNKNOWN
-    if t_tail == s_tail:
-        return Ternary.YES if sure else Ternary.UNKNOWN
-    if trees.tail_is_trivial(s_tail):
-        return Ternary.NO  # t keeps nonempty blocks beyond every s block
-    if isinstance(t_tail, Const) and isinstance(s_tail, Const):
-        v = _subset_schema(t_tail.block, s_tail.block)
-        if v is Ternary.NO:
-            return Ternary.NO
-        return Ternary.YES if sure and v is Ternary.YES else Ternary.UNKNOWN
-    return Ternary.UNKNOWN
+def _walk(t: TreeSchema, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
+    """Containment of schema ``t`` in schema ``s`` (see above).  Each pair
+    keeps the pair and letter it was met from, and the answer rebuilds its
+    sequence from those links."""
+    links: dict = {(t, s): None}
+    queue = deque([(t, s, 0)])  # a pair and its first letter left: 0 when new
+    budget = _DIAG_PAIRS
+    while queue:
+        a, b, first = queue.popleft()
+        if not first:
+            if a is b or b is trees.FULL or trees.is_empty(a) or b is _SPINES and type(a) is Spine:
+                continue
+            if trees.member_elem((), a) and not trees.member_elem((), b):
+                return Ternary.NO, _word(links, (a, b))
+            if trees.is_empty(b):
+                return Ternary.NO, _word(links, (a, b)) + trees.pick_least(a)
+        (ha, ta), (hb, tb) = trees.derivatives(a), trees.derivatives(b)
+        stop, stream = first + 1, bool(first)  # a pair left with tail letters takes the next
+        if not first:
+            m = max(len(ha), len(hb))
+            sa, sb = trees.shift_tail(ta, m - len(ha)), trees.shift_tail(tb, m - len(hb))
+            free = sa is sb or trees.tail_is_trivial(sa) or sb is trees.CONST_FULL
+            stop = m if free else m + 1
+            stream = not free and (type(sa) is not Const or type(sb) is not Const)
+        spine_a = type(a) is Spine and type(a.tail) is not Const  # copies from a diagonal tail
+        if stream or spine_a or type(b) is Spine and type(b.tail) is not Const:
+            budget -= 1
+            if budget < 0:
+                return Ternary.UNKNOWN, _word(links, (a, b))
+        if stream:
+            queue.append((a, b, stop))
+        for n in range(first, stop):
+            child = (ha[n] if n < len(ha) else trees.seq_block(ta, n - len(ha)),
+                     hb[n] if n < len(hb) else trees.seq_block(tb, n - len(hb)))
+            if child not in links:
+                links[child] = ((a, b), n)
+                queue.append((*child, 0))
+    return Ternary.YES, None
 
 
-def _subset_search(q: QueryTerm, target: QueryTerm) -> Ternary:
-    """Bounded counterexample search; never answers YES."""
+def _word(links: dict, pair: tuple) -> Seq:
+    """The letters the walk followed to ``pair``."""
+    out = []
+    while (link := links[pair]) is not None:
+        pair, n = link
+        out.append(n)
+    return tuple(reversed(out))
+
+
+def _search(q: QueryTerm, target: QueryTerm) -> Optional[Seq]:
+    """An element of ``q`` outside ``target``, of length and entries at most 5."""
     for length in range(_SEARCH_LEN + 1):
         for u in q_iter_len(q, length, _SEARCH_ENTRY):
             if not q_member(u, target):
-                return Ternary.NO
-    return Ternary.UNKNOWN
+                return u
+    return None
 
 
 def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
-    """Containment between queries; used to re-check emitted witnesses."""
+    """Containment between queries."""
     if isinstance(q, Schema):
         return subset_of(w, q.tree)
     if isinstance(q, Union):
@@ -298,7 +310,7 @@ def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
         return Ternary.YES if ok else Ternary.NO
     if w == q:
         return Ternary.YES
-    return _subset_search(w, q)
+    return Ternary.UNKNOWN if _search(w, q) is None else Ternary.NO
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +318,13 @@ def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
 
 
 def _require_subset(q: QueryTerm, target: IdealExpr) -> None:
-    s = trees.compile_ideal(target)
-    verdict = subset_of(q, s)
+    verdict, u = _containment(q, trees.compile_ideal(target))
     if verdict is Ternary.NO:
-        raise NotASubset(f"{q} is not contained in the standard copy of {ideals.normalize(target)}")
+        raise NotASubset(f"{q} is not contained in the standard copy of {ideals.normalize(target)}, "
+                         f"which misses its element {text.format_seq_elem(u)}")
     if verdict is Ternary.UNKNOWN:
-        raise UnknownContainment(f"containment of {q} in {ideals.normalize(target)} undecided")
+        raise UnknownContainment(f"containment of {q} in {ideals.normalize(target)} undecided: "
+                                 f"the walk stopped at {text.format_seq_elem(u)}")
 
 
 def member_of(q: QueryTerm, target: IdealExpr) -> bool:

@@ -146,8 +146,6 @@ def _check_embedding(w: EmbeddingWitness, b: Budget) -> bool:
 
 
 def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
-    if membership.query_subset(w, q) is not Ternary.YES:
-        return False
     # witnesses may start deeper than the budget box: widen it until the
     # shortest element fits, keeping the growth test meaningful
     assert isinstance(w, Schema)
@@ -163,7 +161,8 @@ def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
     branch = membership.id_witness(w)
     if not isinstance(branch, DominatingBranch):
         return False
-    return all(branch.dominates(u) for u in grown)
+    # each element grown lies in the query and below the branch
+    return all(membership.q_member(u, q) and branch.dominates(u) for u in grown)
 
 
 # --------------------------------------------------------------------------

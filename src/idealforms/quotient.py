@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import trees
 from .errors import QuotientOverflow
-from .trees import Const, Empty, Eps, Chain, Fan, Full, Rooted, Spine, TreeSchema
+from .trees import Const, Rooted, TreeSchema
 
 
 def norm_key(t: TreeSchema) -> TreeSchema:
@@ -27,43 +27,25 @@ def norm_key(t: TreeSchema) -> TreeSchema:
 
 
 def child_classes(t: TreeSchema, cap: int) -> list[tuple[TreeSchema, int | None]]:
-    """Cone classes of the root children of the generated tree of ``t``.
+    """Cone classes of the root children of the generated tree of ``t``:
+    its one-letter cones by letter class (``trees.derivatives``).
 
     Multiplicity None marks infinitely many children of that class.  At
     most ``cap + 1`` distinct diagonal blocks are expanded; the caller's
     vertex budget turns the excess into an overflow.
     """
-    match t:
-        case Empty() | Eps():
-            return []
-        case Chain():
-            return [(trees.CHAIN, 1)]
-        case Full():
-            return [(trees.FULL, None)]
-        case Fan(heads, tail):
-            out: dict[TreeSchema, int | None] = {}
-            for h in heads:
-                if not trees.is_empty(h):
-                    _bump(out, norm_key(h), 1)
-            if not trees.tail_is_trivial(tail):
-                if isinstance(tail, Const):
-                    _bump(out, norm_key(tail.block), None)
-                else:
-                    for i in range(cap + 1):
-                        _bump(out, norm_key(trees.seq_block(tail, i)), 1)
-            return list(out.items())
-        case Spine(heads, tail):
-            out = {}
-            rest = trees.cone_of(t, (0,))
-            if not trees.is_empty(rest):
-                _bump(out, norm_key(rest), 1)
-            block0 = trees.block_at(t, 0)
-            if not trees.is_empty(block0):
-                _bump(out, norm_key(block0), 1)
-            return list(out.items())
-        case Rooted(_):
-            return child_classes(norm_key(t), cap)
-    raise TypeError(f"not a schema: {t!r}")
+    heads, tail = trees.derivatives(t)
+    out: dict[TreeSchema, int | None] = {}
+    for h in heads:
+        if not trees.is_empty(h):
+            _bump(out, norm_key(h), 1)
+    if not trees.tail_is_trivial(tail):
+        if isinstance(tail, Const):
+            _bump(out, norm_key(tail.block), None)
+        else:
+            for i in range(cap + 1):
+                _bump(out, norm_key(trees.seq_block(tail, i)), 1)
+    return list(out.items())
 
 
 def _bump(acc: dict[TreeSchema, int | None], key: TreeSchema, mult: int | None) -> None:

@@ -144,6 +144,7 @@ EPS = Eps()
 CHAIN = Chain()
 FULL = Full()
 CONST_EMPTY = Const(EMPTY)
+CONST_FULL = Const(FULL)
 
 
 # --------------------------------------------------------------------------
@@ -394,6 +395,31 @@ def cone_of(t: TreeSchema, u: Seq) -> TreeSchema:
     return FULL if t is FULL else EMPTY
 
 
+def gen_member(u: Seq, t: TreeSchema) -> bool:
+    """Membership of ``u`` in the tree generated by the denoted set: some
+    element extends ``u``."""
+    return not is_empty(cone_of(t, u))
+
+
+def derivatives(t: TreeSchema) -> tuple[tuple[TreeSchema, ...], SchemaSeq]:
+    """The one-letter cones of ``t`` as the heads and tail of a fan:
+    ``cone_of(t, (n,))`` is head ``n``, then block ``n - len(heads)`` of the
+    tail.  So the letter classes are a fan's heads and one tail letter, a
+    spine's 0, 1 and the rest, a chain's 0 and the rest, and one class for
+    a full set and the other leaves."""
+    while type(t) is Rooted:
+        t = t.child
+    if type(t) is Fan:
+        return t.heads, t.tail
+    if type(t) is Spine:
+        return (cone_of(t, (0,)), block_at(t, 0)), CONST_EMPTY
+    if t is CHAIN:
+        return (Rooted(CHAIN),), CONST_EMPTY
+    if t is not FULL and t is not EMPTY and t is not EPS:
+        raise TypeError(f"not a schema: {t!r}")
+    return (), CONST_FULL if t is FULL else CONST_EMPTY
+
+
 # --------------------------------------------------------------------------
 # the two ideals
 
@@ -587,21 +613,3 @@ def first_failing(t: Fan | Spine, ok: Callable[[TreeSchema], bool]) -> int:
         if not is_empty(h) and not ok(h):
             return n
     return len(t.heads)
-
-
-# --------------------------------------------------------------------------
-# the generated tree
-
-
-def gen_member(u: Seq, t: TreeSchema) -> bool:
-    """Membership of ``u`` in the tree generated by the denoted set."""
-    t, i = _descend(t, u)
-    if type(t) is Fan:
-        return not is_empty(t)
-    if type(t) is Spine:
-        # on the spine: some copy at or above this depth must be alive
-        zeros = len(u) - i
-        return not tail_is_trivial(t.tail) or any(not is_empty(h) for h in t.heads[zeros:])
-    if i == len(u):
-        return t is not EMPTY
-    return t is FULL or t is CHAIN and not any(u[i:])

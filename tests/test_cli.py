@@ -147,6 +147,10 @@ def test_exit_codes(capsys):
     assert run(capsys, "member", "finset{<1,1>}", "in", "FIN")[0] == 2
     assert run(capsys, "member", "chain", "inn", "FIN")[0] == 1
     assert run(capsys, "treerank", "fan([;const(eps))")[0] == 1
+    # the query's tail starts one block later than the target's: not a subset
+    for argv in (("member",), ("member", "--perp"), ("frechet",)):
+        assert cli.main([*argv, "fan([empty];qdiag(w))", "in", "P(w)"]) == 2
+        assert capsys.readouterr().err.startswith("NotASubset:")
     # well-formed arguments out of range: one line naming the argument
     for argv, named in (
         (("enumerate", "chain", "--budget", "0,0,0"), "budget"),

@@ -39,12 +39,32 @@ def test_subset_examples():
     assert membership.subset_of(Transversal(P1), P1) is Ternary.YES
 
 
+def _refuted(q: str, target: str) -> tuple[int, ...]:
+    """The walk's counterexample to ``q`` in ``target``, checked by point
+    membership."""
+    verdict, u = membership._walk(t(q), t(target))
+    assert verdict is Ternary.NO
+    assert trees.member_elem(u, t(q)) and not trees.member_elem(u, t(target))
+    return u
+
+
 def test_subset_blockwise_and_unknown():
     assert membership.subset_of(Schema(t("fan([];const(chain))")), t("fan([];const(full))")) is Ternary.YES
     assert membership.subset_of(Schema(t("fan([];const(chain))")), t("fan([chain];const(empty))")) is Ternary.NO
-    # depth-limited search cannot refute exotic containments: stays unknown
-    deep = t("fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(chain))))))))))))")
-    assert membership.subset_of(Schema(deep), t("spine([];const(chain))")) is Ternary.UNKNOWN
+    # the counterexample here is longer than any bounded search would try
+    deep = "fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(chain))))))))))))"
+    assert membership.subset_of(Schema(t(deep)), t("spine([];const(chain))")) is Ternary.NO
+    assert len(_refuted(deep, "spine([];const(chain))")) == 7
+
+
+def test_subset_past_diagonal_tails():
+    # block n of the query is block n - 1 of the target, so the two tails
+    # only align after the head offset: <1,1,0> is in the first alone
+    assert _refuted("fan([empty];qdiag(w))", "fan([];qdiag(w))") == (1, 1, 0)
+    # a target whose tail blocks are full takes every tail letter
+    q = Schema(t("fan([];pdiag(w^3*3))"))
+    assert membership.subset_of(q, t("fan([full];const(full))")) is Ternary.YES
+    _refuted("fan([spine([];const(empty))];pdiag(w*2))", "fan([full,full];qdiag(w))")
 
 
 def test_q_predicates_examples():
@@ -72,12 +92,16 @@ def test_member_preconditions():
         membership.member_of(FinSet(((1, 1),)), e("FIN"))
     with pytest.raises(NotASubset):
         membership.member_of(Schema(t("spine([];const(chain))")), e("Q(1)"))
-    # a fan whose single block is the chain denotes a subset of the chain,
-    # but no syntactic rule certifies it: honestly undecided
+    # a fan whose single block is the chain denotes a subset of the chain
     sneaky = Schema(t("fan([chain];const(empty))"))
-    assert membership.subset_of(sneaky, trees.CHAIN) is Ternary.UNKNOWN
-    with pytest.raises(UnknownContainment):
-        membership.member_of(sneaky, e("FIN"))
+    assert membership.subset_of(sneaky, trees.CHAIN) is Ternary.YES
+    # the error names the sequence the query holds and the target misses
+    with pytest.raises(NotASubset, match="<1,1,0>"):
+        membership.member_of(Schema(t("fan([empty];qdiag(w))")), e("P(w)"))
+    # every block of the query's diagonal tail is new against the target's
+    # constant tail: the walk stops at its bound, and says where
+    with pytest.raises(UnknownContainment, match="stopped at <"):
+        membership.member_of(Schema(t("fan([];qdiag(w^(w*3)*3))")), e("P(w^2+w+1)"))
 
 
 def test_frechet_examples():

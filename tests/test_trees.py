@@ -262,16 +262,15 @@ SELF_CALLING = {
     "orders.enumerate_positions", "orders.pos_cmp", "orders.embed_position",
     # the infix ordinal grammar; the keyword grammars keep their own stack
     "text._ordinal_atom",
-    # per union side, and the containment check
+    # per union side
     "membership.q_iter_len", "membership.q_member", "membership.q_is_infinite",
-    "membership.q_in_wf", "membership.q_in_id", "membership.subset_of",
-    "membership._subset_schema", "membership.query_subset", "membership._fw_query",
-    "membership._branch_query", "membership._unb_query",
+    "membership.q_in_wf", "membership.q_in_id", "membership.query_subset",
+    "membership._fw_query", "membership._branch_query", "membership._unb_query",
     # compile_form's one-level PQ call; iter_len yields per level, lazily
     "trees.compile_form", "trees.iter_len",
-    # seeded generators, the quotient's classes and the lazy core embedding
+    # seeded generators and the lazy core embedding
     "oracle.rand_ordinal", "oracle.rand_expr", "oracle.rand_schema", "oracle.prune_schema",
-    "oracle._rand_order", "quotient.child_classes", "witnesses._position",
+    "oracle._rand_order", "witnesses._position",
 }
 
 
