@@ -6,7 +6,12 @@ Every ordinal, schema and syntax term (``IdealExpr``, ``QueryTerm``,
 ``hash`` are identity, validation runs once per distinct term, and facts
 derived from a term are memoized in private slots on the term itself.
 The table holds terms weakly; an unreferenced term leaves it, together
-with everything memoized on it.
+with everything memoized on it.  So a memo decides how long the terms
+it holds live.  A successor rank holds the chain levels that
+``trees.compile_form`` compiled at it, so a chain lives as long as
+something references its rank.  The blocks of a diagonal tail live with
+the tail, never on their ranks, which long-lived ``fund_seq`` memos
+keep alive.
 """
 
 from __future__ import annotations
@@ -68,5 +73,35 @@ class Interned:
     def __getnewargs__(self) -> tuple:  # copy and pickle intern again
         return tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __getstate__(self) -> None:
+        # memo slots are not copied: a rank would carry its whole chain
+        return None
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"
+        """``Class(field, ...)`` with every field in its own ``repr``, read
+        off an explicit stack, so depth costs no Python frames.  Pieces of
+        text wait on the stack as strings; terms that print this way and
+        tuples wait as themselves."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            if type(item) is tuple:
+                out.append("(")
+                fields, close = item, ",)" if len(item) == 1 else ")"
+            else:
+                out.append(f"{type(item).__name__}(")
+                fields, close = item.__getnewargs__(), ")"
+            stack.append(close)
+            for n in range(len(fields) - 1, -1, -1):
+                field = fields[n]
+                if type(field) is tuple or type(field).__repr__ is Interned.__repr__:
+                    stack.append(field)
+                else:
+                    stack.append(repr(field))
+                if n:
+                    stack.append(", ")
+        return "".join(out)

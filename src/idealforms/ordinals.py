@@ -24,7 +24,9 @@ class OrdKind(enum.Enum):
 class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
-    __slots__ = ("terms", "_fund")  # _fund: fund_seq values by index
+    # _fund: fund_seq values by index; _levels: the compiled chain levels
+    # held at this rank, see trees.compile_form
+    __slots__ = ("terms", "_fund", "_levels")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]
 
@@ -32,7 +34,7 @@ class Ordinal(Interned):
         return _intern(cls, terms)
 
     def _init(self, terms: tuple[tuple[Ordinal, int], ...]) -> None:
-        self.terms = terms
+        self.terms, self._levels = terms, None
         prev = None
         for exponent, coeff in self.terms:
             if coeff < 1:
@@ -81,10 +83,22 @@ def omega_power(exponent: Ordinal, coeff: int = 1) -> Ordinal:
     return Ordinal(((exponent, coeff),))
 
 
+def _nat(a: Ordinal) -> int | None:
+    """The value of a finite ordinal, None for an infinite one: a leading
+    exponent of 0 is the only term."""
+    terms = a.terms
+    if not terms:
+        return 0
+    return terms[0][1] if terms[0][0] is ZERO else None
+
+
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total CNF order; returns -1, 0 or 1."""
     if a is b:
         return 0  # interned: equal ordinals are one object
+    m, n = _nat(a), _nat(b)
+    if m is not None and n is not None:
+        return -1 if m < n else 1
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = compare(ea, eb)
         if c != 0:
@@ -98,8 +112,15 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition; terms of ``a`` below b's lead exponent are absorbed."""
-    if b.is_zero():
-        return a
+    n = _nat(b)
+    if n is not None:
+        # a finite b only adds to a's finite last term
+        if n == 0:
+            return a
+        terms = a.terms
+        if terms and terms[-1][0] is ZERO:
+            return Ordinal(terms[:-1] + ((ZERO, terms[-1][1] + n),))
+        return Ordinal(terms + ((ZERO, n),))
     if a.is_zero():
         return b
     lead = b.terms[0][0]
@@ -116,22 +137,22 @@ def succ(a: Ordinal) -> Ordinal:
 
 
 def kind(a: Ordinal) -> OrdKind:
-    if a.is_zero():
+    if not a.terms:
         return OrdKind.ZERO
-    if a.terms[-1][0].is_zero():
+    if a.terms[-1][0] is ZERO:
         return OrdKind.SUCCESSOR
     return OrdKind.LIMIT
 
 
 def pred(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
-    if kind(a) is not OrdKind.SUCCESSOR:
+    terms = a.terms
+    if not terms or terms[-1][0] is not ZERO:
         raise ValueError(f"{a} has no predecessor")
-    exponent, coeff = a.terms[-1]
-    rest = a.terms[:-1]
+    coeff = terms[-1][1]
     if coeff > 1:
-        return Ordinal(rest + ((exponent, coeff - 1),))
-    return Ordinal(rest)
+        return Ordinal(terms[:-1] + ((ZERO, coeff - 1),))
+    return Ordinal(terms[:-1])
 
 
 def fund_seq(a: Ordinal, n: int) -> Ordinal:

@@ -24,21 +24,21 @@ if TYPE_CHECKING:
 
 # whitespace is space, tab, CR and LF only (docs/grammar.md)
 _SPACE = " \t\r\n"
-_TOKEN = re.compile(rf"[{re.escape(_SPACE)}]*([A-Za-z]+|[0-9]+|[()\[\]{{}},;<>^*+])")
+_SPACES, _PUNCT = re.escape(_SPACE), re.escape("()[]{},;<>^*+")
+_TOKEN = re.compile(rf"[{_SPACES}]*([A-Za-z]+|[0-9]+|[{_PUNCT}])")
+_BAD = re.compile(rf"[^{_SPACES}A-Za-z0-9{_PUNCT}]")
 
 
 class _Stream:
     def __init__(self, text: str) -> None:
-        self.text, self.tokens, self.pos = text, [], 0
-        i = 0
-        while i < len(text):
-            m = _TOKEN.match(text, i)
-            if m is None:
-                if text[i:].strip(_SPACE):
-                    raise ParseError(f"bad character at {i}: {text[i:i+8]!r}")
-                break
-            self.tokens.append(m.group(1))
-            i = m.end()
+        self.text, self.tokens, self.pos = text, _TOKEN.findall(text), 0
+        # findall skips what no token matches: the tokens and the spaces
+        # fill the text exactly when there is no such character
+        if len("".join(self.tokens)) + sum(map(text.count, _SPACE)) != len(text):
+            i = _BAD.search(text).start()
+            while i and text[i - 1] in _SPACE:
+                i -= 1  # the position where the failed token began
+            raise ParseError(f"bad character at {i}: {text[i:i+8]!r}")
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

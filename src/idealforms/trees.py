@@ -112,7 +112,7 @@ class Const(SchemaSeq):
 class _Diag(SchemaSeq):
     """Block n is the compiled schema at stage ``rank[n + offset]``."""
 
-    # _blocks: block i by index, and compile_form's chain levels by (is P, rank)
+    # _blocks: block i by index, and _chain's levels by (is P, rank)
     __slots__ = ("rank", "offset", "_blocks")
     __match_args__ = ("rank", "offset")
     rank: Ordinal
@@ -191,38 +191,44 @@ def _fold(t: TreeSchema, alg: _Algebra):
     emptiness in ``_empty``, which the next fold reads to find live heads
     and trivial tails."""
     slot, block0 = alg.slot, alg.diag is None
-    stack = [t]
+    stack: list = [t]
     while stack:
         node = stack.pop()
         if node is not None:
             if hasattr(node, slot):
                 continue
+            # last: the child that decides a rooted node or a tail
             if type(node) is Rooted:
-                kids: tuple[TreeSchema, ...] = (node.child,)
+                kids, last = (), node.child
             elif isinstance(node, _Blocks):
                 tail = node.tail
+                kids = node.heads
                 if type(tail) is Const:
-                    kids = node.heads + (tail.block,)
+                    last = tail.block
                 else:
-                    kids = node.heads + (seq_block(tail, 0),) if block0 else node.heads
+                    last = seq_block(tail, 0) if block0 else None
             else:
                 raise TypeError(f"not a schema: {node!r}")
-            # None marks that every subterm above it is done
-            stack += (node, None)
+            # None marks that every subterm above it is done; ``last`` waits
+            # under it, so the answer is read from the very term folded
+            stack += (node, last, None)
             stack += [k for k in kids if not hasattr(k, slot)]
+            if last is not None and not hasattr(last, slot):
+                stack.append(last)
             continue
+        last = stack.pop()
         node = stack.pop()
         if type(node) is Rooted:
-            child = node.child
             node._empty = False
-            answer = getattr(EPS, slot) if child._empty else alg.rooted(getattr(child, slot))
+            answer = getattr(EPS, slot) if last._empty else alg.rooted(getattr(last, slot))
         else:
             heads = [(n, getattr(h, slot)) for n, h in enumerate(node.heads) if not h._empty]
-            tail = node.tail
-            if type(tail) is Const:
-                tail_answer = None if tail.block._empty else getattr(tail.block, slot)
+            if last is None:
+                tail_answer = alg.diag(node.tail)
+            elif type(node.tail) is Const and last._empty:
+                tail_answer = None
             else:
-                tail_answer = getattr(seq_block(tail, 0), slot) if block0 else alg.diag(tail)
+                tail_answer = getattr(last, slot)
             node._empty = not heads and tail_answer is None
             answer = alg.node(node, heads, tail_answer)
         setattr(node, slot, answer)
@@ -233,36 +239,62 @@ def _fold(t: TreeSchema, alg: _Algebra):
 # compiling canonical forms into schemas
 
 
-def compile_form(c: CanonicalForm, memo: Optional[dict] = None) -> TreeSchema:
+def compile_form(c: CanonicalForm) -> TreeSchema:
     """Schema whose denoted set restricts the well-founded ideal to ``c``.
 
     A P- or Q-form compiles to a chain of fans and spines that alternate
-    down the predecessors of its rank to a zero or limit rank.  A loop
-    walks down that chain, then builds it bottom-up, so depth costs no
-    Python frames.  ``memo`` maps (is a P-form, rank) to chain levels
-    already built, and the walk stops at the first one it meets; a
-    diagonal tail passes its own, so each new block starts from the
-    levels of earlier blocks and the memo dies with the tail.
+    down the predecessors of its rank to a zero or limit rank.  A
+    successor rank keeps the levels compiled at it, so a chain lives as
+    long as its rank, and the next compile of a deeper rank stops at the
+    first level a live rank holds and builds only the levels above it.
     """
     if c.kind is Kind.PQ:
-        return Fan((compile_form(CanonicalForm(Kind.P, c.rank), memo),
-                    compile_form(CanonicalForm(Kind.Q, c.rank), memo)), CONST_EMPTY)
-    memo = {} if memo is None else memo
-    p, rank = c.kind is Kind.P, c.rank
+        return Fan((_chain(True, c.rank), _chain(False, c.rank)), CONST_EMPTY)
+    return _chain(c.kind is Kind.P, c.rank)
+
+
+def _chain(p: bool, rank: Ordinal, memo: Optional[dict] = None) -> TreeSchema:
+    """The P-level (``p``) or Q-level of the chain at ``rank``.  A loop
+    walks down the chain to the first level held by its rank or by
+    ``memo``, or to a zero or limit rank, then builds the levels above it
+    bottom-up, so depth costs no Python frames.
+
+    ``memo`` maps (is a P-level, rank) to levels already built: a diagonal
+    tail passes its own, so each new block starts from the levels of
+    earlier blocks and they die with the tail.  Without a memo the level
+    is stored on a successor ``rank`` in ``_levels`` (Q-level, P-level).
+    Blocks are never stored on their ranks: those are fundamental-sequence
+    members, which the long-lived ``fund_seq`` memos keep alive, and a
+    limit rank would form a cycle with its diagonal tail.
+    """
     down = []
-    while (p, rank) not in memo and ordinals.kind(rank) is OrdKind.SUCCESSOR:
+    while True:
+        out = None if rank._levels is None else rank._levels[p]
+        if out is None and memo is not None:
+            out = memo.get((p, rank))
+        if out is not None or ordinals.kind(rank) is not OrdKind.SUCCESSOR:
+            break
         down.append((p, rank))
         p, rank = not p, ordinals.pred(rank)
-    out = memo.get((p, rank))
     if out is None:
         zero = rank.is_zero()
         if p:
             out = Fan((), Const(EPS) if zero else QDiag(rank))
         else:
             out = CHAIN if zero else Spine((), PDiag(rank))
-        memo[p, rank] = out
+        if memo is not None:
+            memo[p, rank] = out
     for key in reversed(down):
-        out = memo[key] = (Fan if key[0] else Spine)((), Const(out))
+        out = (Fan if key[0] else Spine)((), Const(out))
+        if memo is not None:
+            memo[key] = out
+    if down and memo is None:
+        # levels are interned, so a store lost to a racing compile loses
+        # only the shortcut, never an answer
+        p, rank = down[0]
+        if rank._levels is None:
+            rank._levels = [None, None]
+        rank._levels[p] = out
     return out
 
 
@@ -282,9 +314,8 @@ def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
         memo = tail._blocks = {}
     out = memo.get(i)
     if out is None:
-        kind = Kind.Q if isinstance(tail, QDiag) else Kind.P
         rank = ordinals.fund_seq(tail.rank, i + tail.offset)
-        out = memo[i] = compile_form(CanonicalForm(kind, rank), memo)
+        out = memo[i] = _chain(isinstance(tail, PDiag), rank, memo)
     return out
 
 

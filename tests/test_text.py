@@ -101,6 +101,20 @@ def test_parse_errors():
             parser(src)
 
 
+# a bad character is reported where the token it spoils began, spaces included
+@pytest.mark.parametrize("src, at", [
+    ("P( $)", "2: ' $)'"),
+    ("  @", "0: '  @'"),
+    ("P(1)\u00e9", "4: '\u00e9'"),
+    ("sum(P(1),\tQ(2)) \n _", "15: ' \\n _'"),
+    ("w$2", "1: '$2'"),
+    ("P(\u00a03)", "2: '\\xa03)'"),
+])
+def test_bad_character_position(src, at):
+    with pytest.raises(ParseError, match=f"^bad character at {re.escape(at)}$"):
+        text.parse_expr(src)
+
+
 def test_structural_validation():
     with pytest.raises(Exception):
         text.parse_tree("fan([];qdiag(w+1))")  # diagonal rank must be a limit

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -205,6 +206,58 @@ def test_deep_chains_of_equal_depth_in_one_process():
     assert len(hashcons._TABLE) == size  # the weak table released both chains
 
 
+def test_a_rank_keeps_the_chain_compiled_at_it():
+    # a client holding the rank of the last compile pays only for new levels
+    n = 3000
+    rank_n = ordinals.from_int(n)
+    for kind in (ideals.Kind.P, ideals.Kind.Q):
+        schema = trees.compile_form(ideals.CanonicalForm(kind, rank_n))
+        classification.classify(schema)
+        rank.tree_rank(schema)
+    del schema
+    gc.collect()
+    size = len(hashcons._TABLE)
+    pq = trees.compile_form(ideals.CanonicalForm(ideals.Kind.PQ, rank_n))
+    assert len(hashcons._TABLE) - size <= 2
+    assert str(classification.classify(pq)) == f"Borel(PQ({n}))"
+    # copies intern again and carry no memo, so no chain rides along
+    assert len(pickle.dumps(rank_n)) < 200 and copy.deepcopy(rank_n) is rank_n
+    # the next rung builds its two new levels on the held chain
+    deeper = trees.compile_form(ideals.CanonicalForm(ideals.Kind.P, ordinals.from_int(n + 2)))
+    assert deeper is Fan((), Const(Spine((), Const(pq.heads[0]))))
+
+
+def test_diagonal_blocks_live_with_their_tail():
+    # block ranks are fundamental-sequence members, which OMEGA's memo keeps
+    # alive for good; the blocks must not be stored on them
+    offset = 1000  # a tail no other test builds
+    for i in range(201):
+        ordinals.fund_seq(ordinals.OMEGA, offset + i)
+    gc.collect()
+    size = len(hashcons._TABLE)
+    tail = QDiag(ordinals.OMEGA, offset)
+    assert not hasattr(tail, "_blocks")  # fresh: no earlier blocks
+    blocks = [trees.seq_block(tail, i) for i in range(201)]
+    # Q(k + 1) compiles to spine([];const(fan([];const(Q(k - 1)))))
+    assert blocks[-1] is Spine((), Const(Fan((), Const(blocks[-3]))))
+    del tail, blocks
+    gc.collect()
+    assert len(hashcons._TABLE) == size
+
+
+def test_repr_of_deep_terms():
+    # 8 000 nested terms: a frame per term overflowed the package's limit
+    out = repr(trees.compile_ideal(parse_expr("P(4000)")))
+    assert out.startswith("Fan((), Const(Spine((), Const(Fan((), ") and out.endswith("))")
+    assert out.count("(") == out.count(")")
+    # shallow terms print as the fields' reprs joined, tuples as Python's
+    assert repr(t("fan([chain];const(eps))")) == "Fan((Chain(),), Const(Eps()))"
+    assert repr(t("spine([];qdiag(w,2))")) == "Spine((), QDiag(Ordinal[w], 2))"
+    assert repr(t("rooted(fan([eps,empty];pdiag(w^2)))")) == (
+        "Rooted(Fan((Eps(), Empty()), PDiag(Ordinal[w^2], 0)))"
+    )
+
+
 def test_deep_schema_facts_in_one_process():
     # the bottom-up facts, the derivative classifier and the printer walk a
     # compiled chain without a frame per level
@@ -266,8 +319,8 @@ SELF_CALLING = {
     "membership.q_iter_len", "membership.q_member", "membership.q_is_infinite",
     "membership.q_in_wf", "membership.q_in_id", "membership.query_subset",
     "membership._fw_query", "membership._branch_query", "membership._unb_query",
-    # compile_form's one-level PQ call; iter_len yields per level, lazily
-    "trees.compile_form", "trees.iter_len",
+    # iter_len yields per level, lazily
+    "trees.iter_len",
     # seeded generators and the lazy core embedding
     "oracle.rand_ordinal", "oracle.rand_expr", "oracle.rand_schema", "oracle.prune_schema",
     "oracle._rand_order", "witnesses._position",
