@@ -14,10 +14,6 @@ is looked up, so a CLI verb pays only for the modules it runs.
 
 import sys as _sys
 
-# deep diagonal blocks nest schemas a few frames per ordinal stage; the
-# default interpreter limit is too tight for structural recursion on them
-_sys.setrecursionlimit(max(_sys.getrecursionlimit(), 20000))
-
 # each public name, by the submodule that defines it
 _EXPORTS = {
     "errors": "FiniteSchema IdealFormsError NotASubset NotLimit ParseError "

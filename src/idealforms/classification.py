@@ -12,7 +12,7 @@ their orthogonals gets one more orthogonal plus a finite-sets summand.
 The two answers differ exactly by the scaffold (the generated tree minus
 the denoted set), whose class ``scaffold_class`` computes with the sum
 algebra of ``classify`` over other leaf classes.  Each classifier is an
-algebra over ``trees._fold``, so neither spends a Python frame per level;
+algebra over ``hashcons._fold``, so neither spends a Python frame per level;
 the derivative algebra reads no answer of the other two, which keeps the
 two classifications independent derivations.
 """
@@ -23,7 +23,7 @@ from typing import Union
 
 from . import ideals, rank, trees
 from .errors import FiniteSchema
-from .hashcons import Interned
+from .hashcons import Interned, _fold
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
 from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
@@ -64,7 +64,7 @@ def classify(t: TreeSchema) -> TreeClass:
     """Classification of the ideal restricted to the denoted set."""
     if trees.is_finite(t):
         raise FiniteSchema(f"schema denotes a finite set: {t}")
-    out = trees._fold(t, _CLASS)
+    out = _fold(t, _CLASS)
     if isinstance(out, _NB):
         return NonBorel(PrefixEmbedding(t, generated=False, provenance=out.prefix))
     assert isinstance(out, CanonicalForm)
@@ -73,7 +73,7 @@ def classify(t: TreeSchema) -> TreeClass:
 
 def scaffold_class(t: TreeSchema) -> Cls:
     """Class of the prefix nodes the generated tree adds to the set."""
-    return trees._fold(t, _SCAFFOLD)
+    return _fold(t, _SCAFFOLD)
 
 
 def _sum(parts: list[Cls]) -> Cls:
@@ -144,7 +144,7 @@ def classify_via_derivative(t: TreeSchema) -> TreeClass:
         raise FiniteSchema(f"schema denotes a finite set: {t}")
     if not rank.rank_info(t).core_empty:
         return NonBorel(CoreEmbedding(t, find_expansion))
-    return Borel(trees._fold(t, _VIA)[0])
+    return Borel(_fold(t, _VIA)[0])
 
 
 # The pieces hanging off the top-stage part H of a generated tree, kept as
@@ -239,7 +239,7 @@ def _assemble_spine(t: Spine, heads: list, tail, beta: Ordinal) -> _Pieces:
     # the spine leaves H after the last copy whose domination stage is beta
     last_top = max(n for n, _ in heads if _dom(t.heads[n]) == beta)
     acc = _assemble_heads(t, [(n, a) for n, a in heads if n <= last_top], beta)
-    return _hang(acc, trees._fold(trees.cone_of(t, (0,) * (last_top + 1)), _VIA)[0])
+    return _hang(acc, _fold(trees.cone_of(t, (0,) * (last_top + 1)), _VIA)[0])
 
 
 # answers without pieces, shared by every term that has them; full has a

@@ -12,12 +12,19 @@ it holds live.  A successor rank holds the chain levels that
 something references its rank.  The blocks of a diagonal tail live with
 the tail, never on their ranks, which long-lived ``fund_seq`` memos
 keep alive.
+
+Every sort of term is a term algebra, so every fact computed bottom-up
+over a sort is one ``Algebra`` run by the one traversal ``_fold``
+(a catamorphism; Meijer, Fokkinga & Paterson, FPCA 1991), which stores
+each answer in a slot of the term.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from _weakref import _remove_dead_weakref
+from typing import Callable, Optional
 
 _TABLE: dict[tuple, _Ref] = {}
 
@@ -105,3 +112,59 @@ class Interned:
                 if n:
                     stack.append(", ")
         return "".join(out)
+
+
+def _children(t: Interned, sort: type) -> list:
+    """The fields of ``t`` named in ``__match_args__`` that hold terms of
+    ``sort``, looked for inside tuples too, in order."""
+    out = []
+    for name in t.__match_args__:
+        todo = [getattr(t, name)]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, sort):
+                out.append(x)
+            elif type(x) is tuple:
+                todo += reversed(x)
+    return out
+
+
+class Algebra:
+    """One bottom-up fact about the terms of a sort, memoized by ``_fold``
+    in the slot ``slot`` of every term it reaches.
+
+    ``node(t, answers)`` is the answer at ``t`` from the answers of its
+    children ``kids(t)``, in order.  By default the children are the
+    fields that hold terms of the class ``sort`` (``_children``), so a
+    rank in an expression or a tree in a query is data, not a child.
+    """
+
+    __slots__ = ("slot", "node", "kids")
+
+    def __init__(
+        self,
+        slot: str,
+        node: Callable,
+        sort: Optional[type] = None,
+        kids: Optional[Callable[[Interned], list]] = None,
+    ) -> None:
+        self.slot, self.node = slot, node
+        self.kids = kids or partial(_children, sort=sort)
+
+
+def _fold(t: Interned, alg: Algebra):
+    """The answer of ``alg`` at ``t``, read from the slot when an earlier
+    fold reached ``t``.  The walk keeps its own stack, so depth costs no
+    Python frames, and visits the children left to right."""
+    slot, kids_of, node = alg.slot, alg.kids, alg.node
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is tuple:  # a term whose children are all done
+            x, kids = x
+            setattr(x, slot, node(x, [getattr(k, slot) for k in kids]))
+        elif not hasattr(x, slot):
+            kids = kids_of(x)
+            stack.append((x, kids))
+            stack += reversed(kids)
+    return getattr(t, slot)

@@ -10,10 +10,11 @@ iff their canonical forms coincide.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from . import ordinals, text
 from .errors import NotLimit
-from .hashcons import Interned
+from .hashcons import Algebra, Interned, _fold
 from .ordinals import Ordinal, OrdKind
 
 
@@ -24,7 +25,7 @@ from .ordinals import Ordinal, OrdKind
 class IdealExpr(Interned):
     """Base class for ideal expression terms; all subtypes are immutable and interned."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)  # the canonical form, see normalize
 
     def __str__(self) -> str:
         return text.format_term(self)
@@ -98,25 +99,12 @@ class Kind(enum.Enum):
     PQ = "PQ"
 
 
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """``P(rank)``, ``Q(rank)`` or ``PQ(rank)``; a plain value, not interned,
     because forms are built at every chain level where a lookup costs more."""
 
-    __slots__ = ("kind", "rank")
-
-    def __init__(self, kind: Kind, rank: Ordinal) -> None:
-        self.kind, self.rank = kind, rank
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CanonicalForm:
-            return NotImplemented
-        return self.kind is other.kind and self.rank is other.rank
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.rank))
-
-    def __repr__(self) -> str:
-        return f"CanonicalForm(kind={self.kind!r}, rank={self.rank!r})"
+    kind: Kind
+    rank: Ordinal
 
     def __str__(self) -> str:
         if self.rank.is_zero():
@@ -184,8 +172,9 @@ def lim_sum(rank: Ordinal) -> CanonicalForm:
     return CanonicalForm(Kind.P, rank)
 
 
-def normalize(e: IdealExpr) -> CanonicalForm:
-    """Bottom-up rewriting of an expression to its canonical form."""
+def _rewrite(e: IdealExpr, forms: list[CanonicalForm]) -> CanonicalForm:
+    """One rewriting step: the canonical form of ``e`` from the forms of
+    its subexpressions."""
     match e:
         case Fin():
             return FIN_FORM
@@ -195,18 +184,24 @@ def normalize(e: IdealExpr) -> CanonicalForm:
             return CanonicalForm(Kind.P, rank)
         case Q(rank):
             return CanonicalForm(Kind.Q, rank)
-        case Perp(child):
-            return perp(normalize(child))
-        case Sum(parts):
-            return combine_all([normalize(p) for p in parts])
-        case OmegaSum(child):
-            return omega_sum(normalize(child))
+        case Perp():
+            return perp(forms[0])
+        case OmegaSum():
+            return omega_sum(forms[0])
         case LimSum(rank):
             return lim_sum(rank)
-        case MixSum(heads, tail):
-            forms = [normalize(h) for h in heads] + [normalize(tail)]
+        case Sum() | MixSum():
             return combine_all(forms)
     raise TypeError(f"not an ideal expression: {e!r}")
+
+
+_NORMALIZE = Algebra("_form", _rewrite, IdealExpr)
+
+
+def normalize(e: IdealExpr) -> CanonicalForm:
+    """Bottom-up rewriting of an expression to its canonical form, kept on
+    the expression and on each subexpression."""
+    return _fold(e, _NORMALIZE)
 
 
 def b_rank(e: IdealExpr) -> Ordinal:

@@ -64,7 +64,8 @@ class Transversal(QueryTerm):
 
 
 class Union(QueryTerm):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = ("left", "right", "_leaves")  # _leaves: see _leaves
+    __match_args__ = ("left", "right")
 
 
 class Ternary(enum.Enum):
@@ -75,51 +76,67 @@ class Ternary(enum.Enum):
 
 # --------------------------------------------------------------------------
 # query denotation
+#
+# Union is associative, so every fact about a query reads the leaves of
+# its union nest, which one loop lists, and never walks the nest itself.
+
+
+def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
+    """The schemas, finite sets and transversals of a union nest, left to
+    right, each once: leaves are interned, and a repeated one adds nothing.
+    The union asked keeps them, and the unions below it stay bare."""
+    if type(q) is not Union and isinstance(q, QueryTerm):
+        return (q,)
+    try:
+        return q._leaves
+    except AttributeError:
+        pass
+    out, stack = [], [q]
+    while stack:
+        x = stack.pop()
+        if type(x) is Union:
+            stack += (x.right, x.left)
+        elif isinstance(x, QueryTerm):
+            out.append(x)
+        else:
+            raise TypeError(f"not a query term: {x!r}")
+    q._leaves = tuple(dict.fromkeys(out))
+    return q._leaves
 
 
 def _transversal_pick(f: Fan, n: int) -> Optional[Seq]:
-    block = trees.block_at(f, n)
-    if trees.is_empty(block):
-        return None
-    p = trees.pick_least(block)
-    assert p is not None
-    return (n,) + p
+    p = trees.pick_least(trees.block_at(f, n))
+    return None if p is None else (n,) + p
 
 
-def _transversal_block_count(f: Fan) -> Optional[int]:
-    """Number of nonempty blocks; None when infinite."""
-    if not trees.tail_is_trivial(f.tail):
-        return None
-    return sum(1 for h in f.heads if not trees.is_empty(h))
+def _picks(f: Fan) -> Iterator[Seq]:
+    """The transversal of a fan with infinitely many nonempty blocks."""
+    for n in itertools.count():
+        p = _transversal_pick(f, n)
+        if p is not None:
+            yield p
 
 
 def q_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool = False) -> Iterator[Seq]:
     """Query elements of exact length in lex order, each holding an entry
-    equal to ``max_entry`` when ``need`` is set (see ``trees.iter_len``)."""
-    match q:
-        case Schema(tree):
-            yield from trees.iter_len(tree, length, max_entry, need)
-        case FinSet(elements):
-            for u in sorted(elements):
-                if len(u) == length and _in_box(u, max_entry, need):
-                    yield u
-        case Transversal(fan):
-            stop = max_entry + 1
-            if trees.tail_is_trivial(fan.tail):
-                stop = min(stop, len(fan.heads))
-            for n in range(stop):
-                p = _transversal_pick(fan, n)
-                if p is not None and len(p) == length and _in_box(p, max_entry, need):
-                    yield p
-        case Union(left, right):
-            merged = heapq.merge(
-                q_iter_len(left, length, max_entry, need),
-                q_iter_len(right, length, max_entry, need),
-            )
-            for u, _ in itertools.groupby(merged):
-                yield u
-        case _:
-            raise TypeError(f"not a query term: {q!r}")
+    equal to ``max_entry`` when ``need`` is set (see ``trees.iter_len``):
+    one merge of the leaves' streams, where an element that several
+    leaves hold comes once."""
+    streams = [_leaf_iter_len(x, length, max_entry, need) for x in _leaves(q)]
+    if len(streams) == 1:
+        yield from streams[0]
+        return
+    for u, _ in itertools.groupby(heapq.merge(*streams)):
+        yield u
+
+
+def _leaf_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool) -> Iterator[Seq]:
+    if type(q) is Schema:
+        return trees.iter_len(q.tree, length, max_entry, need)
+    if type(q) is FinSet:
+        return (u for u in sorted(q.elements) if len(u) == length and _in_box(u, max_entry, need))
+    picks = (_transversal_pick(q.fan, n) for n in trees._indices(q.fan, length, max_entry))
+    return (p for p in picks if p is not None and len(p) == length and _in_box(p, max_entry, need))
 
 
 def _in_box(u: Seq, max_entry: int, need: bool) -> bool:
@@ -127,29 +144,22 @@ def _in_box(u: Seq, max_entry: int, need: bool) -> bool:
 
 
 def q_member(u: Seq, q: QueryTerm) -> bool:
-    match q:
-        case Schema(tree):
-            return trees.member_elem(u, tree)
-        case FinSet(elements):
-            return u in elements
-        case Transversal(fan):
-            return bool(u) and u == _transversal_pick(fan, u[0])
-        case Union(left, right):
-            return q_member(u, left) or q_member(u, right)
-    raise TypeError(f"not a query term: {q!r}")
+    for x in _leaves(q):
+        match x:
+            case Schema(tree) if trees.member_elem(u, tree):
+                return True
+            case FinSet(elements) if u in elements:
+                return True
+            case Transversal(fan) if u and u == _transversal_pick(fan, u[0]):
+                return True
+    return False
 
 
 def q_is_infinite(q: QueryTerm) -> bool:
-    match q:
-        case Schema(tree):
-            return not trees.is_finite(tree)
-        case FinSet(_):
-            return False
-        case Transversal(fan):
-            return _transversal_block_count(fan) is None
-        case Union(left, right):
-            return q_is_infinite(left) or q_is_infinite(right)
-    raise TypeError(f"not a query term: {q!r}")
+    # a transversal is infinite when its fan has a tail
+    return any(not trees.is_finite(x.tree) if type(x) is Schema
+               else type(x) is Transversal and not trees.tail_is_trivial(x.fan.tail)
+               for x in _leaves(q))
 
 
 # --------------------------------------------------------------------------
@@ -157,31 +167,16 @@ def q_is_infinite(q: QueryTerm) -> bool:
 
 
 def q_in_wf(q: QueryTerm) -> bool:
-    match q:
-        case Schema(tree):
-            return trees.in_wf(tree)
-        case FinSet(_):
-            return True
-        case Transversal(_):
-            # distinct first coordinates: every branch of the generated
-            # tree stops inside one pick
-            return True
-        case Union(left, right):
-            return q_in_wf(left) and q_in_wf(right)
-    raise TypeError(f"not a query term: {q!r}")
+    # finite sets are; so are transversals, by distinct first coordinates:
+    # every branch of the generated tree stops inside one pick
+    return all(trees.in_wf(x.tree) for x in _leaves(q) if type(x) is Schema)
 
 
 def q_in_id(q: QueryTerm) -> bool:
-    match q:
-        case Schema(tree):
-            return trees.in_id(tree)
-        case FinSet(_):
-            return True
-        case Transversal(fan):
-            return _transversal_block_count(fan) is not None
-        case Union(left, right):
-            return q_in_id(left) and q_in_id(right)
-    raise TypeError(f"not a query term: {q!r}")
+    # finite sets are; a transversal is when its fan has finitely many blocks
+    return all(trees.in_id(x.tree) if type(x) is Schema
+               else type(x) is FinSet or trees.tail_is_trivial(x.fan.tail)
+               for x in _leaves(q))
 
 
 # --------------------------------------------------------------------------
@@ -214,13 +209,9 @@ def subset_of(q: QueryTerm, s: TreeSchema) -> Ternary:
 def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
     """The answer, with a counterexample for NO and for UNKNOWN the sequence
     where the walk stopped: for a transversal, the walk over its fan."""
-    stack, unknown = [q], None
-    while stack:
-        q = stack.pop()
+    unknown = None
+    for q in _leaves(q):
         match q:
-            case Union(left, right):
-                stack += (right, left)
-                continue
             case FinSet(elements):
                 bad = next((u for u in elements if not trees.member_elem(u, s)), None)
                 verdict = (Ternary.YES, None) if bad is None else (Ternary.NO, bad)
@@ -231,8 +222,6 @@ def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
                     verdict = (Ternary.UNKNOWN, verdict[1]) if bad is None else (Ternary.NO, bad)
             case Schema(tree):
                 verdict = _walk(tree, s)
-            case _:
-                raise TypeError(f"not a query term: {q!r}")
         if verdict[0] is Ternary.NO:
             return verdict
         unknown = unknown or (verdict if verdict[0] is Ternary.UNKNOWN else None)
@@ -298,18 +287,20 @@ def _search(q: QueryTerm, target: QueryTerm) -> Optional[Seq]:
 
 
 def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
-    """Containment between queries."""
-    if isinstance(q, Schema):
+    """Containment between queries: exact for a schema ``q`` or a finite
+    ``w``.  Otherwise YES when a schema leaf of ``q`` holds ``w`` or ``w``
+    is a subterm of ``q``, and NO or UNKNOWN by a bounded search."""
+    if type(q) is Schema:
         return subset_of(w, q.tree)
-    if isinstance(q, Union):
-        for side in (q.left, q.right):
-            if query_subset(w, side) is Ternary.YES:
-                return Ternary.YES
-    if isinstance(w, FinSet):
-        ok = all(q_member(u, q) for u in w.elements)
-        return Ternary.YES if ok else Ternary.NO
-    if w == q:
-        return Ternary.YES
+    if type(w) is FinSet:
+        return Ternary.YES if all(q_member(u, q) for u in w.elements) else Ternary.NO
+    stack = [q]
+    while stack:
+        x = stack.pop()
+        if x is w or type(x) is Schema and subset_of(w, x.tree) is Ternary.YES:
+            return Ternary.YES
+        if type(x) is Union:
+            stack += (x.right, x.left)
     return Ternary.UNKNOWN if _search(w, q) is None else Ternary.NO
 
 
@@ -355,16 +346,9 @@ def frechet_witness(q: QueryTerm, target: IdealExpr) -> QueryTerm:
     _require_subset(q, target)
     if q_in_wf(q):
         raise NotASubset(f"{q} already belongs to the ideal; no witness to extract")
-    return Schema(_fw_query(q))
-
-
-def _fw_query(q: QueryTerm) -> TreeSchema:
-    match q:
-        case Schema(tree):
-            return _fw_schema(tree)
-        case Union(left, right):
-            return _fw_query(left) if not q_in_wf(left) else _fw_query(right)
-    raise AssertionError(f"query is well-founded: {q}")
+    # finite sets and transversals are well-founded: a schema leaf fails
+    leaf = next(x for x in _leaves(q) if not q_in_wf(x))
+    return Schema(_fw_schema(leaf.tree))
 
 
 def _fw_schema(t: TreeSchema) -> TreeSchema:
@@ -410,17 +394,17 @@ def id_witness(q: QueryTerm) -> DominatingBranch | UnboundedFamily:
 
 
 def _branch_query(q: QueryTerm) -> DominatingBranch:
-    match q:
-        case Schema(tree):
-            return _branch_schema(tree)
-        case FinSet(elements):
-            return _branch_finite(elements)
-        case Transversal(fan):
-            picks = [p for n in range(len(fan.heads)) if (p := _transversal_pick(fan, n))]
-            return _branch_finite(picks)
-        case Union(left, right):
-            return merge_branches([_branch_query(left), _branch_query(right)])
-    raise TypeError(f"not a query term: {q!r}")
+    branches = []
+    for x in _leaves(q):
+        match x:
+            case Schema(tree):
+                branches.append(_branch_schema(tree))
+            case FinSet(elements):
+                branches.append(_branch_finite(elements))
+            case Transversal(fan):
+                picks = [p for n in range(len(fan.heads)) if (p := _transversal_pick(fan, n))]
+                branches.append(_branch_finite(picks))
+    return merge_branches(branches)
 
 
 def _branch_finite(elems: tuple[Seq, ...] | list[Seq]) -> DominatingBranch:
@@ -464,18 +448,9 @@ def _branch_schema(t: TreeSchema) -> DominatingBranch:
 
 
 def _unb_query(q: QueryTerm) -> Iterator[Seq]:
-    match q:
-        case Schema(tree):
-            yield from _unb_schema(tree)
-        case Transversal(fan):
-            for n in itertools.count():
-                p = _transversal_pick(fan, n)
-                if p is not None:
-                    yield p
-        case Union(left, right):
-            yield from _unb_query(left) if not q_in_id(left) else _unb_query(right)
-        case _:
-            raise AssertionError(f"query is dominated: {q}")
+    # a finite set is dominated: a schema or a transversal leaf fails
+    leaf = next(x for x in _leaves(q) if not q_in_id(x))
+    return _unb_schema(leaf.tree) if type(leaf) is Schema else _picks(leaf.fan)
 
 
 def _unb_schema(t: TreeSchema) -> Iterator[Seq]:
@@ -493,6 +468,6 @@ def _unb_schema(t: TreeSchema) -> Iterator[Seq]:
         else:
             raise AssertionError(f"schema is dominated: {t}")
     prefix = tuple(path)
-    family = ((n,) for n in itertools.count()) if t is trees.FULL else _unb_query(Transversal(t))
+    family = ((n,) for n in itertools.count()) if t is trees.FULL else _picks(t)
     for u in family:
         yield prefix + u

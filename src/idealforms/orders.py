@@ -12,11 +12,12 @@ embedding of the rationals routed through that occurrence.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Union as TUnion
 
 from . import ideals, text
-from .hashcons import Interned
+from .hashcons import Algebra, Interned, _fold
 from .ideals import CanonicalForm, POW_FORM
 
 Interval = tuple[Optional[Fraction], Optional[Fraction]]
@@ -26,7 +27,7 @@ Pos = tuple
 class LinTerm(Interned):
     """Base class for linear order terms; all subtypes are interned."""
 
-    __slots__ = ()
+    __slots__ = ("_wo", "_rev")  # the answers of _WO and _REV
 
     def __str__(self) -> str:
         return text.format_term(self)
@@ -91,51 +92,57 @@ WoClass = TUnion[Scattered, NonScattered]
 
 def scattered_check(t: LinTerm) -> bool:
     """True iff the term contains no copy of the rationals."""
-    return _wo_form(t) is not None
+    return _fold(t, _WO) is not None
 
 
 def wo_classify(t: LinTerm) -> WoClass:
     """Canonical form of the well-ordered-subset ideal, or a dense witness."""
-    form = _wo_form(t)
+    form = _fold(t, _WO)
     if form is None:
         return NonScattered(OrderEmbedding(t))
     return Scattered(form)
 
 
-def _wo_form(t: LinTerm) -> Optional[CanonicalForm]:
-    """Canonical form of the well-ordered-subset ideal; None when the term
-    contains the rationals."""
-    match t:
-        case Nat():
-            return POW_FORM  # every subset of an omega-chain is well-ordered
-        case RatQ():
-            return None
-        case Rev(child):
-            form = _wo_form(child)
-            return None if form is None else ideals.perp(form)
-        case Cat(parts):
-            forms = [_wo_form(p) for p in parts]
-        case OmegaCat(heads, tail):
-            forms = [_wo_form(p) for p in (*heads, tail)]
-            if forms[-1] is not None:
-                forms[-1] = ideals.omega_sum(forms[-1])
-        case _:
-            raise TypeError(f"not an order term: {t!r}")
-    return None if any(f is None for f in forms) else ideals.combine_all(forms)
+def _wo_node(t: LinTerm, forms: list) -> Optional[CanonicalForm]:
+    """Canonical form of the well-ordered-subset ideal from those of the
+    parts; None when the term contains the rationals."""
+    if t is NAT:
+        return POW_FORM  # every subset of an omega-chain is well-ordered
+    if t is RATQ or any(f is None for f in forms):
+        return None
+    if type(t) is Rev:
+        return ideals.perp(forms[0])
+    if type(t) is OmegaCat:
+        forms[-1] = ideals.omega_sum(forms[-1])
+    elif type(t) is not Cat:
+        raise TypeError(f"not an order term: {t!r}")
+    return ideals.combine_all(forms)
+
+
+_WO = Algebra("_wo", _wo_node, LinTerm)
+
+
+def _rev_node(t: LinTerm, parts: list) -> Optional[LinTerm]:
+    # None stands for Rev(t): stored on t, Rev(t) would form a cycle
+    if t is NAT or type(t) is OmegaCat:
+        return None
+    if t is RATQ:
+        return t  # self-dual under negation
+    if type(t) is Rev:
+        return t.child
+    if type(t) is not Cat:
+        raise TypeError(f"not an order term: {t!r}")
+    return Cat(tuple(Rev(p) if r is None else r for p, r in zip(reversed(t.parts), reversed(parts))))
+
+
+# only a concatenation reverses its parts
+_REV = Algebra("_rev", _rev_node, kids=lambda t: t.parts if type(t) is Cat else ())
 
 
 def reverse_term(t: LinTerm) -> LinTerm:
     """Rev-normalized reversal; Rev survives only on atoms and omega sums."""
-    match t:
-        case Nat() | OmegaCat(_, _):
-            return Rev(t)
-        case RatQ():
-            return t  # self-dual under negation
-        case Rev(child):
-            return child
-        case Cat(parts):
-            return Cat(tuple(reverse_term(p) for p in reversed(parts)))
-    raise TypeError(f"not an order term: {t!r}")
+    out = _fold(t, _REV)
+    return Rev(t) if out is None else out
 
 
 def wo_self_dual(t: LinTerm) -> tuple[LinTerm, WoClass]:
@@ -198,37 +205,41 @@ def _mirror(interval: Interval) -> Interval:
 
 def enumerate_positions(t: LinTerm) -> Iterator[Pos]:
     """Canonical prefix-stable enumeration of the order's elements."""
-    match t:
-        case Nat() | RatQ():
-            yield from _atom_positions(t)
-        case Rev(child):
-            yield from enumerate_positions(child)
-        case Cat(parts):
-            # every order term is infinite, so round-robin never starves
-            streams = [enumerate_positions(p) for p in parts]
-            while True:
-                for i, stream in enumerate(streams):
-                    yield (i, next(stream))
-        case OmegaCat(_, _):
-            for total in itertools.count():
-                for k in range(total + 1):
-                    yield (k, _block_position(t, k, total - k))
-        case _:
+    for n in itertools.count():
+        yield _position(t, n)
+
+
+def _position(t: LinTerm, n: int) -> Pos:
+    """The ``n``-th position of the enumeration, by one walk down the term.
+    A concatenation takes its parts round-robin, an omega sum runs its
+    blocks diagonally (total index, then block), the rationals list the
+    binary tree paths by length, then lexicographically."""
+    blocks = []  # the part or block taken at each level
+    while True:
+        if type(t) is Rev:
+            t = t.child
+        elif type(t) is Cat:
+            k = n % len(t.parts)
+            blocks.append(k)
+            t, n = t.parts[k], n // len(t.parts)
+        elif type(t) is OmegaCat:
+            total = (math.isqrt(8 * n + 1) - 1) // 2
+            k = n - total * (total + 1) // 2
+            blocks.append(k)
+            t, n = _block_of(t, k), total - k
+        elif t is NAT:
+            out: Pos = (n,)
+            break
+        elif t is RATQ:
+            depth = (n + 1).bit_length() - 1
+            row = n + 1 - (1 << depth)  # the path's index among those of its length
+            out = tuple((row >> (depth - 1 - i)) & 1 for i in range(depth))
+            break
+        else:
             raise TypeError(f"not an order term: {t!r}")
-
-
-def _atom_positions(t: LinTerm) -> Iterator[Pos]:
-    if isinstance(t, Nat):
-        for k in itertools.count():
-            yield (k,)
-    else:
-        for depth in itertools.count():
-            for bits in itertools.product((0, 1), repeat=depth):
-                yield bits
-
-
-def _block_position(t: OmegaCat, k: int, idx: int) -> Pos:
-    return next(itertools.islice(enumerate_positions(_block_of(t, k)), idx, None))
+    for k in reversed(blocks):
+        out = (k, out)
+    return out
 
 
 def _block_of(t: OmegaCat, k: int) -> LinTerm:
@@ -237,22 +248,21 @@ def _block_of(t: OmegaCat, k: int) -> LinTerm:
 
 def pos_cmp(t: LinTerm, p: Pos, q: Pos) -> int:
     """Abstract order comparison of two positions; independent of embed."""
-    match t:
-        case Nat():
-            return (p[0] > q[0]) - (p[0] < q[0])
-        case RatQ():
-            return _bst_cmp(p, q)
-        case Rev(child):
-            return -pos_cmp(child, p, q)
-        case Cat(parts):
-            if p[0] != q[0]:
-                return 1 if p[0] > q[0] else -1
-            return pos_cmp(parts[p[0]], p[1], q[1])
-        case OmegaCat(_, _):
-            if p[0] != q[0]:
-                return 1 if p[0] > q[0] else -1
-            return pos_cmp(_block_of(t, p[0]), p[1], q[1])
-    raise TypeError(f"not an order term: {t!r}")
+    sign = 1  # flipped by each reversal passed
+    while True:
+        if t is NAT:
+            return sign * ((p[0] > q[0]) - (p[0] < q[0]))
+        if t is RATQ:
+            return sign * _bst_cmp(p, q)
+        if type(t) is Rev:
+            sign, t = -sign, t.child
+            continue
+        if type(t) is not Cat and type(t) is not OmegaCat:
+            raise TypeError(f"not an order term: {t!r}")
+        if p[0] != q[0]:
+            return sign if p[0] > q[0] else -sign
+        t = t.parts[p[0]] if type(t) is Cat else _block_of(t, p[0])
+        p, q = p[1], q[1]
 
 
 def _bst_cmp(p: Pos, q: Pos) -> int:
@@ -268,29 +278,34 @@ def _bst_cmp(p: Pos, q: Pos) -> int:
 
 
 def embed_position(t: LinTerm, p: Pos, interval: Interval = (None, None)) -> Fraction:
-    """Order-faithful image of a position inside the interval."""
-    match t:
-        case Nat():
+    """Order-faithful image of a position inside the interval: one walk
+    down the term, narrowing the interval, mirrored under each reversal."""
+    flipped = False
+    while True:
+        if type(t) is Rev:
+            interval, flipped, t = _mirror(interval), not flipped, t.child
+            continue
+        if type(t) is Cat:
+            interval, t = _cuts(interval, len(t.parts))[p[0]], t.parts[p[0]]
+        elif type(t) is OmegaCat:
+            interval, t = _omega_cut(interval, p[0]), _block_of(t, p[0])
+        elif t is NAT:
             lo, hi = interval
-            cur = _point(lo, hi)
+            v = _point(lo, hi)
             for _ in range(p[0]):
-                cur = _point(cur, hi)
-            return cur
-        case RatQ():
+                v = _point(v, hi)
+            break
+        elif t is RATQ:
             lo, hi = interval
             v = _point(lo, hi)
             for bit in p:
                 lo, hi = (lo, v) if bit == 0 else (v, hi)
                 v = _point(lo, hi)
-            return v
-        case Rev(child):
-            return -embed_position(child, p, _mirror(interval))
-        case Cat(parts):
-            sub = _cuts(interval, len(parts))[p[0]]
-            return embed_position(parts[p[0]], p[1], sub)
-        case OmegaCat(_, _):
-            return embed_position(_block_of(t, p[0]), p[1], _omega_cut(interval, p[0]))
-    raise TypeError(f"not an order term: {t!r}")
+            break
+        else:
+            raise TypeError(f"not an order term: {t!r}")
+        p = p[1]
+    return -v if flipped else v
 
 
 def rationalize(t: LinTerm, n: int) -> list[Fraction]:
@@ -306,10 +321,7 @@ class OrderEmbedding:
 
     def __init__(self, term: LinTerm):
         self.term = term
-        path, interval, flips = _dense_occurrence(term)
-        self.path = path
-        self.interval = interval
-        self.flips = flips
+        self.path, self.interval, self.flips = _dense_occurrence(term)
 
     def map(self, q: Fraction) -> Fraction:
         # under an odd number of reversals the atom frame runs backwards;
@@ -330,35 +342,26 @@ class OrderEmbedding:
 
 
 def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:
-    """Path, target interval and net reversal of the first dense atom.
-
-    The first part that is not scattered is the part holding the first
-    ``QQ`` from the left, so one walk down, left to right, finds the
-    path; the interval and the flips are then folded along it."""
-    stack: list[tuple] = [(t, None)]  # a term and the link to its path
-    while stack:
-        node, link = stack.pop()
-        if node is RATQ:
-            break
-        if type(node) is Rev:
-            stack.append((node.child, ("rev", link)))
-        elif type(node) is Cat or type(node) is OmegaCat:
-            parts = node.parts if type(node) is Cat else (*node.heads, node.tail)
-            step = "cat" if type(node) is Cat else "block"
-            stack += [(p, ((step, i), link)) for i, p in reversed(list(enumerate(parts)))]
-    else:
+    """Path, target interval and net reversal of the first dense atom: one
+    walk down into the first part that is not scattered, which holds the
+    first ``QQ`` from the left.  The classification of every part is a
+    slot that ``wo_classify`` has filled."""
+    if _fold(t, _WO) is not None:
         raise AssertionError(f"no dense occurrence in {t}")
     path: list = []
-    while link is not None:
-        step, link = link
-        path.append(step)
-    path.reverse()
-    interval, flipped, node = (None, None), False, t
-    for step in path:
-        if step == "rev":
-            interval, flipped, node = _mirror(interval), not flipped, node.child
-        elif step[0] == "cat":
-            interval, node = _cuts(interval, len(node.parts))[step[1]], node.parts[step[1]]
+    interval, flipped = (None, None), False
+    while t is not RATQ:
+        if type(t) is Rev:
+            path.append("rev")
+            interval, flipped, t = _mirror(interval), not flipped, t.child
+            continue
+        parts = t.parts if type(t) is Cat else (*t.heads, t.tail)
+        k = next(k for k, p in enumerate(parts) if _fold(p, _WO) is None)
+        if type(t) is Cat:
+            path.append(("cat", k))
+            interval = _cuts(interval, len(parts))[k]
         else:
-            interval, node = _omega_cut(interval, step[1]), _block_of(node, step[1])
+            path.append(("block", k))
+            interval = _omega_cut(interval, k)
+        t = parts[k]
     return tuple(path), interval, flipped

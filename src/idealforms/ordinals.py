@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import NotLimit
-from .hashcons import Interned, _intern
+from .hashcons import Algebra, Interned, _fold, _intern
 
 
 class OrdKind(enum.Enum):
@@ -25,8 +25,8 @@ class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
     # _fund: fund_seq values by index; _levels: the compiled chain levels
-    # held at this rank, see trees.compile_form
-    __slots__ = ("terms", "_fund", "_levels")
+    # held at this rank, see trees.compile_form; _text: see format_ordinal
+    __slots__ = ("terms", "_fund", "_levels", "_text")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]
 
@@ -93,20 +93,21 @@ def _nat(a: Ordinal) -> int | None:
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """Total CNF order; returns -1, 0 or 1."""
-    if a is b:
-        return 0  # interned: equal ordinals are one object
-    m, n = _nat(a), _nat(b)
-    if m is not None and n is not None:
-        return -1 if m < n else 1
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
+    """Total CNF order; returns -1, 0 or 1.  Equal ordinals are one object,
+    so the first pair of exponents that differ decides, and the loop walks
+    down to it."""
+    while a is not b:
+        m, n = _nat(a), _nat(b)
+        if m is not None and n is not None:
+            return -1 if m < n else 1
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            if ea is not eb:
+                a, b = ea, eb
+                break
+            if ca != cb:
+                return -1 if ca < cb else 1
+        else:
+            return -1 if len(a.terms) < len(b.terms) else 1
     return 0
 
 
@@ -165,39 +166,56 @@ def fund_seq(a: Ordinal, n: int) -> Ordinal:
         raise NotLimit(f"fundamental sequence of non-limit ordinal {a}")
     if n < 0:
         raise ValueError("index must be >= 0")
-    try:
-        memo = a._fund
-    except AttributeError:
-        memo = a._fund = {}
-    out = memo.get(n)
-    if out is None:
+    down = []  # the memo and base of each level above, on a limit exponent
+    while True:
+        try:
+            memo = a._fund
+        except AttributeError:
+            memo = a._fund = {}
+        out = memo.get(n)
+        if out is not None:
+            break
         exponent, coeff = a.terms[-1]
         head = a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exponent, coeff - 1),)
-        base = Ordinal(head)
         if kind(exponent) is OrdKind.SUCCESSOR:
-            out = add(base, omega_power(pred(exponent), n + 1))
-        else:
-            out = add(base, omega_power(fund_seq(exponent, n)))
-        memo[n] = out
+            out = memo[n] = add(Ordinal(head), omega_power(pred(exponent), n + 1))
+            break
+        down.append((memo, Ordinal(head)))
+        a = exponent
+    for memo, base in reversed(down):
+        out = memo[n] = add(base, omega_power(out))
     return out
+
+
+def _pieces(a: Ordinal, exponents: list) -> tuple | str:
+    """The text of ``a`` as nested tuples of strings that hold the text of
+    each exponent it prints, so no level copies the text below it."""
+    parts: list = []
+    for (exponent, coeff), inner in zip(a.terms, exponents):
+        if exponent is ZERO:
+            body, coeff = str(coeff), 1
+        elif exponent is ONE:
+            body = "w"
+        elif exponent.terms[0][0] is ZERO:
+            body = f"w^{exponent.terms[0][1]}"  # finite exponent
+        elif len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
+            body = ("w^", inner)  # pure power: right-assoc chain
+        else:
+            body = ("w^(", inner, ")")
+        parts += ("+", body if coeff == 1 else (body, f"*{coeff}"))
+    return tuple(parts[1:]) or "0"
+
+
+_TEXT = Algebra("_text", _pieces, Ordinal)
 
 
 def format_ordinal(a: Ordinal) -> str:
     """Render in the ordinal grammar; parseable back by ``text.parse_ordinal``."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for exponent, coeff in a.terms:
-        if exponent.is_zero():
-            parts.append(str(coeff))
-            continue
-        if exponent == ONE:
-            body = "w"
-        elif exponent.terms[0][0].is_zero():
-            body = f"w^{exponent.terms[0][1]}"  # finite exponent
-        elif len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
-            body = f"w^{format_ordinal(exponent)}"  # pure power: right-assoc chain
+    out, stack = [], [_fold(a, _TEXT)]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
         else:
-            body = f"w^({format_ordinal(exponent)})"
-        parts.append(body if coeff == 1 else f"{body}*{coeff}")
-    return "+".join(parts)
+            stack += reversed(x)
+    return "".join(out)

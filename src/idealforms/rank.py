@@ -17,14 +17,15 @@ compiled block of stage ``a`` has rank between a split of ``a`` and
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ordinals, trees
+from .hashcons import _fold
 from .ordinals import Ordinal
 from .trees import Fan, Spine, TreeSchema
 
 
-class RankInfo:
+class RankInfo(NamedTuple):
     """Rank data of the tree generated by a schema.
 
     ``rank`` is the first fixpoint stage of the iterated derivative,
@@ -33,22 +34,9 @@ class RankInfo:
     exactly when a nonempty core survives).  Equal fields give equal values.
     """
 
-    __slots__ = ("rank", "core_empty", "dom_stage")
-
-    def __init__(self, rank: Ordinal, core_empty: bool, dom_stage: Optional[Ordinal]) -> None:
-        self.rank, self.core_empty, self.dom_stage = rank, core_empty, dom_stage
-
-    def _key(self) -> tuple:
-        return (self.rank, self.core_empty, self.dom_stage)
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is RankInfo else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"RankInfo(rank={self.rank!r}, core_empty={self.core_empty!r}, dom_stage={self.dom_stage!r})"
+    rank: Ordinal
+    core_empty: bool
+    dom_stage: Optional[Ordinal]
 
 
 _EMPTY_INFO = RankInfo(ordinals.ZERO, True, ordinals.ZERO)
@@ -78,7 +66,7 @@ def rank_info(t: TreeSchema) -> RankInfo:
     try:
         return t._rank
     except AttributeError:
-        return trees._fold(t, _RANK)
+        return _fold(t, _RANK)
 
 
 def _node(t: Fan | Spine, heads: list[tuple[int, RankInfo]], tail: RankInfo | None) -> RankInfo:

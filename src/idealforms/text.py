@@ -75,43 +75,55 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def _ordinal(s: _Stream) -> Ordinal:
-    out = _ordinal_term(s)
-    while s.peek() == "+":
-        s.next()
-        out = ordinals.add(out, _ordinal_term(s))
-    return out
-
-
-def _ordinal_term(s: _Stream) -> Ordinal:
-    atom = _ordinal_atom(s)
-    if s.peek() == "*":
-        s.next()
-        n = s.nat()
-        # multiplication by a natural scales the leading coefficient
-        if n == 0 or atom.is_zero():
-            return ordinals.ZERO
-        (e, c), rest = atom.terms[0], atom.terms[1:]
-        return Ordinal(((e, c * n),) + rest)
-    return atom
-
-
-def _ordinal_atom(s: _Stream) -> Ordinal:
-    tok = s.peek()
-    if tok == "(":
-        s.next()
-        out = _ordinal(s)
-        s.expect(")")
-        return out
-    if tok == "w":
-        s.next()
-        if s.peek() == "^":
+    """An ordinal by precedence (Dijkstra's shunting yard): ``+`` binds
+    loosest, then ``*`` by a natural, then ``w^``, whose exponent is an
+    atom, so ``w^w^2`` chains to the right.  The stack holds the sum read
+    so far in each open parenthesis (None before its first term), and a
+    ``^`` for each ``w^`` waiting for its exponent."""
+    stack: list = [None]
+    while True:
+        tok = s.peek()
+        if tok == "(":
             s.next()
-            return ordinals.omega_power(_ordinal_atom(s))
-        return ordinals.OMEGA
-    if tok is not None and tok.isdigit():
-        s.next()
-        return ordinals.from_int(int(tok))
-    raise ParseError(f"expected an ordinal atom, got {tok!r}")
+            stack.append(None)
+            continue
+        if tok == "w":
+            s.next()
+            if s.peek() == "^":
+                s.next()
+                stack.append("^")
+                continue
+            value = ordinals.OMEGA
+        elif tok is not None and tok.isdigit():
+            s.next()
+            value = ordinals.from_int(int(tok))
+        else:
+            raise ParseError(f"expected an ordinal atom, got {tok!r}")
+        while True:  # an atom is read: close what it completes
+            while stack[-1] == "^":
+                stack.pop()
+                value = ordinals.omega_power(value)
+            if s.peek() == "*":
+                s.next()
+                value = _times(value, s.nat())
+            total = stack.pop()
+            total = value if total is None else ordinals.add(total, value)
+            if s.peek() == "+":
+                s.next()
+                stack.append(total)
+                break
+            if not stack:
+                return total
+            s.expect(")")
+            value = total  # a parenthesized sum is an atom
+
+
+def _times(a: Ordinal, n: int) -> Ordinal:
+    # multiplication by a natural scales the leading coefficient
+    if n == 0 or a.is_zero():
+        return ordinals.ZERO
+    (e, c), rest = a.terms[0], a.terms[1:]
+    return Ordinal(((e, c * n),) + rest)
 
 
 # --------------------------------------------------------------------------

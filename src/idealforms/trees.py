@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional
 
 from . import ideals, ordinals, text
 from .errors import NotLimit
-from .hashcons import Interned, _intern
+from .hashcons import Algebra, Interned, _fold, _intern
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .ordinals import Ordinal, OrdKind
 
@@ -148,16 +148,16 @@ CONST_FULL = Const(FULL)
 
 
 # --------------------------------------------------------------------------
-# the fold: bottom-up facts (a catamorphism; Meijer, Fokkinga & Paterson 1991)
+# schema algebras: the facts hashcons._fold computes bottom-up
 
 
 def _same(answer):
     return answer
 
 
-class _Algebra:
-    """One bottom-up fact about schemas, memoized by ``_fold`` in the slot
-    ``slot`` of every term it reaches.
+class _Algebra(Algebra):
+    """One bottom-up fact about schemas, memoized by ``hashcons._fold`` in
+    the slot ``slot`` of every term it reaches.
 
     ``leaves`` holds the answers at EMPTY, EPS, CHAIN and FULL (stored in
     their slots at once).  ``rooted`` maps a nonempty child's answer to
@@ -167,10 +167,12 @@ class _Algebra:
     None for a trivial tail, the block's answer for a constant tail, and
     ``diag(tail)`` for a diagonal tail, or block 0's answer when ``diag``
     is None.  No answer of a nonempty term is None: unbounded lengths and
-    entries are ``math.inf``.
+    entries are ``math.inf``.  Each term folded also gets its emptiness
+    in ``_empty``, which the next fold reads to find live heads and
+    trivial tails.
     """
 
-    __slots__ = ("slot", "node", "rooted", "diag")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -180,59 +182,35 @@ class _Algebra:
         rooted: Callable = _same,
         diag: Optional[Callable[[SchemaSeq], object]] = None,
     ) -> None:
-        self.slot, self.node, self.rooted, self.diag = slot, node, rooted, diag
         for leaf, answer in leaves.items():
             setattr(leaf, slot, answer)
+        eps = leaves[EPS]
 
+        def kids(t: TreeSchema) -> tuple:
+            # the heads, then the child that decides a rooted node or a tail
+            if type(t) is Rooted:
+                return (t.child,)
+            if type(t) is not Fan and type(t) is not Spine:
+                raise TypeError(f"not a schema: {t!r}")
+            tail = t.tail
+            if type(tail) is Const:
+                return t.heads + (tail.block,)
+            return t.heads + (seq_block(tail, 0),) if diag is None else t.heads
 
-def _fold(t: TreeSchema, alg: _Algebra):
-    """The answer of ``alg`` at ``t``.  The walk keeps its own stack, so
-    depth costs no Python frames; each term finished also gets its
-    emptiness in ``_empty``, which the next fold reads to find live heads
-    and trivial tails."""
-    slot, block0 = alg.slot, alg.diag is None
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            if hasattr(node, slot):
-                continue
-            # last: the child that decides a rooted node or a tail
-            if type(node) is Rooted:
-                kids, last = (), node.child
-            elif isinstance(node, _Blocks):
-                tail = node.tail
-                kids = node.heads
-                if type(tail) is Const:
-                    last = tail.block
-                else:
-                    last = seq_block(tail, 0) if block0 else None
+        def whole(t: TreeSchema, answers: list):
+            if type(t) is Rooted:
+                t._empty = False
+                return eps if t.child._empty else rooted(answers[0])
+            heads = [(n, answers[n]) for n, h in enumerate(t.heads) if not h._empty]
+            tail = t.tail
+            if type(tail) is Const:
+                last = None if tail.block._empty else answers[-1]
             else:
-                raise TypeError(f"not a schema: {node!r}")
-            # None marks that every subterm above it is done; ``last`` waits
-            # under it, so the answer is read from the very term folded
-            stack += (node, last, None)
-            stack += [k for k in kids if not hasattr(k, slot)]
-            if last is not None and not hasattr(last, slot):
-                stack.append(last)
-            continue
-        last = stack.pop()
-        node = stack.pop()
-        if type(node) is Rooted:
-            node._empty = False
-            answer = getattr(EPS, slot) if last._empty else alg.rooted(getattr(last, slot))
-        else:
-            heads = [(n, getattr(h, slot)) for n, h in enumerate(node.heads) if not h._empty]
-            if last is None:
-                tail_answer = alg.diag(node.tail)
-            elif type(node.tail) is Const and last._empty:
-                tail_answer = None
-            else:
-                tail_answer = getattr(last, slot)
-            node._empty = not heads and tail_answer is None
-            answer = alg.node(node, heads, tail_answer)
-        setattr(node, slot, answer)
-    return getattr(t, slot)
+                last = answers[-1] if diag is None else diag(tail)
+            t._empty = not heads and last is None
+            return node(t, heads, last)
+
+        super().__init__(slot, whole, kids=kids)
 
 
 # --------------------------------------------------------------------------
@@ -531,48 +509,66 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
     - nothing is shorter than the shortlex-least element ``pick_least``;
     - with ``need``, a block whose entry bound is below ``max_entry`` is
       skipped.
+
+    The walk keeps its own stack of the fans and spines on the way down,
+    each with the blocks still to visit, so depth costs no Python frames
+    and a rooted layer costs nothing.
     """
-    least = pick_least(t)
-    if least is None or length < len(least):
-        return
-    if need and _entry_bound(t) < max_entry:
-        return
-    match t:
-        case Eps():
-            if length == 0 and not need:
-                yield ()
-        case Chain():
-            if not need or max_entry == 0:
-                yield (0,) * length
-        case Full():
-            for u in itertools.product(range(max_entry + 1), repeat=length):
-                if not need or max_entry in u:
-                    yield u
-        case Rooted(child):
-            if length:
-                yield from iter_len(child, length, max_entry, need)
-            elif not need:
-                yield ()
-        case Fan(heads, tail):
-            stop = max_entry + 1
-            if tail_is_trivial(tail):
-                stop = min(stop, len(heads))
-            for n in range(stop):
-                for v in iter_len(block_at(t, n), length - 1, max_entry, need and n != max_entry):
-                    yield (n,) + v
-        case Spine(heads, tail):
-            if max_entry >= 1:
-                top = length - 1
-                if tail_is_trivial(tail):
-                    top = min(top, len(heads) - 1)
-                rest = need and max_entry != 1  # a copy root's 1 meets it
-                # copy roots 0^n 1 sort descending in n under lex order
-                for n in range(top, -1, -1):
-                    root = spine_root(n)
-                    for v in iter_len(block_at(t, n), length - n - 1, max_entry, rest):
-                        yield root + v
-        case _:
-            raise TypeError(f"not a schema: {t!r}")
+    path: list[int] = []  # the entries of the element being built
+    # per fan or spine on the way down: where its entries start in path,
+    # the term, the indices of its blocks still to visit, and the length
+    # and flag it was given
+    stack: list[tuple] = []
+    while True:
+        while type(t) is Rooted and length:
+            t = t.child
+        least = pick_least(t)
+        if least is not None and length >= len(least) and not (need and _entry_bound(t) < max_entry):
+            kind = type(t)
+            if kind is Eps or kind is Rooted:
+                if length == 0 and not need:
+                    yield tuple(path)
+            elif kind is Chain:
+                if not need or max_entry == 0:
+                    yield tuple(path) + (0,) * length
+            elif kind is Full:
+                prefix = tuple(path)
+                for u in itertools.product(range(max_entry + 1), repeat=length):
+                    if not need or max_entry in u:
+                        yield prefix + u
+            else:
+                stack.append((len(path), t, _indices(t, length, max_entry), length, need))
+        while stack:  # the next block to visit
+            base, parent, ns, length, need = stack[-1]
+            n = next(ns, None)
+            if n is not None:
+                break
+            stack.pop()
+        else:
+            return
+        del path[base:]
+        t = block_at(parent, n)
+        if type(parent) is Fan:
+            path.append(n)
+            length, need = length - 1, need and n != max_entry
+        else:
+            path += spine_root(n)
+            length, need = length - n - 1, need and max_entry != 1  # a copy root's 1 meets it
+
+
+def _indices(t: Fan | Spine, length: int, max_entry: int) -> Iterator[int]:
+    """The blocks of ``t`` that hold elements of ``length`` with entries at
+    most ``max_entry``, in lex order of their elements."""
+    if type(t) is Fan:
+        stop = max_entry + 1
+        if tail_is_trivial(t.tail):
+            stop = min(stop, len(t.heads))
+        return iter(range(stop))
+    top = length - 1 if max_entry >= 1 else -1
+    if tail_is_trivial(t.tail):
+        top = min(top, len(t.heads) - 1)
+    # copy roots 0^n 1 sort descending in n under lex order
+    return iter(range(top, -1, -1))
 
 
 def _entry_node(t: Fan | Spine, heads: list, tail):

@@ -35,9 +35,6 @@ class DominatingBranch(Interned):
     def dominates(self, u: Seq) -> bool:
         return all(u[i] <= self.value(i) for i in range(len(u)))
 
-    def sup(self) -> int:
-        return max(self.prefix + self.period)
-
     def __str__(self) -> str:
         pre = ",".join(str(x) for x in self.prefix)
         per = ",".join(str(x) for x in self.period)
@@ -50,8 +47,6 @@ def constant_branch(c: int) -> DominatingBranch:
 
 def merge_branches(branches: list[DominatingBranch]) -> DominatingBranch:
     """Pointwise maximum; dominates whatever each input dominated."""
-    if not branches:
-        return constant_branch(0)
     prefix_len = max(len(b.prefix) for b in branches)
     period_len = math.lcm(*(len(b.period) for b in branches))
     prefix = tuple(max(b.value(i) for b in branches) for i in range(prefix_len))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +181,56 @@ def test_exit_codes(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
+
+
+# --------------------------------------------------------------------------
+# depth: no verb spends a Python frame per level of its input
+
+DEEP = 50000
+
+
+def _nest(open_: str, leaf: str, close: str = ")") -> str:
+    return open_ * DEEP + leaf + close * DEEP
+
+
+def _deep_argv() -> list[tuple[list[str], int, str | None]]:
+    """(argv, exit code, first output line or None), for inputs of every
+    sort nested DEEP levels."""
+    tower = "w^(" * DEEP + "1" + ")" * DEEP  # w^(w^(...(w^(1)))) = w^w^...^w
+    rooted = _nest("rooted(", "chain")
+    left = "union(" * DEEP + "fan([chain];const(empty))" + ",chain)" * DEEP
+    right = _nest("union(chain,", "fan([chain];const(empty))")
+    rev, cat = _nest("rev(", "N"), _nest("cat(N,", "N")
+    return [
+        # the deep inputs of ROADMAP's table
+        (["normalize", _nest("perp(", "FIN")], 0, "FIN"),
+        (["normalize", f"P({tower})"], 0, "P(" + "w^" * (DEEP - 1) + "w)"),
+        (["member", left, "in", "FIN"], 0, "not a member of FIN"),
+        (["enumerate", left], 0, "<0>"),
+        (["idwitness", left], 0, "dominating branch [0](0)*"),
+        (["enumerate", rooted], 0, "<>"),
+        (["wo", "classify", rev], 0, "scattered, POW"),
+        (["wo", "classify", cat], 0, "scattered, POW"),
+        (["classify", rooted], 0, "BOREL FIN"),
+        (["treerank", rooted], 0, "rank 1, core empty"),
+        (["wo", "rationalize", cat], 0, "-1, 1/2, -1/2, 3/2, -1/4, 3/4, -1/8, 5/2, -1/16, 7/8"),
+        # every other sort and nest
+        (["normalize", _nest("omega(", "FIN")], 0, "P(1)"),
+        (["normalize", _nest("sum(", "FIN")], 0, "FIN"),
+        (["normalize", _nest("mix(", "FIN", ";omega(FIN))")], 0, "P(1)"),
+        (["normalize", "limsum(" + "w^" * DEEP + "1)"], 0, "P(" + "w^" * (DEEP - 1) + "w)"),
+        (["classify", _nest("fan([", "chain", "];const(empty))")], 0, "BOREL FIN"),
+        (["treerank", _nest("spine([", "chain", "];const(empty))")], 0, "rank 1, core empty"),
+        (["idwitness", right], 0, "dominating branch [0](0)*"),
+        (["wo", "classify", _nest("osum([N];", "N")], 0, "scattered, POW"),
+    ]
+
+
+def test_deep_input_under_the_default_recursion_limit(capsys):
+    assert sys.getrecursionlimit() < DEEP
+    for argv, code, first in _deep_argv():
+        got = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (got, err) == (code, ""), (argv[:2], got, err[:200])
+        if first is not None:
+            assert out.splitlines()[0] == first, (argv[:2], out[:200])

@@ -147,19 +147,24 @@ def test_dense_occurrences_pinned():
 
 def test_dense_occurrence_classifies_each_part_once(monkeypatch):
     # finding the first dense atom walks the term once; checking each
-    # level for scatteredness made the classifier run quadratically often
+    # level for scatteredness made the classifier run quadratically often.
+    # Counted: applications of the order algebra's node rule, one per part
+    # that no fold has classified yet
     calls = []
-    real = orders._wo_form
+    real = orders._WO.node
 
-    def counting(term):
+    def counting(term, forms):
         calls.append(term)
-        return real(term)
+        return real(term, forms)
 
-    monkeypatch.setattr(orders, "_wo_form", counting)
+    monkeypatch.setattr(orders._WO, "node", counting)
     counts = []
     for depth in (50, 100, 200, 400):
         term = t("cat(N," * depth + "QQ" + ")" * depth)
         calls.clear()
         assert isinstance(orders.wo_classify(term), NonScattered)
         counts.append(len(calls))
+        assert len(set(calls)) == len(calls) <= depth + 2
+        del term  # so that the next term shares no classified part
+        calls.clear()
     assert all(b <= 2 * a + 2 for a, b in zip(counts, counts[1:])), counts

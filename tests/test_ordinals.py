@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -103,3 +104,20 @@ def test_fund_seq_monotone_below_limit():
 
 def test_int_round_trip():
     assert ordinals.from_int(0) == ZERO
+
+
+def test_deep_towers_under_the_default_recursion_limit():
+    # compare, fund_seq and the printer and parser walk a 50 000-high
+    # tower w^w^...^w without a Python frame per level
+    depth = 50000
+    assert sys.getrecursionlimit() < depth
+    low, high = ONE, ordinals.from_int(2)
+    for _ in range(depth):
+        low, high = ordinals.omega_power(low), ordinals.omega_power(high)
+    assert ordinals.compare(low, high) == -1 and ordinals.compare(high, low) == 1
+    assert ordinals.compare(ordinals.add(low, ONE), low) == 1
+    text = "w^" * (depth - 1) + "w"
+    assert str(low) == text and parse_ordinal(text) is low
+    # the rule for a limit exponent applies at every level down to w^w,
+    # whose member 3 is w^4
+    assert ordinals.fund_seq(low, 3) is parse_ordinal("w^" * (depth - 1) + "4")

@@ -78,6 +78,21 @@ def test_bare_import_loads_no_submodule():
     assert proc.stdout.splitlines() == ["[]", "3"]
 
 
+def test_import_changes_no_recursion_limit():
+    # importing the package and every submodule leaves the process-wide
+    # setting alone: no walker needs a frame per level of its input
+    proc = _python("-c", "import importlib, pkgutil, sys\n"
+                         "before = sys.getrecursionlimit()\n"
+                         "import idealforms\n"
+                         "for m in pkgutil.iter_modules(idealforms.__path__):\n"
+                         "    importlib.import_module(f'idealforms.{m.name}')\n"
+                         "print(before, sys.getrecursionlimit(),\n"
+                         "      sum(m.startswith('idealforms.') for m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    before, after, loaded = proc.stdout.split()
+    assert before == after and int(loaded) == len(list(Path(SRC, "idealforms").glob("[a-z]*.py")))
+
+
 @pytest.mark.parametrize("argv, code", [
     (["normalize", "omega(FIN)"], 0),
     (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], 0),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from idealforms import classification, hashcons, ideals, membership, ordinals, rank, trees
+from idealforms import classification, hashcons, ideals, membership, orders, ordinals, rank, trees
 from idealforms.errors import NotLimit
 from idealforms.oracle import rand_infinite_schema
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
@@ -297,55 +297,97 @@ def test_compile_and_descend_deep_chains_in_one_process():
 def test_every_fact_slot_has_one_algebra():
     # two algebras sharing a slot would silently return each other's answers
     algebras = [
-        v for m in (trees, rank, classification, membership) for v in vars(m).values()
-        if isinstance(v, trees._Algebra)
+        v for m in (trees, rank, classification, ideals, ordinals, orders) for v in vars(m).values()
+        if isinstance(v, hashcons.Algebra)
     ]
     slots = [a.slot for a in algebras]
     assert len(set(slots)) == len(slots)
-    assert set(slots) == set(trees.TreeSchema.__slots__)
+    schema = {a.slot for a in algebras if isinstance(a, trees._Algebra)}
+    assert schema == set(trees.TreeSchema.__slots__)
+    assert set(slots) - schema == {"_form", "_text", "_wo", "_rev"}
 
 
-# every function of the package that calls itself (by name, or as a method
-# on self); a schema walker that recurses once per level must be added here
-# on purpose, where a reader of the change sees it
+# every function of the package on a cycle of calls, with what bounds its
+# depth other than the nesting of its input; a walker that spends a Python
+# frame per level of a term must not appear here
 SELF_CALLING = {
-    # per level of an ideal expression, ordinal or order term
-    "ideals.normalize", "ordinals.compare", "ordinals.fund_seq",
-    "ordinals.format_ordinal", "orders._wo_form", "orders.reverse_term",
-    "orders.enumerate_positions", "orders.pos_cmp", "orders.embed_position",
-    # the infix ordinal grammar; the keyword grammars keep their own stack
-    "text._ordinal_atom",
-    # per union side
-    "membership.q_iter_len", "membership.q_member", "membership.q_is_infinite",
-    "membership.q_in_wf", "membership.q_in_id", "membership.query_subset",
-    "membership._fw_query", "membership._branch_query", "membership._unb_query",
-    # iter_len yields per level, lazily
-    "trees.iter_len",
-    # seeded generators and the lazy core embedding
-    "oracle.rand_ordinal", "oracle.rand_expr", "oracle.rand_schema", "oracle.prune_schema",
-    "oracle._rand_order", "witnesses._position",
+    "oracle.rand_ordinal": "its depth argument, at most 2",
+    "oracle.rand_expr": "its size argument",
+    "oracle.rand_schema": "its size argument",
+    "oracle._rand_order": "its size argument",
+    "oracle.prune_schema": "the schemas the seeded generators draw, compiled from small ranks",
+    "witnesses._position": "the length of a sequence of the sampled domain",
 }
 
 
-def _self_calling(path: Path) -> set[str]:
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for call in ast.walk(node):
-            f = getattr(call, "func", None)
-            if isinstance(f, ast.Name) and f.id == node.name or (
-                isinstance(f, ast.Attribute) and f.attr == node.name
-                and isinstance(f.value, ast.Name) and f.value.id == "self"
-            ):
-                found.add(f"{path.stem}.{node.name}")
-    return found
+def _call_graph(src: Path) -> dict[str, set[str]]:
+    """Calls between the module-level functions and methods of the package,
+    resolved by name: ``f(...)`` to the function ``f`` of the module or the
+    one it imports, ``self.f(...)`` to a method ``f`` of the module, and
+    ``m.f(...)`` to the function ``f`` of an imported module ``m``."""
+    tree = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    funcs = {m: {d.name for d in t.body if isinstance(d, ast.FunctionDef)} for m, t in tree.items()}
+    methods = {m: {d.name for c in t.body if isinstance(c, ast.ClassDef) for d in c.body
+                   if isinstance(d, ast.FunctionDef)} for m, t in tree.items()}
+    graph: dict[str, set[str]] = {}
+    for m, t in tree.items():
+        names, modules = {f: f"{m}.{f}" for f in funcs[m]}, {}
+        for imp in ast.walk(t):
+            if isinstance(imp, ast.ImportFrom) and imp.level == 1:
+                for alias in imp.names:
+                    if imp.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name in funcs.get(imp.module, ()):
+                        names[alias.asname or alias.name] = f"{imp.module}.{alias.name}"
+        defs = [d for d in t.body if isinstance(d, ast.FunctionDef)] + [
+            d for c in t.body if isinstance(c, ast.ClassDef) for d in c.body
+            if isinstance(d, ast.FunctionDef)]
+        for d in defs:
+            out = graph.setdefault(f"{m}.{d.name}", set())
+            for call in ast.walk(d):
+                f = getattr(call, "func", None)
+                if isinstance(f, ast.Name) and f.id in names:
+                    out.add(names[f.id])
+                elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    owner = f.value.id
+                    if owner == "self" and f.attr in methods[m]:
+                        out.add(f"{m}.{f.attr}")
+                    elif f.attr in funcs.get(modules.get(owner), ()):
+                        out.add(f"{modules[owner]}.{f.attr}")
+    return graph
+
+
+def _on_cycles(graph: dict[str, set[str]]) -> list[set[str]]:
+    """The strongly connected components that hold a cycle: the functions
+    that reach one another, or a function that calls itself."""
+    reach = {}
+    for v in graph:
+        seen, todo = set(), list(graph[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo += graph.get(w, ())
+        reach[v] = seen
+    return [c for c in {frozenset(w for w in reach[v] if v in reach[w]) for v in graph} if c]
 
 
 def test_self_calling_functions_are_listed():
-    src = Path(trees.__file__).parent
-    found = set().union(*(_self_calling(p) for p in src.glob("*.py")))
-    assert found == SELF_CALLING
+    cycles = _on_cycles(_call_graph(Path(trees.__file__).parent))
+    assert set().union(*cycles) == set(SELF_CALLING), sorted(map(sorted, cycles))
+    assert all(SELF_CALLING.values())
+
+
+def test_call_graph_finds_cycles_through_helpers(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b\nfrom .b import g\n\n"
+        "def f(x):\n    return b.h(x)\n\ndef k():\n    return g()\n\n"
+        "class C:\n    def m(self):\n        return self.m()\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import f\n\ndef h(x):\n    return f(x)\n\ndef g():\n    return next(iter(()))\n\n"
+        "def r(n):\n    return r(n - 1) if n else g()\n")
+    cycles = _on_cycles(_call_graph(tmp_path))
+    assert sorted(map(sorted, cycles)) == [["a.f", "b.h"], ["a.m"], ["b.r"]]
 
 
 def test_racing_builders_get_one_object():
