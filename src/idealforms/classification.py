@@ -26,7 +26,7 @@ from .errors import FiniteSchema
 from .hashcons import Interned, _fold
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
-from .trees import Const, Fan, Full, Rooted, Seq, Spine, TreeSchema
+from .trees import Const, Fan, Spine, TreeSchema
 from .witnesses import CoreEmbedding, EmbeddingWitness, Expansion, PrefixEmbedding
 
 # size markers for sub-blocks absorbed by the classification
@@ -66,7 +66,7 @@ def classify(t: TreeSchema) -> TreeClass:
         raise FiniteSchema(f"schema denotes a finite set: {t}")
     out = _fold(t, _CLASS)
     if isinstance(out, _NB):
-        return NonBorel(PrefixEmbedding(t, generated=False, provenance=out.prefix))
+        return NonBorel(PrefixEmbedding(t, out.prefix))
     assert isinstance(out, CanonicalForm)
     return Borel(out)
 
@@ -261,24 +261,16 @@ def find_expansion(c: TreeSchema) -> Expansion:
     """A core node with infinitely many core children, relative to ``c``.
 
     The core is not dominated, so (being a tree) it has an infinitely
-    branching node; the search descends into the first block with a
+    branching node; the walk descends into the first block with a
     nonempty core until the branching lives at the current root.
     """
-    path: list[int] = []
-    while type(c) is not Full:
-        if type(c) is Rooted:
-            c = c.child
-            continue
-        if type(c) is not Fan and type(c) is not Spine:
-            raise AssertionError(f"no expansion point in {c}: core is empty")
-        tail = c.tail
-        if type(c) is Fan and type(tail) is Const and not _core_empty(tail.block):
-            base = len(c.heads)
-            return Expansion(tuple(path), lambda k: base + k, tail.block)
-        n = trees.first_failing(c, _core_empty)
-        path.extend(trees.spine_root(n) if type(c) is Spine else (n,))
-        c = trees.block_at(c, n)
-    return Expansion(tuple(path), lambda k: k, trees.FULL)
+    path, c = trees.walk(c, lambda s: trees.first_failing(s, _core_empty),
+                         lambda s: s is trees.FULL or type(s) is Fan and type(s.tail) is Const
+                         and not _core_empty(s.tail.block))
+    if c is trees.FULL:
+        return Expansion(trees.word(path), lambda k: k, trees.FULL)
+    base = len(c.heads)
+    return Expansion(trees.word(path), lambda k: base + k, c.tail.block)
 
 
 def _core_empty(t: TreeSchema) -> bool:

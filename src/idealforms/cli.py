@@ -177,14 +177,14 @@ def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
         for i in range(len(u) + 1):
             nodes.add(u[:i])
     lines = ["digraph schema {"]
-    names = {u: f"n{i}" for i, u in enumerate(sorted(nodes, key=trees.shortlex))}
-    for u in sorted(nodes, key=trees.shortlex):
+    order = sorted(nodes, key=lambda u: (len(u), u))  # shortlex
+    names = {u: f"n{i}" for i, u in enumerate(order)}
+    for u in order:
         shape = "doublecircle" if trees.member_elem(u, t) else "circle"
         label = text.format_seq_elem(u)
         lines.append(f'  {names[u]} [label="{label}", shape={shape}];')
-    for u in sorted(nodes, key=trees.shortlex):
-        if u:
-            lines.append(f"  {names[u[:-1]]} -> {names[u]};")
+    for u in order[1:]:  # every node but the root, which sorts first
+        lines.append(f"  {names[u[:-1]]} -> {names[u]};")
     lines.append("}")
     return "\n".join(lines)
 

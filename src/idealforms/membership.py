@@ -41,8 +41,7 @@ class Schema(QueryTerm):
 class FinSet(QueryTerm):
     """An explicit finite set.  It is answered from its elements, not a
     schema: the prefix trie of ``<1000000000>`` would be a fan of a billion
-    heads, and schema facts such as ``pick_least`` cost the square of the
-    longest element, where these paths cost the length of the text."""
+    heads, where these paths cost the length of the text."""
 
     __slots__ = __match_args__ = ("elements",)
 
@@ -110,11 +109,13 @@ def _transversal_pick(f: Fan, n: int) -> Optional[Seq]:
 
 
 def _picks(f: Fan) -> Iterator[Seq]:
-    """The transversal of a fan with infinitely many nonempty blocks."""
+    """The transversal of a fan with infinitely many nonempty blocks; a walk
+    stops at a block picked before, as a diagonal tail's blocks hold earlier ones."""
+    known: dict = {}
     for n in itertools.count():
-        p = _transversal_pick(f, n)
+        p = trees.pick_least(trees.block_at(f, n), known)
         if p is not None:
-            yield p
+            yield (n,) + p
 
 
 def q_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool = False) -> Iterator[Seq]:
@@ -135,8 +136,9 @@ def _leaf_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool) -> Ite
         return trees.iter_len(q.tree, length, max_entry, need)
     if type(q) is FinSet:
         return (u for u in sorted(q.elements) if len(u) == length and _in_box(u, max_entry, need))
-    picks = (_transversal_pick(q.fan, n) for n in trees._indices(q.fan, length, max_entry))
-    return (p for p in picks if p is not None and len(p) == length and _in_box(p, max_entry, need))
+    picks = (_transversal_pick(q.fan, n) for n in trees._indices(q.fan, length, max_entry)
+             if trees.least_length(trees.block_at(q.fan, n)) == length - 1)  # builds only what fits
+    return (p for p in picks if _in_box(p, max_entry, need))
 
 
 def _in_box(u: Seq, max_entry: int, need: bool) -> bool:
@@ -334,11 +336,11 @@ def member_perp(q: QueryTerm, target: IdealExpr) -> bool:
 # orthogonal subset extraction (the Frechet property)
 #
 # The orthogonal subset here and the unbounded family below are each
-# found by one loop down the schema that takes, at every fan or spine,
-# the first block failing the ideal's predicate (trees.first_failing):
-# a walk down to a witness (Vene & Uustalu, "Functional Programming with
-# Apomorphisms", 1998).  The dominating branch is one more loop, over
-# the schema's depths.  None of them spends a Python frame per level.
+# found by trees.walk, which takes at every fan or spine the first block
+# failing the ideal's predicate (trees.first_failing): a walk down to a
+# witness (Vene & Uustalu, "Functional Programming with Apomorphisms",
+# 1998).  The dominating branch is one loop over the schema's depths.
+# None of them spends a Python frame per level.
 
 
 def frechet_witness(q: QueryTerm, target: IdealExpr) -> QueryTerm:
@@ -355,29 +357,18 @@ def _fw_schema(t: TreeSchema) -> TreeSchema:
     """Down through blocks that are not well-founded to a chain, a full
     set or a spine of well-founded copies; the subset found there is then
     wrapped back up, alone in the block it was taken from."""
-    path: list[tuple[type, int]] = []  # each fan or spine passed, and the block taken
-    while t is not trees.CHAIN and t is not trees.FULL:
-        if type(t) is Rooted:
-            t = t.child
-            continue
-        if type(t) is not Fan and type(t) is not Spine:
-            raise AssertionError(f"schema is well-founded: {t}")
-        n = trees.first_failing(t, trees.in_wf)
-        block = trees.block_at(t, n)
+    path, t = trees.walk(t, lambda s: trees.first_failing(s, trees.in_wf),
+                         lambda s: s is trees.CHAIN or s is trees.FULL or type(s) is Spine
+                         and all(map(trees.in_wf, (*s.heads, trees.seq_block(s.tail, 0)))))
+    out = trees.CHAIN
+    if type(t) is Spine:
         # a fan with well-founded heads has no well-founded tail block; a
         # spine's copies may be well-founded but unboundedly many: take the
         # fixed pick in every copy, a set dominated alongside the spine
-        if type(t) is Spine and n == len(t.heads) and trees.in_wf(block):
-            pick = trees.pick_least(block)
-            assert pick is not None
-            out = Spine((trees.EMPTY,) * n, Const(trees.singleton(pick)))
-            break
-        path.append((type(t), n))
-        t = block
-    else:
-        out = trees.CHAIN
+        pick = trees.pick_least(trees.block_at(t, len(t.heads)))
+        out = Spine((trees.EMPTY,) * len(t.heads), Const(trees.singleton(pick)))
     for node, n in reversed(path):
-        out = node((trees.EMPTY,) * n + (out,), trees.CONST_EMPTY)
+        out = type(node)((trees.EMPTY,) * n + (out,), trees.CONST_EMPTY)
     return out
 
 
@@ -454,20 +445,12 @@ def _unb_query(q: QueryTerm) -> Iterator[Seq]:
 
 
 def _unb_schema(t: TreeSchema) -> Iterator[Seq]:
-    """Down through blocks that are not dominated, carrying the prefix, to
-    a full set or a fan with infinitely many blocks; their elements of
-    unbounded first entry, under the prefix, are the family."""
-    path: list[int] = []
-    while t is not trees.FULL and (type(t) is not Fan or trees.tail_is_trivial(t.tail)):
-        if type(t) is Rooted:
-            t = t.child
-        elif type(t) is Fan or type(t) is Spine:
-            n = trees.first_failing(t, trees.in_id)
-            path += (n,) if type(t) is Fan else trees.spine_root(n)
-            t = trees.block_at(t, n)
-        else:
-            raise AssertionError(f"schema is dominated: {t}")
-    prefix = tuple(path)
+    """Down through blocks that are not dominated to a full set or a fan
+    with infinitely many blocks; their elements of unbounded first entry,
+    under the roots the walk passed, are the family."""
+    path, t = trees.walk(t, lambda s: trees.first_failing(s, trees.in_id), lambda s: s is trees.FULL
+                         or type(s) is Fan and not trees.tail_is_trivial(s.tail))
+    prefix = trees.word(path)
     family = ((n,) for n in itertools.count()) if t is trees.FULL else _picks(t)
     for u in family:
         yield prefix + u

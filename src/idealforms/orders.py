@@ -177,25 +177,14 @@ def _point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     return (lo + hi) / 2
 
 
-def _cuts(interval: Interval, n: int) -> list[Interval]:
-    """n consecutive subintervals climbing toward the right endpoint."""
-    lo, hi = interval
-    out: list[Interval] = []
-    cur = lo
-    for i in range(n - 1):
-        nxt = _point(cur, hi)
-        out.append((cur, nxt))
-        cur = nxt
-    out.append((cur, hi))
-    return out
-
-
-def _omega_cut(interval: Interval, k: int) -> Interval:
+def _cut(interval: Interval, k: int, last: bool = False) -> Interval:
+    """Part ``k`` of consecutive subintervals climbing toward the right
+    endpoint; the ``last`` part of a finite split ends at the endpoint."""
     lo, hi = interval
     cur = lo
     for _ in range(k):
         cur = _point(cur, hi)
-    return (cur, _point(cur, hi))
+    return (cur, hi if last else _point(cur, hi))
 
 
 def _mirror(interval: Interval) -> Interval:
@@ -286,14 +275,11 @@ def embed_position(t: LinTerm, p: Pos, interval: Interval = (None, None)) -> Fra
             interval, flipped, t = _mirror(interval), not flipped, t.child
             continue
         if type(t) is Cat:
-            interval, t = _cuts(interval, len(t.parts))[p[0]], t.parts[p[0]]
+            interval, t = _cut(interval, p[0], p[0] == len(t.parts) - 1), t.parts[p[0]]
         elif type(t) is OmegaCat:
-            interval, t = _omega_cut(interval, p[0]), _block_of(t, p[0])
+            interval, t = _cut(interval, p[0]), _block_of(t, p[0])
         elif t is NAT:
-            lo, hi = interval
-            v = _point(lo, hi)
-            for _ in range(p[0]):
-                v = _point(v, hi)
+            v = _cut(interval, p[0])[1]
             break
         elif t is RATQ:
             lo, hi = interval
@@ -357,11 +343,7 @@ def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:
             continue
         parts = t.parts if type(t) is Cat else (*t.heads, t.tail)
         k = next(k for k, p in enumerate(parts) if _fold(p, _WO) is None)
-        if type(t) is Cat:
-            path.append(("cat", k))
-            interval = _cuts(interval, len(parts))[k]
-        else:
-            path.append(("block", k))
-            interval = _omega_cut(interval, k)
+        path.append(("cat" if type(t) is Cat else "block", k))
+        interval = _cut(interval, k, type(t) is Cat and k == len(parts) - 1)
         t = parts[k]
     return tuple(path), interval, flipped

@@ -506,7 +506,7 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
     - an empty block is skipped;
     - fan, spine and transversal indices stop at the head count when the
       tail is trivial;
-    - nothing is shorter than the shortlex-least element ``pick_least``;
+    - nothing is shorter than the least length the ``_pick`` fact holds;
     - with ``need``, a block whose entry bound is below ``max_entry`` is
       skipped.
 
@@ -522,8 +522,8 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
     while True:
         while type(t) is Rooted and length:
             t = t.child
-        least = pick_least(t)
-        if least is not None and length >= len(least) and not (need and _entry_bound(t) < max_entry):
+        least = least_length(t)
+        if least is not None and length >= least and not (need and _entry_bound(t) < max_entry):
             kind = type(t)
             if kind is Eps or kind is Rooted:
                 if length == 0 and not need:
@@ -597,30 +597,44 @@ def _entry_bound(t: TreeSchema) -> float:
         return _fold(t, _ENTRY)
 
 
-def shortlex(u: Seq) -> tuple[int, Seq]:
-    return (len(u), u)
-
-
-def _least_node(t: Fan | Spine, heads: list, tail) -> Optional[Seq]:
+def _least_node(t: Fan | Spine, heads: list, tail) -> Optional[tuple[int, int]]:
+    """The least length and the block holding the least element: of the
+    blocks of least length a fan's first, a spine's last (lex smaller)."""
     if tail is not None:
         heads = heads + [(len(t.heads), tail)]
-    root = (lambda n: (n,)) if isinstance(t, Fan) else spine_root
-    return min((root(n) + p for n, p in heads), key=shortlex, default=None)
+    best = None
+    for n, (length, _) in heads:
+        length += 1 if type(t) is Fan else n + 1
+        if best is None or length < best[0] or length == best[0] and type(t) is Spine:
+            best = (length, n)
+    return best
 
 
-# along constant and diagonal tails the block picks only get longer, so
-# the first tail block already carries the least candidate
-_LEAST = _Algebra(
-    "_pick", {EMPTY: None, EPS: (), CHAIN: (0,), FULL: ()}, _least_node, rooted=lambda p: ()
-)
+# along constant and diagonal tails the block picks only get longer, so the first
+# tail block already carries the least candidate; a leaf or rooted node names no block
+_LEAST = _Algebra("_pick", {EMPTY: None, EPS: (0, None), CHAIN: (1, None), FULL: (0, None)},
+                  _least_node, rooted=lambda answer: (0, None))
 
 
-def pick_least(t: TreeSchema) -> Optional[Seq]:
-    """Shortlex-least denoted element; None for the empty set."""
+def least_length(t: TreeSchema) -> Optional[int]:
+    """Length of the shortlex-least denoted element; None for the empty set."""
     try:
-        return t._pick
+        least = t._pick
     except AttributeError:
-        return _fold(t, _LEAST)
+        least = _fold(t, _LEAST)
+    return None if least is None else least[0]
+
+
+def pick_least(t: TreeSchema, known: Optional[dict] = None) -> Optional[Seq]:
+    """Shortlex-least denoted element; None for the empty set.  The walk
+    follows the blocks the ``_pick`` fact names, so no term stores a
+    sequence, and stops at a term of ``known``, a map of picks that gets ``t``."""
+    if least_length(t) is None:
+        return None
+    known = {} if known is None else known
+    path, end = walk(t, lambda s: s._pick[1], lambda s: s in known or s._pick[1] is None)
+    known[t] = word(path) + known.get(end, (0,) if end is CHAIN else ())
+    return known[t]
 
 
 def singleton(u: Seq) -> TreeSchema:
@@ -632,10 +646,32 @@ def singleton(u: Seq) -> TreeSchema:
     return out
 
 
+def walk(t: TreeSchema, choose: Callable, stop: Callable) -> tuple[list, TreeSchema]:
+    """The one walk down a schema to its least element or a witness (an
+    apomorphism; Vene & Uustalu, 1998): through rooted layers and, at each fan
+    or spine, into the block ``choose`` names, until ``stop`` holds.  Returns
+    each fan and spine passed with the index taken, and the term reached."""
+    path = []
+    while not stop(t):
+        if type(t) is Rooted:
+            t = t.child
+        elif type(t) is Fan or type(t) is Spine:
+            n = choose(t)
+            path.append((t, n))
+            t = block_at(t, n)
+        else:
+            raise AssertionError(f"the walk has no block to enter at {t}")
+    return path, t
+
+
+def word(path: list) -> Seq:
+    """The roots of the blocks a walk took, as one sequence."""
+    return tuple(x for node, n in path for x in ((n,) if type(node) is Fan else spine_root(n)))
+
+
 def first_failing(t: Fan | Spine, ok: Callable[[TreeSchema], bool]) -> int:
-    """Index of the first nonempty head of ``t`` on which ``ok`` fails, or
-    ``len(t.heads)``, the first tail block, when there is none: the one
-    step of every walk down a schema to a witness."""
+    """Index of the first nonempty head of ``t`` on which ``ok`` fails, or of
+    the first tail block when there is none: the block a walk to a witness takes."""
     for n, h in enumerate(t.heads):
         if not is_empty(h) and not ok(h):
             return n

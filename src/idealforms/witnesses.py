@@ -78,14 +78,15 @@ class UnboundedFamily:
 class EmbeddingWitness:
     """Total injective map of finite sequences into a schema's denotation.
 
-    ``generated`` selects whether images live in the raw denoted set or in
-    the tree it generates; ``provenance`` records the schema child the
-    embedding factors through.
+    The class attribute ``generated`` says whether images live in the raw
+    denoted set or in the tree it generates; ``provenance`` records the
+    schema child the embedding factors through.
     """
 
-    def __init__(self, target: TreeSchema, generated: bool, provenance: Seq, label: str):
+    generated: bool
+
+    def __init__(self, target: TreeSchema, provenance: Seq, label: str):
         self.target = target
-        self.generated = generated
         self.provenance = provenance
         self.label = label
 
@@ -102,9 +103,11 @@ class EmbeddingWitness:
 class PrefixEmbedding(EmbeddingWitness):
     """Identity embedding re-rooted under a fixed prefix (full sub-block)."""
 
-    def __init__(self, target: TreeSchema, generated: bool, provenance: Seq):
+    generated = False
+
+    def __init__(self, target: TreeSchema, provenance: Seq):
         label = "identity" if not provenance else f"identity under {text.format_seq_elem(provenance)}"
-        super().__init__(target, generated, provenance, label)
+        super().__init__(target, provenance, label)
 
     def map(self, u: Seq) -> Seq:
         return self.provenance + u
@@ -129,27 +132,31 @@ class CoreEmbedding(EmbeddingWitness):
     children, so comparability is preserved and reflected.
     """
 
+    generated = True
+
     def __init__(self, target: TreeSchema, expander: Callable[[TreeSchema], Expansion]):
-        super().__init__(target, True, (), "derivative-core expansion")
+        super().__init__(target, (), "derivative-core expansion")
         self._expander = expander
         self._state: dict[Seq, tuple[Seq, TreeSchema]] = {(): ((), target)}
-        self._expansions: dict[Seq, Expansion] = {}
+        self._expansions: dict[TreeSchema, Expansion] = {}
 
     def map(self, u: Seq) -> Seq:
-        return self._position(u)[0]
-
-    def _position(self, u: Seq) -> tuple[Seq, TreeSchema]:
-        hit = self._state.get(u)
-        if hit is not None:
-            return hit
-        pos, cone = self._position(u[:-1])
-        exp = self._expansions.get(u[:-1])
-        if exp is None:
-            exp = self._expander(cone)
-            self._expansions[u[:-1]] = exp
-        out = (pos + exp.path + (exp.index(u[-1]),), exp.child)
-        self._state[u] = out
-        return out
+        """The image of ``u``, from the longest prefix of ``u`` already
+        mapped, one expansion per further entry."""
+        k = len(u)
+        while u[:k] not in self._state:
+            k -= 1
+        pos, cone = self._state[u[:k]]
+        pos = list(pos)
+        for x in u[k:]:
+            exp = self._expansions.get(cone)
+            if exp is None:
+                exp = self._expansions[cone] = self._expander(cone)
+            pos += exp.path
+            pos.append(exp.index(x))
+            cone = exp.child
+        self._state[u] = (tuple(pos), cone)
+        return self._state[u][0]
 
 
 def iter_domain(depth: int, width: int, count: int) -> list[Seq]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -98,6 +99,19 @@ def test_core_embedding_extends_inputs():
         assert len(w.map(u)) >= len(u)
         assert trees.gen_member(w.map(u), t("fan([chain];const(full))"))
     assert check_witness(w, None, WITNESS_BUDGET)
+
+
+def test_core_embedding_maps_long_sequences():
+    # the map goes on from the longest prefix already mapped with a loop,
+    # not one frame per entry, so a sequence longer than the recursion limit maps
+    u = (0,) * 5000
+    assert sys.getrecursionlimit() < len(u)
+    w = classify.classify_via_derivative(t("full")).witness
+    assert w.map(u) == u
+    assert w.map(u + (7,)) == u + (7,)
+    w = classify.classify_via_derivative(t("fan([chain];const(full))")).witness
+    assert w.map(u) == (1,) + u[1:]
+    assert w.map((2,) + u) == (3,) + u
 
 
 def test_core_expansion_walks_deep_terms():

@@ -233,8 +233,7 @@ def test_witnesses_cost_the_length_of_the_text():
 
 def test_finite_containment_checks_blocks_against_cones():
     # a finite schema is checked block by block against cones of the target
-    # instead of listing its elements, whose shortlex picks cost the square
-    # of the longest element (about 130 MB for the one element here)
+    # instead of listing its elements
     n = 4000
     target = trees.compile_ideal(e(f"P({n})"))
     inside = (0, 1) * (n // 2) + (0,)

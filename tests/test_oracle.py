@@ -118,10 +118,12 @@ def test_check_witness_embedding_rejects_collapse():
     from idealforms.witnesses import EmbeddingWitness
 
     class Collapse(EmbeddingWitness):
+        generated = True
+
         def map(self, u):
             return (0,) * min(len(u), 2)
 
-    broken = Collapse(t("full"), True, (), "collapse")
+    broken = Collapse(t("full"), (), "collapse")
     assert not oracle.check_witness(broken, None, oracle.WITNESS_BUDGET)
 
 
@@ -149,8 +151,10 @@ def _pairwise_embedding_check(w, b: Budget) -> bool:
 
 
 class _Mapped(EmbeddingWitness):
-    def __init__(self, fn, target=trees.FULL, generated=True):
-        super().__init__(target, generated, (), "hand-made")
+    generated = True
+
+    def __init__(self, fn, target=trees.FULL):
+        super().__init__(target, (), "hand-made")
         self.fn = fn
 
     def map(self, u):
@@ -165,9 +169,9 @@ def test_embedding_check_matches_pairwise_reference():
         "prefix to non-prefix": (_Mapped(lambda u: (u[0] + 5, u[1]) if len(u) == 2 else u), False),
         # (1,) is no prefix of (2,...), but its image is a prefix of (1,9,...)
         "non-prefix to prefix": (_Mapped(lambda u: (1, 9) + u[1:] if u[:1] == (2,) else u), False),
-        "image outside the target": (PrefixEmbedding(trees.CHAIN, False, ()), False),
-        "prefix embedding": (PrefixEmbedding(trees.FULL, True, (0, 2)), True),
-        "into a generated tree": (PrefixEmbedding(t("fan([chain];const(full))"), True, (3,)), True),
+        "image outside the target": (PrefixEmbedding(trees.CHAIN, ()), False),
+        "prefix embedding": (PrefixEmbedding(trees.FULL, (0, 2)), True),
+        "into a generated tree": (_Mapped(lambda u: (3,) + u, t("fan([chain];const(full))")), True),
     }
     for source in ("full", "fan([chain];const(full))", "spine([];const(full))"):
         out = classification.classify_via_derivative(t(source))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import ast
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -122,9 +124,42 @@ def test_pick_least():
     assert trees.pick_least(t("fan([empty,chain];const(empty))")) == (1, 0)
     assert trees.pick_least(t("spine([];const(chain))")) == (1, 0)
     assert trees.pick_least(EMPTY) is None
+    # two copies hold picks of equal length, and the later copy root 0 1 is lex smaller
+    assert trees.pick_least(t("spine([fan([];const(eps)),eps];const(empty))")) == (0, 1)
     # picks grow along compiled stages, so block 0 stays least
     q1 = trees.compile_ideal(parse_expr("Q(1)"))
     assert trees.pick_least(q1) == (1, 0)
+
+
+# the tracemalloc peak of pick_least on compiled Q(n), and the pick's length
+PICK_PEAK = """
+import sys, tracemalloc
+from idealforms import trees
+from idealforms.text import parse_expr
+schema = trees.compile_ideal(parse_expr(f"Q({sys.argv[1]})"))
+tracemalloc.start()
+print(len(trees.pick_least(schema)), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _pick_peak(n: int) -> int:
+    # a fresh interpreter for each depth, so that both start from the same
+    # free lists: tuples they hand out are invisible to tracemalloc
+    src = str(Path(trees.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", PICK_PEAK, str(n)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    length, peak = map(int, proc.stdout.split())
+    # each level of a compiled chain adds one entry: 0 under a fan, 1 under a spine
+    assert length == n + 1
+    return peak
+
+
+def test_pick_least_memory_grows_with_depth_not_its_square():
+    # the _pick fact is a length and a block index, so no level stores its
+    # pick; quadrupling the depth multiplies the peak by about four, not 16
+    assert _pick_peak(16000) <= 5 * _pick_peak(4000)
 
 
 def test_singleton():
@@ -316,7 +351,6 @@ SELF_CALLING = {
     "oracle.rand_schema": "its size argument",
     "oracle._rand_order": "its size argument",
     "oracle.prune_schema": "the schemas the seeded generators draw, compiled from small ranks",
-    "witnesses._position": "the length of a sequence of the sampled domain",
 }
 
 
