@@ -13,6 +13,7 @@ verb loads only what that verb needs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import BadArgument, IdealFormsError, ParseError
@@ -32,12 +33,16 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a broken invariant or another bug: one line, no traceback
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json or "text" not in payload:  # compile --emit json has no text form
-        import json
+    try:
+        if args.json or "text" not in payload:  # compile --emit json has no text form
+            import json
 
-        print(json.dumps(payload["json"], indent=2))
-    else:
-        print(payload["text"])
+            print(json.dumps(payload["json"], indent=2))
+        else:
+            print(payload["text"])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does: stop writing quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return payload.get("exit", 0)
 
 

@@ -21,7 +21,7 @@ from . import ideals, membership, ordinals, quotient, trees
 from .errors import BadArgument, QuotientOverflow
 from .hashcons import Interned
 from .ideals import CanonicalForm, IdealExpr, Kind
-from .membership import QueryTerm, Schema, Ternary
+from .membership import FinSet, QueryTerm, Schema, Ternary
 from .ordinals import Ordinal
 from .trees import Seq, TreeSchema
 from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily, iter_domain
@@ -50,7 +50,9 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
     enlarging it never drops an element from the result.  Each stage is
     generated directly rather than filtered out of a larger box, and the
     walk is pruned only by structural facts (emptiness, head counts, the
-    least element's length and entry bounds; see ``trees.iter_len``), so
+    least element's length and entry bounds; see ``trees.iter_len``), and
+    a (stage, length) probe is opened only when the query's least length
+    and entry bound let it hold an element (see ``_iter_canonical``), so
     the work follows the output.  The oracle stays independent of what it
     checks: enumeration consults no ``in_wf``, ``in_id``, rank or
     classifier.
@@ -69,11 +71,25 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
 
     Stage k holds the sequences of length at most k with entries below k
     that miss every smaller box: those of length k, and the shorter ones
-    holding the entry k - 1.
+    holding the entry k - 1.  Two facts of the query, read once, decide a
+    probe before it is opened: no element is shorter than the least
+    length, and none holds an entry above the entry bound, so a shorter
+    one needing k - 1 exists only when the bound reaches it.
     """
     q = Schema(x) if isinstance(x, TreeSchema) else x
-    for k in range(stage_cap + 1):
-        for length in range(k + 1):
+    facts = []  # (least length, entry bound) of each nonempty leaf and finite set element
+    for leaf in membership._leaves(q):
+        if type(leaf) is FinSet:
+            facts += ((len(u), max(u, default=-1)) for u in leaf.elements)
+        else:
+            t = leaf.tree if type(leaf) is Schema else leaf.fan
+            if not trees.is_empty(t):
+                facts.append((trees.least_length(t), trees._entry_bound(t)))
+    if not facts:
+        return  # the query has no element
+    least, bound = min(n for n, _ in facts), max(b for _, b in facts)
+    for k in range(least, stage_cap + 1):
+        for length in range(least if bound >= k - 1 else k, k + 1):
             yield from membership.q_iter_len(q, length, k - 1, length < k)
 
 

@@ -282,7 +282,7 @@ def compile_ideal(e: IdealExpr) -> TreeSchema:
 
 def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
     """Denoted block ``i`` of a tail sequence."""
-    if isinstance(tail, Const):
+    if type(tail) is Const:
         return tail.block
     if not isinstance(tail, _Diag):
         raise TypeError(f"not a schema sequence: {tail!r}")
@@ -308,7 +308,8 @@ def shift_tail(tail: SchemaSeq, k: int) -> SchemaSeq:
 def block_at(node: Fan | Spine, n: int) -> TreeSchema:
     if n < len(node.heads):
         return node.heads[n]
-    return seq_block(node.tail, n - len(node.heads))
+    tail = node.tail  # a constant tail's block is read without a call
+    return tail.block if type(tail) is Const else seq_block(tail, n - len(node.heads))
 
 
 def tail_is_trivial(tail: SchemaSeq) -> bool:

@@ -137,26 +137,25 @@ class CoreEmbedding(EmbeddingWitness):
     def __init__(self, target: TreeSchema, expander: Callable[[TreeSchema], Expansion]):
         super().__init__(target, (), "derivative-core expansion")
         self._expander = expander
-        self._state: dict[Seq, tuple[Seq, TreeSchema]] = {(): ((), target)}
+        # a trie of the sequences mapped so far: each node holds the image
+        # entries its own entry adds, its cone and its children by entry
+        self._root: tuple[Seq, TreeSchema, dict] = ((), target, {})
         self._expansions: dict[TreeSchema, Expansion] = {}
 
     def map(self, u: Seq) -> Seq:
-        """The image of ``u``, from the longest prefix of ``u`` already
-        mapped, one expansion per further entry."""
-        k = len(u)
-        while u[:k] not in self._state:
-            k -= 1
-        pos, cone = self._state[u[:k]]
-        pos = list(pos)
-        for x in u[k:]:
-            exp = self._expansions.get(cone)
-            if exp is None:
-                exp = self._expansions[cone] = self._expander(cone)
-            pos += exp.path
-            pos.append(exp.index(x))
-            cone = exp.child
-        self._state[u] = (tuple(pos), cone)
-        return self._state[u][0]
+        """The image of ``u``: a walk down the trie from its root, with one
+        expansion per entry not mapped before, so each entry costs one step."""
+        node, out = self._root, []
+        for x in u:
+            child = node[2].get(x)
+            if child is None:
+                exp = self._expansions.get(node[1])
+                if exp is None:
+                    exp = self._expansions[node[1]] = self._expander(node[1])
+                child = node[2][x] = (exp.path + (exp.index(x),), exp.child, {})
+            out += child[0]
+            node = child
+        return tuple(out)
 
 
 def iter_domain(depth: int, width: int, count: int) -> list[Seq]:

@@ -102,8 +102,8 @@ def test_core_embedding_extends_inputs():
 
 
 def test_core_embedding_maps_long_sequences():
-    # the map goes on from the longest prefix already mapped with a loop,
-    # not one frame per entry, so a sequence longer than the recursion limit maps
+    # the map walks down its trie of mapped prefixes with a loop, not one
+    # frame per entry, so a sequence longer than the recursion limit maps
     u = (0,) * 5000
     assert sys.getrecursionlimit() < len(u)
     w = classify.classify_via_derivative(t("full")).witness
@@ -206,3 +206,44 @@ def test_rooted_classification():
     assert classify.classify_via_derivative(t("rooted(fan([];const(chain)))")) == Borel(
         form("P", "1")
     )
+
+
+def _slicing_map(w, state: dict, expansions: dict, u: tuple) -> tuple:
+    """The image of ``u`` as the map found it before its trie: the longest
+    prefix of ``u`` already mapped, by slicing ``u`` from its full length
+    down, then one expansion per further entry."""
+    k = len(u)
+    while u[:k] not in state:
+        k -= 1
+    pos, cone = state[u[:k]]
+    pos = list(pos)
+    for x in u[k:]:
+        exp = expansions.get(cone)
+        if exp is None:
+            exp = expansions[cone] = w._expander(cone)
+        pos += exp.path
+        pos.append(exp.index(x))
+        cone = exp.child
+    state[u] = (tuple(pos), cone)
+    return state[u][0]
+
+
+def test_core_embedding_map_matches_the_slicing_map():
+    rng = random.Random(16)
+    witnesses = [classify.classify_via_derivative(t(src)).witness
+                 for src in ("full", "fan([chain];const(full))", "spine([full];const(chain))")]
+    while len(witnesses) < 8:
+        out = classify.classify_via_derivative(rand_infinite_schema(rng, 7))
+        if isinstance(out, NonBorel) and isinstance(out.witness, classify.CoreEmbedding):
+            witnesses.append(out.witness)
+    for w in witnesses:
+        state, expansions, done = {(): ((), w.target)}, {}, [()]
+        for _ in range(30):
+            roll = rng.random()
+            if roll < 0.4:  # a fresh sequence, up to 2 000 entries long
+                u = tuple(rng.randrange(4) for _ in range(rng.randrange(9 if roll < 0.2 else 2001)))
+            else:  # a prefix of one mapped before, extended or not
+                v = rng.choice(done)
+                u = v[:rng.randrange(len(v) + 1)] + (() if roll < 0.6 else (rng.randrange(4),) * 3)
+            assert w.map(u) == _slicing_map(w, state, expansions, u), (w.target, len(u))
+            done.append(u)

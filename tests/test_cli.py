@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -181,6 +183,23 @@ def test_exit_codes(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
+
+
+def test_a_closed_stdout_exits_quietly():
+    # the reader of the pipe has gone before the verb writes, as `| head`
+    # does: no traceback, and the exit code the verb would have returned
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["enumerate", "fan([];pdiag(w))"], ["selftest", "--trials", "0"],
+                 ["--json", "normalize", "P(w)"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "idealforms.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
 
 
 # --------------------------------------------------------------------------
