@@ -123,12 +123,14 @@ def q_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool = False) ->
     equal to ``max_entry`` when ``need`` is set (see ``trees.iter_len``):
     one merge of the leaves' streams, where an element that several
     leaves hold comes once."""
-    streams = [_leaf_iter_len(x, length, max_entry, need) for x in _leaves(q)]
+    yield from _merged([_leaf_iter_len(x, length, max_entry, need) for x in _leaves(q)])
+
+
+def _merged(streams: list) -> Iterator[Seq]:
+    """One lex-ordered stream of lex-ordered streams, each element once."""
     if len(streams) == 1:
-        yield from streams[0]
-        return
-    for u, _ in itertools.groupby(heapq.merge(*streams)):
-        yield u
+        return streams[0]
+    return (u for u, _ in itertools.groupby(heapq.merge(*streams)))
 
 
 def _leaf_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool) -> Iterator[Seq]:

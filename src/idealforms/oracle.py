@@ -50,20 +50,20 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
     enlarging it never drops an element from the result.  Each stage is
     generated directly rather than filtered out of a larger box, and the
     walk is pruned only by structural facts (emptiness, head counts, the
-    least element's length and entry bounds; see ``trees.iter_len``), and
-    a (stage, length) probe is opened only when the query's least length
-    and entry bound let it hold an element (see ``_iter_canonical``), so
-    the work follows the output.  The oracle stays independent of what it
-    checks: enumeration consults no ``in_wf``, ``in_id``, rank or
+    least element's length and entry bounds, tail length windows; see
+    ``trees.iter_len``); a (stage, length) probe is opened only when the
+    query's least length and entry bound let it hold an element, and
+    starts below each schema leaf's forced prefix (see ``_iter_canonical``),
+    so the work follows the output.  The oracle stays independent of what
+    it checks: enumeration consults no ``in_wf``, ``in_id``, rank or
     classifier.
     """
     stage_cap = max(b.depth, b.width + 1)
-    taken: list[Seq] = []
-    for u in _iter_canonical(x, stage_cap):
-        taken.append(u)
-        if len(taken) >= b.count:
-            break
-    return [u for u in taken if len(u) <= b.depth and all(e <= b.width for e in u)]
+    return _box(itertools.islice(_iter_canonical(x, stage_cap), b.count), b.depth, b.width)
+
+
+def _box(elems, depth: int, width: int) -> list[Seq]:
+    return [u for u in elems if len(u) <= depth and all(e <= width for e in u)]
 
 
 def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
@@ -74,23 +74,50 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
     holding the entry k - 1.  Two facts of the query, read once, decide a
     probe before it is opened: no element is shorter than the least
     length, and none holds an entry above the entry bound, so a shorter
-    one needing k - 1 exists only when the bound reaches it.
+    one needing k - 1 exists only when the bound reaches it.  A schema
+    leaf's probes start at the cone below its forced prefix (``_forced``),
+    shorter by the prefix, skipped when it holds an entry above k - 1 and
+    not needing k - 1 when it holds that.  Finite set elements are read
+    once into buckets by (stage, length), one bucket per probe.
     """
     q = Schema(x) if isinstance(x, TreeSchema) else x
     facts = []  # (least length, entry bound) of each nonempty leaf and finite set element
+    cones: dict = {}  # forced prefix -> the union of the leaves below it
+    finite: dict = {}  # (stage, length) -> finite set elements
     for leaf in membership._leaves(q):
         if type(leaf) is FinSet:
             facts += ((len(u), max(u, default=-1)) for u in leaf.elements)
-        else:
-            t = leaf.tree if type(leaf) is Schema else leaf.fan
-            if not trees.is_empty(t):
-                facts.append((trees.least_length(t), trees._entry_bound(t)))
+            for u in leaf.elements:  # stage(u) = max(len(u), max(u) + 1)
+                finite.setdefault((max(len(u), max(u, default=-1) + 1), len(u)), set()).add(u)
+        elif not trees.is_empty(t := leaf.tree if type(leaf) is Schema else leaf.fan):
+            facts.append((trees.least_length(t), trees._entry_bound(t)))
+            w, cone = _forced(leaf)
+            cones[w] = membership.Union(cones[w], cone) if w in cones else cone
     if not facts:
         return  # the query has no element
     least, bound = min(n for n, _ in facts), max(b for _, b in facts)
     for k in range(least, stage_cap + 1):
-        for length in range(least if bound >= k - 1 else k, k + 1):
-            yield from membership.q_iter_len(q, length, k - 1, length < k)
+        for n in range(least if bound >= k - 1 else k, k + 1):  # the length probed
+            streams = [sorted(finite[k, n])] if (k, n) in finite else []
+            for w, c in cones.items():
+                if len(w) <= n and max(w, default=-1) < k:
+                    s = membership.q_iter_len(c, n - len(w), k - 1, n < k and k - 1 not in w)
+                    streams.append(map(w.__add__, s) if w else s)
+            yield from membership._merged(streams)
+
+
+def _forced(leaf: QueryTerm) -> tuple[Seq, QueryTerm]:
+    """The forced prefix of a schema leaf and the leaf of the cone below it:
+    the word of the run of fans and spines that each have exactly one
+    nonempty block and a trivial tail, read from emptiness alone."""
+    path, t = [], leaf.tree if type(leaf) is Schema else None
+    while type(t) in (trees.Fan, trees.Spine) and trees.tail_is_trivial(t.tail):
+        live = [n for n, h in enumerate(t.heads) if not trees.is_empty(h)]
+        if len(live) != 1:
+            break
+        path.append((t, live[0]))
+        t = t.heads[live[0]]
+    return (trees.word(path), Schema(t)) if path else ((), leaf)
 
 
 # --------------------------------------------------------------------------
@@ -161,17 +188,22 @@ def _check_embedding(w: EmbeddingWitness, b: Budget) -> bool:
     return True
 
 
-def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
-    # witnesses may start deeper than the budget box: widen it until the
-    # shortest element fits, keeping the growth test meaningful
-    assert isinstance(w, Schema)
+def _frechet_boxes(w: Schema, b: Budget) -> tuple[list[Seq], list[Seq]]:
+    """``enumerate_schema`` of ``w`` in the box widened until its least
+    element fits and in one twice as deep, from one stream: the order
+    ignores the budget, so the first list is the second's elements that fit."""
     least = trees.pick_least(w.tree)
     if least is None:
-        return False
+        return [], []
     depth = max(b.depth, len(least) + b.depth)
     width = max(b.width, max(least, default=0), 1)
-    small = enumerate_schema(w, Budget(depth, width, b.count))
-    grown = enumerate_schema(w, Budget(depth * 2, width, b.count))
+    taken = list(itertools.islice(_iter_canonical(w, max(depth * 2, width + 1)), b.count))
+    return _box(taken, depth, width), _box(taken, depth * 2, width)
+
+
+def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
+    assert isinstance(w, Schema)
+    small, grown = _frechet_boxes(w, b)
     if not small or len(grown) <= len(small):
         return False  # not visibly infinite at the budget
     branch = membership.id_witness(w)

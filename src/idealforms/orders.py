@@ -167,24 +167,21 @@ def wo_self_dual(t: LinTerm) -> tuple[LinTerm, WoClass]:
 # embedding into the rationals
 
 
-def _point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
+def _point(lo: Optional[Fraction], hi: Optional[Fraction], j: int = 1) -> Optional[Fraction]:
+    """``j`` halving steps from ``lo`` to ``hi`` (unit steps where an end is
+    missing): j - 1 with neither, lo + j, hi - 2^(1-j), hi - (hi - lo)/2^j."""
+    if j == 0:
+        return lo
     if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
+        return Fraction(j - 1) if lo is None else lo + j
+    return hi - (Fraction(2, 1 << j) if lo is None else (hi - lo) / (1 << j))
 
 
 def _cut(interval: Interval, k: int, last: bool = False) -> Interval:
     """Part ``k`` of consecutive subintervals climbing toward the right
     endpoint; the ``last`` part of a finite split ends at the endpoint."""
     lo, hi = interval
-    cur = lo
-    for _ in range(k):
-        cur = _point(cur, hi)
-    return (cur, hi if last else _point(cur, hi))
+    return (_point(lo, hi, k), hi if last else _point(lo, hi, k + 1))
 
 
 def _mirror(interval: Interval) -> Interval:
@@ -311,20 +308,22 @@ class OrderEmbedding:
 
     def map(self, q: Fraction) -> Fraction:
         # under an odd number of reversals the atom frame runs backwards;
-        # feeding -q and negating the result keeps the map order-preserving
-        if self.flips:
-            q = -q
-        x = Fraction(1, 2) + q / (2 * (1 + abs(q)))  # order-preserving into (0,1)
+        # feeding -q and negating the result keeps the map order-preserving.
+        # x = 1/2 + q / (2 (1 + |q|)) in (0, 1) is up / 2s and 1 - x is down / 2s
+        a = -q.numerator if self.flips else q.numerator
+        s = q.denominator + abs(a)  # b + |a| for q = a / b
+        up, down = s + a, s - a
         lo, hi = self.interval
-        if lo is None and hi is None:
-            v = (2 * x - 1) / (x * (1 - x))
-        elif lo is None:
-            v = hi - (1 - x) / x
-        elif hi is None:
-            v = lo + x / (1 - x)
-        else:
-            v = lo + (hi - lo) * x
-        return -v if self.flips else v
+        if lo is None and hi is None:  # (2x - 1) / (x (1 - x))
+            num, den = 4 * a * s, up * down
+        elif lo is None:  # hi - (1 - x) / x
+            num, den = hi.numerator * up - hi.denominator * down, hi.denominator * up
+        elif hi is None:  # lo + x / (1 - x)
+            num, den = lo.numerator * down + lo.denominator * up, lo.denominator * down
+        else:  # lo (1 - x) + hi x
+            num = lo.numerator * hi.denominator * down + hi.numerator * lo.denominator * up
+            den = 2 * s * lo.denominator * hi.denominator
+        return Fraction(-num if self.flips else num, den)
 
 
 def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:

@@ -506,7 +506,8 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
 
     - an empty block is skipped;
     - fan, spine and transversal indices stop at the head count when the
-      tail is trivial;
+      tail is trivial, and tail indices keep to the window that the tail
+      block's least length and depth bound leave for ``length``;
     - nothing is shorter than the least length the ``_pick`` fact holds;
     - with ``need``, a block whose entry bound is below ``max_entry`` is
       skipped.
@@ -559,17 +560,21 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
 
 def _indices(t: Fan | Spine, length: int, max_entry: int) -> Iterator[int]:
     """The blocks of ``t`` that hold elements of ``length`` with entries at
-    most ``max_entry``, in lex order of their elements."""
+    most ``max_entry``, in lex order of their elements; no tail block is
+    shorter than the first, so its least length bounds them all."""
+    heads, tail = len(t.heads), t.tail
+    block = tail.block if type(tail) is Const else seq_block(tail, 0)
+    least, deepest = least_length(block), _fold(block, _DEPTH) if type(tail) is Const else math.inf
     if type(t) is Fan:
         stop = max_entry + 1
-        if tail_is_trivial(t.tail):
-            stop = min(stop, len(t.heads))
+        if least is None or not least <= length - 1 <= deepest:
+            stop = min(stop, heads)
         return iter(range(stop))
     top = length - 1 if max_entry >= 1 else -1
-    if tail_is_trivial(t.tail):
-        top = min(top, len(t.heads) - 1)
     # copy roots 0^n 1 sort descending in n under lex order
-    return iter(range(top, -1, -1))
+    tails = range(-1) if least is None else range(min(top, length - 1 - least),
+                                                  max(heads, length - 1 - deepest) - 1, -1)
+    return itertools.chain(tails, range(min(top, heads - 1), -1, -1))
 
 
 def _entry_node(t: Fan | Spine, heads: list, tail):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Iterator
 
 from . import text, trees
@@ -33,7 +34,8 @@ class DominatingBranch(Interned):
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def dominates(self, u: Seq) -> bool:
-        return all(u[i] <= self.value(i) for i in range(len(u)))
+        more = -((len(self.prefix) - len(u)) // len(self.period))  # periods past the prefix
+        return all(map(operator.le, u, self.prefix + self.period * more))
 
     def __str__(self) -> str:
         pre = ",".join(str(x) for x in self.prefix)

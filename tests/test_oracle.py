@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import itertools
 import random
 from pathlib import Path
@@ -552,3 +553,152 @@ def test_enumeration_opens_few_empty_probes(monkeypatch):
     for s in range(10):
         assert oracle.law_suite(s, 1).all_pass
     assert counts[0] <= 1000 and counts[1] <= 0.15 * counts[0], counts
+
+
+def _deep_reference(q, b: Budget) -> list:
+    """``_reference_enumerate`` for queries whose elements lie deep: stage
+    by stage, the finite set elements of the stage and a walk over the
+    prefixes that some schema element extends (one ``cone_of`` step per
+    letter), until ``count`` elements are taken."""
+    cap = max(b.depth, b.width + 1)
+    leaves = membership._leaves(q)
+    kids: dict = {}  # cone -> its nonempty one-letter cones, letters below the cap
+    taken: list = []
+    for k in range(cap + 1):
+        stage = {u for x in leaves if isinstance(x, membership.FinSet)
+                 for u in x.elements if _stage(u) == k}
+        todo = [((), x.tree) for x in leaves if isinstance(x, Schema)]
+        while todo:
+            u, c = todo.pop()
+            if _stage(u) == k and membership.q_member(u, q):
+                stage.add(u)
+            if len(u) < k:
+                if c not in kids:
+                    kids[c] = [(x, d) for x in range(cap)
+                               if not trees.is_empty(d := trees.cone_of(c, (x,)))]
+                todo += [(u + (x,), d) for x, d in kids[c] if x < k]
+        taken += sorted(stage, key=lambda u: (len(u), u))
+        if len(taken) >= b.count:
+            break
+    return [u for u in taken[: b.count] if len(u) <= b.depth and all(e <= b.width for e in u)]
+
+
+def _forced_prefix_corpus(rng: random.Random, n: int) -> list:
+    """Nests up to 40 deep of ``fan([empty,...,x];const(empty))`` and
+    ``spine([x];const(empty))`` over fan and spine bottoms with constant
+    tails, some of them in a union with a finite set; each query comes
+    with the length of its forced prefix."""
+    out = []
+    for i in range(n):
+        block = rng.choice([trees.EPS, trees.CHAIN, trees.FULL, trees.singleton((1, 0)),
+                            oracle.rand_schema(rng, 3, allow_full=False)])
+        heads = tuple(oracle.rand_schema(rng, 3) for _ in range(rng.randrange(0, 3)))
+        if trees.is_empty(block):
+            block = trees.EPS
+        bottom = rng.choice([trees.Fan, trees.Spine])(heads, trees.Const(block))
+        t, depth = bottom, 40 if i < 2 else rng.randrange(0, 41)
+        for _ in range(depth):
+            if rng.random() < 0.5:
+                t = trees.Fan((trees.EMPTY,) * rng.randrange(0, 3) + (t,), trees.CONST_EMPTY)
+            else:
+                t = trees.Spine((t,), trees.CONST_EMPTY)
+        q: membership.QueryTerm = Schema(t)
+        if rng.random() < 0.3:
+            elems = {tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 4))) for _ in range(5)}
+            elems.add(trees.pick_least(t))  # an element the schema holds too
+            q = membership.Union(membership.FinSet(tuple(sorted(elems))), q)
+        out.append((q, bottom, depth))
+    return out
+
+
+def test_enumeration_below_forced_prefixes_matches_the_reference():
+    rng = random.Random(1968)
+    corpus = _forced_prefix_corpus(rng, 40)
+    finite = [trees.depth_bound(bottom) is not None for _, bottom, _ in corpus]
+    assert any(finite) and not all(finite)
+    assert any(isinstance(q, membership.Union) for q, _, _ in corpus)
+    assert max(depth for _, _, depth in corpus) == 40
+    for q, _, depth in corpus:
+        for more in (-1, 1, 3):
+            b = Budget(max(1, depth + more), rng.randrange(1, 5), rng.randrange(1, 40))
+            assert oracle.enumerate_schema(q, b) == _deep_reference(q, b), (str(q), b)
+    # the deep reference agrees with the brute-force one where both run
+    for q, _, _ in corpus[:10]:
+        b = Budget(3, 2, 30)
+        assert _deep_reference(q, b) == _reference_enumerate(q, b), str(q)
+
+
+def _frechet_law_checks(monkeypatch) -> list:
+    """Run the Frechet law for suite seeds 0..49 and return the (witness,
+    budget) pair of each check it made."""
+    seen, real = [], oracle._check_frechet
+
+    def recorded(w, q, b):
+        seen.append((w, b))
+        return real(w, q, b)
+
+    monkeypatch.setattr(oracle, "_check_frechet", recorded)
+    for s in range(50):
+        assert oracle._law_frechet(random.Random(f"{s}:frechet-witness-sound")) is None
+    return seen
+
+
+def test_frechet_boxes_are_two_enumerations(monkeypatch):
+    checks = _frechet_law_checks(monkeypatch)
+    assert len(checks) >= 40
+    for w, b in checks:
+        least = trees.pick_least(w.tree)
+        depth, width = len(least) + b.depth, max(b.width, max(least, default=0), 1)
+        small = oracle.enumerate_schema(w, Budget(depth, width, b.count))
+        grown = oracle.enumerate_schema(w, Budget(2 * depth, width, b.count))
+        assert oracle._frechet_boxes(w, b) == (small, grown), str(w)
+
+
+def test_frechet_checks_walk_few_blocks(monkeypatch):
+    # each probe walked the witness's one-way path down from the root
+    # again, and the check enumerated the witness twice: 59 039 block_at
+    # calls over these 50 suites; starting below the forced prefix, from
+    # one stream, makes 17 491
+    count, inside = [0], [False]
+    real_block, real_check = trees.block_at, oracle._check_frechet
+
+    def block_at(*args):
+        count[0] += inside[0]
+        return real_block(*args)
+
+    def check(*args):
+        inside[0] = True
+        try:
+            return real_check(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(trees, "block_at", block_at)
+    monkeypatch.setattr(oracle, "_check_frechet", check)
+    for s in range(50):
+        assert oracle._law_frechet(random.Random(f"{s}:frechet-witness-sound")) is None
+    assert 0 < count[0] <= 24_000, count
+
+
+def test_finite_set_leaves_are_read_from_one_bucket_per_probe(monkeypatch, capsys):
+    # a union of 8 001 one-element finite sets opened one sorted stream
+    # per leaf on every probe: 224 028 streams for this budget
+    from idealforms import cli
+
+    opened = [0]
+    real = membership._leaf_iter_len
+
+    def counted(x, *args):
+        opened[0] += isinstance(x, membership.FinSet)
+        return real(x, *args)
+
+    monkeypatch.setattr(membership, "_leaf_iter_len", counted)
+    text = "union(" * 8000 + "finset{<0>}" + "".join(f",finset{{<{k}>}})" for k in range(1, 8001))
+    for budget, want in (("6,6,200", range(7)), ("2,30,50", range(31)), ("1,9000,5", range(5))):
+        assert cli.main(["--json", "enumerate", text, "--budget", budget]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["elements"] == [[k] for k in want], budget
+        d, w, c = map(int, budget.split(","))
+        cap = max(d, w + 1)
+        assert opened[0] <= (cap + 1) * (cap + 2) // 2  # one per (stage, length) probe
+        opened[0] = 0

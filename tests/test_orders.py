@@ -168,3 +168,69 @@ def test_dense_occurrence_classifies_each_part_once(monkeypatch):
         del term  # so that the next term shares no classified part
         calls.clear()
     assert all(b <= 2 * a + 2 for a, b in zip(counts, counts[1:])), counts
+
+
+def _midpoint_cut(interval, k, last=False):
+    """The cut as k steps of the midpoint rule: the reference for the
+    closed form."""
+
+    def point(lo, hi):
+        if lo is None and hi is None:
+            return Fraction(0)
+        if lo is None:
+            return hi - 1
+        if hi is None:
+            return lo + 1
+        return (lo + hi) / 2
+
+    lo, hi = interval
+    cur = lo
+    for _ in range(k):
+        cur = point(cur, hi)
+    return (cur, hi if last else point(cur, hi))
+
+
+def test_closed_form_cut_matches_the_midpoint_steps():
+    ends = [(None, None), (Fraction(-3, 7), None), (None, Fraction(5, 3)),
+            (Fraction(-2, 9), Fraction(11, 4)), (Fraction(0), Fraction(1))]
+    for interval in ends:
+        for k in range(65):
+            for last in (False, True):
+                got, want = orders._cut(interval, k, last), _midpoint_cut(interval, k, last)
+                assert got == want, (interval, k, last)
+                assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _fraction_map(emb, q):
+    """``OrderEmbedding.map`` as Fraction arithmetic on x in (0, 1)."""
+    if emb.flips:
+        q = -q
+    x = Fraction(1, 2) + q / (2 * (1 + abs(q)))
+    lo, hi = emb.interval
+    if lo is None and hi is None:
+        v = (2 * x - 1) / (x * (1 - x))
+    elif lo is None:
+        v = hi - (1 - x) / x
+    elif hi is None:
+        v = lo + x / (1 - x)
+    else:
+        v = lo + (hi - lo) * x
+    return -v if emb.flips else v
+
+
+def test_integer_map_matches_the_fraction_formula():
+    rng = random.Random(17)
+    terms = [orders.RATQ, Rev(orders.RATQ), t("cat(N,QQ)"), t("cat(QQ,N)"), t("rev(cat(N,QQ,N))")]
+    while len(terms) < 300:
+        term = oracle._rand_order(rng, 6, dense=True)
+        if not orders.scattered_check(term):
+            terms.append(term)
+    shapes = set()
+    for term in terms:
+        emb = orders.wo_classify(term).embedding
+        shapes.add((emb.interval[0] is None, emb.interval[1] is None, emb.flips))
+        samples = [Fraction(rng.randrange(-60, 61), rng.randrange(1, 40)) for _ in range(12)]
+        for q in samples + [Fraction(0), 0, 3]:
+            got = emb.map(q)
+            assert got == _fraction_map(emb, Fraction(q)) and type(got) is Fraction, (str(term), q)
+    assert len(shapes) == 8, shapes  # each endpoint case, with and without a reversal
