@@ -196,17 +196,18 @@ def q_in_id(q: QueryTerm) -> bool:
 # the two tails align, when the query's blocks are empty or when the
 # target's are full, and are otherwise taken one at a time.  Each such
 # letter, and each pair holding a spine with a diagonal tail, spends one
-# of _DIAG_PAIRS.
+# of _DIAG_PAIRS.  A transversal is contained when its fan is, and is
+# otherwise decided by its picks: over a constant tail they form a
+# schema for the same walk, and over a diagonal tail the first
+# _DIAG_PAIRS of them can refute it.
 
 _DIAG_PAIRS = 300
 _SPINES = Spine((), trees.CONST_FULL)  # every sequence a spine can hold
-_SEARCH_LEN = 5
-_SEARCH_ENTRY = 5
 
 
 def subset_of(q: QueryTerm, s: TreeSchema) -> Ternary:
-    """Containment of a query in a schema: UNKNOWN only past diagonal tails,
-    or for a transversal that neither the walk nor a bounded search decides."""
+    """Containment of a query in a schema, by one walk over pairs of
+    derivatives: UNKNOWN only past diagonal tails."""
     return _containment(q, s)[0]
 
 
@@ -222,14 +223,29 @@ def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
             case Transversal(fan):
                 verdict = _walk(fan, s)
                 if verdict[0] is not Ternary.YES:
-                    bad = _search(q, Schema(s))
-                    verdict = (Ternary.UNKNOWN, verdict[1]) if bad is None else (Ternary.NO, bad)
+                    verdict = _picks_in(fan, s, verdict[1])
             case Schema(tree):
                 verdict = _walk(tree, s)
         if verdict[0] is Ternary.NO:
             return verdict
         unknown = unknown or (verdict if verdict[0] is Ternary.UNKNOWN else None)
     return unknown or (Ternary.YES, None)
+
+
+def _picks_in(fan: Fan, s: TreeSchema, stop: Seq) -> tuple[Ternary, Optional[Seq]]:
+    """A transversal whose fan is not contained, by its picks (see above);
+    UNKNOWN keeps ``stop``, the sequence where the fan's walk stopped."""
+    if type(fan.tail) is Const:
+        return _walk(Fan(tuple(_one(h) for h in fan.heads), Const(_one(fan.tail.block))), s)
+    bad = next((p for p in itertools.islice(_picks(fan), _DIAG_PAIRS)
+                if not trees.member_elem(p, s)), None)
+    return (Ternary.UNKNOWN, stop) if bad is None else (Ternary.NO, bad)
+
+
+def _one(b: TreeSchema) -> TreeSchema:
+    """The least element of ``b`` as a schema."""
+    p = trees.pick_least(b)
+    return trees.EMPTY if p is None else trees.singleton(p)
 
 
 def _walk(t: TreeSchema, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
@@ -279,33 +295,6 @@ def _word(links: dict, pair: tuple) -> Seq:
         pair, n = link
         out.append(n)
     return tuple(reversed(out))
-
-
-def _search(q: QueryTerm, target: QueryTerm) -> Optional[Seq]:
-    """An element of ``q`` outside ``target``, of length and entries at most 5."""
-    for length in range(_SEARCH_LEN + 1):
-        for u in q_iter_len(q, length, _SEARCH_ENTRY):
-            if not q_member(u, target):
-                return u
-    return None
-
-
-def query_subset(w: QueryTerm, q: QueryTerm) -> Ternary:
-    """Containment between queries: exact for a schema ``q`` or a finite
-    ``w``.  Otherwise YES when a schema leaf of ``q`` holds ``w`` or ``w``
-    is a subterm of ``q``, and NO or UNKNOWN by a bounded search."""
-    if type(q) is Schema:
-        return subset_of(w, q.tree)
-    if type(w) is FinSet:
-        return Ternary.YES if all(q_member(u, q) for u in w.elements) else Ternary.NO
-    stack = [q]
-    while stack:
-        x = stack.pop()
-        if x is w or type(x) is Schema and subset_of(w, x.tree) is Ternary.YES:
-            return Ternary.YES
-        if type(x) is Union:
-            stack += (x.right, x.left)
-    return Ternary.UNKNOWN if _search(w, q) is None else Ternary.NO
 
 
 # --------------------------------------------------------------------------

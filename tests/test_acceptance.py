@@ -183,7 +183,7 @@ def test_criterion_7_frechet_witnesses():
         if membership.subset_of(q, target) is not Ternary.YES or membership.q_in_wf(q):
             continue
         w = membership.frechet_witness(q, e)
-        assert membership.query_subset(w, q) is Ternary.YES
+        assert membership.subset_of(w, q.tree) is Ternary.YES
         assert membership.q_in_id(w)
         assert oracle.check_witness(w, (q, e), Budget(8, 8, 100)), f"{q} in {e}"
         produced += 1

@@ -109,6 +109,10 @@ def test_member_and_witness_verbs(capsys):
     payload = run_json(capsys, "member.json", "member",
                        "fan([chain];const(empty))", "in", "P(1)", "--perp")
     assert payload["member"] is True
+    # the fan holds <n,1>, outside P(1); the picks <n,0> do not
+    code, out = run(capsys, "member", "transversal(fan([];const(fan([full];const(empty)))))",
+                    "in", "P(1)")
+    assert code == 0 and out.startswith("member of P(1)")
     payload = run_json(capsys, "witness.json", "frechet",
                        "fan([];const(chain))", "in", "P(1)")
     assert payload["kind"] == "frechet-subset"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from idealforms.oracle import (
     enumerate_schema,
     rand_expr,
     rand_query,
+    rand_schema,
 )
 from idealforms.text import parse_expr, parse_query, parse_tree
 from idealforms.trees import CONST_EMPTY, Const, Fan, Spine
@@ -67,6 +69,45 @@ def test_subset_past_diagonal_tails():
     _refuted("fan([spine([];const(empty))];pdiag(w*2))", "fan([full,full];qdiag(w))")
 
 
+def test_transversals_are_decided_by_their_picks():
+    # the fan holds <n,1>, outside the target; every pick <n,0> is in it
+    q = parse_query("transversal(fan([];const(chain)))")
+    assert membership.subset_of(q, t("fan([];const(fan([eps];const(empty))))")) is Ternary.YES
+    # over a constant tail the picks form a schema that the walk decides;
+    # over a diagonal tail only the first picks are tried.  Each NO is
+    # checked by its counterexample and each YES by enumerating the query
+    rng = random.Random(1)
+    pairs = [(rand_schema(rng, 2 + i % 6), rand_schema(rng, 2 + i % 6)) for i in range(4000)]
+    pairs = [(Transversal(f), s) for f, s in pairs if type(f) is Fan]
+    assert len(pairs) == 2015
+    undecided, wrong = {True: [], False: []}, []
+    for q, s in pairs:
+        verdict, u = membership._containment(q, s)
+        if verdict is Ternary.NO:
+            if not membership.q_member(u, q) or trees.member_elem(u, s):
+                wrong.append((q, s, u))
+        elif verdict is Ternary.UNKNOWN:
+            undecided[type(q.fan.tail) is Const].append((q, s))
+        elif not all(trees.member_elem(v, s) for v in enumerate_schema(q, Budget(4, 4, 60))):
+            wrong.append((q, s))
+    assert not undecided[True] and len(undecided[False]) <= 3 and not wrong, (undecided, wrong[:5])
+
+
+def test_containment_is_one_procedure():
+    # subset_of decides by the pair walk and never enumerates a query
+    from test_trees import _call_graph
+
+    graph = _call_graph(Path(membership.__file__).parent)
+    seen, todo = set(), ["membership.subset_of"]
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            todo += graph.get(f, ())
+    assert not seen & {"membership.q_iter_len", "trees.iter_len"}, sorted(seen)
+    assert "membership._walk" in seen and "membership._one" in seen
+
+
 def test_q_predicates_examples():
     q = parse_query("finset{<9,9,9>}")
     assert membership.q_in_wf(q) and membership.q_in_id(q)
@@ -85,6 +126,10 @@ def test_member_examples():
     assert membership.member_perp(Transversal(P1), e("P(1)")) is False
     fin = FinSet(((0,), (0, 0), (0, 0, 0)))
     assert membership.member_of(fin, e("FIN")) is True
+    # its fan is not contained, but its picks <n,0> are
+    picks = parse_query("transversal(fan([];const(fan([];const(eps)))))")
+    assert membership.member_of(picks, e("P(1)")) is True
+    assert membership.member_perp(picks, e("P(1)")) is False
 
 
 def test_member_preconditions():
@@ -118,7 +163,7 @@ def test_frechet_spine_pick():
     # copies are well-founded antichains: the witness picks one point each
     q = Schema(t("spine([];const(fan([];const(eps))))"))
     w = membership.frechet_witness(q, e("Q(1)"))
-    assert membership.query_subset(w, q) is Ternary.YES
+    assert membership.subset_of(w, q.tree) is Ternary.YES
     assert membership.q_in_id(w)
     assert check_witness(w, (q, e("Q(1)")), Budget(8, 8, 100))
 

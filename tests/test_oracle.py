@@ -398,11 +398,10 @@ def test_witness_answers_pinned():
 
 # sha256 of containment answers: subset_of over every pair of a
 # constant-tail schema of size <= 4 in every seventh of them, over drawn schemas
-# and their pruned copies, and subset_of and query_subset over seeded
-# random queries; recorded when containment became one walk over pairs of
-# derivatives, which changed 968 of the 26 908 lines, each from unknown
-# (930 to yes, 38 to no)
-CONTAIN_DIGEST = "cd5cb22006ea934fa8a66c8d49b40918979e973ffcdd736f2a4c595cf8b5c74e"
+# and their pruned copies, and over two seeded random queries drawn from
+# each of 600 targets; recorded when query-in-query containment was
+# deleted, which left the schema lines as they were
+CONTAIN_DIGEST = "b2b4e30ba5dbe31d53874b09b470b403490ad5c6d86fb2397d6c524b1728310b"
 
 
 def test_containment_answers_pinned():
@@ -420,8 +419,7 @@ def test_containment_answers_pinned():
     for _ in range(600):
         target = trees.compile_ideal(oracle.rand_expr(rng, 6))
         q, w = oracle.rand_query(rng, target), oracle.rand_query(rng, target)
-        answers = (membership.subset_of(q, target), membership.query_subset(w, q),
-                   membership.query_subset(q, w))
+        answers = (membership.subset_of(q, target), membership.subset_of(w, target))
         h.update(f"{q}:{w}:{target}:{','.join(a.value for a in answers)}\n".encode())
     assert h.hexdigest() == CONTAIN_DIGEST
 
