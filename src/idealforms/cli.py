@@ -67,56 +67,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(required=True, metavar="verb")
 
-    def verb(name, handler, help_, *specs):
-        p = sub.add_parser(name, help=help_)
+    def verb(subs, name, handler, help_, *specs):
+        p = subs.add_parser(name, help=help_)
         for spec in specs:
             p.add_argument(*spec[0], **spec[1])
         p.set_defaults(handler=handler)
-        return p
 
-    verb("normalize", _cmd_normalize, "canonical form of an ideal expression",
+    verb(sub, "normalize", _cmd_normalize, "canonical form of an ideal expression",
          (["expr"], {}))
-    verb("rank", _cmd_rank, "rank of an ideal expression", (["expr"], {}))
-    verb("perp", _cmd_perp, "canonical form of the orthogonal", (["expr"], {}))
-    verb("iso", _cmd_iso, "isomorphism of two expressions",
+    verb(sub, "rank", _cmd_rank, "rank of an ideal expression", (["expr"], {}))
+    verb(sub, "perp", _cmd_perp, "canonical form of the orthogonal", (["expr"], {}))
+    verb(sub, "iso", _cmd_iso, "isomorphism of two expressions",
          (["expr1"], {}), (["expr2"], {}))
-    verb("compile", _cmd_compile, "schema of the standard copy",
+    verb(sub, "compile", _cmd_compile, "schema of the standard copy",
          (["expr"], {}),
          (["--emit"], {"choices": ["dot", "json"], "default": None}),
          (["--depth"], {"type": _integer, "default": 6}),
          (["--width"], {"type": _integer, "default": 6}),
          (["--count"], {"type": _integer, "default": 200}))
-    verb("classify", _cmd_classify, "classification of a schema's restriction",
+    verb(sub, "classify", _cmd_classify, "classification of a schema's restriction",
          (["tree"], {}),
          (["--via"], {"choices": ["derivative"], "default": None}))
-    verb("treerank", _cmd_treerank, "derivative rank of the generated tree",
+    verb(sub, "treerank", _cmd_treerank, "derivative rank of the generated tree",
          (["tree"], {}))
-    verb("member", _cmd_member, "membership of a query in a target's copy",
+    verb(sub, "member", _cmd_member, "membership of a query in a target's copy",
          (["query"], {}), (["in_kw"], {"metavar": "in"}), (["expr"], {}),
          (["--perp"], {"action": "store_true"}))
-    verb("frechet", _cmd_frechet, "orthogonal infinite subset of a negative query",
+    verb(sub, "frechet", _cmd_frechet, "orthogonal infinite subset of a negative query",
          (["query"], {}), (["in_kw"], {"metavar": "in"}), (["expr"], {}))
-    verb("idwitness", _cmd_idwitness, "domination or unboundedness witness",
+    verb(sub, "idwitness", _cmd_idwitness, "domination or unboundedness witness",
          (["query"], {}))
-    verb("enumerate", _cmd_enumerate, "budgeted enumeration of a schema or query",
+    verb(sub, "enumerate", _cmd_enumerate, "budgeted enumeration of a schema or query",
          (["query"], {}),
          (["--budget"], {"default": "6,6,200", "metavar": "D,W,C"}))
-    verb("selftest", _cmd_selftest, "seeded law suite across all modules",
+    verb(sub, "selftest", _cmd_selftest, "seeded law suite across all modules",
          (["--seed"], {"type": _integer, "default": 42}),
          (["--trials"], {"type": _integer, "default": 50}))
 
     wo = sub.add_parser("wo", help="well-ordered-subset ideals of linear orders")
     wo_sub = wo.add_subparsers(required=True, metavar="verb")
-    p = wo_sub.add_parser("classify", help="classification of a linear order term")
-    p.add_argument("order")
-    p.set_defaults(handler=_cmd_wo_classify)
-    p = wo_sub.add_parser("reverse", help="reversal and its classification")
-    p.add_argument("order")
-    p.set_defaults(handler=_cmd_wo_reverse)
-    p = wo_sub.add_parser("rationalize", help="embed the order into the rationals")
-    p.add_argument("order")
-    p.add_argument("--count", type=_integer, default=10)
-    p.set_defaults(handler=_cmd_wo_rationalize)
+    verb(wo_sub, "classify", _cmd_wo_classify, "classification of a linear order term",
+         (["order"], {}))
+    verb(wo_sub, "reverse", _cmd_wo_reverse, "reversal and its classification", (["order"], {}))
+    verb(wo_sub, "rationalize", _cmd_wo_rationalize, "embed the order into the rationals",
+         (["order"], {}), (["--count"], {"type": _integer, "default": 10}))
     return parser
 
 

@@ -6,13 +6,14 @@ derivatives, exact on constant tails and bounded past diagonal ones;
 membership in the compiled target ideal then reduces to the two
 structural predicates.  Negative membership yields a checkable
 orthogonal subset, and every domination claim ships a branch or an
-unbounded family that the oracle can re-verify at any budget.
+unbounded family that the oracle can re-verify at any budget.  Nothing
+here enumerates a query: containment walks derivatives, and the oracle
+streams a query's elements itself.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from collections import deque
 from typing import Iterator, Optional
@@ -116,35 +117,6 @@ def _picks(f: Fan) -> Iterator[Seq]:
         p = trees.pick_least(trees.block_at(f, n), known)
         if p is not None:
             yield (n,) + p
-
-
-def q_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool = False) -> Iterator[Seq]:
-    """Query elements of exact length in lex order, each holding an entry
-    equal to ``max_entry`` when ``need`` is set (see ``trees.iter_len``):
-    one merge of the leaves' streams, where an element that several
-    leaves hold comes once."""
-    yield from _merged([_leaf_iter_len(x, length, max_entry, need) for x in _leaves(q)])
-
-
-def _merged(streams: list) -> Iterator[Seq]:
-    """One lex-ordered stream of lex-ordered streams, each element once."""
-    if len(streams) == 1:
-        return streams[0]
-    return (u for u, _ in itertools.groupby(heapq.merge(*streams)))
-
-
-def _leaf_iter_len(q: QueryTerm, length: int, max_entry: int, need: bool) -> Iterator[Seq]:
-    if type(q) is Schema:
-        return trees.iter_len(q.tree, length, max_entry, need)
-    if type(q) is FinSet:
-        return (u for u in sorted(q.elements) if len(u) == length and _in_box(u, max_entry, need))
-    picks = (_transversal_pick(q.fan, n) for n in trees._indices(q.fan, length, max_entry)
-             if trees.least_length(trees.block_at(q.fan, n)) == length - 1)  # builds only what fits
-    return (p for p in picks if _in_box(p, max_entry, need))
-
-
-def _in_box(u: Seq, max_entry: int, need: bool) -> bool:
-    return all(x <= max_entry for x in u) and (not need or max_entry in u)
 
 
 def q_member(u: Seq, q: QueryTerm) -> bool:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles validating the symbolic engines.
 
 Enumeration follows a budget-independent canonical order (by stage, then
-shortlex) so that enlarging any budget field never removes elements.  The
+shortlex) so that enlarging any budget field never removes elements.
+Only this module enumerates queries, so the membership module it checks
+carries none of the enumeration.  The
 explicit derivative iterates removal on the finite block quotient using
 only the domination test on surviving cones, with no ordinal arithmetic;
 it must agree with the symbolic rank whenever the quotient is finite.
@@ -13,6 +15,7 @@ them itself, so enumeration and witness checks load none of them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from typing import Callable, Iterator, Optional
@@ -78,11 +81,12 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
     leaf's probes start at the cone below its forced prefix (``_forced``),
     shorter by the prefix, skipped when it holds an entry above k - 1 and
     not needing k - 1 when it holds that.  Finite set elements are read
-    once into buckets by (stage, length), one bucket per probe.
+    once into buckets by (stage, length), and a probe is one merge of its
+    bucket and one stream per schema or transversal leaf.
     """
     q = Schema(x) if isinstance(x, TreeSchema) else x
     facts = []  # (least length, entry bound) of each nonempty leaf and finite set element
-    cones: dict = {}  # forced prefix -> the union of the leaves below it
+    cones = []  # (forced prefix, the leaf of the cone below it) of each nonempty leaf
     finite: dict = {}  # (stage, length) -> finite set elements
     for leaf in membership._leaves(q):
         if type(leaf) is FinSet:
@@ -91,19 +95,37 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
                 finite.setdefault((max(len(u), max(u, default=-1) + 1), len(u)), set()).add(u)
         elif not trees.is_empty(t := leaf.tree if type(leaf) is Schema else leaf.fan):
             facts.append((trees.least_length(t), trees._entry_bound(t)))
-            w, cone = _forced(leaf)
-            cones[w] = membership.Union(cones[w], cone) if w in cones else cone
+            cones.append(_forced(leaf))
     if not facts:
         return  # the query has no element
     least, bound = min(n for n, _ in facts), max(b for _, b in facts)
     for k in range(least, stage_cap + 1):
         for n in range(least if bound >= k - 1 else k, k + 1):  # the length probed
             streams = [sorted(finite[k, n])] if (k, n) in finite else []
-            for w, c in cones.items():
+            for w, c in cones:
                 if len(w) <= n and max(w, default=-1) < k:
-                    s = membership.q_iter_len(c, n - len(w), k - 1, n < k and k - 1 not in w)
+                    s = _leaf_iter_len(c, n - len(w), k - 1, n < k and k - 1 not in w)
                     streams.append(map(w.__add__, s) if w else s)
-            yield from membership._merged(streams)
+            yield from _merged(streams)
+
+
+def _leaf_iter_len(leaf: QueryTerm, length: int, max_entry: int, need: bool) -> Iterator[Seq]:
+    """Elements of a schema or transversal leaf of exact length in lex
+    order, each holding an entry equal to ``max_entry`` when ``need`` is
+    set (see ``trees.iter_len``); a transversal builds only the picks that fit."""
+    if type(leaf) is Schema:
+        return trees.iter_len(leaf.tree, length, max_entry, need)
+    f = leaf.fan
+    picks = (membership._transversal_pick(f, n) for n in trees._indices(f, length, max_entry)
+             if trees.least_length(trees.block_at(f, n)) == length - 1)
+    return (p for p in picks if max(p) <= max_entry and (not need or max_entry in p))
+
+
+def _merged(streams: list) -> Iterator[Seq]:
+    """One lex-ordered stream of lex-ordered streams, each element once."""
+    if len(streams) == 1:
+        return streams[0]
+    return (u for u, _ in itertools.groupby(heapq.merge(*streams)))
 
 
 def _forced(leaf: QueryTerm) -> tuple[Seq, QueryTerm]:

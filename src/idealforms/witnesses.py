@@ -43,10 +43,6 @@ class DominatingBranch(Interned):
         return f"[{pre}]({per})*"
 
 
-def constant_branch(c: int) -> DominatingBranch:
-    return DominatingBranch((), (c,))
-
-
 def merge_branches(branches: list[DominatingBranch]) -> DominatingBranch:
     """Pointwise maximum; dominates whatever each input dominated."""
     prefix_len = max(len(b.prefix) for b in branches)

@@ -16,7 +16,7 @@ from idealforms.membership import Schema, Ternary
 from idealforms.oracle import Budget
 from idealforms.text import parse_expr, parse_query, parse_tree
 from idealforms.witnesses import (
-    EmbeddingWitness, PrefixEmbedding, UnboundedFamily, constant_branch, iter_domain,
+    DominatingBranch, EmbeddingWitness, PrefixEmbedding, UnboundedFamily, iter_domain,
 )
 
 
@@ -99,11 +99,28 @@ def test_rank_agreement_sampled():
 
 def test_check_witness_branch():
     q = Schema(t("spine([];const(chain))"))
-    assert oracle.check_witness(constant_branch(1), q, oracle.WITNESS_BUDGET)
+    assert oracle.check_witness(DominatingBranch((), (1,)), q, oracle.WITNESS_BUDGET)
     # the zero branch misses the copy roots, whose entry is 1
-    assert not oracle.check_witness(constant_branch(0), q, oracle.WITNESS_BUDGET)
+    assert not oracle.check_witness(DominatingBranch((), (0,)), q, oracle.WITNESS_BUDGET)
     anti = Schema(t("fan([];const(eps))"))
-    assert not oracle.check_witness(constant_branch(0), anti, oracle.WITNESS_BUDGET)
+    assert not oracle.check_witness(DominatingBranch((), (0,)), anti, oracle.WITNESS_BUDGET)
+
+
+def test_check_witness_frechet_rejects():
+    # the standard copy of P(1) holds <n,0,...,0> for every n, and each
+    # witness below fails one check of _check_frechet in turn
+    e = parse_expr("P(1)")
+    q = Schema(trees.compile_ideal(e))
+    w = membership.frechet_witness(q, e)
+    assert oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
+    rejected = [
+        trees.EMPTY,
+        trees.singleton((1, 0, 0)),  # finite
+        q.tree,  # infinite, but no branch dominates it
+        t("chain"),  # dominated and infinite, but <0> is not in q
+    ]
+    for bad in rejected:
+        assert not oracle.check_witness(Schema(bad), (q, e), oracle.WITNESS_BUDGET), str(bad)
 
 
 def test_check_witness_family():
@@ -522,7 +539,7 @@ def test_enumeration_stays_independent_of_what_it_checks():
         if f not in seen:
             seen.add(f)
             todo += graph.get(f, ())
-    assert "membership.q_iter_len" in seen and "trees.iter_len" in seen
+    assert "oracle._leaf_iter_len" in seen and "trees.iter_len" in seen
     assert not {f for f in seen if f.split(".")[0] in ("rank", "classification", "orders")}
     checked = {"trees.in_wf", "trees.in_id", "membership.q_in_wf", "membership.q_in_id",
                "membership.frechet_witness", "membership._fw_schema", "membership.id_witness",
@@ -532,12 +549,12 @@ def test_enumeration_stays_independent_of_what_it_checks():
 
 
 def test_enumeration_opens_few_empty_probes(monkeypatch):
-    # a probe is one (stage, length) stream of q_iter_len; before the
+    # a probe is one (stage, length) stream of a query leaf; before the
     # query's least length and entry bound decided each one, these ten
     # suites opened 10 774 probes, 95 % of them yielding nothing (578 and
     # 8.5 % after)
     counts = [0, 0]  # probes, empty probes
-    inner = membership.q_iter_len
+    inner = oracle._leaf_iter_len
 
     def counted(*args):
         counts[0] += 1
@@ -547,7 +564,7 @@ def test_enumeration_opens_few_empty_probes(monkeypatch):
             yield u
         counts[1] += empty
 
-    monkeypatch.setattr(membership, "q_iter_len", counted)
+    monkeypatch.setattr(oracle, "_leaf_iter_len", counted)
     for s in range(10):
         assert oracle.law_suite(s, 1).all_pass
     assert counts[0] <= 1000 and counts[1] <= 0.15 * counts[0], counts
@@ -683,14 +700,14 @@ def test_finite_set_leaves_are_read_from_one_bucket_per_probe(monkeypatch, capsy
     # per leaf on every probe: 224 028 streams for this budget
     from idealforms import cli
 
-    opened = [0]
-    real = membership._leaf_iter_len
+    opened = [0]  # streams merged: here every one is read from finite sets
+    real = oracle._merged
 
-    def counted(x, *args):
-        opened[0] += isinstance(x, membership.FinSet)
-        return real(x, *args)
+    def counted(streams):
+        opened[0] += len(streams)
+        return real(streams)
 
-    monkeypatch.setattr(membership, "_leaf_iter_len", counted)
+    monkeypatch.setattr(oracle, "_merged", counted)
     text = "union(" * 8000 + "finset{<0>}" + "".join(f",finset{{<{k}>}})" for k in range(1, 8001))
     for budget, want in (("6,6,200", range(7)), ("2,30,50", range(31)), ("1,9000,5", range(5))):
         assert cli.main(["--json", "enumerate", text, "--budget", budget]) == 0

@@ -89,8 +89,8 @@ def test_order_faithful_sampled():
     from idealforms.oracle import _rand_order
 
     rng = random.Random(33)
-    for _ in range(60):
-        term = _rand_order(rng, 6)
+    # dense draws may hold QQ, so they also compare positions inside the rationals
+    for term in [_rand_order(rng, 6, dense) for dense in (False, True) for _ in range(60)]:
         positions = list(itertools.islice(orders.enumerate_positions(term), 14))
         values = [orders.embed_position(term, p) for p in positions]
         for (i, p), (j, q) in itertools.combinations(enumerate(positions), 2):

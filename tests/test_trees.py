@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,38 @@ def test_self_calling_functions_are_listed():
     cycles = _on_cycles(_call_graph(Path(trees.__file__).parent))
     assert set().union(*cycles) == set(SELF_CALLING), sorted(map(sorted, cycles))
     assert all(SELF_CALLING.values())
+
+
+def _unreferenced(src: Path, public: set[str]) -> list[str]:
+    """The functions and methods of the package whose name nothing reads
+    outside their own body, as a name or an attribute, other than the
+    public names and the dunders."""
+    def names(node: ast.AST) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    tree = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    total = sum(map(names, tree.values()), Counter())
+    return sorted(f"{m}.{d.name}" for m, t in tree.items() for d in ast.walk(t)
+                  if isinstance(d, ast.FunctionDef) and d.name not in public
+                  and not (d.name.startswith("__") and d.name.endswith("__"))
+                  and total[d.name] == names(d)[d.name])
+
+
+def test_every_function_is_referenced():
+    import idealforms
+
+    public = {n for names in idealforms._EXPORTS.values() for n in names.split()}
+    assert _unreferenced(Path(trees.__file__).parent, public) == []
+
+
+def test_unreferenced_finds_dead_and_self_calling_functions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
+        "def loop(n):\n    return loop(n - 1)\n\ndef api():\n    return 0\n\n"
+        "class C:\n    def __len__(self):\n        return self.m()\n\n"
+        "    def m(self):\n        return 0\n")
+    assert _unreferenced(tmp_path, {"api"}) == ["a.dead", "a.loop"]
 
 
 def test_call_graph_finds_cycles_through_helpers(tmp_path):
