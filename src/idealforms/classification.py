@@ -29,9 +29,12 @@ from .ordinals import Ordinal
 from .trees import Const, Fan, Spine, TreeSchema
 from .witnesses import CoreEmbedding, EmbeddingWitness, Expansion, PrefixEmbedding
 
-# size markers for sub-blocks absorbed by the classification
+# size markers for sub-blocks absorbed by the classification, and the
+# answer at a full sub-block, which no sum absorbs: a node above one passes
+# it up unchanged, and ``classify`` walks down to the block it marks
 EMPTY_CLS = "empty"
 FINITE_CLS = "finite"
+FULL_CLS = "full"
 
 Cls = Union[str, CanonicalForm]
 
@@ -54,19 +57,17 @@ class NonBorel:
 TreeClass = Union[Borel, NonBorel]
 
 
-class _NB(Interned):
-    """Internal marker: a full sub-block was found under this prefix."""
-
-    __slots__ = __match_args__ = ("prefix",)
-
-
 def classify(t: TreeSchema) -> TreeClass:
     """Classification of the ideal restricted to the denoted set."""
     if trees.is_finite(t):
         raise FiniteSchema(f"schema denotes a finite set: {t}")
     out = _fold(t, _CLASS)
-    if isinstance(out, _NB):
-        return NonBorel(PrefixEmbedding(t, out.prefix))
+    if out == FULL_CLS:
+        # the prefix of the first marked block at each node: the identity
+        # embedding under it lands in the full sub-block
+        path, _ = trees.walk(t, lambda s: trees.first_failing(s, lambda h: h._cls != FULL_CLS),
+                             lambda s: s is trees.FULL)
+        return NonBorel(PrefixEmbedding(t, trees.word(path)))
     assert isinstance(out, CanonicalForm)
     return Borel(out)
 
@@ -85,7 +86,7 @@ def _sum(parts: list[Cls]) -> Cls:
     return EMPTY_CLS
 
 
-def _node(t: Fan | Spine, heads: list[tuple[int, Cls | _NB]], tail: Cls | _NB | None) -> Cls | _NB:
+def _node(t: Fan | Spine, heads: list[tuple[int, Cls]], tail: Cls | None) -> Cls:
     """A fan is the finite sum of its blocks plus the omega-sum of its
     constant tail; a spine with finitely many copies is the same finite
     sum, and with infinitely many it is the orthogonal of the sum of the
@@ -93,10 +94,9 @@ def _node(t: Fan | Spine, heads: list[tuple[int, Cls | _NB]], tail: Cls | _NB | 
     FINITE (a fan's root, a finite spine) or FIN (an infinite spine's
     zero branch).  They are the scaffold's share and are absorbed in the
     class of a nonempty denoted set."""
+    if tail == FULL_CLS or any(c == FULL_CLS for _, c in heads):
+        return FULL_CLS
     spine = isinstance(t, Spine)
-    for n, c in heads + [(len(t.heads), tail)]:
-        if isinstance(c, _NB):
-            return _NB((trees.spine_root(n) if spine else (n,)) + c.prefix)
     if tail is None:
         return _sum([FINITE_CLS] + [c for _, c in heads]) if heads else EMPTY_CLS
     if not isinstance(t.tail, Const):
@@ -121,7 +121,7 @@ def _p_limit(tail) -> CanonicalForm:
 
 _CLASS = trees._Algebra(
     "_cls",
-    {trees.EMPTY: EMPTY_CLS, trees.EPS: FINITE_CLS, trees.CHAIN: FIN_FORM, trees.FULL: _NB(())},
+    {trees.EMPTY: EMPTY_CLS, trees.EPS: FINITE_CLS, trees.CHAIN: FIN_FORM, trees.FULL: FULL_CLS},
     _node,
     diag=_p_limit,
 )

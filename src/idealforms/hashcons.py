@@ -10,8 +10,9 @@ with everything memoized on it.  So a memo decides how long the terms
 it holds live.  A successor rank holds the chain levels that
 ``trees.compile_form`` compiled at it, so a chain lives as long as
 something references its rank.  The blocks of a diagonal tail live with
-the tail, never on their ranks, which long-lived ``fund_seq`` memos
-keep alive.
+the tail, never on their ranks: nothing that holds the tail holds those
+ranks, and a limit rank would form a cycle with its diagonal tail.  A
+memo holds only terms its owner would keep alive anyway.
 
 Every sort of term is a term algebra, so every fact computed bottom-up
 over a sort is one ``Algebra`` run by the one traversal ``_fold``

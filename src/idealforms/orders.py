@@ -263,10 +263,10 @@ def _bst_cmp(p: Pos, q: Pos) -> int:
     return 1 if p[len(q)] == 1 else -1
 
 
-def embed_position(t: LinTerm, p: Pos, interval: Interval = (None, None)) -> Fraction:
-    """Order-faithful image of a position inside the interval: one walk
-    down the term, narrowing the interval, mirrored under each reversal."""
-    flipped = False
+def embed_position(t: LinTerm, p: Pos) -> Fraction:
+    """Order-faithful image of a position in the rationals: one walk down
+    the term, narrowing an interval, mirrored under each reversal."""
+    interval, flipped = (None, None), False
     while True:
         if type(t) is Rev:
             interval, flipped, t = _mirror(interval), not flipped, t.child

@@ -24,9 +24,9 @@ class OrdKind(enum.Enum):
 class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
-    # _fund: fund_seq values by index; _levels: the compiled chain levels
-    # held at this rank, see trees.compile_form; _text: see format_ordinal
-    __slots__ = ("terms", "_fund", "_levels", "_text")
+    # _levels: the compiled chain levels held at this rank, see
+    # trees.compile_form; _text: see format_ordinal
+    __slots__ = ("terms", "_levels", "_text")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]
 
@@ -166,24 +166,17 @@ def fund_seq(a: Ordinal, n: int) -> Ordinal:
         raise NotLimit(f"fundamental sequence of non-limit ordinal {a}")
     if n < 0:
         raise ValueError("index must be >= 0")
-    down = []  # the memo and base of each level above, on a limit exponent
+    down = []  # the base of each level above, on a limit exponent
     while True:
-        try:
-            memo = a._fund
-        except AttributeError:
-            memo = a._fund = {}
-        out = memo.get(n)
-        if out is not None:
-            break
         exponent, coeff = a.terms[-1]
-        head = a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exponent, coeff - 1),)
+        base = Ordinal(a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exponent, coeff - 1),))
         if kind(exponent) is OrdKind.SUCCESSOR:
-            out = memo[n] = add(Ordinal(head), omega_power(pred(exponent), n + 1))
             break
-        down.append((memo, Ordinal(head)))
+        down.append(base)
         a = exponent
-    for memo, base in reversed(down):
-        out = memo[n] = add(base, omega_power(out))
+    out = add(base, omega_power(pred(exponent), n + 1))
+    for base in reversed(down):
+        out = add(base, omega_power(out))
     return out
 
 

@@ -242,8 +242,9 @@ def _chain(p: bool, rank: Ordinal, memo: Optional[dict] = None) -> TreeSchema:
     earlier blocks and they die with the tail.  Without a memo the level
     is stored on a successor ``rank`` in ``_levels`` (Q-level, P-level).
     Blocks are never stored on their ranks: those are fundamental-sequence
-    members, which the long-lived ``fund_seq`` memos keep alive, and a
-    limit rank would form a cycle with its diagonal tail.
+    members, which a client may hold for reasons of its own (a block
+    would then outlive its tail), and a limit rank would form a cycle
+    with its diagonal tail.
     """
     down = []
     while True:

@@ -58,7 +58,7 @@ def _interned_records():
         lambda: orders.OmegaCat((orders.Nat(),), orders.Rev(orders.Nat())), lambda: orders.RatQ(),
         lambda: classification.Borel(ideals.CanonicalForm(ideals.Kind.P, ONE)),
         lambda: orders.Scattered(ideals.CanonicalForm(ideals.Kind.Q, ZERO)),
-        lambda: classification._NB((0, 2)), lambda: oracle.Budget(3, 2, 10),
+        lambda: oracle.Budget(3, 2, 10),
         lambda: witnesses.DominatingBranch((4,), (1, 2)),
     ]
 
@@ -112,6 +112,7 @@ def test_value_records_compare_by_fields(build):
     assert x is not y and x == y and hash(x) == hash(y) and not x != y
     assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
     assert x != classification.FINITE_CLS and x != classification.EMPTY_CLS
+    assert x != classification.FULL_CLS
 
 
 def test_value_records_differ_by_fields():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,30 @@ def test_nonborel_propagates_with_prefix():
     out = classify.classify(t("spine([full];const(chain))"))
     assert isinstance(out, NonBorel)
     assert out.witness.map(()) == (1,)
+
+
+def test_schema_facts_stay_linear_in_depth():
+    # a full block under 4 000 levels: every fact holds a constant-size
+    # answer per level and the non-Borel prefix is built once, by the walk,
+    # so memory grows with the depth, not its square
+    n = 4000
+    s = trees.FULL
+    for k in range(n):
+        s = trees.Fan((trees.EMPTY, s), trees.CONST_EMPTY) if k % 2 == 0 else trees.Spine(
+            (s,), trees.CONST_EMPTY)
+    tracemalloc.start()
+    try:
+        trees.is_empty(s), trees.least_length(s), trees._entry_bound(s), trees.depth_bound(s)
+        trees.in_wf(s), trees.in_id(s), rank.rank_info(s), classify.scaffold_class(s)
+        out = classify.classify(s)
+        via = classify.classify_via_derivative(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert isinstance(out, NonBorel) and isinstance(via, NonBorel)
+    assert out.witness.provenance == (1,) * n
+    assert check_witness(out.witness, None, WITNESS_BUDGET)
 
 
 def test_tree_rank_examples():

@@ -331,6 +331,47 @@ def test_structural_facts_pinned():
     assert h.hexdigest() == FACTS_DIGEST
 
 
+def _holds_full(s: trees.TreeSchema) -> bool:
+    """A live block of ``s``, at some depth, is the full set."""
+    if type(s) is trees.Rooted:
+        return _holds_full(s.child)
+    if type(s) is trees.Fan or type(s) is trees.Spine:
+        return any(not trees.is_empty(h) and _holds_full(h) for h in s.heads) or (
+            type(s.tail) is trees.Const and _holds_full(s.tail.block))
+    return s is trees.FULL
+
+
+def _reference_prefix(s: trees.TreeSchema) -> tuple:
+    """The non-Borel prefix by the rule applied level by level: the first
+    live head holding a full block, otherwise the first tail block, down
+    to the full block."""
+    out: tuple = ()
+    while s is not trees.FULL:
+        if type(s) is trees.Rooted:
+            s = s.child
+            continue
+        n = next((n for n, h in enumerate(s.heads) if not trees.is_empty(h) and _holds_full(h)),
+                 len(s.heads))
+        out += (n,) if type(s) is trees.Fan else trees.spine_root(n)
+        s = trees.block_at(s, n)
+    return out
+
+
+def test_nonborel_prefixes_follow_the_first_full_block():
+    rng = random.Random(21)
+    nonborel = 0
+    for s in _facts_corpus() + [oracle.rand_schema(rng, 8) for _ in range(2000)]:
+        try:
+            out = classification.classify(s)
+        except FiniteSchema:
+            continue
+        assert isinstance(out, classification.NonBorel) == _holds_full(s), str(s)
+        if isinstance(out, classification.NonBorel):
+            nonborel += 1
+            assert out.witness.provenance == _reference_prefix(s), str(s)
+    assert nonborel > 1000
+
+
 # sha256 of "<schema>:<classify_via_derivative or finite>" lines over
 # _facts_corpus(); recorded before the derivative classifier became an
 # algebra over the fold
@@ -439,6 +480,54 @@ def test_containment_answers_pinned():
         answers = (membership.subset_of(q, target), membership.subset_of(w, target))
         h.update(f"{q}:{w}:{target}:{','.join(a.value for a in answers)}\n".encode())
     assert h.hexdigest() == CONTAIN_DIGEST
+
+
+def _outside_leaf(rng: random.Random, target, other) -> tuple[str, membership.QueryTerm]:
+    """A query leaf drawn without regard to ``target``, and its kind: a
+    pruned ``other``, a finite set mixing elements of both, or the
+    transversal of a random constant-tail or diagonal-tail fan."""
+    roll = rng.random()
+    if roll < 1 / 3:
+        return "schema", Schema(oracle.prune_schema(rng, other))
+    if roll < 2 / 3:
+        pool = oracle.enumerate_schema(target, Budget(4, 4, 12)) + oracle.enumerate_schema(
+            other, Budget(4, 4, 12))
+        if pool:
+            k = rng.randrange(1, min(len(pool), 6) + 1)
+            return "finset", membership.FinSet(tuple(sorted(set(rng.sample(pool, k)))))
+    heads = tuple(oracle.rand_schema(rng, 3) for _ in range(rng.randrange(3)))
+    if rng.random() < 0.5:
+        tail = trees.Const(oracle.rand_schema(rng, 4))
+    else:
+        lam = oracle.rand_limit(rng)
+        tail = trees.QDiag(lam) if rng.random() < 0.5 else trees.PDiag(lam)
+    return "transversal", membership.Transversal(trees.Fan(heads, tail))
+
+
+def test_unions_across_the_containment_boundary():
+    # one leaf inside the target and one drawn outside it: the union is NO
+    # exactly when a leaf is, with a counterexample in the union and not in
+    # the target, and a YES holds for the union's elements at a budget
+    rng = random.Random(2020)
+    verdicts: set = set()
+    for _ in range(1500):
+        target, other = oracle.rand_schema(rng, 7), oracle.rand_schema(rng, 7)
+        inside = oracle.rand_query(rng, target)
+        kind, outside = _outside_leaf(rng, target, other)
+        assert membership.subset_of(inside, target) is not Ternary.NO, (str(inside), str(target))
+        parts = (inside, outside) if rng.random() < 0.5 else (outside, inside)
+        q = membership.Union(*parts)
+        verdict, u = membership._containment(q, target)
+        leaves = [membership.subset_of(p, target) for p in parts]
+        assert (verdict is Ternary.NO) == (Ternary.NO in leaves), (str(q), str(target))
+        if verdict is Ternary.NO:
+            assert membership.q_member(u, q) and not trees.member_elem(u, target), (str(q), u)
+        elif verdict is Ternary.YES:
+            elems = oracle.enumerate_schema(q, Budget(5, 5, 60))
+            assert all(trees.member_elem(v, target) for v in elems), (str(q), str(target))
+        verdicts.add((kind, verdict))
+    assert {(k, v) for k in ("schema", "finset", "transversal")
+            for v in (Ternary.YES, Ternary.NO)} <= verdicts
 
 
 def test_constant_tails_are_always_decided():

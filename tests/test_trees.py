@@ -264,8 +264,9 @@ def test_a_rank_keeps_the_chain_compiled_at_it():
 
 
 def test_diagonal_blocks_live_with_their_tail():
-    # block ranks are fundamental-sequence members, which OMEGA's memo keeps
-    # alive for good; the blocks must not be stored on them
+    # block ranks are fundamental-sequence members, which a client may hold
+    # for reasons of its own; the blocks live in the tail's memo, never on
+    # their ranks, and die with the tail
     offset = 1000  # a tail no other test builds
     for i in range(201):
         ordinals.fund_seq(ordinals.OMEGA, offset + i)
@@ -279,6 +280,20 @@ def test_diagonal_blocks_live_with_their_tail():
     del tail, blocks
     gc.collect()
     assert len(hashcons._TABLE) == size
+
+
+def test_a_fundamental_sequence_pins_no_chain():
+    # fund_seq memoizes nothing, so a chain compiled at one of its values
+    # dies with its last reference, even under an immortal limit like OMEGA
+    k = 1700  # an index no other test asks for
+    ordinals.fund_seq(ordinals.OMEGA, k)
+    gc.collect()
+    size = len(hashcons._TABLE)
+    schema = trees.compile_form(ideals.CanonicalForm(ideals.Kind.Q, ordinals.from_int(k + 1)))
+    del schema
+    gc.collect()
+    left = len(hashcons._TABLE) - size
+    assert left == 0
 
 
 def test_repr_of_deep_terms():
