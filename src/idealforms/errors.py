@@ -32,7 +32,7 @@ class NotASubset(IdealFormsError):
 
 
 class UnknownContainment(IdealFormsError):
-    """Containment was left undecided past a diagonal tail, or for a transversal."""
+    """Containment was left undecided, which happens only past a diagonal tail."""
 
 
 class QuotientOverflow(IdealFormsError):

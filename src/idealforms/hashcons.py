@@ -7,12 +7,13 @@ Every ordinal, schema and syntax term (``IdealExpr``, ``QueryTerm``,
 derived from a term are memoized in private slots on the term itself.
 The table holds terms weakly; an unreferenced term leaves it, together
 with everything memoized on it.  So a memo decides how long the terms
-it holds live.  A successor rank holds the chain levels that
-``trees.compile_form`` compiled at it, so a chain lives as long as
-something references its rank.  The blocks of a diagonal tail live with
-the tail, never on their ranks: nothing that holds the tail holds those
-ranks, and a limit rank would form a cycle with its diagonal tail.  A
-memo holds only terms its owner would keep alive anyway.
+it holds live.  The tail of a chain level builds the level below when
+first read and keeps it, so a chain unfolds as far as it is read and
+lives as long as its top level.  A successor rank holds the top levels
+``trees.compile_form`` compiled at it.  A diagonal tail holds the tails
+of its blocks, never their ranks: nothing that holds the tail holds
+those ranks, and a limit rank would form a cycle with its diagonal tail.
+A memo holds only terms its owner would keep alive anyway.
 
 Every sort of term is a term algebra, so every fact computed bottom-up
 over a sort is one ``Algebra`` run by the one traversal ``_fold``

@@ -741,7 +741,7 @@ def _law_rationalize(rng: random.Random) -> Optional[str]:
     values = [orders.embed_position(t, p) for p in positions]
     for (i, p), (j, q) in itertools.combinations(enumerate(positions), 2):
         want = orders.pos_cmp(t, p, q)
-        got = (values[i] > values[j]) - (values[i] < values[j])
+        got = 0 if values[i] == values[j] else 1 if values[i] > values[j] else -1
         if want != got:
             return f"{t}: positions {p} vs {q}"
     return None

@@ -24,8 +24,8 @@ class OrdKind(enum.Enum):
 class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
-    # _levels: the compiled chain levels held at this rank, see
-    # trees.compile_form; _text: see format_ordinal
+    # _levels: the top chain levels compiled at this rank, which unfold
+    # on demand, see trees.compile_form; _text: see format_ordinal
     __slots__ = ("terms", "_levels", "_text")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]

@@ -102,17 +102,35 @@ class Spine(_Blocks):
 
 
 class Const(SchemaSeq):
-    __slots__ = __match_args__ = ("block",)
+    """Every block is ``block``.  A chain level's tail is interned by the
+    kind and rank of the level below (``p`` and ``rank``, else None) and
+    builds it when first read; ``Const`` of a level is that tail, so
+    parsed, compiled and diagonal levels are one object."""
+
+    __slots__ = ("block", "p", "rank")
+    __match_args__ = ("block",)
     block: TreeSchema
 
-    def _init(self, block: TreeSchema) -> None:
-        self.block = block
+    def __new__(cls, block: TreeSchema) -> Const:
+        out = _intern(cls, *(_level_of(block) or (block,)))
+        out.block = block
+        return out
+
+    def _init(self, *fields) -> None:
+        self.p, self.rank = fields if len(fields) == 2 else (None, None)
+
+    def __getattr__(self, name: str) -> TreeSchema:
+        if name != "block":  # only a level's tail builds a field on demand
+            raise AttributeError(name)
+        self.block = _level(self.p, self.rank)
+        return self.block
 
 
 class _Diag(SchemaSeq):
     """Block n is the compiled schema at stage ``rank[n + offset]``."""
 
-    # _blocks: block i by index, and _chain's levels by (is P, rank)
+    # _blocks: the tail of block i by index, whose key holds the block's
+    # rank; never on that rank, which a client may hold apart from the tail
     __slots__ = ("rank", "offset", "_blocks")
     __match_args__ = ("rank", "offset")
     rank: Ordinal
@@ -137,6 +155,21 @@ class PDiag(_Diag):
     """Block n denotes the compiled P-schema at the n-th fundamental stage."""
 
     __slots__ = ()
+
+
+def _level_of(t: TreeSchema) -> Optional[tuple[bool, Ordinal]]:
+    """Whether a chain level ``t`` is a P-level, and its rank; None for any
+    other term."""
+    if t is CHAIN:
+        return False, ordinals.ZERO
+    if type(t) is not Fan and type(t) is not Spine or t.heads:
+        return None
+    p, tail = type(t) is Fan, t.tail
+    if type(tail) is not Const:
+        return (p, tail.rank) if type(tail) is (QDiag if p else PDiag) and not tail.offset else None
+    if tail.rank is None:
+        return (True, ordinals.ZERO) if p and tail.block is EPS else None
+    return (p, ordinals.succ(tail.rank)) if tail.p is not p else None
 
 
 EMPTY = Empty()
@@ -218,63 +251,29 @@ class _Algebra(Algebra):
 
 
 def compile_form(c: CanonicalForm) -> TreeSchema:
-    """Schema whose denoted set restricts the well-founded ideal to ``c``.
+    """Schema whose denoted set restricts the well-founded ideal to ``c``:
+    for a P- or Q-form, the top ``_level`` of its chain.  A successor rank
+    keeps the levels compiled at it in ``_levels`` (Q-level, P-level), so
+    a chain and the facts folded on it live as long as its rank; a store
+    lost to a racing compile loses only that shortcut."""
+    rank, pq = c.rank, c.kind is Kind.PQ
+    levels = rank._levels or [None, None]
+    for p in (True, False) if pq else (c.kind is Kind.P,):
+        levels[p] = levels[p] or _level(p, rank)
+    if ordinals.kind(rank) is OrdKind.SUCCESSOR:
+        rank._levels = levels
+    return Fan((levels[True], levels[False]), CONST_EMPTY) if pq else levels[c.kind is Kind.P]
 
-    A P- or Q-form compiles to a chain of fans and spines that alternate
-    down the predecessors of its rank to a zero or limit rank.  A
-    successor rank keeps the levels compiled at it, so a chain lives as
-    long as its rank, and the next compile of a deeper rank stops at the
-    first level a live rank holds and builds only the levels above it.
-    """
-    if c.kind is Kind.PQ:
-        return Fan((_chain(True, c.rank), _chain(False, c.rank)), CONST_EMPTY)
-    return _chain(c.kind is Kind.P, c.rank)
 
-
-def _chain(p: bool, rank: Ordinal, memo: Optional[dict] = None) -> TreeSchema:
-    """The P-level (``p``) or Q-level of the chain at ``rank``.  A loop
-    walks down the chain to the first level held by its rank or by
-    ``memo``, or to a zero or limit rank, then builds the levels above it
-    bottom-up, so depth costs no Python frames.
-
-    ``memo`` maps (is a P-level, rank) to levels already built: a diagonal
-    tail passes its own, so each new block starts from the levels of
-    earlier blocks and they die with the tail.  Without a memo the level
-    is stored on a successor ``rank`` in ``_levels`` (Q-level, P-level).
-    Blocks are never stored on their ranks: those are fundamental-sequence
-    members, which a client may hold for reasons of its own (a block
-    would then outlive its tail), and a limit rank would form a cycle
-    with its diagonal tail.
-    """
-    down = []
-    while True:
-        out = None if rank._levels is None else rank._levels[p]
-        if out is None and memo is not None:
-            out = memo.get((p, rank))
-        if out is not None or ordinals.kind(rank) is not OrdKind.SUCCESSOR:
-            break
-        down.append((p, rank))
-        p, rank = not p, ordinals.pred(rank)
-    if out is None:
-        zero = rank.is_zero()
-        if p:
-            out = Fan((), Const(EPS) if zero else QDiag(rank))
-        else:
-            out = CHAIN if zero else Spine((), PDiag(rank))
-        if memo is not None:
-            memo[p, rank] = out
-    for key in reversed(down):
-        out = (Fan if key[0] else Spine)((), Const(out))
-        if memo is not None:
-            memo[key] = out
-    if down and memo is None:
-        # levels are interned, so a store lost to a racing compile loses
-        # only the shortcut, never an answer
-        p, rank = down[0]
-        if rank._levels is None:
-            rank._levels = [None, None]
-        rank._levels[p] = out
-    return out
+def _level(p: bool, rank: Ordinal) -> TreeSchema:
+    """The P-level (``p``) or Q-level of the chain at ``rank``; above a zero
+    or limit rank its tail is the ``Const`` that builds the other level one
+    rank down when first read."""
+    if rank.is_zero():
+        return Fan((), Const(EPS)) if p else CHAIN
+    if ordinals.kind(rank) is OrdKind.LIMIT:
+        return Fan((), QDiag(rank)) if p else Spine((), PDiag(rank))
+    return (Fan if p else Spine)((), _intern(Const, not p, ordinals.pred(rank)))
 
 
 def compile_ideal(e: IdealExpr) -> TreeSchema:
@@ -294,8 +293,8 @@ def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
     out = memo.get(i)
     if out is None:
         rank = ordinals.fund_seq(tail.rank, i + tail.offset)
-        out = memo[i] = _chain(isinstance(tail, PDiag), rank, memo)
-    return out
+        out = memo[i] = _intern(Const, isinstance(tail, PDiag), rank)
+    return out.block
 
 
 def shift_tail(tail: SchemaSeq, k: int) -> SchemaSeq:

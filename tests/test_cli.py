@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,3 +259,23 @@ def test_deep_input_under_the_default_recursion_limit(capsys):
         assert (got, err) == (code, ""), (argv[:2], got, err[:200])
         if first is not None:
             assert out.splitlines()[0] == first, (argv[:2], out[:200])
+
+
+def test_membership_in_a_huge_standard_copy_reads_only_the_levels_it_needs(capsys):
+    # a chain unfolds as far as the answer reads it: <0,1> leaves P(10^8)
+    # at its second level, and the empty set needs no level at all
+    for argv, code, said in [
+        (["member", "finset{<0,1>}", "in", "P(100000000)"], 2, "<0,1>"),
+        (["member", "empty", "in", "P(100000000)"], 0, "member of P(100000000)"),
+    ]:
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = cli.main(argv)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert got == code and said in out + err, (argv, got, out, err)
+        assert seconds < 2 and peak < 50 << 20, (argv, seconds, peak)

@@ -296,6 +296,30 @@ def test_a_fundamental_sequence_pins_no_chain():
     assert left == 0
 
 
+def test_held_chains_compile_again_without_their_ranks(monkeypatch):
+    # a level's tail holds the rank below it, so compiling the sum of two
+    # held chains interns the top rank again and nothing under it
+    n = 50000
+    p, q = (trees.compile_ideal(parse_expr(f"{kind}({n})")) for kind in "PQ")
+    gc.collect()
+    ref = hashcons._TABLE.get((ordinals.Ordinal, ((ordinals.ZERO, n),)))
+    assert ref is None or ref() is None  # the chains do not hold their rank
+    calls, init = [], ordinals.Ordinal._init
+    monkeypatch.setattr(ordinals.Ordinal, "_init", lambda o, *a: calls.append(a) or init(o, *a))
+    assert trees.compile_ideal(parse_expr(f"sum(P({n}),Q({n}))")) is Fan((p, q), CONST_EMPTY)
+    assert len(calls) <= 3
+
+
+def test_a_diagonal_block_is_the_level_compiled_at_its_rank():
+    # parsed, compiled and diagonal levels are one object
+    for k in (0, 1, 2, 7, 30):
+        rank_k = ordinals.from_int(k + 1)
+        for diag, kind in ((QDiag, ideals.Kind.Q), (PDiag, ideals.Kind.P)):
+            block = trees.seq_block(diag(ordinals.OMEGA, k), 0)
+            assert block is trees.compile_form(ideals.CanonicalForm(kind, rank_k))
+            assert parse_tree(str(block)) is block
+
+
 def test_repr_of_deep_terms():
     # 8 000 nested terms: a frame per term overflowed the package's limit
     out = repr(trees.compile_ideal(parse_expr("P(4000)")))
