@@ -1,11 +1,13 @@
 """Finite block quotient of a generated tree.
 
 Vertices are cone schemas (one representative per distinct re-rooted
-cone); edges carry a finite multiplicity or None for an infinite block of
-children of the same class.  Identical cone schemas denote translated
-copies of the same set, so they share their derivative fate, which makes
-the quotient a faithful finite materialization whenever it is finite at
-all.  Diagonal tails produce infinitely many distinct block classes and
+cone); the children of a vertex are its one-letter cones by letter class
+(``trees.derivatives``), and its edges carry the multiplicity of each
+child class, or None for infinitely many children of that class (a
+constant tail).  Identical cone schemas denote translated copies of the
+same set, so they share their derivative fate, which makes the quotient
+a faithful finite materialization whenever it is finite at all.
+Diagonal tails produce infinitely many distinct block classes and
 overflow the representative budget by design.
 """
 
@@ -26,35 +28,6 @@ def norm_key(t: TreeSchema) -> TreeSchema:
     return t
 
 
-def child_classes(t: TreeSchema, cap: int) -> list[tuple[TreeSchema, int | None]]:
-    """Cone classes of the root children of the generated tree of ``t``:
-    its one-letter cones by letter class (``trees.derivatives``).
-
-    Multiplicity None marks infinitely many children of that class.  At
-    most ``cap + 1`` distinct diagonal blocks are expanded; the caller's
-    vertex budget turns the excess into an overflow.
-    """
-    heads, tail = trees.derivatives(t)
-    out: dict[TreeSchema, int | None] = {}
-    for h in heads:
-        if not trees.is_empty(h):
-            _bump(out, norm_key(h), 1)
-    if not trees.tail_is_trivial(tail):
-        if isinstance(tail, Const):
-            _bump(out, norm_key(tail.block), None)
-        else:
-            for i in range(cap + 1):
-                _bump(out, norm_key(trees.seq_block(tail, i)), 1)
-    return list(out.items())
-
-
-def _bump(acc: dict[TreeSchema, int | None], key: TreeSchema, mult: int | None) -> None:
-    if mult is None or acc.get(key, 0) is None:
-        acc[key] = None
-    else:
-        acc[key] = acc.get(key, 0) + mult
-
-
 class Quotient:
     """Vertex 0 is the root class; edges index into ``vertices``."""
 
@@ -67,37 +40,42 @@ class Quotient:
 
 
 def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:
-    """Breadth-first materialization; raises QuotientOverflow past the cap."""
+    """Breadth-first materialization; raises QuotientOverflow past the cap.
+
+    The loop reads the vertex list while it grows.  Each vertex counts its
+    child classes, a nonempty head or diagonal block once and a nonempty
+    constant tail's block infinitely often, and appends the classes met
+    first.  A diagonal tail expands its first ``max_vertices + 1`` blocks,
+    enough for its distinct classes to overflow the cap.
+    """
     root = norm_key(t)
     q = Quotient()
-    index: dict[TreeSchema, int] = {}
-
-    def vertex(s: TreeSchema) -> int:
-        if s in index:
-            return index[s]
-        if len(q.vertices) >= max_vertices:
-            raise QuotientOverflow(
-                f"more than {max_vertices} representatives materializing {t}"
-            )
-        index[s] = len(q.vertices)
-        q.vertices.append(s)
-        q.edges.append([])
-        return index[s]
-
-    vertex(root)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            kids = []
-            for key, mult in child_classes(q.vertices[v], max_vertices):
-                known = key in index
-                w = vertex(key)
-                kids.append((w, mult))
-                if not known:
-                    nxt.append(w)
-            q.edges[v] = kids
-        frontier = nxt
+    q.vertices.append(root)
+    index = {root: 0}
+    for s in q.vertices:
+        heads, tail = trees.derivatives(s)
+        if type(tail) is not Const:
+            heads += tuple(trees.seq_block(tail, i) for i in range(max_vertices + 1))
+        mult: dict[TreeSchema, int | None] = {}
+        for h in heads:
+            if not trees.is_empty(h):
+                key = norm_key(h)
+                m = mult.get(key, 0)
+                mult[key] = None if m is None else m + 1
+        if type(tail) is Const and not trees.is_empty(tail.block):
+            mult[norm_key(tail.block)] = None
+        kids = []
+        for key, m in mult.items():
+            w = index.get(key)
+            if w is None:
+                if len(q.vertices) >= max_vertices:
+                    raise QuotientOverflow(
+                        f"more than {max_vertices} representatives materializing {t}"
+                    )
+                w = index[key] = len(q.vertices)
+                q.vertices.append(key)
+            kids.append((w, m))
+        q.edges.append(kids)
     return q
 
 

@@ -279,3 +279,20 @@ def test_membership_in_a_huge_standard_copy_reads_only_the_levels_it_needs(capsy
         out, err = capsys.readouterr()
         assert got == code and said in out + err, (argv, got, out, err)
         assert seconds < 2 and peak < 50 << 20, (argv, seconds, peak)
+
+
+def test_containment_in_a_huge_standard_copy_stops_at_its_first_level(capsys):
+    # the counterexample <0> lies in the first level of Q(10^8); the walk
+    # must not fold the emptiness of the levels below to find it
+    argv = ["member", "--perp", "fan([eps];const(empty))", "in", "Q(100000000)"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = cli.main(argv)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert got == 2 and "<0>" in out + err, (got, out, err)
+    assert seconds < 2 and peak < 50 << 20, (seconds, peak)

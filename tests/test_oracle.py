@@ -83,6 +83,47 @@ def test_quotient_shapes():
     assert len(q) == 2
 
 
+# sha256 of "<schema>:<vertices>:<edges>:<derivative_fixpoint>" lines, or
+# "<schema>:<overflow message>", over the constant-tail schemas of size
+# <= 5 at cap 64 and 1 000 rand_schema draws each at caps 16 and 64;
+# recorded before build_quotient became one breadth-first loop
+QUOTIENT_DIGEST = "563301b50b703933b39b3e7ff0d5af0085d51b65a0bbcb30f7c89975d92f4b15"
+
+
+def _quotient_line(s: trees.TreeSchema, cap: int) -> str:
+    try:
+        q = quotient.build_quotient(s, cap)
+    except QuotientOverflow as e:
+        return f"{s}:{e}"
+    return f"{s}:{[str(v) for v in q.vertices]}:{q.edges}:{quotient.derivative_fixpoint(q)}"
+
+
+def test_quotients_pinned():
+    from test_acceptance import _schemas_of_size
+
+    h = hashlib.sha256()
+    for s in (s for size in range(1, 6) for s in _schemas_of_size(size)):
+        h.update(f"{_quotient_line(s, 64)}\n".encode())
+    rng = random.Random(22)
+    for cap in (16, 64):
+        for _ in range(1000):
+            h.update(f"{_quotient_line(oracle.rand_schema(rng, 6), cap)}\n".encode())
+    assert h.hexdigest() == QUOTIENT_DIGEST
+
+
+def test_explicit_derivative_checks_each_cone_against_in_id(monkeypatch):
+    # the first removal round must agree with in_id on every class, so a
+    # predicate that lies about the one-letter cone ``chain`` is caught
+    root = t("fan([];const(chain))")
+    b = Budget(6, 6, 64)
+    assert oracle.explicit_derivative(root, b) == (parse_ordinal_int(2), True)
+    honest = trees.in_id
+    monkeypatch.setattr(trees, "in_id", lambda s: honest(s) != (s is trees.CHAIN))
+    with pytest.raises(AssertionError) as caught:
+        oracle.explicit_derivative(root, b)
+    assert str(caught.value) == "chain"
+
+
 def test_rank_agreement_sampled():
     rng = random.Random(42)
     agreements = 0
