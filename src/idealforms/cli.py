@@ -254,7 +254,8 @@ def _cmd_frechet(args) -> dict:
     q, e = _parse_member_args(args)
     w = membership.frechet_witness(q, e)
     checked = oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
-    assert checked, "emitted orthogonal subset failed its own check"
+    if not checked:  # not an assert: the check must run under python -O too
+        raise AssertionError("emitted orthogonal subset failed its own check")
     return {
         "text": str(w),
         "json": _witness_json(w, checked=oracle.WITNESS_BUDGET),
@@ -267,7 +268,8 @@ def _cmd_idwitness(args) -> dict:
     q = text.parse_query(args.query)
     w = membership.id_witness(q)
     checked = oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
-    assert checked, "emitted domination witness failed its own check"
+    if not checked:
+        raise AssertionError("emitted domination witness failed its own check")
     if isinstance(w, witnesses.DominatingBranch):
         txt = f"dominating branch {w}"
     else:

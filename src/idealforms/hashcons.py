@@ -13,7 +13,9 @@ lives as long as its top level.  A successor rank holds the top levels
 ``trees.compile_form`` compiled at it.  A diagonal tail holds the tails
 of its blocks, never their ranks: nothing that holds the tail holds
 those ranks, and a limit rank would form a cycle with its diagonal tail.
-A memo holds only terms its owner would keep alive anyway.
+A memo holds only terms its owner would keep alive anyway, but a spine's
+quotient classes hold its zero-cone, no larger than the spine; no memo
+names its own term, which would then outlive ``gc.collect()``.
 
 Every sort of term is a term algebra, so every fact computed bottom-up
 over a sort is one ``Algebra`` run by the one traversal ``_fold``

@@ -149,17 +149,17 @@ def wo_self_dual(t: LinTerm) -> tuple[LinTerm, WoClass]:
     """The reversal together with its classification.
 
     For scattered terms the reversal classifies to the orthogonal of the
-    original classification; that identity is asserted here because its
-    failure would be an engine bug, never an input error.
+    original classification; a failure of that identity is an engine bug,
+    never an input error, so it raises here even under ``python -O``.
     """
     rev = reverse_term(t)
     out = wo_classify(rev)
     orig = wo_classify(t)
     if isinstance(orig, Scattered):
-        assert isinstance(out, Scattered)
-        assert out.form == ideals.perp(orig.form), (t, orig, out)
-    else:
-        assert isinstance(out, NonScattered)
+        if not isinstance(out, Scattered) or out.form != ideals.perp(orig.form):
+            raise AssertionError((t, orig, out))
+    elif not isinstance(out, NonScattered):
+        raise AssertionError
     return rev, out
 
 

@@ -4,18 +4,20 @@ Vertices are cone schemas (one representative per distinct re-rooted
 cone); the children of a vertex are its one-letter cones by letter class
 (``trees.derivatives``), and its edges carry the multiplicity of each
 child class, or None for infinitely many children of that class (a
-constant tail).  Identical cone schemas denote translated copies of the
-same set, so they share their derivative fate, which makes the quotient
-a faithful finite materialization whenever it is finite at all.
-Diagonal tails produce infinitely many distinct block classes and
-overflow the representative budget by design.
+constant tail); a vertex computes its classes once, as its fact ``_classes``.
+Identical cone schemas denote translated copies of the same set, so
+they share their derivative fate, which makes the quotient a faithful
+finite materialization whenever it is finite at all.  Diagonal tails
+produce infinitely many distinct block classes and overflow the
+representative budget by design.
 """
 
 from __future__ import annotations
 
 from . import trees
 from .errors import QuotientOverflow
-from .trees import Const, Rooted, TreeSchema
+from .hashcons import Algebra, _fold
+from .trees import CONST_EMPTY, Const, Fan, Rooted, SchemaSeq, TreeSchema
 
 
 def norm_key(t: TreeSchema) -> TreeSchema:
@@ -39,34 +41,52 @@ class Quotient:
         return len(self.vertices)
 
 
+def _classes(s: TreeSchema, _answers: list) -> tuple | SchemaSeq:
+    """The child classes of vertex ``s``, each followed by its multiplicity,
+    None standing for ``s`` itself (a term holding itself stays in the
+    intern table); or its diagonal tail, whose classes depend on the cap."""
+    heads, tail = trees.derivatives(s)
+    if type(tail) is not Const:
+        return tail
+    mult: dict[TreeSchema, int | None] = {}
+    for h in heads:
+        if not trees.is_empty(h):
+            key = norm_key(h)
+            m = mult.get(key, 0)
+            mult[key] = None if m is None else m + 1
+    if not trees.is_empty(tail.block):
+        mult[norm_key(tail.block)] = None
+    return tuple(x for key, m in mult.items() for x in (None if key is s else key, m))
+
+
+_CLASSES = Algebra("_classes", _classes, kids=lambda s: ())
+
+
 def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:
     """Breadth-first materialization; raises QuotientOverflow past the cap.
 
-    The loop reads the vertex list while it grows.  Each vertex counts its
-    child classes, a nonempty head or diagonal block once and a nonempty
-    constant tail's block infinitely often, and appends the classes met
-    first.  A diagonal tail expands its first ``max_vertices + 1`` blocks,
-    enough for its distinct classes to overflow the cap.
+    The loop reads the vertex list while it grows.  Each vertex reads its
+    child classes from the ``_classes`` fact, a nonempty head or diagonal
+    block counted once and a nonempty constant tail's block infinitely
+    often, and appends the classes met first.  A diagonal tail counts as
+    its first ``max_vertices + 1`` blocks, taken as heads: enough for its
+    distinct classes to overflow the cap.
     """
     root = norm_key(t)
     q = Quotient()
     q.vertices.append(root)
     index = {root: 0}
-    for s in q.vertices:
-        heads, tail = trees.derivatives(s)
-        if type(tail) is not Const:
-            heads += tuple(trees.seq_block(tail, i) for i in range(max_vertices + 1))
-        mult: dict[TreeSchema, int | None] = {}
-        for h in heads:
-            if not trees.is_empty(h):
-                key = norm_key(h)
-                m = mult.get(key, 0)
-                mult[key] = None if m is None else m + 1
-        if type(tail) is Const and not trees.is_empty(tail.block):
-            mult[norm_key(tail.block)] = None
+    for v, s in enumerate(q.vertices):
+        fact = getattr(s, "_classes", None)
+        if fact is None:
+            fact = _fold(s, _CLASSES)
+        if type(fact) is not tuple:
+            blocks = tuple(trees.seq_block(fact, i) for i in range(max_vertices + 1))
+            fact = _fold(Fan(s.heads + blocks, CONST_EMPTY), _CLASSES)
+        pairs = iter(fact)
         kids = []
-        for key, m in mult.items():
-            w = index.get(key)
+        for key, m in zip(pairs, pairs):
+            w = v if key is None else index.get(key)
             if w is None:
                 if len(q.vertices) >= max_vertices:
                     raise QuotientOverflow(

@@ -26,10 +26,9 @@ Seq = tuple[int, ...]
 class TreeSchema(Interned):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
-    # one slot per _Algebra: the facts _fold memoizes on each term
-    __slots__ = (
-        "_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls", "_scaffold", "_via"
-    )
+    # one slot per schema Algebra: the facts _fold memoizes on each term
+    __slots__ = ("_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls",
+                 "_scaffold", "_via", "_classes")
 
     def __str__(self) -> str:
         return text.format_term(self)

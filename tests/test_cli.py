@@ -208,6 +208,22 @@ def test_a_closed_stdout_exits_quietly():
         assert (proc.returncode, proc.stderr) == (0, b""), argv
 
 
+def test_a_failed_witness_check_fails_under_python_O():
+    # the self-checks behind checkedAtBudget are not asserts, which -O strips:
+    # a witness whose check fails is an internal failure, never printed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = ("import sys\nfrom idealforms import cli, oracle\n"
+              "oracle.check_witness = lambda *args: False\nsys.exit(cli.main(sys.argv[1:]))")
+    for argv in (["frechet", "fan([];const(chain))", "in", "P(1)"],
+                 ["idwitness", "spine([];const(chain))"]):
+        proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                              capture_output=True, text=True, env=env)
+        lines = proc.stderr.splitlines()
+        assert (proc.returncode, proc.stdout, len(lines)) == (3, "", 1), (argv, proc.stderr)
+        assert lines[0].startswith("internal failure: AssertionError: emitted"), lines
+
+
 # --------------------------------------------------------------------------
 # depth: no verb spends a Python frame per level of its input
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,37 @@ def test_explicit_derivative_checks_each_cone_against_in_id(monkeypatch):
     with pytest.raises(AssertionError) as caught:
         oracle.explicit_derivative(root, b)
     assert str(caught.value) == "chain"
+
+
+# terms left in the intern table after the explicit derivative of 3 000
+# rand_schema draws and a full collection
+RETAINED = """
+import gc, random
+from idealforms import hashcons, oracle
+from idealforms.errors import QuotientOverflow
+b, rng = oracle.Budget(6, 6, 64), random.Random(7)
+gc.collect()
+baseline = len(hashcons._TABLE)
+for _ in range(3000):
+    try:
+        oracle.explicit_derivative(oracle.rand_schema(rng, 6), b)
+    except QuotientOverflow:
+        pass
+gc.collect()
+print(len(hashcons._TABLE) - baseline)
+"""
+
+
+def test_quotient_classes_keep_no_term_alive():
+    # each vertex keeps its child classes on its term; a spine that is its
+    # own zero-cone, such as spine([];const(fan([];const(eps)))), must not
+    # name itself there, or it stays in the intern table after collection.
+    # A fresh interpreter, since terms that earlier tests hold keep the
+    # blocks and facts they memoize
+    src = str(Path(trees.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", RETAINED], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_rank_agreement_sampled():

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from idealforms import classification, hashcons, ideals, membership, orders, ordinals, rank, trees
+from idealforms import (
+    classification, hashcons, ideals, membership, orders, ordinals, quotient, rank, trees,
+)
 from idealforms.errors import NotLimit
 from idealforms.oracle import rand_infinite_schema
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
@@ -372,12 +374,13 @@ def test_compile_and_descend_deep_chains_in_one_process():
 def test_every_fact_slot_has_one_algebra():
     # two algebras sharing a slot would silently return each other's answers
     algebras = [
-        v for m in (trees, rank, classification, ideals, ordinals, orders) for v in vars(m).values()
-        if isinstance(v, hashcons.Algebra)
+        v for m in (trees, rank, classification, ideals, ordinals, orders, quotient)
+        for v in vars(m).values() if isinstance(v, hashcons.Algebra)
     ]
     slots = [a.slot for a in algebras]
     assert len(set(slots)) == len(slots)
-    schema = {a.slot for a in algebras if isinstance(a, trees._Algebra)}
+    # the quotient's child classes are a schema fact with no children
+    schema = {a.slot for a in algebras if isinstance(a, trees._Algebra) or a is quotient._CLASSES}
     assert schema == set(trees.TreeSchema.__slots__)
     assert set(slots) - schema == {"_form", "_text", "_wo", "_rev"}
 
