@@ -348,26 +348,19 @@ def id_witness(q: QueryTerm) -> DominatingBranch | UnboundedFamily:
 
 
 def _branch_query(q: QueryTerm) -> DominatingBranch:
-    branches = []
+    """Every schema leaf's branch merged with each finite element and
+    transversal pick, followed by zeros."""
+    branches = [DominatingBranch((), (0,))]
     for x in _leaves(q):
         match x:
             case Schema(tree):
                 branches.append(_branch_schema(tree))
             case FinSet(elements):
-                branches.append(_branch_finite(elements))
+                branches += (DominatingBranch(u, (0,)) for u in elements)
             case Transversal(fan):
-                picks = [p for n in range(len(fan.heads)) if (p := _transversal_pick(fan, n))]
-                branches.append(_branch_finite(picks))
+                branches += (DominatingBranch(p, (0,)) for n in range(len(fan.heads))
+                             if (p := _transversal_pick(fan, n)))
     return merge_branches(branches)
-
-
-def _branch_finite(elems: tuple[Seq, ...] | list[Seq]) -> DominatingBranch:
-    """The largest entry at each position, then zeros."""
-    prefix = [0] * max(map(len, elems), default=0)
-    for u in elems:
-        for i, x in enumerate(u):
-            prefix[i] = max(prefix[i], x)
-    return DominatingBranch(tuple(prefix), (0,))
 
 
 def _branch_schema(t: TreeSchema) -> DominatingBranch:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import trees
 from .errors import QuotientOverflow
 from .hashcons import Algebra, _fold
-from .trees import CONST_EMPTY, Const, Fan, Rooted, SchemaSeq, TreeSchema
+from .trees import Const, Fan, Rooted, SchemaSeq, Spine, TreeSchema
 
 
 def norm_key(t: TreeSchema) -> TreeSchema:
@@ -44,10 +44,12 @@ class Quotient:
 def _classes(s: TreeSchema, _answers: list) -> tuple | SchemaSeq:
     """The child classes of vertex ``s``, each followed by its multiplicity,
     None standing for ``s`` itself (a term holding itself stays in the
-    intern table); or its diagonal tail, whose classes depend on the cap."""
+    intern table); or the diagonal tail of a fan or spine, whose classes
+    never end: its blocks are nonempty compiled levels at strictly
+    increasing ranks, and a spine's zero-cones over it shift it further."""
+    if (type(s) is Fan or type(s) is Spine) and type(s.tail) is not Const:
+        return s.tail
     heads, tail = trees.derivatives(s)
-    if type(tail) is not Const:
-        return tail
     mult: dict[TreeSchema, int | None] = {}
     for h in heads:
         if not trees.is_empty(h):
@@ -62,15 +64,18 @@ def _classes(s: TreeSchema, _answers: list) -> tuple | SchemaSeq:
 _CLASSES = Algebra("_classes", _classes, kids=lambda s: ())
 
 
+def _overflow(t: TreeSchema, cap: int) -> QuotientOverflow:
+    return QuotientOverflow(f"more than {cap} representatives materializing {t}")
+
+
 def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:
     """Breadth-first materialization; raises QuotientOverflow past the cap.
 
     The loop reads the vertex list while it grows.  Each vertex reads its
-    child classes from the ``_classes`` fact, a nonempty head or diagonal
-    block counted once and a nonempty constant tail's block infinitely
-    often, and appends the classes met first.  A diagonal tail counts as
-    its first ``max_vertices + 1`` blocks, taken as heads: enough for its
-    distinct classes to overflow the cap.
+    child classes from the ``_classes`` fact, a nonempty head counted once
+    and a nonempty constant tail's block infinitely often, and appends the
+    classes met first.  A vertex with a diagonal tail has pairwise distinct
+    classes without end, so it overflows every cap at once.
     """
     root = norm_key(t)
     q = Quotient()
@@ -81,17 +86,14 @@ def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:
         if fact is None:
             fact = _fold(s, _CLASSES)
         if type(fact) is not tuple:
-            blocks = tuple(trees.seq_block(fact, i) for i in range(max_vertices + 1))
-            fact = _fold(Fan(s.heads + blocks, CONST_EMPTY), _CLASSES)
+            raise _overflow(t, max_vertices)
         pairs = iter(fact)
         kids = []
         for key, m in zip(pairs, pairs):
             w = v if key is None else index.get(key)
             if w is None:
                 if len(q.vertices) >= max_vertices:
-                    raise QuotientOverflow(
-                        f"more than {max_vertices} representatives materializing {t}"
-                    )
+                    raise _overflow(t, max_vertices)
                 w = index[key] = len(q.vertices)
                 q.vertices.append(key)
             kids.append((w, m))

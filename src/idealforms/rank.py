@@ -48,14 +48,6 @@ def _from_dom(dom: Ordinal) -> RankInfo:
     return RankInfo(ordinals.succ(dom), True, dom)
 
 
-def _omax(values: list[Ordinal]) -> Ordinal:
-    out = ordinals.ZERO
-    for v in values:
-        if ordinals.compare(v, out) > 0:
-            out = v
-    return out
-
-
 def tree_rank(t: TreeSchema) -> tuple[Ordinal, bool]:
     """Rank and core emptiness of the generated tree."""
     info = rank_info(t)
@@ -81,15 +73,15 @@ def _node(t: Fan | Spine, heads: list[tuple[int, RankInfo]], tail: RankInfo | No
     if all(i.core_empty for _, i in heads):
         # the root falls once every block is dominated; a spine
         # accommodates dominated copies, so no emptiness is needed there
-        return _from_dom(_omax([i.dom_stage for _, i in heads]))
+        return _from_dom(max([i.dom_stage for _, i in heads]))
     ranks = [i.rank for _, i in heads]
     if isinstance(t, Spine):
         last_bad = max(n for n, i in heads if not i.core_empty)
         late = [i.dom_stage for n, i in heads if n > last_bad]
         if late:
             # spine nodes past the last surviving copy still get removed
-            ranks.append(ordinals.succ(_omax(late)))
-    return RankInfo(_omax(ranks), False, None)
+            ranks.append(ordinals.succ(max(late)))
+    return RankInfo(max(ranks), False, None)
 
 
 # the blocks of a diagonal tail have ranks and domination stages cofinal

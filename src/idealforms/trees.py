@@ -327,7 +327,6 @@ _EMPTY = _Algebra(
     "_empty",
     {EMPTY: True, EPS: False, CHAIN: False, FULL: False},
     lambda t, heads, tail: not heads and tail is None,
-    rooted=lambda answer: False,
     diag=lambda tail: False,
 )
 
@@ -380,11 +379,10 @@ def _descend(t: TreeSchema, u: Seq) -> tuple[TreeSchema, int]:
 
 
 def member_elem(u: Seq, t: TreeSchema) -> bool:
-    """Point membership of a sequence in the denoted set."""
-    t, i = _descend(t, u)
-    if i == len(u):
-        return t is EPS or t is FULL or type(t) is Rooted
-    return t is FULL or t is CHAIN and not any(u[i:])
+    """Point membership of a sequence in the denoted set: its cone holds
+    the empty sequence (Brzozowski, 1964)."""
+    t = cone_of(t, u)
+    return t is EPS or t is FULL or type(t) is Rooted
 
 
 def spine_root(n: int) -> Seq:

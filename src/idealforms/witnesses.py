@@ -157,11 +157,7 @@ class CoreEmbedding(EmbeddingWitness):
 
 
 def iter_domain(depth: int, width: int, count: int) -> list[Seq]:
-    """Deterministic sample of the sequence tree for witness checking."""
-    out: list[Seq] = []
-    for length in range(depth + 1):
-        for u in itertools.product(range(width + 1), repeat=length):
-            out.append(u)
-            if len(out) >= count:
-                return out
-    return out
+    """Deterministic sample of the sequence tree for witness checking: its
+    first ``count`` sequences by length, then lexicographically."""
+    every = (u for n in range(depth + 1) for u in trees.iter_len(trees.FULL, n, width))
+    return list(itertools.islice(every, count))

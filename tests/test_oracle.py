@@ -114,6 +114,26 @@ def test_quotients_pinned():
     assert h.hexdigest() == QUOTIENT_DIGEST
 
 
+def test_witness_domain_is_the_first_sequences_by_length():
+    for depth, width in itertools.product(range(4), range(3)):
+        every = [u for n in range(depth + 1) for u in itertools.product(range(width + 1), repeat=n)]
+        for count in (1, len(every) // 2 + 1, len(every), len(every) + 5):
+            assert iter_domain(depth, width, count) == every[:count], (depth, width, count)
+
+
+@pytest.mark.parametrize("text", ["fan([chain];qdiag(w))", "spine([];pdiag(w^2))"])
+def test_diagonal_tails_overflow_without_reading_a_block(monkeypatch, text):
+    # a diagonal tail's classes never end, so the quotient overflows at
+    # its vertex, before any block of the tail is built
+    s, calls = t(text), []
+    seq_block = trees.seq_block
+    monkeypatch.setattr(trees, "seq_block", lambda tail, i: calls.append(i) or seq_block(tail, i))
+    with pytest.raises(QuotientOverflow) as caught:
+        quotient.build_quotient(s, 1000)
+    assert str(caught.value) == f"more than 1000 representatives materializing {s}"
+    assert calls == []
+
+
 def test_explicit_derivative_checks_each_cone_against_in_id(monkeypatch):
     # the first removal round must agree with in_id on every class, so a
     # predicate that lies about the one-letter cone ``chain`` is caught

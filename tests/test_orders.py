@@ -99,6 +99,18 @@ def test_order_faithful_sampled():
             assert want == got, f"{term}: {p} vs {q}"
 
 
+def test_rational_positions_compare_in_order():
+    # a path sits between its left (0) and right (1) subtrees; equal paths tie
+    rat = orders.RATQ
+    assert orders.pos_cmp(rat, (0, 1), (0, 1)) == 0
+    assert orders.pos_cmp(rat, (0, 1), (0,)) == 1 and orders.pos_cmp(rat, (0, 0), (0,)) == -1
+    assert orders.pos_cmp(rat, (0,), (0, 1)) == -1 and orders.pos_cmp(rat, (0,), (0, 0)) == 1
+    paths = [p for n in range(4) for p in itertools.product((0, 1), repeat=n)]
+    for p, q in itertools.product(paths, repeat=2):
+        a, b = orders.embed_position(rat, p), orders.embed_position(rat, q)
+        assert orders.pos_cmp(rat, p, q) == (a > b) - (a < b), (p, q)
+
+
 def test_dense_embedding_between():
     for src in ("QQ", "cat(N,QQ)", "rev(cat(N,QQ,N))", "osum([QQ];N)"):
         out = orders.wo_classify(t(src))

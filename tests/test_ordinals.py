@@ -29,6 +29,13 @@ def test_add_examples():
     assert ordinals.add(o("w^2"), o("w*3+4")) == o("w^2+w*3+4")
 
 
+def test_operators_agree_with_compare_and_add():
+    a, b = o("w*2"), o("w^2")
+    assert b > a and b >= a and a >= a and not a > a and not a >= b
+    assert a + b == ordinals.add(a, b) == b and b + a == o("w^2+w*2")
+    assert max([ONE, a, b, OMEGA]) is b
+
+
 def test_kind_examples():
     assert ordinals.kind(ZERO) is OrdKind.ZERO
     assert ordinals.kind(o("w^2+3")) is OrdKind.SUCCESSOR
