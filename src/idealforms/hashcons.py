@@ -26,9 +26,8 @@ each answer in a slot of the term.
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from _weakref import _remove_dead_weakref
-from typing import Callable, Optional
+from typing import Callable
 
 _TABLE: dict[tuple, _Ref] = {}
 
@@ -118,42 +117,20 @@ class Interned:
         return "".join(out)
 
 
-def _children(t: Interned, sort: type) -> list:
-    """The fields of ``t`` named in ``__match_args__`` that hold terms of
-    ``sort``, looked for inside tuples too, in order."""
-    out = []
-    for name in t.__match_args__:
-        todo = [getattr(t, name)]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, sort):
-                out.append(x)
-            elif type(x) is tuple:
-                todo += reversed(x)
-    return out
-
-
 class Algebra:
     """One bottom-up fact about the terms of a sort, memoized by ``_fold``
     in the slot ``slot`` of every term it reaches.
 
     ``node(t, answers)`` is the answer at ``t`` from the answers of its
-    children ``kids(t)``, in order.  By default the children are the
-    fields that hold terms of the class ``sort`` (``_children``), so a
-    rank in an expression or a tree in a query is data, not a child.
+    children ``kids(t)``, in order.  For expressions and orders the
+    children are ``text.children``: the fields the grammar's shape reads
+    as a sort, so a rank in an expression is data, not a child.
     """
 
     __slots__ = ("slot", "node", "kids")
 
-    def __init__(
-        self,
-        slot: str,
-        node: Callable,
-        sort: Optional[type] = None,
-        kids: Optional[Callable[[Interned], list]] = None,
-    ) -> None:
-        self.slot, self.node = slot, node
-        self.kids = kids or partial(_children, sort=sort)
+    def __init__(self, slot: str, node: Callable, kids: Callable[[Interned], list]) -> None:
+        self.slot, self.node, self.kids = slot, node, kids
 
 
 def _fold(t: Interned, alg: Algebra):

@@ -195,7 +195,7 @@ def _rewrite(e: IdealExpr, forms: list[CanonicalForm]) -> CanonicalForm:
     raise TypeError(f"not an ideal expression: {e!r}")
 
 
-_NORMALIZE = Algebra("_form", _rewrite, IdealExpr)
+_NORMALIZE = Algebra("_form", _rewrite, text.children)
 
 
 def normalize(e: IdealExpr) -> CanonicalForm:

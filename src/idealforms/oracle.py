@@ -74,10 +74,11 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
 
     Stage k holds the sequences of length at most k with entries below k
     that miss every smaller box: those of length k, and the shorter ones
-    holding the entry k - 1.  Two facts of the query, read once, decide a
-    probe before it is opened: no element is shorter than the least
-    length, and none holds an entry above the entry bound, so a shorter
-    one needing k - 1 exists only when the bound reaches it.  A schema
+    holding the entry k - 1.  Three facts of the query, read once, decide
+    a probe before it is opened: no element is shorter than the least
+    length or longer than the depth bound, and none holds an entry above
+    the entry bound, so a shorter one needing k - 1 exists only when the
+    bound reaches it, and no stage past both bounds holds one.  A schema
     leaf's probes start at the cone below its forced prefix (``_forced``),
     shorter by the prefix, skipped when it holds an entry above k - 1 and
     not needing k - 1 when it holds that.  Finite set elements are read
@@ -85,22 +86,22 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
     bucket and one stream per schema or transversal leaf.
     """
     q = Schema(x) if isinstance(x, TreeSchema) else x
-    facts = []  # (least length, entry bound) of each nonempty leaf and finite set element
+    facts = []  # (least length, depth bound, entry bound) of each nonempty leaf and finite set element
     cones = []  # (forced prefix, the leaf of the cone below it) of each nonempty leaf
     finite: dict = {}  # (stage, length) -> finite set elements
     for leaf in membership._leaves(q):
         if type(leaf) is FinSet:
-            facts += ((len(u), max(u, default=-1)) for u in leaf.elements)
+            facts += ((len(u), len(u), max(u, default=-1)) for u in leaf.elements)
             for u in leaf.elements:  # stage(u) = max(len(u), max(u) + 1)
                 finite.setdefault((max(len(u), max(u, default=-1) + 1), len(u)), set()).add(u)
         elif not trees.is_empty(t := leaf.tree if type(leaf) is Schema else leaf.fan):
-            facts.append((trees.least_length(t), trees._entry_bound(t)))
+            facts.append((trees.least_length(t), trees._fold(t, trees._DEPTH), trees._entry_bound(t)))
             cones.append(_forced(leaf))
     if not facts:
         return  # the query has no element
-    least, bound = min(n for n, _ in facts), max(b for _, b in facts)
-    for k in range(least, stage_cap + 1):
-        for n in range(least if bound >= k - 1 else k, k + 1):  # the length probed
+    least, deepest, bound = min(f[0] for f in facts), max(f[1] for f in facts), max(f[2] for f in facts)
+    for k in range(least, min(stage_cap, max(deepest, bound + 1)) + 1):
+        for n in range(least if bound >= k - 1 else k, min(k, deepest) + 1):  # the length probed
             streams = [sorted(finite[k, n])] if (k, n) in finite else []
             for w, c in cones:
                 if len(w) <= n and max(w, default=-1) < k:

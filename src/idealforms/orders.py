@@ -119,7 +119,7 @@ def _wo_node(t: LinTerm, forms: list) -> Optional[CanonicalForm]:
     return ideals.combine_all(forms)
 
 
-_WO = Algebra("_wo", _wo_node, LinTerm)
+_WO = Algebra("_wo", _wo_node, text.children)
 
 
 def _rev_node(t: LinTerm, parts: list) -> Optional[LinTerm]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import NotLimit
-from .hashcons import Algebra, Interned, _fold, _intern
+from .hashcons import Interned, _intern
 
 
 class OrdKind(enum.Enum):
@@ -25,8 +25,8 @@ class Ordinal(Interned):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
     # _levels: the top chain levels compiled at this rank, which unfold
-    # on demand, see trees.compile_form; _text: see format_ordinal
-    __slots__ = ("terms", "_levels", "_text")
+    # on demand, see trees.compile_form
+    __slots__ = ("terms", "_levels")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]
 
@@ -62,10 +62,11 @@ class Ordinal(Interned):
         return add(self, other)
 
     def __str__(self) -> str:
-        return format_ordinal(self)
+        from . import text  # which imports this module
+        return text.format_term(self)
 
     def __repr__(self) -> str:
-        return f"Ordinal[{format_ordinal(self)}]"
+        return f"Ordinal[{self}]"
 
 
 ZERO = Ordinal()
@@ -178,37 +179,3 @@ def fund_seq(a: Ordinal, n: int) -> Ordinal:
     for base in reversed(down):
         out = add(base, omega_power(out))
     return out
-
-
-def _pieces(a: Ordinal, exponents: list) -> tuple | str:
-    """The text of ``a`` as nested tuples of strings that hold the text of
-    each exponent it prints, so no level copies the text below it."""
-    parts: list = []
-    for (exponent, coeff), inner in zip(a.terms, exponents):
-        if exponent is ZERO:
-            body, coeff = str(coeff), 1
-        elif exponent is ONE:
-            body = "w"
-        elif exponent.terms[0][0] is ZERO:
-            body = f"w^{exponent.terms[0][1]}"  # finite exponent
-        elif len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
-            body = ("w^", inner)  # pure power: right-assoc chain
-        else:
-            body = ("w^(", inner, ")")
-        parts += ("+", body if coeff == 1 else (body, f"*{coeff}"))
-    return tuple(parts[1:]) or "0"
-
-
-_TEXT = Algebra("_text", _pieces, Ordinal)
-
-
-def format_ordinal(a: Ordinal) -> str:
-    """Render in the ordinal grammar; parseable back by ``text.parse_ordinal``."""
-    out, stack = [], [_fold(a, _TEXT)]
-    while stack:
-        x = stack.pop()
-        if type(x) is str:
-            out.append(x)
-        else:
-            stack += reversed(x)
-    return "".join(out)

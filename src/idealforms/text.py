@@ -1,9 +1,10 @@
 """Parsers and the printer for the published grammars (docs/grammar.md).
 
-Ordinals have an infix grammar.  Every other sort has one table of
-keywords, each with its class and the shape of the text after it; one
-parser and one printer read the tables, so printed terms parse back,
-and neither spends a Python frame per level.
+Ordinals have an infix grammar, printed from a piece list by hand.  Every
+other sort has one table of keywords, each with its class and the shape
+of the text after it; one parser and one printer read the tables, so
+printed terms parse back, and neither spends a Python frame per level.
+The compiled tables also name the fields that hold subterms (``children``).
 """
 
 from __future__ import annotations
@@ -178,37 +179,39 @@ def _offset(s: _Stream) -> int:
     return s.nat() if s.peek() == "," and s.next() else 0
 
 
-# leaf: (reader, writer); ,nat is an offset, 0 when absent
+# leaf: (reader, writer or None to print the value); ,nat is an offset, 0 when absent
 _LEAVES = {
-    "ord": (_ordinal, str), "nat": (_Stream.nat, str), "seq": (_seq, format_seq_elem),
+    "ord": (_ordinal, None), "nat": (_Stream.nat, str), "seq": (_seq, format_seq_elem),
     ",nat": (_offset, lambda n: f",{n}" if n else ""),
 }
 _LIT, _LIST, _MORE, _BUILD = range(4)
 _TABLES: dict[str, dict] = {}  # sort -> keyword -> parse items, last first
-_PLANS: dict[type, tuple] = {}  # class -> first text, print pieces last first
+_PLANS: dict[type, tuple] = {}  # class -> first text, print pieces last first, children
 
 
 def _compile(sort: str) -> dict:
-    """The table of ``sort`` and the print pieces of its classes.  A parse
-    item is a sort or leaf, or (kind, x, arg); a print piece is text or
-    (field, leaf writer, is a list)."""
+    """The table of ``sort`` and the plans of its classes.  A parse item
+    is a sort or leaf, or (kind, x, arg); a print piece is text or
+    (field, leaf writer, is a list); a child is (field, is a list)."""
     name, spec = _GRAMMARS[sort]
     module, table = import_module(f".{name}", __package__), {}
     for keyword, shape in spec.items():
         name, *items = shape.split()
         cls = getattr(module, name)
-        fields, todo, plan = iter(cls.__match_args__), [], [keyword]
+        fields, todo, plan, kids = iter(cls.__match_args__), [], [keyword], []
         for k, item in enumerate(items):
             x, many = item.rstrip("*+"), item[-1] in "*+"
             if x not in _LEAVES and x not in _GRAMMARS:
                 todo.append((_LIT, x, None))
                 plan[-1] += x
                 continue
-            plan += [(next(fields), _LEAVES.get(x, (None, None))[1], many), ""]
+            plan += [(field := next(fields), _LEAVES.get(x, (None, None))[1], many), ""]
+            if x in _GRAMMARS:
+                kids.append((field, many))
             # an empty list peeks at the token after it
             todo.append((_LIST, x, items[k + 1] if item[-1] == "*" else None) if many else x)
         table[keyword] = ((_BUILD, cls, len(cls.__match_args__)), *reversed(todo))
-        _PLANS[cls] = (plan[0], tuple(p for p in reversed(plan[1:]) if p))
+        _PLANS[cls] = (plan[0], tuple(p for p in reversed(plan[1:]) if p), tuple(kids))
     _TABLES[sort] = table
     return table
 
@@ -251,9 +254,49 @@ def _read(s: _Stream, sort: str):
     return values[0]
 
 
+def _plan(cls: type) -> tuple:
+    """The plan of a class, compiling the tables of its module first."""
+    for sort, (name, _) in _GRAMMARS.items():
+        if cls.__module__ == f"{__package__}.{name}":
+            _compile(sort)
+    return _PLANS[cls]
+
+
+def children(x) -> list:
+    """The subterms of a term of a keyword grammar: the values of the
+    fields its shape reads as a sort, a list field's items each, in order.
+    A field read as a leaf (an ordinal, a sequence) is data."""
+    out = []
+    for field, many in (_PLANS.get(type(x)) or _plan(type(x)))[2]:
+        value = getattr(x, field)
+        out += value if many else (value,)
+    return out
+
+
+def _ordinal_pieces(a: Ordinal) -> list:
+    """The text of ``a`` last first: strings, and each exponent that prints
+    in full as itself, so no level copies the text below it."""
+    out: list = []
+    for exponent, coeff in reversed(a.terms):
+        if coeff != 1 and exponent is not ordinals.ZERO:
+            out.append(f"*{coeff}")
+        if exponent is ordinals.ZERO:
+            out.append(str(coeff))
+        elif exponent is ordinals.ONE:
+            out.append("w")
+        elif exponent.terms[0][0] is ordinals.ZERO:
+            out.append(f"w^{exponent.terms[0][1]}")  # finite exponent
+        elif len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
+            out += (exponent, "w^")  # pure power: right-assoc chain
+        else:
+            out += (")", exponent, "w^(")
+        out.append("+")
+    return out[:-1] or ["0"]
+
+
 def format_term(term) -> str:
-    """Text of a term of a keyword grammar, from a stack of terms still to
-    print and text still to emit."""
+    """Text of an ordinal or a term of a keyword grammar, from a stack of
+    terms still to print and text still to emit."""
     out: list[str] = []
     stack = [term]
     while stack:
@@ -262,11 +305,11 @@ def format_term(term) -> str:
             out.append(x)
             continue
         plan = _PLANS.get(type(x))
-        if plan is None:  # compile the tables of the term's module
-            for sort, (name, _) in _GRAMMARS.items():
-                if type(x).__module__ == f"{__package__}.{name}":
-                    _compile(sort)
-            plan = _PLANS[type(x)]
+        if plan is None:
+            if type(x) is Ordinal:
+                stack += _ordinal_pieces(x)
+                continue
+            plan = _plan(type(x))
         out.append(plan[0])
         for piece in plan[1]:
             if type(piece) is str:

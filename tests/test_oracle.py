@@ -901,3 +901,29 @@ def test_finite_set_leaves_are_read_from_one_bucket_per_probe(monkeypatch, capsy
         cap = max(d, w + 1)
         assert opened[0] <= (cap + 1) * (cap + 2) // 2  # one per (stage, length) probe
         opened[0] = 0
+
+
+def test_enumeration_probes_no_stage_or_length_past_the_bounds(monkeypatch):
+    # no element is longer than the query's depth bound or holds an entry
+    # above its entry bound, so no stage past both and no longer length
+    # is probed (before, these opened every (stage, length) up to the
+    # budget's stage cap: 10 001, 20 101, 501 and 37 probes)
+    probes = [0]
+    real = oracle._merged
+
+    def counted(streams):
+        probes[0] += 1
+        return real(streams)
+
+    monkeypatch.setattr(oracle, "_merged", counted)
+    for q, b, want, opened in (
+        ("eps", Budget(10_000, 1, 5), [()], 1),
+        ("finset{<200>}", Budget(201, 201, 1), [(200,)], 201),
+        ("fan([eps,fan([eps,eps];const(empty))];const(empty))", Budget(500, 3, 10),
+         [(0,), (1, 0), (1, 1)], 3),
+        ("union(finset{<3,1>},fan([eps];const(eps)))", Budget(300, 300, 10),
+         [(0,), (1,), (2,), (3,), (3, 1), (4,), (5,), (6,), (7,), (8,)], 16),
+    ):
+        probes[0] = 0
+        assert oracle.enumerate_schema(parse_query(q), b) == want, q
+        assert probes[0] == opened, (q, probes[0])

@@ -81,6 +81,54 @@ def test_random_round_trips():
         assert text.parse_query(str(q)) == q
 
 
+def test_each_plan_names_every_field_once_in_order():
+    # the parser, the printer and the folds read one compiled plan per
+    # class, so they cannot disagree on which field is which
+    for sort, (_, spec) in text._GRAMMARS.items():
+        table = text._compile(sort)
+        for keyword, shape in spec.items():
+            _, cls, size = table[keyword][0]  # the build item, read last
+            assert size == len(cls.__match_args__)
+            _, pieces, kids = text._PLANS[cls]
+            printed = [p[0] for p in reversed(pieces) if type(p) is not str]
+            assert printed == list(cls.__match_args__), (sort, keyword)
+            items = [x for x in shape.split()[1:] if x.rstrip("*+") in text._LEAVES
+                     or x.rstrip("*+") in text._GRAMMARS]
+            assert kids == tuple((f, x[-1] in "*+") for f, x in zip(printed, items)
+                                 if x.rstrip("*+") in text._GRAMMARS), (sort, keyword)
+
+
+def _children(t, sort: type) -> list:
+    """Reference: the terms of ``sort`` in the fields of ``t``, looked for
+    inside tuples too, in order, by a search at every node."""
+    out = []
+    for name in t.__match_args__:
+        todo = [getattr(t, name)]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, sort):
+                out.append(x)
+            elif type(x) is tuple:
+                todo += reversed(x)
+    return out
+
+
+def test_children_are_the_subterms_of_the_same_sort():
+    rng = random.Random(25)
+    terms = [(oracle.rand_expr(rng, 12), ideals.IdealExpr) for _ in range(300)]
+    terms += [(oracle._rand_order(rng, 10, dense=True), orders.LinTerm) for _ in range(300)]
+    seen = set()
+    for root, sort in terms:
+        todo = [root]
+        while todo:
+            x = todo.pop()
+            kids = text.children(x)
+            assert kids == _children(x, sort), repr(x)
+            seen.add(type(x).__name__)
+            todo += kids
+    assert seen >= {"Fin", "Pow", "P", "Q", "Perp", "Sum", "OmegaSum", "LimSum", "MixSum",
+                    "Nat", "RatQ", "Rev", "Cat", "OmegaCat"}, seen
+
 def test_parse_errors():
     bad = [
         (text.parse_ordinal, "w^"),

@@ -382,7 +382,7 @@ def test_every_fact_slot_has_one_algebra():
     # the quotient's child classes are a schema fact with no children
     schema = {a.slot for a in algebras if isinstance(a, trees._Algebra) or a is quotient._CLASSES}
     assert schema == set(trees.TreeSchema.__slots__)
-    assert set(slots) - schema == {"_form", "_text", "_wo", "_rev"}
+    assert set(slots) - schema == {"_form", "_wo", "_rev"}
 
 
 # every function of the package on a cycle of calls, with what bounds its
