@@ -22,8 +22,9 @@ _EXPORTS = {
     "ordinals": "Ordinal OrdKind add compare fund_seq kind",
     "classification": "Borel NonBorel TreeClass classify classify_via_derivative "
                       "scaffold_class",
-    "membership": "FinSet QueryTerm Schema Ternary Transversal Union frechet_witness "
-                  "id_witness member_of member_perp q_in_id q_in_wf subset_of",
+    "queries": "FinSet QueryTerm Schema Transversal Union",
+    "membership": "Ternary frechet_witness id_witness member_of member_perp q_in_id q_in_wf "
+                  "subset_of",
     "oracle": "Budget check_witness enumerate_schema explicit_derivative law_suite",
     "orders": "LinTerm NonScattered Scattered WoClass rationalize scattered_check "
               "wo_classify wo_self_dual",
@@ -33,7 +34,8 @@ _EXPORTS = {
     "witnesses": "DominatingBranch EmbeddingWitness UnboundedFamily",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "hashcons", "quotient"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "cli_ideals", "cli_oracle", "cli_orders", "cli_schemas",
+                                      "hashcons", "laws", "quotient"}
 
 __all__ = sorted(_MODULE_OF)
 

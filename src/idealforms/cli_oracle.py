@@ -1,0 +1,39 @@
+"""CLI handlers of the verbs that run the checker kernel alone:
+``enumerate`` and ``selftest``.  See ``cli`` for the table that names
+them; each handler imports the modules it runs."""
+
+
+def _cmd_enumerate(args) -> dict:
+    from . import oracle, text
+
+    q = text.parse_query(args.query)
+    d, w, c = args.budget
+    elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))
+    return {
+        "text": "\n".join(text.format_seq_elem(u) for u in elems) or "(no elements)",
+        "json": {
+            "budget": {"depth": d, "width": w, "count": c},
+            "elements": [list(u) for u in elems],
+        },
+    }
+
+
+def _cmd_selftest(args) -> dict:
+    from . import oracle
+
+    report = oracle.law_suite(args.seed, args.trials)
+    lines = [
+        f"{'ok  ' if law.failures == 0 else 'FAIL'} {law.name}: "
+        f"{law.trials - law.failures}/{law.trials}"
+        + (f"  first: {law.first_counterexample}" if law.failures else "")
+        for law in report.laws
+    ]
+    lines.append("all laws hold" if report.all_pass else "LAW VIOLATED")
+    return {
+        "text": "\n".join(lines),
+        "json": report.to_json(),
+        "exit": 0 if report.all_pass else 3,
+    }
+
+
+HANDLERS = {"enumerate": _cmd_enumerate, "selftest": _cmd_selftest}

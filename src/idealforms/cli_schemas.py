@@ -1,0 +1,108 @@
+"""CLI handlers of the verbs that decide a schema or a query and print
+its witness: ``classify``, ``treerank``, ``member``, ``frechet`` and
+``idwitness``.  See ``cli`` for the table that names them; each handler
+imports the modules it runs."""
+
+from __future__ import annotations
+
+from .errors import ParseError
+
+
+def _cmd_classify(args) -> dict:
+    from . import classification, text
+
+    t = text.parse_tree(args.tree)
+    out = classification.classify_via_derivative(t) if args.via else classification.classify(t)
+    if isinstance(out, classification.Borel):
+        return {"text": f"BOREL {out.form}",
+                "json": {"verdict": "borel", "form": out.form.to_json()}}
+    w = out.witness
+    sample = [list(w.map((k,))) for k in range(4)]
+    return {
+        "text": f"NON-BOREL (embedding witness: {w.label}; "
+                f"images of <0>..<3>: {', '.join(text.format_seq_elem(tuple(u)) for u in sample)})",
+        "json": {"verdict": "non-borel", "witness": _witness_json(w, checked=None)},
+    }
+
+
+def _cmd_treerank(args) -> dict:
+    from . import rank, text
+
+    r, core_empty = rank.tree_rank(text.parse_tree(args.tree))
+    return {
+        "text": f"rank {r}, core {'empty' if core_empty else 'nonempty'}",
+        "json": {"rank": str(r), "coreEmpty": core_empty},
+    }
+
+
+def _parse_member_args(args) -> tuple[queries.QueryTerm, ideals.IdealExpr]:
+    from . import text
+
+    if args.in_kw != "in":
+        raise ParseError(f"expected the keyword 'in', got {args.in_kw!r}")
+    return text.parse_query(args.query), text.parse_expr(args.expr)
+
+
+def _cmd_member(args) -> dict:
+    from . import ideals, membership
+
+    q, e = _parse_member_args(args)
+    verdict = (membership.member_perp if args.perp else membership.member_of)(q, e)
+    target = str(ideals.normalize(e))
+    where = f"orthogonal of {target}" if args.perp else target
+    word = "member" if verdict else "not a member"
+    return {
+        "text": f"{word} of {where}",
+        "json": {"member": verdict, "perp": args.perp, "target": target},
+    }
+
+
+def _cmd_frechet(args) -> dict:
+    from . import membership, oracle
+
+    q, e = _parse_member_args(args)
+    w = membership.frechet_witness(q, e)
+    checked = oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
+    if not checked:  # not an assert: the check must run under python -O too
+        raise AssertionError("emitted orthogonal subset failed its own check")
+    return {"text": str(w), "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}
+
+
+def _cmd_idwitness(args) -> dict:
+    from . import membership, oracle, text, witnesses
+
+    q = text.parse_query(args.query)
+    w = membership.id_witness(q)
+    checked = oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
+    if not checked:
+        raise AssertionError("emitted domination witness failed its own check")
+    if isinstance(w, witnesses.DominatingBranch):
+        txt = f"dominating branch {w}"
+    else:
+        sample = ", ".join(text.format_seq_elem(u) for u in w.elements(4))
+        txt = f"unbounded family: {sample}, ..."
+    return {"text": txt, "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}
+
+
+def _witness_json(w, checked: oracle.Budget | None) -> dict:
+    from . import witnesses
+
+    if isinstance(w, witnesses.DominatingBranch):
+        kind, data = "dominating-branch", {"prefix": list(w.prefix), "period": list(w.period)}
+    elif isinstance(w, witnesses.UnboundedFamily):
+        kind, data = "unbounded-family", {"elements": [list(u) for u in w.elements(12)]}
+    elif isinstance(w, witnesses.EmbeddingWitness):
+        kind, data = "embedding", {
+            "label": w.label,
+            "provenance": list(w.provenance),
+            "generatedTree": w.generated,
+            "sampleImages": [list(w.map((k,))) for k in range(4)],
+        }
+    else:
+        kind, data = "frechet-subset", {"query": str(w)}
+    budget = checked and {"depth": checked.depth, "width": checked.width, "count": checked.count}
+    return {"kind": kind, "data": data, "checkedAtBudget": budget}
+
+
+HANDLERS = {"classify": _cmd_classify, "treerank": _cmd_treerank, "member": _cmd_member,
+            "frechet": _cmd_frechet, "idwitness": _cmd_idwitness}

@@ -114,6 +114,9 @@ class CanonicalForm(NamedTuple):
                 return "FIN"
         return f"{self.kind.value}({self.rank})"
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind.value, "rank": str(self.rank), "printed": str(self)}
+
 
 POW_FORM = CanonicalForm(Kind.P, ordinals.ZERO)
 FIN_FORM = CanonicalForm(Kind.Q, ordinals.ZERO)

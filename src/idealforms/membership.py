@@ -1,14 +1,15 @@
 """Membership of finitely presented query sets and witness extraction.
 
-Queries are schemas, explicit finite sets, fan transversals, or finite
-unions.  Containment in a target schema is one walk over pairs of
-derivatives, exact on constant tails and bounded past diagonal ones;
-membership in the compiled target ideal then reduces to the two
-structural predicates.  Negative membership yields a checkable
-orthogonal subset, and every domination claim ships a branch or an
-unbounded family that the oracle can re-verify at any budget.  Nothing
-here enumerates a query: containment walks derivatives, and the oracle
-streams a query's elements itself.
+The query terms and their points are in ``queries``; this module holds
+the decision procedures and the witness builders over them.  Containment
+in a target schema is one walk over pairs of derivatives, exact on
+constant tails and bounded past diagonal ones; membership in the
+compiled target ideal then reduces to the two structural predicates.
+Negative membership yields a checkable orthogonal subset, and every
+domination claim ships a branch or an unbounded family that the oracle
+can re-verify at any budget.  Nothing here enumerates a query:
+containment walks derivatives, and the oracle streams a query's
+elements itself.
 """
 
 from __future__ import annotations
@@ -18,54 +19,12 @@ import itertools
 from collections import deque
 from typing import Iterator, Optional
 
-from . import ideals, text, trees
-from .errors import BadArgument, NotASubset, UnknownContainment
-from .hashcons import Interned
+from . import ideals, queries, text, trees
+from .errors import NotASubset, UnknownContainment
 from .ideals import IdealExpr
+from .queries import FinSet, QueryTerm, Schema, Transversal
 from .trees import Const, Fan, Rooted, Seq, Spine, TreeSchema
 from .witnesses import DominatingBranch, UnboundedFamily, merge_branches
-
-
-class QueryTerm(Interned):
-    """Base class for finitely presented query sets; all subtypes are interned."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return text.format_term(self)
-
-
-class Schema(QueryTerm):
-    __slots__ = __match_args__ = ("tree",)
-
-
-class FinSet(QueryTerm):
-    """An explicit finite set.  It is answered from its elements, not a
-    schema: the prefix trie of ``<1000000000>`` would be a fan of a billion
-    heads, where these paths cost the length of the text."""
-
-    __slots__ = __match_args__ = ("elements",)
-
-    def _init(self, elements: tuple[Seq, ...]) -> None:
-        self.elements = elements
-        if len(set(elements)) != len(elements):
-            raise BadArgument(f"finite set elements must be pairwise distinct: {self}")
-
-
-class Transversal(QueryTerm):
-    """Shortlex-least element of every nonempty block of a fan."""
-
-    __slots__ = __match_args__ = ("fan",)
-
-    def _init(self, fan: TreeSchema) -> None:
-        if not isinstance(fan, Fan):
-            raise BadArgument(f"transversal is only defined over a fan, got {fan}")
-        self.fan = fan
-
-
-class Union(QueryTerm):
-    __slots__ = ("left", "right", "_leaves")  # _leaves: see _leaves
-    __match_args__ = ("left", "right")
 
 
 class Ternary(enum.Enum):
@@ -75,38 +34,7 @@ class Ternary(enum.Enum):
 
 
 # --------------------------------------------------------------------------
-# query denotation
-#
-# Union is associative, so every fact about a query reads the leaves of
-# its union nest, which one loop lists, and never walks the nest itself.
-
-
-def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
-    """The schemas, finite sets and transversals of a union nest, left to
-    right, each once: leaves are interned, and a repeated one adds nothing.
-    The union asked keeps them, and the unions below it stay bare."""
-    if type(q) is not Union and isinstance(q, QueryTerm):
-        return (q,)
-    try:
-        return q._leaves
-    except AttributeError:
-        pass
-    out, stack = [], [q]
-    while stack:
-        x = stack.pop()
-        if type(x) is Union:
-            stack += (x.right, x.left)
-        elif isinstance(x, QueryTerm):
-            out.append(x)
-        else:
-            raise TypeError(f"not a query term: {x!r}")
-    q._leaves = tuple(dict.fromkeys(out))
-    return q._leaves
-
-
-def _transversal_pick(f: Fan, n: int) -> Optional[Seq]:
-    p = trees.pick_least(trees.block_at(f, n))
-    return None if p is None else (n,) + p
+# facts of queries, read from the leaves of their union nests (see queries)
 
 
 def _picks(f: Fan) -> Iterator[Seq]:
@@ -119,23 +47,11 @@ def _picks(f: Fan) -> Iterator[Seq]:
             yield (n,) + p
 
 
-def q_member(u: Seq, q: QueryTerm) -> bool:
-    for x in _leaves(q):
-        match x:
-            case Schema(tree) if trees.member_elem(u, tree):
-                return True
-            case FinSet(elements) if u in elements:
-                return True
-            case Transversal(fan) if u and u == _transversal_pick(fan, u[0]):
-                return True
-    return False
-
-
 def q_is_infinite(q: QueryTerm) -> bool:
     # a transversal is infinite when its fan has a tail
     return any(not trees.is_finite(x.tree) if type(x) is Schema
                else type(x) is Transversal and not trees.tail_is_trivial(x.fan.tail)
-               for x in _leaves(q))
+               for x in queries._leaves(q))
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +61,14 @@ def q_is_infinite(q: QueryTerm) -> bool:
 def q_in_wf(q: QueryTerm) -> bool:
     # finite sets are; so are transversals, by distinct first coordinates:
     # every branch of the generated tree stops inside one pick
-    return all(trees.in_wf(x.tree) for x in _leaves(q) if type(x) is Schema)
+    return all(trees.in_wf(x.tree) for x in queries._leaves(q) if type(x) is Schema)
 
 
 def q_in_id(q: QueryTerm) -> bool:
     # finite sets are; a transversal is when its fan has finitely many blocks
     return all(trees.in_id(x.tree) if type(x) is Schema
                else type(x) is FinSet or trees.tail_is_trivial(x.fan.tail)
-               for x in _leaves(q))
+               for x in queries._leaves(q))
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +103,7 @@ def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
     """The answer, with a counterexample for NO and for UNKNOWN the sequence
     where the walk stopped: for a transversal, the walk over its fan."""
     unknown = None
-    for q in _leaves(q):
+    for q in queries._leaves(q):
         match q:
             case FinSet(elements):
                 bad = next((u for u in elements if not trees.member_elem(u, s)), None)
@@ -312,7 +228,7 @@ def frechet_witness(q: QueryTerm, target: IdealExpr) -> QueryTerm:
     if q_in_wf(q):
         raise NotASubset(f"{q} already belongs to the ideal; no witness to extract")
     # finite sets and transversals are well-founded: a schema leaf fails
-    leaf = next(x for x in _leaves(q) if not q_in_wf(x))
+    leaf = next(x for x in queries._leaves(q) if not q_in_wf(x))
     return Schema(_fw_schema(leaf.tree))
 
 
@@ -351,7 +267,7 @@ def _branch_query(q: QueryTerm) -> DominatingBranch:
     """Every schema leaf's branch merged with each finite element and
     transversal pick, followed by zeros."""
     branches = [DominatingBranch((), (0,))]
-    for x in _leaves(q):
+    for x in queries._leaves(q):
         match x:
             case Schema(tree):
                 branches.append(_branch_schema(tree))
@@ -359,7 +275,7 @@ def _branch_query(q: QueryTerm) -> DominatingBranch:
                 branches += (DominatingBranch(u, (0,)) for u in elements)
             case Transversal(fan):
                 branches += (DominatingBranch(p, (0,)) for n in range(len(fan.heads))
-                             if (p := _transversal_pick(fan, n)))
+                             if (p := queries._transversal_pick(fan, n)))
     return merge_branches(branches)
 
 
@@ -396,7 +312,7 @@ def _branch_schema(t: TreeSchema) -> DominatingBranch:
 
 def _unb_query(q: QueryTerm) -> Iterator[Seq]:
     # a finite set is dominated: a schema or a transversal leaf fails
-    leaf = next(x for x in _leaves(q) if not q_in_id(x))
+    leaf = next(x for x in queries._leaves(q) if not q_in_id(x))
     return _unb_schema(leaf.tree) if type(leaf) is Schema else _picks(leaf.fan)
 
 

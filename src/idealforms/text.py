@@ -19,7 +19,7 @@ from .ordinals import Ordinal
 
 if TYPE_CHECKING:
     from .ideals import IdealExpr
-    from .membership import QueryTerm
+    from .queries import QueryTerm
     from .orders import LinTerm
     from .trees import Seq, TreeSchema
 
@@ -150,7 +150,7 @@ _GRAMMARS = {
     "tail": ("trees", {
         "const": "Const ( tree )", "qdiag": "QDiag ( ord ,nat )", "pdiag": "PDiag ( ord ,nat )",
     }),
-    "query": ("membership", {
+    "query": ("queries", {
         "": "Schema tree", "finset": "FinSet { seq+ }", "transversal": "Transversal ( tree )",
         "union": "Union ( query , query )",
     }),

@@ -267,14 +267,15 @@ def compile_form(c: CanonicalForm) -> TreeSchema:
 def _level(p: bool, rank: Ordinal) -> TreeSchema:
     """The P-level (``p``) or Q-level of the chain at ``rank``; above a zero
     or limit rank its tail is the ``Const`` that builds the other level one
-    rank down when first read.  A level is never empty, and saying so
-    keeps ``is_empty`` from folding the levels below."""
+    rank down when first read.  A level is never empty, and above zero its
+    lengths are unbounded: saying so keeps ``is_empty`` and ``is_finite``
+    from folding the levels below."""
     if rank.is_zero():
         return Fan((), Const(EPS)) if p else CHAIN
     if ordinals.kind(rank) is OrdKind.LIMIT:
         return Fan((), QDiag(rank)) if p else Spine((), PDiag(rank))
     out = (Fan if p else Spine)((), _intern(Const, not p, ordinals.pred(rank)))
-    out._empty = False
+    out._empty, out._depth = False, math.inf
     return out
 
 

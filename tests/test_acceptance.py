@@ -13,19 +13,20 @@ import random
 import pytest
 
 import idealforms.classification as classification
-from idealforms import ideals, membership, oracle, orders, ordinals, rank, trees
+from idealforms import ideals, laws, membership, oracle, orders, ordinals, rank, trees
 from idealforms.classification import Borel, NonBorel
 from idealforms.errors import QuotientOverflow
 from idealforms.ideals import CanonicalForm, Kind
-from idealforms.membership import Schema, Ternary, Transversal
+from idealforms.membership import Ternary
 from idealforms.oracle import Budget
+from idealforms.queries import Schema, Transversal
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
 
 WITNESS_BUDGET = Budget(8, 8, 200)
 
 _rng = random.Random("acceptance")
-EXPRS = [oracle.rand_expr(_rng, 12) for _ in range(200)]
-SCHEMAS = [oracle.rand_infinite_schema(random.Random(f"schema{i}"), 8) for i in range(100)]
+EXPRS = [laws.rand_expr(_rng, 12) for _ in range(200)]
+SCHEMAS = [laws.rand_infinite_schema(random.Random(f"schema{i}"), 8) for i in range(100)]
 
 
 def _report(criterion: int, message: str) -> None:
@@ -38,8 +39,8 @@ def test_criterion_1_canonical_forms():
         assert isinstance(c, CanonicalForm) and c.kind in Kind
     rng = random.Random("idempotence")
     for _ in range(200):
-        b = oracle.rand_ordinal_small(rng)
-        a = ordinals.add(b, oracle.rand_ordinal_small(rng))
+        b = laws.rand_ordinal_small(rng)
+        a = ordinals.add(b, laws.rand_ordinal_small(rng))
         assert ideals.normalize(ideals.Sum((ideals.P(a), ideals.P(b)))) == CanonicalForm(Kind.P, a)
         assert ideals.normalize(ideals.Sum((ideals.Q(a), ideals.Q(b)))) == CanonicalForm(Kind.Q, a)
         if a != b:
@@ -161,9 +162,9 @@ def test_criterion_6_standard_copy_membership():
     rng = random.Random("never-both")
     tested = 0
     while tested < 100:
-        e = oracle.rand_expr(rng, 6)
+        e = laws.rand_expr(rng, 6)
         target = trees.compile_ideal(e)
-        q = oracle.rand_query(rng, target)
+        q = laws.rand_query(rng, target)
         if not membership.q_is_infinite(q):
             continue
         if membership.subset_of(q, target) is not Ternary.YES:
@@ -177,9 +178,9 @@ def test_criterion_7_frechet_witnesses():
     rng = random.Random("frechet")
     produced = 0
     while produced < 50:
-        e = oracle.rand_expr(rng, 6)
+        e = laws.rand_expr(rng, 6)
         target = trees.compile_ideal(e)
-        q = Schema(oracle.prune_schema(rng, target))
+        q = Schema(laws.prune_schema(rng, target))
         if membership.subset_of(q, target) is not Ternary.YES or membership.q_in_wf(q):
             continue
         w = membership.frechet_witness(q, e)
@@ -203,7 +204,7 @@ def test_criterion_8_scattered_orders():
         assert orders.wo_classify(parse_order(src)) == orders.Scattered(want), src
     rng = random.Random("duality")
     for _ in range(200):
-        t = oracle._rand_order(rng, 7)
+        t = laws._rand_order(rng, 7)
         left = orders.wo_classify(orders.reverse_term(t))
         right = orders.wo_classify(t)
         assert left.form == ideals.perp(right.form), str(t)
@@ -212,7 +213,7 @@ def test_criterion_8_scattered_orders():
     dense_rng = random.Random("dense")
     dense_seen = 0
     while dense_seen < 50:
-        t = oracle._rand_order(dense_rng, 6, dense=True)
+        t = laws._rand_order(dense_rng, 6, dense=True)
         if orders.scattered_check(t):
             continue
         out = orders.wo_classify(t)

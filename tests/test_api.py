@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 import idealforms
-from idealforms import classification, ideals, membership, oracle, orders, quotient, rank, text, trees, witnesses
+from idealforms import classification, ideals, oracle, orders, queries, quotient, rank, text, trees, witnesses
 from idealforms.errors import BadArgument
 from idealforms.ordinals import OMEGA, ONE, ZERO
 
@@ -51,9 +51,9 @@ def _interned_records():
         lambda: ideals.Perp(ideals.Fin()), lambda: ideals.Sum((ideals.Fin(), ideals.P(ONE))),
         lambda: ideals.OmegaSum(ideals.Q(ONE)), lambda: ideals.LimSum(OMEGA),
         lambda: ideals.MixSum((ideals.Pow(),), ideals.OmegaSum(ideals.Fin())),
-        lambda: membership.Schema(FAN), lambda: membership.FinSet(((0, 3), ())),
-        lambda: membership.Transversal(FAN),
-        lambda: membership.Union(membership.Schema(trees.CHAIN), membership.FinSet(((1,),))),
+        lambda: queries.Schema(FAN), lambda: queries.FinSet(((0, 3), ())),
+        lambda: queries.Transversal(FAN),
+        lambda: queries.Union(queries.Schema(trees.CHAIN), queries.FinSet(((1,),))),
         lambda: orders.Nat(), lambda: orders.Rev(orders.Nat()), lambda: orders.Cat((orders.Nat(), orders.RatQ())),
         lambda: orders.OmegaCat((orders.Nat(),), orders.Rev(orders.Nat())), lambda: orders.RatQ(),
         lambda: classification.Borel(ideals.CanonicalForm(ideals.Kind.P, ONE)),
@@ -87,9 +87,9 @@ def test_interned_records_differ_by_fields():
     (lambda: ideals.Sum(()), ValueError, "finite sum needs at least one summand"),
     (lambda: ideals.MixSum((ideals.Fin(),), ideals.Fin()), ValueError,
      "mix tail must be an omega-sum or a limit sum"),
-    (lambda: membership.FinSet(((0,), (0,))), BadArgument,
+    (lambda: queries.FinSet(((0,), (0,))), BadArgument,
      "finite set elements must be pairwise distinct: finset{<0>,<0>}"),
-    (lambda: membership.Transversal(trees.CHAIN), BadArgument,
+    (lambda: queries.Transversal(trees.CHAIN), BadArgument,
      "transversal is only defined over a fan, got chain"),
     (lambda: orders.Cat(()), ValueError, "concatenation needs at least one part"),
     (lambda: oracle.Budget(0, 1, 1), BadArgument, "budget fields must all be >= 1, got 0,1,1"),

@@ -13,7 +13,8 @@ from idealforms import ideals, rank, trees
 from idealforms.classification import Borel, NonBorel
 from idealforms.errors import FiniteSchema
 from idealforms.ideals import CanonicalForm, Kind
-from idealforms.oracle import WITNESS_BUDGET, check_witness, rand_expr, rand_infinite_schema
+from idealforms.laws import rand_expr, rand_infinite_schema
+from idealforms.oracle import WITNESS_BUDGET, check_witness
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
 
 

@@ -191,6 +191,36 @@ def test_exit_codes(capsys):
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
 
 
+def _parse(capsys, argv: list[str], one_verb: bool) -> tuple:
+    """What parsing ``argv`` returns, or its exit code, and what it prints,
+    with the parser built for ``argv`` or the one that holds every verb."""
+    parser = cli._build_parser(argv) if one_verb else cli._build_parser()
+    try:
+        out = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = exc.code
+    return out, capsys.readouterr()
+
+
+def test_the_one_verb_parser_parses_as_the_whole_parser(capsys):
+    # main builds the subparser of the verb that argv names, or every one
+    # when it names none or an unknown one; help, usage errors and parsed
+    # arguments must not tell the two apart
+    pinned = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "pinned"
+                         / "cli.json").read_text())
+    argvs = [case["argv"] for case in pinned]
+    assert len(argvs) == 53
+    verbs = cli._build_parser()._subparsers._group_actions[0].choices
+    wo = verbs["wo"]._subparsers._group_actions[0].choices
+    argvs += [[], ["--help"], ["-h", "normalize"], ["--json"], ["nosuch"], ["--json", "nosuch", "x"],
+              ["--js", "normalize", "P(1)"], ["normalize", "--json", "P(1)"], ["wo"], ["wo", "nosuch"],
+              ["normalize"], ["compile", "P(1)", "--emit", "png"], ["selftest", "--trials", "1_0"]]
+    argvs += [[verb, "--help"] for verb in verbs] + [["wo", verb, "--help"] for verb in wo]
+    for argv in argvs:
+        assert _parse(capsys, argv, True) == _parse(capsys, argv, False), argv
+    assert len(verbs) == 13 and len(wo) == 3
+
+
 def test_a_closed_stdout_exits_quietly():
     # the reader of the pipe has gone before the verb writes, as `| head`
     # does: no traceback, and the exit code the verb would have returned

@@ -9,7 +9,7 @@ import pytest
 from idealforms import ideals, ordinals
 from idealforms.errors import NotLimit
 from idealforms.ideals import CanonicalForm, Kind
-from idealforms.oracle import rand_expr, rand_ordinal_small
+from idealforms.laws import rand_expr, rand_ordinal_small
 from idealforms.text import parse_expr, parse_ordinal
 
 

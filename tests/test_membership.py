@@ -9,18 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from idealforms import membership, trees
+from idealforms import membership, queries, trees
 from idealforms.errors import NotASubset, UnknownContainment
-from idealforms.membership import FinSet, Schema, Ternary, Transversal, Union
-from idealforms.oracle import (
-    WITNESS_BUDGET,
-    Budget,
-    check_witness,
-    enumerate_schema,
-    rand_expr,
-    rand_query,
-    rand_schema,
-)
+from idealforms.membership import Ternary
+from idealforms.laws import rand_expr, rand_query, rand_schema
+from idealforms.oracle import WITNESS_BUDGET, Budget, check_witness, enumerate_schema
+from idealforms.queries import FinSet, Schema, Transversal, Union
 from idealforms.text import parse_expr, parse_query, parse_tree
 from idealforms.trees import CONST_EMPTY, Const, Fan, Spine
 from idealforms.witnesses import DominatingBranch, UnboundedFamily
@@ -84,7 +78,7 @@ def test_transversals_are_decided_by_their_picks():
     for q, s in pairs:
         verdict, u = membership._containment(q, s)
         if verdict is Ternary.NO:
-            if not membership.q_member(u, q) or trees.member_elem(u, s):
+            if not queries.q_member(u, q) or trees.member_elem(u, s):
                 wrong.append((q, s, u))
         elif verdict is Ternary.UNKNOWN:
             undecided[type(q.fan.tail) is Const].append((q, s))

@@ -7,7 +7,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from idealforms import ideals, oracle, orders
+from idealforms import ideals, laws, orders
 from idealforms.ideals import CanonicalForm, Kind
 from idealforms.orders import Cat, NonScattered, OmegaCat, Rev, Scattered
 from idealforms.text import parse_order, parse_ordinal
@@ -60,7 +60,7 @@ def test_rationalize_prefix_stable():
 
 
 def test_duality_sampled():
-    from idealforms.oracle import _rand_order
+    from idealforms.laws import _rand_order
 
     rng = random.Random(31)
 
@@ -73,7 +73,7 @@ def test_duality_sampled():
 
 
 def test_sum_law_sampled():
-    from idealforms.oracle import _rand_order
+    from idealforms.laws import _rand_order
 
     rng = random.Random(32)
     for _ in range(150):
@@ -86,7 +86,7 @@ def test_sum_law_sampled():
 
 
 def test_order_faithful_sampled():
-    from idealforms.oracle import _rand_order
+    from idealforms.laws import _rand_order
 
     rng = random.Random(33)
     # dense draws may hold QQ, so they also compare positions inside the rationals
@@ -147,7 +147,7 @@ def test_dense_occurrences_pinned():
     h = hashlib.sha256()
     seen = 0
     for _ in range(1500):
-        term = oracle._rand_order(rng, 8, dense=True)
+        term = laws._rand_order(rng, 8, dense=True)
         out = orders.wo_classify(term)
         if isinstance(out, NonScattered):
             emb = out.embedding
@@ -234,7 +234,7 @@ def test_integer_map_matches_the_fraction_formula():
     rng = random.Random(17)
     terms = [orders.RATQ, Rev(orders.RATQ), t("cat(N,QQ)"), t("cat(QQ,N)"), t("rev(cat(N,QQ,N))")]
     while len(terms) < 300:
-        term = oracle._rand_order(rng, 6, dense=True)
+        term = laws._rand_order(rng, 6, dense=True)
         if not orders.scattered_check(term):
             terms.append(term)
     shapes = set()

@@ -9,7 +9,7 @@ import pytest
 
 from idealforms import hashcons, ordinals
 from idealforms.errors import NotLimit
-from idealforms.oracle import rand_limit, rand_ordinal
+from idealforms.laws import rand_limit, rand_ordinal
 from idealforms.ordinals import OMEGA, ONE, ZERO, OrdKind, Ordinal
 from idealforms.text import parse_ordinal
 

@@ -7,6 +7,7 @@ handler that forgets to import what it runs fails here.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -46,13 +47,83 @@ def _loaded_after(argv: list[str]) -> set[str]:
 
 def test_each_verb_loads_only_what_it_runs():
     normalize = _loaded_after(["normalize", "omega(FIN)"])
-    assert normalize == {"cli", "errors", "hashcons", "ideals", "ordinals", "text"}
+    assert normalize == {"cli", "cli_ideals", "errors", "hashcons", "ideals", "ordinals", "text"}
     assert not normalize & {"oracle", "classification", "membership", "orders",
                             "quotient", "rank", "trees", "witnesses"}
     wo = _loaded_after(["wo", "classify", "cat(N,rev(N))"])
     assert "orders" in wo and not wo & {"oracle", "trees", "membership"}
     enum = _loaded_after(["enumerate", "chain", "--budget", "3,3,10"])
     assert "oracle" in enum and not enum & {"orders", "classification", "rank"}
+
+
+# one argv per verb, and the handler module that its row of the verb table names
+VERB_ARGV = [
+    (["normalize", "omega(FIN)"], "cli_ideals"),
+    (["rank", "P(w*2+3)"], "cli_ideals"),
+    (["perp", "P(w^2+1)"], "cli_ideals"),
+    (["iso", "P(1)", "Q(1)"], "cli_ideals"),
+    (["compile", "Q(2)"], "cli_ideals"),
+    (["compile", "P(1)", "--emit", "dot"], "cli_ideals"),
+    (["--json", "compile", "P(2)", "--emit", "json", "--count", "50"], "cli_ideals"),
+    (["classify", "fan([];qdiag(w^2))"], "cli_schemas"),
+    (["--json", "classify", "spine([full];const(chain))"], "cli_schemas"),
+    (["treerank", "fan([];qdiag(w))"], "cli_schemas"),
+    (["member", "fan([chain];const(empty))", "in", "P(1)", "--perp"], "cli_schemas"),
+    (["frechet", "fan([];const(chain))", "in", "P(1)"], "cli_schemas"),
+    (["idwitness", "spine([];const(chain))"], "cli_schemas"),
+    (["idwitness", "fan([];const(chain))"], "cli_schemas"),
+    (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], "cli_oracle"),
+    (["selftest", "--trials", "1"], "cli_oracle"),
+    (["wo", "classify", "cat(N,rev(N))"], "cli_orders"),
+    (["wo", "reverse", "cat(N,QQ)"], "cli_orders"),
+    (["wo", "rationalize", "rev(N)", "--count", "5"], "cli_orders"),
+]
+HANDLER_MODULES = {"cli_ideals", "cli_schemas", "cli_oracle", "cli_orders"}
+# the verbs that check a witness or enumerate, through the checker kernel
+KERNEL_VERBS = {"compile", "frechet", "idwitness", "enumerate"}
+
+
+@pytest.mark.parametrize("argv, handler", VERB_ARGV, ids=[" ".join(a) for a, _ in VERB_ARGV])
+def test_each_verb_loads_its_own_handler_module_and_no_law(argv, handler):
+    loaded = _loaded_after(argv)
+    assert loaded & HANDLER_MODULES == {handler}
+    verb = next(a for a in argv if a != "--json")
+    assert ("laws" in loaded) == (verb == "selftest")
+    if verb in KERNEL_VERBS:
+        assert not loaded & {"laws", "orders", "classification", "rank"}, argv
+    if verb == "enumerate" or "--emit" in argv:  # the kernel alone: no decision procedure
+        assert "oracle" in loaded and not loaded & {"membership", "quotient", "witnesses"}, argv
+
+
+FULL_PARSER = """
+import contextlib, io, sys
+from idealforms import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        cli._build_parser().parse_args(sys.argv[1:])
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+print(repr((code, out.getvalue(), err.getvalue())))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--json", "-h"], ["wo", "-h"], ["normalize", "-h"], ["nosuch"],
+    ["normalize"], ["compile", "P(1)", "--emit", "png"], ["wo", "nosuch"],
+])
+def test_help_and_usage_errors_match_the_whole_parser(argv):
+    # a fresh `python -m idealforms.cli` builds one verb's parser, or all of
+    # them; its exit code and text must be those of the parser of every verb
+    env = {**ENV, "COLUMNS": "80"}
+    cold = subprocess.run([sys.executable, "-m", "idealforms.cli", *argv], capture_output=True,
+                          text=True, env=env)
+    full = subprocess.run([sys.executable, "-c", FULL_PARSER, *argv], capture_output=True,
+                          text=True, env=env)
+    assert full.returncode == 0, full.stderr
+    code, out, err = ast.literal_eval(full.stdout)
+    assert code is not None and (cold.returncode, cold.stdout, cold.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealforms import cli, ideals, membership, oracle, ordinals, orders, text, trees
+from idealforms import cli, ideals, laws, ordinals, orders, text, trees
 from idealforms.errors import IdealFormsError, ParseError
+from idealforms.queries import FinSet, Schema, Transversal, Union
 
 
 ORDINALS = ["0", "7", "w", "w*2", "w+1", "w^2*3+w*2+5", "w^w", "w^(w+1)", "w^w^2+w^3*2+1"]
@@ -68,16 +69,16 @@ def test_order_round_trip():
 def test_random_round_trips():
     rng = random.Random(51)
     for _ in range(200):
-        e = oracle.rand_expr(rng, 9)
+        e = laws.rand_expr(rng, 9)
         assert text.parse_expr(str(e)) == e
-        t = oracle.rand_schema(rng, 7)
+        t = laws.rand_schema(rng, 7)
         assert text.parse_tree(str(t)) == t
-        a = oracle.rand_ordinal(rng, 3)
+        a = laws.rand_ordinal(rng, 3)
         assert text.parse_ordinal(str(a)) == a
-        o = oracle._rand_order(rng, 6, dense=True)
+        o = laws._rand_order(rng, 6, dense=True)
         assert text.parse_order(str(o)) == o
-        target = trees.compile_ideal(oracle.rand_expr(rng, 4))
-        q = oracle.rand_query(rng, target)
+        target = trees.compile_ideal(laws.rand_expr(rng, 4))
+        q = laws.rand_query(rng, target)
         assert text.parse_query(str(q)) == q
 
 
@@ -115,8 +116,8 @@ def _children(t, sort: type) -> list:
 
 def test_children_are_the_subterms_of_the_same_sort():
     rng = random.Random(25)
-    terms = [(oracle.rand_expr(rng, 12), ideals.IdealExpr) for _ in range(300)]
-    terms += [(oracle._rand_order(rng, 10, dense=True), orders.LinTerm) for _ in range(300)]
+    terms = [(laws.rand_expr(rng, 12), ideals.IdealExpr) for _ in range(300)]
+    terms += [(laws._rand_order(rng, 10, dense=True), orders.LinTerm) for _ in range(300)]
     seen = set()
     for root, sort in terms:
         todo = [root]
@@ -167,9 +168,9 @@ def test_structural_validation():
     with pytest.raises(Exception):
         text.parse_tree("fan([];qdiag(w+1))")  # diagonal rank must be a limit
     with pytest.raises(ValueError):
-        membership.Transversal(trees.CHAIN)
+        Transversal(trees.CHAIN)
     with pytest.raises(ValueError):
-        membership.FinSet(((0,), (0,)))
+        FinSet(((0,), (0,)))
     with pytest.raises(ValueError):
         orders.Cat(())
 
@@ -224,11 +225,11 @@ def _valid_texts() -> list[str]:
     rng = random.Random(10)
     out = ORDINALS + EXPRS + TREES + QUERIES + ORDERS
     for _ in range(250):
-        out.append(str(oracle.rand_ordinal(rng, 3)))
-        out.append(str(oracle.rand_expr(rng, 9)))
-        out.append(str(oracle.rand_schema(rng, 7)))
-        out.append(str(oracle._rand_order(rng, 6, dense=True)))
-        out.append(str(oracle.rand_query(rng, trees.compile_ideal(oracle.rand_expr(rng, 4)))))
+        out.append(str(laws.rand_ordinal(rng, 3)))
+        out.append(str(laws.rand_expr(rng, 9)))
+        out.append(str(laws.rand_schema(rng, 7)))
+        out.append(str(laws._rand_order(rng, 6, dense=True)))
+        out.append(str(laws.rand_query(rng, trees.compile_ideal(laws.rand_expr(rng, 4)))))
     return out
 
 
@@ -348,11 +349,11 @@ schemas = st.recursive(
 fans = st.builds(trees.Fan, _tuples(schemas), schemas.map(trees.Const))
 queries = st.recursive(
     st.one_of(
-        schemas.map(membership.Schema), fans.map(membership.Transversal),
+        schemas.map(Schema), fans.map(Transversal),
         st.lists(_tuples(st.integers(0, 12)), min_size=1, max_size=3, unique=True)
-        .map(lambda us: membership.FinSet(tuple(us))),
+        .map(lambda us: FinSet(tuple(us))),
     ),
-    lambda sub: st.builds(membership.Union, sub, sub),
+    lambda sub: st.builds(Union, sub, sub),
     max_leaves=4,
 )
 linear = st.recursive(

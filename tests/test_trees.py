@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import copy
 import gc
+import math
 import os
 import pickle
 import random
@@ -20,7 +21,7 @@ from idealforms import (
     classification, hashcons, ideals, membership, orders, ordinals, quotient, rank, trees,
 )
 from idealforms.errors import NotLimit
-from idealforms.oracle import rand_infinite_schema
+from idealforms.laws import rand_infinite_schema
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
 from idealforms.trees import (
     CHAIN, CONST_EMPTY, EMPTY, EPS, FULL, Const, Fan, PDiag, QDiag, Rooted, Spine,
@@ -322,6 +323,34 @@ def test_a_diagonal_block_is_the_level_compiled_at_its_rank():
             assert parse_tree(str(block)) is block
 
 
+def test_a_level_above_zero_presets_the_depth_its_children_give():
+    # a successor level stores unbounded depth when it is built; the preset
+    # must be what the depth fold computes from the level's children, level
+    # by level up from zero and from each limit
+    ranks = [ordinals.from_int(k) for k in range(8)]
+    for base in ("w", "w*2", "w^2", "w^w", "w^2*3+w"):
+        ranks += [ordinals.add(parse_ordinal(base), ordinals.from_int(k)) for k in range(4)]
+    levels = [trees._level(p, r) for r in ranks for p in (True, False)]
+    for level in levels[2:]:  # the P- and Q-levels at zero are fan([];const(eps)) and chain
+        tail = level.tail
+        below = (trees._fold(tail.block, trees._DEPTH) if type(tail) is Const
+                 else math.inf)  # a diagonal tail: the fold's diag answer
+        assert trees._fold(level, trees._DEPTH) == trees._depth_node(level, [], below) == math.inf
+    assert [trees.depth_bound(level) for level in levels[:2]] == [1, None]
+
+
+def test_is_finite_reads_only_the_top_level_of_a_compiled_chain(monkeypatch):
+    # folding the depth fact down the chain built and walked all 5 000
+    # levels below the top before it answered
+    calls = []
+    real = trees._level
+    monkeypatch.setattr(trees, "_level", lambda p, r: calls.append(r) or real(p, r))
+    schema = trees.compile_ideal(parse_expr("P(w^2*3+5000)"))
+    assert len(calls) == 1  # a fresh chain: only its top level is built
+    assert not trees.is_finite(schema)
+    assert len(calls) == 1
+
+
 def test_repr_of_deep_terms():
     # 8 000 nested terms: a frame per term overflowed the package's limit
     out = repr(trees.compile_ideal(parse_expr("P(4000)")))
@@ -389,11 +418,11 @@ def test_every_fact_slot_has_one_algebra():
 # depth other than the nesting of its input; a walker that spends a Python
 # frame per level of a term must not appear here
 SELF_CALLING = {
-    "oracle.rand_ordinal": "its depth argument, at most 2",
-    "oracle.rand_expr": "its size argument",
-    "oracle.rand_schema": "its size argument",
-    "oracle._rand_order": "its size argument",
-    "oracle.prune_schema": "the schemas the seeded generators draw, compiled from small ranks",
+    "laws.rand_ordinal": "its depth argument, at most 2",
+    "laws.rand_expr": "its size argument",
+    "laws.rand_schema": "its size argument",
+    "laws._rand_order": "its size argument",
+    "laws.prune_schema": "the schemas the seeded generators draw, compiled from small ranks",
 }
 
 
