@@ -1,41 +1,36 @@
 """CLI handlers of the verbs that read an ideal expression: ``normalize``,
 ``rank``, ``perp``, ``iso`` and ``compile``.  See ``cli`` for the table
-that names them; each handler imports the modules it runs."""
+that names them.  Every verb here runs ``ideals`` and ``text``; only
+``compile`` imports ``trees``, and only ``compile --emit`` the oracle."""
 
 from __future__ import annotations
 
+from . import ideals, text
+
 
 def _cmd_normalize(args) -> dict:
-    from . import ideals, text
-
     c = ideals.normalize(text.parse_expr(args.expr))
     return {"text": str(c), "json": c.to_json()}
 
 
 def _cmd_rank(args) -> dict:
-    from . import ideals, text
-
     r = ideals.b_rank(text.parse_expr(args.expr))
     return {"text": str(r), "json": {"rank": str(r)}}
 
 
 def _cmd_perp(args) -> dict:
-    from . import ideals, text
-
     c = ideals.perp(ideals.normalize(text.parse_expr(args.expr)))
     return {"text": str(c), "json": c.to_json()}
 
 
 def _cmd_iso(args) -> dict:
-    from . import ideals, text
-
     same = ideals.iso_check(text.parse_expr(args.expr1), text.parse_expr(args.expr2))
     word = "isomorphic" if same else "non-isomorphic"
     return {"text": word, "json": {"isomorphic": same}}
 
 
 def _cmd_compile(args) -> dict:
-    from . import text, trees
+    from . import trees
 
     t = trees.compile_ideal(text.parse_expr(args.expr))
     if args.emit is None:
@@ -56,7 +51,7 @@ def _cmd_compile(args) -> dict:
 
 
 def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
-    from . import text, trees
+    from . import trees
 
     nodes: set[trees.Seq] = {()}
     for u in elems:

@@ -1,11 +1,11 @@
 """CLI handlers of the verbs that run the checker kernel alone:
 ``enumerate`` and ``selftest``.  See ``cli`` for the table that names
-them; each handler imports the modules it runs."""
+them."""
+
+from . import oracle, text
 
 
 def _cmd_enumerate(args) -> dict:
-    from . import oracle, text
-
     q = text.parse_query(args.query)
     d, w, c = args.budget
     elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))
@@ -19,8 +19,6 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_selftest(args) -> dict:
-    from . import oracle
-
     report = oracle.law_suite(args.seed, args.trials)
     lines = [
         f"{'ok  ' if law.failures == 0 else 'FAIL'} {law.name}: "

@@ -1,24 +1,21 @@
 """CLI handlers of the ``wo`` verbs on linear order terms: ``classify``,
 ``reverse`` and ``rationalize``.  See ``cli`` for the table that names
-them; each handler imports the modules it runs."""
+them."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from . import orders, text
 from .errors import BadArgument
 
 
 def _cmd_wo_classify(args) -> dict:
-    from . import orders, text
-
     out = orders.wo_classify(text.parse_order(args.order))
     return _wo_payload(out)
 
 
 def _wo_payload(out: orders.WoClass) -> dict:
-    from fractions import Fraction
-
-    from . import orders
-
     if isinstance(out, orders.Scattered):
         return {
             "text": f"scattered, {out.form}",
@@ -41,8 +38,6 @@ def _wo_payload(out: orders.WoClass) -> dict:
 
 
 def _cmd_wo_reverse(args) -> dict:
-    from . import orders, text
-
     rev, out = orders.wo_self_dual(text.parse_order(args.order))
     inner = _wo_payload(out)
     return {
@@ -52,8 +47,6 @@ def _cmd_wo_reverse(args) -> dict:
 
 
 def _cmd_wo_rationalize(args) -> dict:
-    from . import orders, text
-
     if args.count < 0:
         raise BadArgument(f"--count must be >= 0, got {args.count}")
     values = orders.rationalize(text.parse_order(args.order), args.count)

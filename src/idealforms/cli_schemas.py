@@ -1,15 +1,17 @@
 """CLI handlers of the verbs that decide a schema or a query and print
 its witness: ``classify``, ``treerank``, ``member``, ``frechet`` and
-``idwitness``.  See ``cli`` for the table that names them; each handler
-imports the modules it runs."""
+``idwitness``.  See ``cli`` for the table that names them.  Every verb
+here runs ``ideals`` and ``text``; each handler imports the decision
+procedures and checkers that some of the other verbs do not run."""
 
 from __future__ import annotations
 
+from . import ideals, text
 from .errors import ParseError
 
 
 def _cmd_classify(args) -> dict:
-    from . import classification, text
+    from . import classification
 
     t = text.parse_tree(args.tree)
     out = classification.classify_via_derivative(t) if args.via else classification.classify(t)
@@ -26,7 +28,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_treerank(args) -> dict:
-    from . import rank, text
+    from . import rank
 
     r, core_empty = rank.tree_rank(text.parse_tree(args.tree))
     return {
@@ -36,15 +38,13 @@ def _cmd_treerank(args) -> dict:
 
 
 def _parse_member_args(args) -> tuple[queries.QueryTerm, ideals.IdealExpr]:
-    from . import text
-
     if args.in_kw != "in":
         raise ParseError(f"expected the keyword 'in', got {args.in_kw!r}")
     return text.parse_query(args.query), text.parse_expr(args.expr)
 
 
 def _cmd_member(args) -> dict:
-    from . import ideals, membership
+    from . import membership
 
     q, e = _parse_member_args(args)
     verdict = (membership.member_perp if args.perp else membership.member_of)(q, e)
@@ -69,7 +69,7 @@ def _cmd_frechet(args) -> dict:
 
 
 def _cmd_idwitness(args) -> dict:
-    from . import membership, oracle, text, witnesses
+    from . import membership, oracle, witnesses
 
     q = text.parse_query(args.query)
     w = membership.id_witness(q)

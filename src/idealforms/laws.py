@@ -3,17 +3,19 @@
 Each law draws its instances from the ``random.Random`` it is given and
 returns None when it holds, else its counterexample.  The suite imports
 this module on its first call, so the checker kernel in ``oracle``
-compiles none of it.  Only the laws use ``orders``, ``rank`` and
-``classification``; each law imports them itself.
+compiles none of it, nor the ``orders``, ``rank`` and ``classification``
+that only the laws use.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Optional
 
-from . import ideals, membership, ordinals, trees
+from . import ideals, membership, orders, ordinals, rank, trees
+from .classification import Borel, NonBorel, classify, classify_via_derivative, scaffold_class
 from .errors import QuotientOverflow
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .membership import Ternary
@@ -247,8 +249,6 @@ def _law_omega_regroup(rng: random.Random) -> Optional[str]:
 
 
 def _law_round_trip(rng: random.Random) -> Optional[str]:
-    from .classification import Borel, classify
-
     e = rand_expr(rng, 10)
     want = ideals.normalize(e)
     got = classify(trees.compile_ideal(e))
@@ -257,9 +257,8 @@ def _law_round_trip(rng: random.Random) -> Optional[str]:
     return None
 
 
-def _two_path_check(t: TreeSchema) -> Optional[str]:
-    from .classification import Borel, classify, classify_via_derivative, scaffold_class
-
+def _law_two_path(rng: random.Random) -> Optional[str]:
+    t = rand_infinite_schema(rng, 8)
     left = classify(t)
     right = classify_via_derivative(t)
     if isinstance(left, Borel) != isinstance(right, Borel):
@@ -274,14 +273,7 @@ def _two_path_check(t: TreeSchema) -> Optional[str]:
     return None
 
 
-def _law_two_path(rng: random.Random) -> Optional[str]:
-    return _two_path_check(rand_infinite_schema(rng, 8))
-
-
 def _law_trichotomy(rng: random.Random) -> Optional[str]:
-    from . import rank
-    from .classification import Borel, NonBorel, classify, classify_via_derivative
-
     t = rand_infinite_schema(rng, 8)
     _, core_empty = rank.tree_rank(t)
     borel = isinstance(classify(t), Borel)
@@ -315,8 +307,6 @@ def _law_domination_budget(rng: random.Random) -> Optional[str]:
 
 
 def _law_rank_agreement(rng: random.Random) -> Optional[str]:
-    from . import rank
-
     t = rand_schema(rng, 6)
     try:
         got = explicit_derivative(t, Budget(6, 6, 64))
@@ -398,8 +388,6 @@ def _law_id_witness(rng: random.Random) -> Optional[str]:
 
 
 def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.LinTerm:
-    from . import orders
-
     if size <= 1:
         if dense and rng.random() < 0.3:
             return orders.RATQ
@@ -420,8 +408,6 @@ def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.Li
 
 
 def _law_wo_duality(rng: random.Random) -> Optional[str]:
-    from . import orders
-
     t = _rand_order(rng, 7)
     left = orders.wo_classify(orders.reverse_term(t))
     right = orders.wo_classify(t)
@@ -432,8 +418,6 @@ def _law_wo_duality(rng: random.Random) -> Optional[str]:
 
 
 def _law_wo_sum(rng: random.Random) -> Optional[str]:
-    from . import orders
-
     t1, t2 = _rand_order(rng, 5), _rand_order(rng, 5)
     whole = orders.wo_classify(orders.Cat((t1, t2)))
     a, b = orders.wo_classify(t1), orders.wo_classify(t2)
@@ -444,28 +428,22 @@ def _law_wo_sum(rng: random.Random) -> Optional[str]:
 
 
 def _law_rationalize(rng: random.Random) -> Optional[str]:
-    from . import orders
-
     t = _rand_order(rng, 6)
     positions = list(itertools.islice(orders.enumerate_positions(t), 20))
     values = [orders.embed_position(t, p) for p in positions]
     # rank the images once, equal images sharing a rank, and compare ranks
     order = sorted(range(len(values)), key=values.__getitem__)
-    rank = [0] * len(values)
+    ranks = [0] * len(values)
     for a, b in zip(order, order[1:]):
-        rank[b] = rank[a] + (values[b] != values[a])
+        ranks[b] = ranks[a] + (values[b] != values[a])
     for (i, p), (j, q) in itertools.combinations(enumerate(positions), 2):
         want = orders.pos_cmp(t, p, q)
-        if want != (rank[i] > rank[j]) - (rank[i] < rank[j]):
+        if want != (ranks[i] > ranks[j]) - (ranks[i] < ranks[j]):
             return f"{t}: positions {p} vs {q}"
     return None
 
 
 def _law_dense(rng: random.Random) -> Optional[str]:
-    from fractions import Fraction
-
-    from . import orders
-
     t = _rand_order(rng, 6, dense=True)
     if orders.scattered_check(t):
         return None

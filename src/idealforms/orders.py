@@ -293,10 +293,7 @@ def embed_position(t: LinTerm, p: Pos) -> Fraction:
 
 def rationalize(t: LinTerm, n: int) -> list[Fraction]:
     """First n elements of the fixed embedding, in enumeration order."""
-    out = []
-    for p in itertools.islice(enumerate_positions(t), n):
-        out.append(embed_position(t, p))
-    return out
+    return [embed_position(t, p) for p in itertools.islice(enumerate_positions(t), n)]
 
 
 class OrderEmbedding:

@@ -135,6 +135,23 @@ def test_diagonal_tails_overflow_without_reading_a_block(monkeypatch, text):
     assert calls == []
 
 
+def test_a_long_chain_overflows_at_a_new_vertex_and_fits_under_a_larger_cap():
+    # the compiled P(n) is a chain of constant-tail classes, so the cap is
+    # met when a new vertex is appended, not at a diagonal tail; and a
+    # root over an empty child is the one-vertex quotient of eps
+    p200 = trees.compile_ideal(parse_expr("P(200)"))
+    with pytest.raises(QuotientOverflow):
+        quotient.build_quotient(p200, 64)
+    for n, want in ((20, 12), (60, 32), (200, 102)):
+        s = trees.compile_ideal(parse_expr(f"P({n})"))
+        got = oracle.explicit_derivative(s, Budget(6, 6, 512))
+        assert got == rank.tree_rank(s) == (parse_ordinal_int(want), True), n
+    rooted_empty = trees.Rooted(trees.EMPTY)
+    assert quotient.build_quotient(rooted_empty, 8).vertices == [trees.EPS]
+    got = oracle.explicit_derivative(rooted_empty, Budget(6, 6, 8))
+    assert got == rank.tree_rank(rooted_empty) == (parse_ordinal_int(1), True)
+
+
 def test_explicit_derivative_checks_each_cone_against_in_id(monkeypatch):
     # the first removal round must agree with in_id on every class, so a
     # predicate that lies about the one-letter cone ``chain`` is caught

@@ -8,6 +8,7 @@ handler that forgets to import what it runs fails here.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -35,57 +36,70 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV)
 
 
-def _modules_after(argv: list[str]) -> set[str]:
+@functools.cache  # one interpreter per argv, however many tests read it
+def _modules_after(*argv: str) -> frozenset[str]:
     proc = _python("-c", LOADED_AFTER, *argv)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return frozenset(proc.stdout.split())
 
 
-def _loaded_after(argv: list[str]) -> set[str]:
-    return {m.split(".")[1] for m in _modules_after(argv) if m.startswith("idealforms.")}
+def _loaded_after(*argv: str) -> set[str]:
+    return {m.split(".")[1] for m in _modules_after(*argv) if m.startswith("idealforms.")}
 
 
 def test_each_verb_loads_only_what_it_runs():
-    normalize = _loaded_after(["normalize", "omega(FIN)"])
+    normalize = _loaded_after("normalize", "omega(FIN)")
     assert normalize == {"cli", "cli_ideals", "errors", "hashcons", "ideals", "ordinals", "text"}
     assert not normalize & {"oracle", "classification", "membership", "orders",
                             "quotient", "rank", "trees", "witnesses"}
-    wo = _loaded_after(["wo", "classify", "cat(N,rev(N))"])
+    wo = _loaded_after("wo", "classify", "cat(N,rev(N))")
     assert "orders" in wo and not wo & {"oracle", "trees", "membership"}
-    enum = _loaded_after(["enumerate", "chain", "--budget", "3,3,10"])
+    enum = _loaded_after("enumerate", "chain", "--budget", "3,3,10")
     assert "oracle" in enum and not enum & {"orders", "classification", "rank"}
 
 
-# one argv per verb, and the handler module that its row of the verb table names
+# one argv per verb, the handler module that its row of the verb table
+# names, and the modules besides those two and EVERY_VERB that it loads
+EVERY_VERB = {"cli", "errors", "hashcons", "ideals", "ordinals", "text"}
 VERB_ARGV = [
-    (["normalize", "omega(FIN)"], "cli_ideals"),
-    (["rank", "P(w*2+3)"], "cli_ideals"),
-    (["perp", "P(w^2+1)"], "cli_ideals"),
-    (["iso", "P(1)", "Q(1)"], "cli_ideals"),
-    (["compile", "Q(2)"], "cli_ideals"),
-    (["compile", "P(1)", "--emit", "dot"], "cli_ideals"),
-    (["--json", "compile", "P(2)", "--emit", "json", "--count", "50"], "cli_ideals"),
-    (["classify", "fan([];qdiag(w^2))"], "cli_schemas"),
-    (["--json", "classify", "spine([full];const(chain))"], "cli_schemas"),
-    (["treerank", "fan([];qdiag(w))"], "cli_schemas"),
-    (["member", "fan([chain];const(empty))", "in", "P(1)", "--perp"], "cli_schemas"),
-    (["frechet", "fan([];const(chain))", "in", "P(1)"], "cli_schemas"),
-    (["idwitness", "spine([];const(chain))"], "cli_schemas"),
-    (["idwitness", "fan([];const(chain))"], "cli_schemas"),
-    (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], "cli_oracle"),
-    (["selftest", "--trials", "1"], "cli_oracle"),
-    (["wo", "classify", "cat(N,rev(N))"], "cli_orders"),
-    (["wo", "reverse", "cat(N,QQ)"], "cli_orders"),
-    (["wo", "rationalize", "rev(N)", "--count", "5"], "cli_orders"),
+    (["normalize", "omega(FIN)"], "cli_ideals", ""),
+    (["rank", "P(w*2+3)"], "cli_ideals", ""),
+    (["perp", "P(w^2+1)"], "cli_ideals", ""),
+    (["iso", "P(1)", "Q(1)"], "cli_ideals", ""),
+    (["compile", "Q(2)"], "cli_ideals", "trees"),
+    (["compile", "P(1)", "--emit", "dot"], "cli_ideals", "oracle queries trees"),
+    (["--json", "compile", "P(2)", "--emit", "json", "--count", "50"], "cli_ideals",
+     "oracle queries trees"),
+    (["classify", "fan([];qdiag(w^2))"], "cli_schemas", "classification rank trees witnesses"),
+    (["--json", "classify", "spine([full];const(chain))"], "cli_schemas",
+     "classification rank trees witnesses"),
+    (["treerank", "fan([];qdiag(w))"], "cli_schemas", "rank trees"),
+    (["member", "fan([chain];const(empty))", "in", "P(1)", "--perp"], "cli_schemas",
+     "membership queries trees witnesses"),
+    (["frechet", "fan([];const(chain))", "in", "P(1)"], "cli_schemas",
+     "membership oracle queries trees witnesses"),
+    (["idwitness", "spine([];const(chain))"], "cli_schemas",
+     "membership oracle queries trees witnesses"),
+    (["idwitness", "fan([];const(chain))"], "cli_schemas",
+     "membership oracle queries trees witnesses"),
+    (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], "cli_oracle",
+     "oracle queries trees"),
+    (["selftest", "--trials", "1"], "cli_oracle",
+     "classification laws membership oracle orders queries quotient rank trees witnesses"),
+    (["wo", "classify", "cat(N,rev(N))"], "cli_orders", "orders"),
+    (["wo", "reverse", "cat(N,QQ)"], "cli_orders", "orders"),
+    (["wo", "rationalize", "rev(N)", "--count", "5"], "cli_orders", "orders"),
 ]
 HANDLER_MODULES = {"cli_ideals", "cli_schemas", "cli_oracle", "cli_orders"}
 # the verbs that check a witness or enumerate, through the checker kernel
 KERNEL_VERBS = {"compile", "frechet", "idwitness", "enumerate"}
 
 
-@pytest.mark.parametrize("argv, handler", VERB_ARGV, ids=[" ".join(a) for a, _ in VERB_ARGV])
-def test_each_verb_loads_its_own_handler_module_and_no_law(argv, handler):
-    loaded = _loaded_after(argv)
+@pytest.mark.parametrize("argv, handler, more", VERB_ARGV,
+                         ids=[" ".join(a) for a, _, _ in VERB_ARGV])
+def test_each_verb_loads_its_own_handler_module_and_no_law(argv, handler, more):
+    loaded = _loaded_after(*argv)
+    assert loaded == EVERY_VERB | {handler} | set(more.split())
     assert loaded & HANDLER_MODULES == {handler}
     verb = next(a for a in argv if a != "--json")
     assert ("laws" in loaded) == (verb == "selftest")
@@ -93,6 +107,38 @@ def test_each_verb_loads_its_own_handler_module_and_no_law(argv, handler):
         assert not loaded & {"laws", "orders", "classification", "rank"}, argv
     if verb == "enumerate" or "--emit" in argv:  # the kernel alone: no decision procedure
         assert "oracle" in loaded and not loaded & {"membership", "quotient", "witnesses"}, argv
+
+
+def _function_imports(module: str) -> list[tuple[str, str]]:
+    """(function, module it imports) for each import inside a function of
+    ``idealforms.<module>``, read from its source."""
+    tree = ast.parse(Path(SRC, "idealforms", f"{module}.py").read_text(encoding="utf-8"))
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                out += [(fn.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                out += [(fn.name, f"idealforms.{a.name}") for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                out.append((fn.name, f"idealforms.{node.module}" if node.level else node.module))
+    return out
+
+
+def test_no_law_imports_inside_a_function():
+    # only law_suite loads the laws, and it runs every one of them
+    assert _function_imports("laws") == []
+
+
+@pytest.mark.parametrize("handler", sorted(HANDLER_MODULES))
+def test_no_handler_imports_what_every_verb_of_its_module_loads(handler):
+    # an import inside a handler must spare some verb of its module a
+    # module that the verb does not run; the rest belong at the top
+    always = frozenset.intersection(*(_modules_after(*argv) for argv, h, _ in VERB_ARGV
+                                      if h == handler))
+    assert [(fn, m) for fn, m in _function_imports(handler) if m in always] == []
 
 
 FULL_PARSER = """
@@ -136,7 +182,7 @@ def test_help_and_usage_errors_match_the_whole_parser(argv):
     ["compile", "P(1)", "--emit", "json"],
 ])
 def test_no_verb_loads_dataclasses_and_json_only_on_request(argv):
-    loaded = _modules_after(argv)
+    loaded = _modules_after(*argv)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == ("json" in argv or "--json" in argv)
 
