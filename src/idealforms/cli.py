@@ -2,15 +2,15 @@
 
 One verb per public operation; ``--json`` switches every verb to
 machine-readable output validating against docs/schemas/.  Exit codes:
-0 success, 1 parse error, 2 precondition violation, 3 internal failure
-(a broken law or any other exception, which is always a bug).  Every
-error is one line on stderr, never a traceback.
+0 success, 1 parse error, 2 precondition violation or running out of
+memory, 3 internal failure (a broken law or any other exception, which
+is always a bug).  Every error is one line on stderr, never a traceback.
 
 A process that runs one verb compiles and loads only what it runs:
 ``main`` builds that verb's subparser alone, imports the one handler
-module (``cli_*``) that its row of ``_VERBS`` names, and calls the
-function that the module's ``HANDLERS`` maps the verb to.  No handler
-module imports this one, which ``python -m`` would compile a second time.
+module (``cli_*``) that its row of ``_VERBS`` names, and calls that
+module's ``_cmd_<verb>``.  No handler module imports this one, which
+``python -m`` would compile a second time.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
         module, verb = args.handler
-        payload = _submodule(module).HANDLERS[verb](args)
+        payload = getattr(_submodule(module), f"_cmd_{verb}")(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except IdealFormsError as exc:  # every other engine error is a precondition
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a request too large for this machine, not a bug
+        print("MemoryError: not enough memory for this request", file=sys.stderr)
         return 2
     except Exception as exc:  # a broken invariant or another bug: one line, no traceback
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -69,6 +69,3 @@ def _dot_of(t: trees.TreeSchema, elems: list[trees.Seq]) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-HANDLERS = {"normalize": _cmd_normalize, "rank": _cmd_rank, "perp": _cmd_perp, "iso": _cmd_iso,
-            "compile": _cmd_compile}

@@ -33,5 +33,3 @@ def _cmd_selftest(args) -> dict:
         "exit": 0 if report.all_pass else 3,
     }
 
-
-HANDLERS = {"enumerate": _cmd_enumerate, "selftest": _cmd_selftest}

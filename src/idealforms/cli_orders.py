@@ -10,7 +10,7 @@ from . import orders, text
 from .errors import BadArgument
 
 
-def _cmd_wo_classify(args) -> dict:
+def _cmd_classify(args) -> dict:
     out = orders.wo_classify(text.parse_order(args.order))
     return _wo_payload(out)
 
@@ -37,7 +37,7 @@ def _wo_payload(out: orders.WoClass) -> dict:
     }
 
 
-def _cmd_wo_reverse(args) -> dict:
+def _cmd_reverse(args) -> dict:
     rev, out = orders.wo_self_dual(text.parse_order(args.order))
     inner = _wo_payload(out)
     return {
@@ -46,7 +46,7 @@ def _cmd_wo_reverse(args) -> dict:
     }
 
 
-def _cmd_wo_rationalize(args) -> dict:
+def _cmd_rationalize(args) -> dict:
     if args.count < 0:
         raise BadArgument(f"--count must be >= 0, got {args.count}")
     values = orders.rationalize(text.parse_order(args.order), args.count)
@@ -55,6 +55,3 @@ def _cmd_wo_rationalize(args) -> dict:
         "json": {"rationals": [str(v) for v in values]},
     }
 
-
-HANDLERS = {"classify": _cmd_wo_classify, "reverse": _cmd_wo_reverse,
-            "rationalize": _cmd_wo_rationalize}

@@ -103,6 +103,3 @@ def _witness_json(w, checked: oracle.Budget | None) -> dict:
     budget = checked and {"depth": checked.depth, "width": checked.width, "count": checked.count}
     return {"kind": kind, "data": data, "checkedAtBudget": budget}
 
-
-HANDLERS = {"classify": _cmd_classify, "treerank": _cmd_treerank, "member": _cmd_member,
-            "frechet": _cmd_frechet, "idwitness": _cmd_idwitness}

@@ -12,13 +12,16 @@ cross-module invariant on seeded random instances and reports failures
 with their first counterexample; its laws and generators are in
 ``laws``, which it imports on its first call.  Witness checks import
 ``witnesses``, and the explicit derivative ``quotient``, inside the
-function, so enumeration loads neither.
+function, so enumeration loads neither.  The Frechet check reads the
+subset's entry bound, the fact enumeration already trusts, and imports
+nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Iterator, Optional
 
 from . import ordinals, queries, trees
@@ -238,19 +241,16 @@ def _frechet_boxes(w: Schema, b: Budget) -> tuple[list[Seq], list[Seq]]:
 
 
 def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
-    from . import membership
-    from .witnesses import DominatingBranch
-
     if not isinstance(w, Schema):  # not an assert: the check must run under python -O too
         raise TypeError(f"not a witness: {w!r}")
     small, grown = _frechet_boxes(w, b)
     if not small or len(grown) <= len(small):
         return False  # not visibly infinite at the budget
-    branch = membership.id_witness(w)
-    if not isinstance(branch, DominatingBranch):
-        return False
-    # each element grown lies in the query and below the branch
-    return all(queries.q_member(u, q) and branch.dominates(u) for u in grown)
+    # bounded entries are branch domination (see trees._ID): each element
+    # grown lies in the query and below the constant branch at the bound
+    bound = trees._entry_bound(w.tree)
+    return bound < math.inf and all(max(u, default=-1) <= bound and queries.q_member(u, q)
+                                    for u in grown)
 
 
 # --------------------------------------------------------------------------

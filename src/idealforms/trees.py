@@ -449,7 +449,8 @@ _WF = _Algebra(
     lambda t, heads, tail: (tail is None or type(t) is Fan and tail) and all(a for _, a in heads),
 )
 # a fan tail makes first coordinates unbounded; spine entries are at most
-# 1 and copy offsets keep each position influenced by finitely many copies
+# 1 and copy offsets keep each position influenced by finitely many copies.
+# So in_id(t) holds iff _entry_bound(t) < inf, which the oracle's Frechet check relies on
 _ID = _Algebra(
     "_id",
     {EMPTY: True, EPS: True, CHAIN: True, FULL: False},

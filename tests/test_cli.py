@@ -191,6 +191,33 @@ def test_exit_codes(capsys):
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
 
 
+def test_running_out_of_memory_is_no_internal_failure(capsys, monkeypatch):
+    # a request too large for the machine is not a bug: exit 2, one line
+    from idealforms import cli_ideals
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_ideals, "_cmd_normalize", exhausted)
+    assert cli.main(["normalize", "FIN"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("MemoryError:") and "memory" in err.split(":", 1)[1], err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_each_verb_row_names_a_handler():
+    # main calls the _cmd_<verb> of the module that the verb's row names;
+    # a handler that no row names is dead code (test_trees)
+    import importlib
+    import types
+
+    rows = [(verb, row[0]) for verb, row in cli._VERBS.items() if verb != "wo"]
+    rows += [(verb, row[0]) for verb, row in cli._WO.items()]
+    for verb, module in rows:
+        handler = getattr(importlib.import_module(f"idealforms.{module}"), f"_cmd_{verb}", None)
+        assert isinstance(handler, types.FunctionType), (module, verb)
+
+
 def _parse(capsys, argv: list[str], one_verb: bool) -> tuple:
     """What parsing ``argv`` returns, or its exit code, and what it prints,
     with the parser built for ``argv`` or the one that holds every verb."""

@@ -229,11 +229,23 @@ def test_check_witness_frechet_rejects():
     rejected = [
         trees.EMPTY,
         trees.singleton((1, 0, 0)),  # finite
-        q.tree,  # infinite, but no branch dominates it
+        q.tree,  # infinite, but its entries are unbounded
         t("chain"),  # dominated and infinite, but <0> is not in q
     ]
     for bad in rejected:
         assert not oracle.check_witness(Schema(bad), (q, e), oracle.WITNESS_BUDGET), str(bad)
+
+
+def test_the_frechet_check_holds_each_element_to_the_entry_bound(monkeypatch):
+    # the witness fan([chain];const(empty)) has entry bound 0; an element
+    # grown past it fails the check although it lies in the query
+    e = parse_expr("P(1)")
+    q = Schema(trees.compile_ideal(e))
+    w = membership.frechet_witness(q, e)
+    small, grown = oracle._frechet_boxes(w, oracle.WITNESS_BUDGET)
+    assert queries.q_member((1, 0, 0), q) and trees._entry_bound(w.tree) == 0
+    monkeypatch.setattr(oracle, "_frechet_boxes", lambda w, b: (small, grown + [(1, 0, 0)]))
+    assert not oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
 
 
 def test_a_query_not_a_schema_is_no_frechet_witness_under_python_O():
@@ -354,6 +366,17 @@ def test_law_suite_deterministic_and_empty():
     assert a == b
     empty = oracle.law_suite(7, 0)
     assert all(law.trials == 0 and law.failures == 0 for law in empty.laws)
+
+
+def test_the_domination_budget_law_runs_its_body():
+    # every law_suite call of this suite draws, for this law, a schema in
+    # neither ideal and returns at the guard; the first trial of
+    # law_suite(s, 1) passes it at these seeds alone of 0..49
+    for s in (10, 11, 35, 44):
+        seed = f"{s}:domination-budget"
+        schema = laws.rand_infinite_schema(random.Random(seed), 7)  # the law's first draw
+        assert trees.in_id(schema) or trees.in_wf(schema), str(schema)
+        assert laws._law_domination_budget(random.Random(seed)) is None, str(schema)
 
 
 def test_per_vertex_stage_agreement():
@@ -781,15 +804,14 @@ def test_enumerate_skips_schemas_longer_than_the_box():
 
 # the package modules that loading the checker kernel loads
 KERNEL_MODULES = {"errors", "hashcons", "ideals", "oracle", "ordinals", "queries", "text", "trees"}
-# every module that the kernel's calls reach, membership aside
+# every module that the kernel's calls reach
 KERNEL_REACH = {"hashcons", "oracle", "ordinals", "queries", "quotient", "trees", "witnesses"}
 
 
 def test_the_checker_kernel_trust_base_is_pinned():
     # the oracle loads no decision procedure, witness builder, law or
     # generator, and its entry points reach no predicate, rank or
-    # classifier that it checks; membership only through the Frechet
-    # check's branch builder, until that check stops needing it.  A new
+    # classifier that it checks, and no function of membership.  A new
     # dependency fails here until it is added on purpose
     from test_trees import _call_graph
 
@@ -804,22 +826,23 @@ def test_the_checker_kernel_trust_base_is_pinned():
     graph = _call_graph(Path(oracle.__file__).parent)
 
     def reach(*entries: str) -> set[str]:
-        # the closure of calls, stopping at membership's functions
+        # the closure of calls
         seen, todo = set(), list(entries)
         while todo:
             f = todo.pop()
             if f not in seen:
                 seen.add(f)
-                todo += () if f.startswith("membership.") else graph.get(f, ())
+                todo += graph.get(f, ())
         return seen
 
     enum = reach("oracle.enumerate_schema")
     assert "oracle._leaf_iter_len" in enum and "trees.iter_len" in enum
-    assert not {f for f in enum if f.startswith("membership.")} | enum & {"trees.in_wf", "trees.in_id"}
+    assert not enum & {"trees.in_wf", "trees.in_id"}
+    # the Frechet check reads the entry bound, not the predicate it stands for
+    assert not reach("oracle.check_witness") & {"trees.in_wf", "trees.in_id"}
     seen = reach("oracle.enumerate_schema", "oracle.check_witness", "oracle.explicit_derivative")
-    assert {(f, g) for f in seen if not f.startswith("membership.") for g in graph.get(f, ())
-            if g.startswith("membership.")} == {("oracle._check_frechet", "membership.id_witness")}
-    assert {f.split(".")[0] for f in seen} - {"membership"} == KERNEL_REACH
+    assert {(f, g) for f in seen for g in graph.get(f, ()) if g.startswith("membership.")} == set()
+    assert {f.split(".")[0] for f in seen} == KERNEL_REACH
 
 
 def test_enumeration_opens_few_empty_probes(monkeypatch):

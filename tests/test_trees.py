@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from idealforms import (
-    classification, hashcons, ideals, membership, orders, ordinals, quotient, rank, trees,
+    classification, hashcons, ideals, laws, membership, orders, ordinals, quotient, rank, trees,
 )
 from idealforms.errors import NotLimit
 from idealforms.laws import rand_infinite_schema
@@ -104,6 +104,26 @@ def test_compiled_membership_predicates():
         schema = trees.compile_ideal(parse_expr(src))
         assert not trees.in_wf(schema), src
         assert not trees.in_id(schema), src
+
+
+def test_each_ideal_predicate_is_its_bound_being_finite():
+    # the oracle's Frechet check reads a finite entry bound as branch
+    # domination; _WF and _ID stay their own folds, so the domination-budget
+    # law still compares two computations
+    from test_acceptance import _schemas_of_size
+
+    rng = random.Random(3)
+    ranks = [ordinals.from_int(n) for n in range(13)]
+    ranks += [parse_ordinal(a) for a in ("w", "w+1", "w*2+1", "w^w")]
+    corpus = [s for size in range(1, 6) for s in _schemas_of_size(size)]
+    corpus += [laws.rand_schema(rng, 8) for _ in range(5000)]  # diagonal tails among them
+    corpus += [trees.compile_form(ideals.CanonicalForm(kind, r)) for kind in ideals.Kind for r in ranks]
+    corpus += [t(src) for src in ("rooted(fan([eps,empty];pdiag(w^2)))", "rooted(spine([chain];const(chain)))",
+                                  "spine([];qdiag(w,2))", "fan([chain];pdiag(w*3))",
+                                  "spine([chain,fan([];qdiag(w^2,3))];const(rooted(eps)))")]
+    for s in corpus:
+        assert trees.in_id(s) == (trees._entry_bound(s) < math.inf), str(s)
+        assert trees.in_wf(s) == (trees.depth_bound(s) is not None), str(s)
 
 
 def test_finiteness_and_emptiness():
@@ -502,8 +522,12 @@ def _unreferenced(src: Path, public: set[str]) -> list[str]:
 
 def test_every_function_is_referenced():
     import idealforms
+    from idealforms import cli
 
     public = {n for names in idealforms._EXPORTS.values() for n in names.split()}
+    # cli.main reads a verb's handler by the name _cmd_<verb>: the verb
+    # table's rows are its references, so a handler with no row is dead
+    public |= {f"_cmd_{verb}" for verb in (*cli._VERBS, *cli._WO) if verb != "wo"}
     assert _unreferenced(Path(trees.__file__).parent, public) == []
 
 
