@@ -27,7 +27,6 @@ from .hashcons import Interned, _fold
 from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
 from .ordinals import Ordinal
 from .trees import Const, Fan, Spine, TreeSchema
-from .witnesses import CoreEmbedding, EmbeddingWitness, Expansion, PrefixEmbedding
 
 # size markers for sub-blocks absorbed by the classification, and the
 # answer at a full sub-block, which no sum absorbs: a node above one passes
@@ -47,7 +46,7 @@ class Borel(Interned):
 
 
 class NonBorel:
-    def __init__(self, witness: EmbeddingWitness) -> None:
+    def __init__(self, witness: witnesses.EmbeddingWitness) -> None:
         self.witness = witness
 
     def __str__(self) -> str:
@@ -67,6 +66,7 @@ def classify(t: TreeSchema) -> TreeClass:
         # embedding under it lands in the full sub-block
         path, _ = trees.walk(t, lambda s: trees.first_failing(s, lambda h: h._cls != FULL_CLS),
                              lambda s: s is trees.FULL)
+        from .witnesses import PrefixEmbedding
         return NonBorel(PrefixEmbedding(t, trees.word(path)))
     assert isinstance(out, CanonicalForm)
     return Borel(out)
@@ -143,6 +143,7 @@ def classify_via_derivative(t: TreeSchema) -> TreeClass:
     if trees.is_finite(t):
         raise FiniteSchema(f"schema denotes a finite set: {t}")
     if not rank.rank_info(t).core_empty:
+        from .witnesses import CoreEmbedding
         return NonBorel(CoreEmbedding(t, find_expansion))
     return Borel(_fold(t, _VIA)[0])
 
@@ -257,13 +258,15 @@ _VIA = trees._Algebra(
 # core expansion for the non-Borel witness
 
 
-def find_expansion(c: TreeSchema) -> Expansion:
+def find_expansion(c: TreeSchema) -> witnesses.Expansion:
     """A core node with infinitely many core children, relative to ``c``.
 
     The core is not dominated, so (being a tree) it has an infinitely
     branching node; the walk descends into the first block with a
     nonempty core until the branching lives at the current root.
     """
+    from .witnesses import Expansion
+
     path, c = trees.walk(c, lambda s: trees.first_failing(s, _core_empty),
                          lambda s: s is trees.FULL or type(s) is Fan and type(s.tail) is Const
                          and not _core_empty(s.tail.block))

@@ -42,7 +42,7 @@ def _cmd_compile(args) -> dict:
     if args.emit == "json":
         return {"json": {
             "schema": str(t),
-            "budget": {"depth": budget.depth, "width": budget.width, "count": budget.count},
+            "budget": budget.to_json(),
             "elements": [list(u) for u in elems],
             "truncated": True,
         }}

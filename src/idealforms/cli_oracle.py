@@ -7,12 +7,12 @@ from . import oracle, text
 
 def _cmd_enumerate(args) -> dict:
     q = text.parse_query(args.query)
-    d, w, c = args.budget
-    elems = oracle.enumerate_schema(q, oracle.Budget(d, w, c))
+    budget = oracle.Budget(*args.budget)
+    elems = oracle.enumerate_schema(q, budget)
     return {
         "text": "\n".join(text.format_seq_elem(u) for u in elems) or "(no elements)",
         "json": {
-            "budget": {"depth": d, "width": w, "count": c},
+            "budget": budget.to_json(),
             "elements": [list(u) for u in elems],
         },
     }

@@ -100,6 +100,5 @@ def _witness_json(w, checked: oracle.Budget | None) -> dict:
         }
     else:
         kind, data = "frechet-subset", {"query": str(w)}
-    budget = checked and {"depth": checked.depth, "width": checked.width, "count": checked.count}
-    return {"kind": kind, "data": data, "checkedAtBudget": budget}
+    return {"kind": kind, "data": data, "checkedAtBudget": checked and checked.to_json()}
 

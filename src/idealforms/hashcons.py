@@ -21,11 +21,15 @@ Every sort of term is a term algebra, so every fact computed bottom-up
 over a sort is one ``Algebra`` run by the one traversal ``_fold``
 (a catamorphism; Meijer, Fokkinga & Paterson, FPCA 1991), which stores
 each answer in a slot of the term.
+
+``str`` and ``repr`` of a ``Term`` both call the grammars' one printer,
+``text.format_term``, whose text names the term: ``parse(str(t)) is t``.
 """
 
 from __future__ import annotations
 
 import weakref
+from importlib import import_module
 from _weakref import _remove_dead_weakref
 from typing import Callable
 
@@ -87,34 +91,27 @@ class Interned:
         # memo slots are not copied: a rank would carry its whole chain
         return None
 
+    def __repr__(self) -> str:  # the records with no grammar hold no deep term
+        return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"
+
+
+text = None  # the printer's module, bound on the first print: it imports this one
+
+
+class Term(Interned):
+    """Base of the terms of a grammar (docs/grammar.md).  ``str`` is the
+    term's text and ``repr`` names its class around it, ``Ordinal[w^2]``."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        global text
+        if text is None:
+            text = import_module(".text", __package__)
+        return text.format_term(self)
+
     def __repr__(self) -> str:
-        """``Class(field, ...)`` with every field in its own ``repr``, read
-        off an explicit stack, so depth costs no Python frames.  Pieces of
-        text wait on the stack as strings; terms that print this way and
-        tuples wait as themselves."""
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-                continue
-            if type(item) is tuple:
-                out.append("(")
-                fields, close = item, ",)" if len(item) == 1 else ")"
-            else:
-                out.append(f"{type(item).__name__}(")
-                fields, close = item.__getnewargs__(), ")"
-            stack.append(close)
-            for n in range(len(fields) - 1, -1, -1):
-                field = fields[n]
-                if type(field) is tuple or type(field).__repr__ is Interned.__repr__:
-                    stack.append(field)
-                else:
-                    stack.append(repr(field))
-                if n:
-                    stack.append(", ")
-        return "".join(out)
+        return f"{type(self).__name__}[{self}]"
 
 
 class Algebra:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import ordinals, text
 from .errors import NotLimit
-from .hashcons import Algebra, Interned, _fold
+from .hashcons import Algebra, Term, _fold
 from .ordinals import Ordinal, OrdKind
 
 
@@ -22,13 +22,10 @@ from .ordinals import Ordinal, OrdKind
 # expression terms
 
 
-class IdealExpr(Interned):
+class IdealExpr(Term):
     """Base class for ideal expression terms; all subtypes are immutable and interned."""
 
     __slots__ = ("_form",)  # the canonical form, see normalize
-
-    def __str__(self) -> str:
-        return text.format_term(self)
 
 
 class Fin(IdealExpr):

@@ -24,7 +24,6 @@ from .errors import NotASubset, UnknownContainment
 from .ideals import IdealExpr
 from .queries import FinSet, QueryTerm, Schema, Transversal
 from .trees import Const, Fan, Rooted, Seq, Spine, TreeSchema
-from .witnesses import DominatingBranch, UnboundedFamily, merge_branches
 
 
 class Ternary(enum.Enum):
@@ -255,17 +254,20 @@ def _fw_schema(t: TreeSchema) -> TreeSchema:
 # domination witnesses
 
 
-def id_witness(q: QueryTerm) -> DominatingBranch | UnboundedFamily:
+def id_witness(q: QueryTerm) -> witnesses.DominatingBranch | witnesses.UnboundedFamily:
     """A dominating branch when the query is dominated, else an unbounded
     family refuting every candidate branch."""
     if q_in_id(q):
         return _branch_query(q)
+    from .witnesses import UnboundedFamily
     return UnboundedFamily(lambda: _unb_query(q))
 
 
-def _branch_query(q: QueryTerm) -> DominatingBranch:
+def _branch_query(q: QueryTerm) -> witnesses.DominatingBranch:
     """Every schema leaf's branch merged with each finite element and
     transversal pick, followed by zeros."""
+    from .witnesses import DominatingBranch, merge_branches
+
     branches = [DominatingBranch((), (0,))]
     for x in queries._leaves(q):
         match x:
@@ -279,7 +281,7 @@ def _branch_query(q: QueryTerm) -> DominatingBranch:
     return merge_branches(branches)
 
 
-def _branch_schema(t: TreeSchema) -> DominatingBranch:
+def _branch_schema(t: TreeSchema) -> witnesses.DominatingBranch:
     """The largest root entry of a live fan at each depth.  Spine entries
     stay at most 1 and copy offsets shift the blocks, so a live spine at
     depth d raises every position from d on, and the period, to the
@@ -307,6 +309,7 @@ def _branch_schema(t: TreeSchema) -> DominatingBranch:
     for d, x in enumerate(top):
         reach = max(reach, floor.get(d, 0))
         prefix.append(max(x, reach))
+    from .witnesses import DominatingBranch
     return DominatingBranch(tuple(prefix), (max([0, *floor.values()]),))
 
 

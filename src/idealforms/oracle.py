@@ -40,6 +40,9 @@ class Budget(Interned):
             raise BadArgument(f"budget fields must all be >= 1, got {depth},{width},{count}")
         self.depth, self.width, self.count = depth, width, count
 
+    def to_json(self) -> dict:
+        return {"depth": self.depth, "width": self.width, "count": self.count}
+
 
 WITNESS_BUDGET = Budget(8, 8, 200)
 

@@ -17,20 +17,17 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union as TUnion
 
 from . import ideals, text
-from .hashcons import Algebra, Interned, _fold
+from .hashcons import Algebra, Interned, Term, _fold
 from .ideals import CanonicalForm, POW_FORM
 
 Interval = tuple[Optional[Fraction], Optional[Fraction]]
 Pos = tuple
 
 
-class LinTerm(Interned):
+class LinTerm(Term):
     """Base class for linear order terms; all subtypes are interned."""
 
     __slots__ = ("_wo", "_rev")  # the answers of _WO and _REV
-
-    def __str__(self) -> str:
-        return text.format_term(self)
 
 
 class Nat(LinTerm):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import NotLimit
-from .hashcons import Interned, _intern
+from .hashcons import Term, _intern
 
 
 class OrdKind(enum.Enum):
@@ -21,7 +21,7 @@ class OrdKind(enum.Enum):
     LIMIT = "limit"
 
 
-class Ordinal(Interned):
+class Ordinal(Term):
     """Cantor normal form: tuple of (exponent, coefficient) pairs."""
 
     # _levels: the top chain levels compiled at this rank, which unfold
@@ -60,13 +60,6 @@ class Ordinal(Interned):
 
     def __add__(self, other: Ordinal) -> Ordinal:
         return add(self, other)
-
-    def __str__(self) -> str:
-        from . import text  # which imports this module
-        return text.format_term(self)
-
-    def __repr__(self) -> str:
-        return f"Ordinal[{self}]"
 
 
 ZERO = Ordinal()

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import text, trees
+from . import trees
 from .errors import BadArgument
-from .hashcons import Interned
+from .hashcons import Term
 from .trees import Fan, Seq, TreeSchema
 
 
-class QueryTerm(Interned):
+class QueryTerm(Term):
     """Base class for finitely presented query sets; all subtypes are interned."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return text.format_term(self)
 
 
 class Schema(QueryTerm):

@@ -65,7 +65,9 @@ _CLASSES = Algebra("_classes", _classes, kids=lambda s: ())
 
 
 def _overflow(t: TreeSchema, cap: int) -> QuotientOverflow:
-    return QuotientOverflow(f"more than {cap} representatives materializing {t}")
+    s = str(t)  # the text of a compiled P(n) grows with n: print its head and length
+    more = f"... ({len(s)} characters)" if len(s) > 200 else ""
+    return QuotientOverflow(f"more than {cap} representatives materializing {s[:200]}{more}")
 
 
 def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:

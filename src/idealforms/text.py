@@ -3,7 +3,8 @@
 Ordinals have an infix grammar, printed from a piece list by hand.  Every
 other sort has one table of keywords, each with its class and the shape
 of the text after it; one parser and one printer read the tables, so
-printed terms parse back, and neither spends a Python frame per level.
+printed terms parse back, and neither spends a Python frame per level;
+``str`` and ``repr`` of every term print through it (``hashcons.Term``).
 The compiled tables also name the fields that hold subterms (``children``).
 """
 
@@ -259,6 +260,8 @@ def _plan(cls: type) -> tuple:
     for sort, (name, _) in _GRAMMARS.items():
         if cls.__module__ == f"{__package__}.{name}":
             _compile(sort)
+    if cls not in _PLANS:
+        raise TypeError(f"not a term of a grammar: {cls.__name__}")
     return _PLANS[cls]
 
 

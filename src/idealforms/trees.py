@@ -14,33 +14,27 @@ import itertools
 import math
 from typing import Callable, Iterator, Optional
 
-from . import ideals, ordinals, text
+from . import ideals, ordinals
 from .errors import NotLimit
-from .hashcons import Algebra, Interned, _fold, _intern
+from .hashcons import Algebra, Term, _fold, _intern
 from .ideals import CanonicalForm, IdealExpr, Kind
 from .ordinals import Ordinal, OrdKind
 
 Seq = tuple[int, ...]
 
 
-class TreeSchema(Interned):
+class TreeSchema(Term):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
     # one slot per schema Algebra: the facts _fold memoizes on each term
     __slots__ = ("_empty", "_pick", "_bound", "_depth", "_wf", "_id", "_rank", "_cls",
                  "_scaffold", "_via", "_classes")
 
-    def __str__(self) -> str:
-        return text.format_term(self)
 
-
-class SchemaSeq(Interned):
+class SchemaSeq(Term):
     """Base class for block sequences used as fan/spine tails."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return text.format_term(self)
 
 
 class Empty(TreeSchema):

@@ -16,6 +16,7 @@ from idealforms.ideals import CanonicalForm, Kind
 from idealforms.laws import rand_expr, rand_infinite_schema
 from idealforms.oracle import WITNESS_BUDGET, check_witness
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
+from idealforms.witnesses import CoreEmbedding
 
 
 t = parse_tree
@@ -260,7 +261,7 @@ def test_core_embedding_map_matches_the_slicing_map():
                  for src in ("full", "fan([chain];const(full))", "spine([full];const(chain))")]
     while len(witnesses) < 8:
         out = classify.classify_via_derivative(rand_infinite_schema(rng, 7))
-        if isinstance(out, NonBorel) and isinstance(out.witness, classify.CoreEmbedding):
+        if isinstance(out, NonBorel) and isinstance(out.witness, CoreEmbedding):
             witnesses.append(out.witness)
     for w in witnesses:
         state, expansions, done = {(): ((), w.target)}, {}, [()]

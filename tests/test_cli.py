@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from idealforms import cli
+from idealforms import cli, laws, trees
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -189,6 +190,46 @@ def test_exit_codes(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
+
+
+# seeded term texts of each sort, and the 17 verb forms they fill
+DRAW = {
+    "expr": lambda rng: str(laws.rand_expr(rng, 6)),
+    "tree": lambda rng: str(laws.rand_schema(rng, 6)),
+    "query": lambda rng: str(laws.rand_query(rng, trees.compile_ideal(laws.rand_expr(rng, 3)))),
+    "order": lambda rng: str(laws._rand_order(rng, 6, dense=True)),
+}
+FUZZ_FORMS = [
+    ("normalize", "expr"), ("rank", "expr"), ("perp", "expr"), ("iso", "expr", "expr"),
+    ("compile", "expr"), ("compile", "expr", "--emit", "json"),
+    ("classify", "tree"), ("classify", "tree", "--via", "derivative"), ("treerank", "tree"),
+    ("member", "query", "in", "expr"), ("member", "query", "in", "expr", "--perp"),
+    ("frechet", "query", "in", "expr"), ("idwitness", "query"),
+    ("enumerate", "query", "--budget", "4,4,20"),
+    ("wo", "classify", "order"), ("wo", "reverse", "order"), ("wo", "rationalize", "order"),
+]
+
+
+def test_seeded_terms_whole_and_cut_keep_the_exit_code_contract(capsys):
+    # an answer, or one documented error line with its exit code, and never
+    # a traceback; a term cut short is a parse error
+    rng = random.Random(31)
+    for n in range(18 * len(FUZZ_FORMS)):
+        form = FUZZ_FORMS[n % len(FUZZ_FORMS)]
+        argv = [DRAW[w](rng) if w in DRAW else w for w in form]
+        k = next(i for i, w in enumerate(form) if w in DRAW)
+        cut = [*argv[:k], argv[k][:rng.randrange(len(argv[k]))], *argv[k + 1:]]
+        for args in (argv, cut):
+            try:
+                code = cli.main(args)
+                err = capsys.readouterr().err
+                assert code == 0 or len(err.splitlines()) == 1, (args, err)
+            except SystemExit as exc:  # argparse: its usage, then one error line
+                code, err = exc.code, capsys.readouterr().err
+                assert err.startswith("usage: idealforms") and err.count(": error: ") == 1, err
+                assert err.splitlines()[-1].startswith("idealforms"), (args, err)
+            assert code in (0, 1, 2) and "Traceback" not in err, (args, err)
+        assert code == 1, (cut, err)
 
 
 def test_running_out_of_memory_is_no_internal_failure(capsys, monkeypatch):

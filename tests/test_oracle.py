@@ -135,6 +135,14 @@ def test_diagonal_tails_overflow_without_reading_a_block(monkeypatch, text):
     assert calls == []
 
 
+def test_an_overflow_message_is_bounded_however_long_the_schema():
+    s = trees.compile_ideal(parse_expr("P(20000)"))
+    with pytest.raises(QuotientOverflow) as caught:
+        quotient.build_quotient(s, 64)
+    message = str(caught.value)
+    assert len(message) <= 300 and message.endswith(f"... ({len(str(s))} characters)")
+
+
 def test_a_long_chain_overflows_at_a_new_vertex_and_fits_under_a_larger_cap():
     # the compiled P(n) is a chain of constant-tail classes, so the cap is
     # met when a new vertex is appended, not at a diagonal tail; and a
@@ -264,7 +272,7 @@ def test_a_query_not_a_schema_is_no_frechet_witness_under_python_O():
               "        print(exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    assert proc.stdout == "not a witness: FinSet(((1,),))\n" * 2
+    assert proc.stdout == "not a witness: FinSet[finset{<1>}]\n" * 2
 
 
 def test_check_witness_family():

@@ -70,12 +70,12 @@ VERB_ARGV = [
     (["compile", "P(1)", "--emit", "dot"], "cli_ideals", "oracle queries trees"),
     (["--json", "compile", "P(2)", "--emit", "json", "--count", "50"], "cli_ideals",
      "oracle queries trees"),
-    (["classify", "fan([];qdiag(w^2))"], "cli_schemas", "classification rank trees witnesses"),
+    (["classify", "fan([];qdiag(w^2))"], "cli_schemas", "classification rank trees"),
     (["--json", "classify", "spine([full];const(chain))"], "cli_schemas",
      "classification rank trees witnesses"),
     (["treerank", "fan([];qdiag(w))"], "cli_schemas", "rank trees"),
     (["member", "fan([chain];const(empty))", "in", "P(1)", "--perp"], "cli_schemas",
-     "membership queries trees witnesses"),
+     "membership queries trees"),
     (["frechet", "fan([];const(chain))", "in", "P(1)"], "cli_schemas",
      "membership oracle queries trees witnesses"),
     (["idwitness", "spine([];const(chain))"], "cli_schemas",

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealforms import cli, ideals, laws, ordinals, orders, text, trees
+from idealforms import cli, classification, ideals, laws, oracle, ordinals, orders, text, trees
 from idealforms.errors import IdealFormsError, ParseError
-from idealforms.queries import FinSet, Schema, Transversal, Union
+from idealforms.queries import FinSet, QueryTerm, Schema, Transversal, Union
+from idealforms.witnesses import DominatingBranch
 
 
 ORDINALS = ["0", "7", "w", "w*2", "w+1", "w^2*3+w*2+5", "w^w", "w^(w+1)", "w^w^2+w^3*2+1"]
@@ -80,6 +81,51 @@ def test_random_round_trips():
         target = trees.compile_ideal(laws.rand_expr(rng, 4))
         q = laws.rand_query(rng, target)
         assert text.parse_query(str(q)) == q
+
+
+# the sort of each grammar's terms, and the name _parse reads it by
+SORTS = {ordinals.Ordinal: "ord", ideals.IdealExpr: "expr", trees.TreeSchema: "tree",
+         trees.SchemaSeq: "tail", QueryTerm: "query", orders.LinTerm: "order"}
+
+
+def test_repr_of_every_sort_is_its_class_around_its_text():
+    # every subterm of seeded draws: repr is the one printer's text in the
+    # class name, and that text parses back to the term itself
+    rng = random.Random(31)
+    todo = []
+    for _ in range(100):
+        todo += (laws.rand_expr(rng, 8), laws.rand_schema(rng, 7),
+                 laws._rand_order(rng, 6, dense=True),
+                 laws.rand_query(rng, trees.compile_ideal(laws.rand_expr(rng, 4))))
+    seen = set()
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            todo += x
+            continue
+        sort = next((v for k, v in SORTS.items() if isinstance(x, k)), None)
+        if sort is None:  # an int field
+            continue
+        assert repr(x) == f"{type(x).__name__}[{x}]"
+        assert text._parse(str(x), sort) is x, repr(x)
+        seen.add(sort)
+        todo += x.__getnewargs__()
+    assert seen == set(SORTS.values())
+
+
+def test_records_with_no_grammar_print_their_fields():
+    cls = classification.Borel(ideals.CanonicalForm(ideals.Kind.P, ordinals.ONE))
+    assert repr(cls) == "Borel(CanonicalForm(kind=<Kind.P: 'P'>, rank=Ordinal[1]))"
+    assert repr(oracle.Budget(8, 8, 200)) == str(oracle.Budget(8, 8, 200)) == "Budget(8, 8, 200)"
+    assert repr(DominatingBranch((), (0,))) == "DominatingBranch((), (0,))"
+    assert repr(orders.Scattered(ideals.FIN_FORM)) == (
+        "Scattered(CanonicalForm(kind=<Kind.Q: 'Q'>, rank=Ordinal[0]))")
+
+
+@pytest.mark.parametrize("value, name", [(3, "int"), (oracle.Budget(2, 3, 4), "Budget")])
+def test_only_a_term_of_a_grammar_prints(value, name):
+    with pytest.raises(TypeError, match=f"not a term of a grammar: {name}$"):
+        text.format_term(value)
 
 
 def test_each_plan_names_every_field_once_in_order():

@@ -374,13 +374,13 @@ def test_is_finite_reads_only_the_top_level_of_a_compiled_chain(monkeypatch):
 def test_repr_of_deep_terms():
     # 8 000 nested terms: a frame per term overflowed the package's limit
     out = repr(trees.compile_ideal(parse_expr("P(4000)")))
-    assert out.startswith("Fan((), Const(Spine((), Const(Fan((), ") and out.endswith("))")
+    assert out.startswith("Fan[fan([];const(spine([];const(fan([];") and out.endswith("))]")
     assert out.count("(") == out.count(")")
-    # shallow terms print as the fields' reprs joined, tuples as Python's
-    assert repr(t("fan([chain];const(eps))")) == "Fan((Chain(),), Const(Eps()))"
-    assert repr(t("spine([];qdiag(w,2))")) == "Spine((), QDiag(Ordinal[w], 2))"
+    # a term prints its class around its text in the grammar
+    assert repr(t("fan([chain];const(eps))")) == "Fan[fan([chain];const(eps))]"
+    assert repr(t("spine([];qdiag(w,2))")) == "Spine[spine([];qdiag(w,2))]"
     assert repr(t("rooted(fan([eps,empty];pdiag(w^2)))")) == (
-        "Rooted(Fan((Eps(), Empty()), PDiag(Ordinal[w^2], 0)))"
+        "Rooted[rooted(fan([eps,empty];pdiag(w^2)))]"
     )
 
 
