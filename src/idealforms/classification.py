@@ -41,9 +41,6 @@ Cls = Union[str, CanonicalForm]
 class Borel(Interned):
     __slots__ = __match_args__ = ("form",)
 
-    def __str__(self) -> str:
-        return f"Borel({self.form})"
-
 
 class NonBorel:
     def __init__(self, witness: witnesses.EmbeddingWitness) -> None:

@@ -10,12 +10,16 @@ A process that runs one verb compiles and loads only what it runs:
 ``main`` builds that verb's subparser alone, imports the one handler
 module (``cli_*``) that its row of ``_VERBS`` names, and calls that
 module's ``_cmd_<verb>``.  No handler module imports this one, which
-``python -m`` would compile a second time.
+``python -m`` would compile a second time.  ``python -m`` and the
+installed script run ``entry``, which freezes the collector however
+``main`` ends: the interpreter's shutdown collections then skip the
+verb's heap.  ``main`` and the package leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -52,6 +56,14 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader left early, as `| head` does: stop writing quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return payload.get("exit", 0)
+
+
+def entry() -> int:
+    """``main`` as the console entry runs it; see the module docstring."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 def _integer(text: str) -> int:
@@ -143,4 +155,4 @@ def _build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentPa
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -68,7 +68,7 @@ def _intern(*key) -> Interned:
 
 
 class Interned:
-    """Base of hash-consed terms; ``__match_args__`` names the fields."""
+    """Base of hash-consed terms; ``__match_args__`` names the fields, which a record prints."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
@@ -93,6 +93,9 @@ class Interned:
 
     def __repr__(self) -> str:  # the records with no grammar hold no deep term
         return f"{type(self).__name__}({', '.join(map(repr, self.__getnewargs__()))})"
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(str, self.__getnewargs__()))})"
 
 
 text = None  # the printer's module, bound on the first print: it imports this one

@@ -72,9 +72,6 @@ RATQ = RatQ()
 class Scattered(Interned):
     __slots__ = __match_args__ = ("form",)
 
-    def __str__(self) -> str:
-        return f"Scattered({self.form})"
-
 
 class NonScattered:
     def __init__(self, embedding: OrderEmbedding) -> None:

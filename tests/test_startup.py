@@ -210,11 +210,65 @@ def test_import_changes_no_recursion_limit():
     assert before == after and int(loaded) == len(list(Path(SRC, "idealforms").glob("[a-z]*.py")))
 
 
+def test_import_and_main_leave_the_collector_alone():
+    # only the console entry freezes the collector; importing every
+    # submodule and running a verb through cli.main change no setting
+    proc = _python("-c", "import contextlib, gc, importlib, io, pkgutil\n"
+                         "before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()\n"
+                         "import idealforms\n"
+                         "for m in pkgutil.iter_modules(idealforms.__path__):\n"
+                         "    importlib.import_module(f'idealforms.{m.name}')\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    assert idealforms.cli.main(['classify', 'spine([full];const(chain))']) == 0\n"
+                         "after = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()\n"
+                         "print(before == after)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
+# run the module as `python -m` does and report, on the last line, the
+# exit code and how many objects the collector then leaves frozen
+RUN_AS_MAIN = """
+import gc, runpy
+try:
+    runpy.run_module("idealforms.cli", run_name="__main__")
+    code = None
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "omega(FIN)"],
+    ["normalize", "limsum(3)"],  # an engine error's exit code
+    ["compile", "P(1)", "--emit", "png"],  # argparse's SystemExit
+])
+def test_the_console_entry_freezes_the_collector_on_every_way_out(capsys, argv):
+    proc = _python("-c", RUN_AS_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, frozen = proc.stdout.splitlines()[-1].split()
+    try:
+        expected = cli.main(argv)
+    except SystemExit as exc:
+        expected = exc.code
+    capsys.readouterr()
+    assert int(code) == expected and int(frozen) > 0
+
+
+def test_the_installed_script_runs_the_console_entry():
+    # the script and `python -m` take one path out of the process
+    pyproject = Path(SRC).parent.joinpath("pyproject.toml").read_text(encoding="utf-8")
+    assert 'idealforms = "idealforms.cli:entry"' in pyproject.splitlines()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["normalize", "omega(FIN)"], 0),
     (["enumerate", "transversal(fan([];const(chain)))", "--budget", "4,4,10"], 0),
     (["normalize", "omega("], 1),
     (["normalize", "limsum(3)"], 2),
+    (["idwitness", "fan([];const(chain))"], 0),
+    (["--json", "wo", "classify", "rev(osum([];N))"], 0),
 ])
 def test_cold_start_matches_in_process(capsys, argv, code):
     proc = _python("-m", "idealforms.cli", *argv)

@@ -120,6 +120,10 @@ def test_records_with_no_grammar_print_their_fields():
     assert repr(DominatingBranch((), (0,))) == "DominatingBranch((), (0,))"
     assert repr(orders.Scattered(ideals.FIN_FORM)) == (
         "Scattered(CanonicalForm(kind=<Kind.Q: 'Q'>, rank=Ordinal[0]))")
+    # str prints each field by its own str; a witness keeps its own printer
+    assert str(cls) == "Borel(P(1))"
+    assert str(orders.Scattered(ideals.FIN_FORM)) == "Scattered(FIN)"
+    assert str(DominatingBranch((1,), (0, 2))) == "[1](0,2)*"
 
 
 @pytest.mark.parametrize("value, name", [(3, "int"), (oracle.Budget(2, 3, 4), "Budget")])
