@@ -22,14 +22,14 @@ _EXPORTS = {
     "ordinals": "Ordinal OrdKind add compare fund_seq kind",
     "classification": "Borel NonBorel TreeClass classify classify_via_derivative "
                       "scaffold_class",
-    "queries": "FinSet QueryTerm Schema Transversal Union",
+    "queries": "FinSet Transversal Union",
     "membership": "Ternary frechet_witness id_witness member_of member_perp q_in_id q_in_wf "
                   "subset_of",
     "oracle": "Budget check_witness enumerate_schema explicit_derivative law_suite",
     "orders": "LinTerm NonScattered Scattered WoClass rationalize scattered_check "
               "wo_classify wo_self_dual",
     "rank": "tree_rank",
-    "trees": "TreeSchema compile_ideal cone_of in_id in_wf member_elem",
+    "trees": "QueryTerm TreeSchema compile_ideal cone_of in_id in_wf member_elem",
     "text": "parse_expr parse_order parse_ordinal parse_query parse_tree",
     "witnesses": "DominatingBranch EmbeddingWitness UnboundedFamily",
 }

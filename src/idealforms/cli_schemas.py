@@ -37,7 +37,7 @@ def _cmd_treerank(args) -> dict:
     }
 
 
-def _parse_member_args(args) -> tuple[queries.QueryTerm, ideals.IdealExpr]:
+def _parse_member_args(args) -> tuple[trees.QueryTerm, ideals.IdealExpr]:
     if args.in_kw != "in":
         raise ParseError(f"expected the keyword 'in', got {args.in_kw!r}")
     return text.parse_query(args.query), text.parse_expr(args.expr)
@@ -62,7 +62,7 @@ def _cmd_frechet(args) -> dict:
 
     q, e = _parse_member_args(args)
     w = membership.frechet_witness(q, e)
-    checked = oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
+    checked = oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
     if not checked:  # not an assert: the check must run under python -O too
         raise AssertionError("emitted orthogonal subset failed its own check")
     return {"text": str(w), "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}

@@ -1,10 +1,10 @@
 """Hash-consing of terms (Filliatre & Conchon, ML Workshop 2006).
 
-Every ordinal, schema and syntax term (``IdealExpr``, ``QueryTerm``,
-``LinTerm``), and the small records built from them, is built through
-``_intern``, so structurally equal terms are one object: ``==`` and
-``hash`` are identity, validation runs once per distinct term, and facts
-derived from a term are memoized in private slots on the term itself.
+Every ordinal and syntax term (``IdealExpr``, ``LinTerm``, ``QueryTerm``,
+of which each schema is one), and the small records built from them, is
+built through ``_intern``, so structurally equal terms are one object:
+``==`` and ``hash`` are identity, validation runs once per distinct term,
+and facts derived from a term are memoized in private slots on the term.
 The table holds terms weakly; an unreferenced term leaves it, together
 with everything memoized on it.  So a memo decides how long the terms
 it holds live.  The tail of a chain level builds the level below when

@@ -21,8 +21,8 @@ from .ideals import CanonicalForm, IdealExpr, Kind
 from .membership import Ternary
 from .oracle import WITNESS_BUDGET, Budget, check_witness, enumerate_schema, explicit_derivative
 from .ordinals import Ordinal
-from .queries import FinSet, QueryTerm, Schema, Transversal, Union
-from .trees import TreeSchema
+from .queries import FinSet, Transversal, Union
+from .trees import QueryTerm, TreeSchema
 from .witnesses import DominatingBranch
 
 
@@ -142,16 +142,16 @@ def prune_schema(rng: random.Random, t: TreeSchema) -> TreeSchema:
 def rand_query(rng: random.Random, target: TreeSchema) -> QueryTerm:
     roll = rng.random()
     if roll < 0.45:
-        return Schema(prune_schema(rng, target))
+        return prune_schema(rng, target)
     if roll < 0.65:
         elems = enumerate_schema(target, Budget(4, 4, 12))
         if elems:
             k = rng.randrange(1, len(elems) + 1)
             return FinSet(tuple(sorted(rng.sample(elems, k))))
-        return Schema(prune_schema(rng, target))
+        return prune_schema(rng, target)
     if roll < 0.8 and isinstance(target, trees.Fan):
         return Transversal(target)
-    return Union(Schema(prune_schema(rng, target)), Schema(prune_schema(rng, target)))
+    return Union(prune_schema(rng, target), prune_schema(rng, target))
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def _law_domination_budget(rng: random.Random) -> Optional[str]:
         return None  # no claim to check against the elements
     elems = enumerate_schema(t, Budget(6, 6, 80))
     if trees.in_id(t):
-        branch = membership.id_witness(Schema(t))
+        branch = membership.id_witness(t)
         if not isinstance(branch, DominatingBranch):
             return f"no branch for dominated {t}"
         if not all(branch.dominates(u) for u in elems):
@@ -347,9 +347,8 @@ def _law_never_both(rng: random.Random) -> Optional[str]:
 
 
 def _law_orthogonality(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 6)
-    q = Schema(t)
-    r = Schema(rand_infinite_schema(rng, 6))
+    q = rand_infinite_schema(rng, 6)
+    r = rand_infinite_schema(rng, 6)
     if not membership.q_in_id(q) or not membership.q_in_wf(r):
         return None
     sizes = []
@@ -359,7 +358,7 @@ def _law_orthogonality(rng: random.Random) -> Optional[str]:
         rs = set(enumerate_schema(r, b))
         sizes.append(len(qs & rs))
     if not (sizes[0] <= sizes[1] <= sizes[2]):
-        return f"intersection not monotone for {t}"
+        return f"intersection not monotone for {q}"
     if sizes[2] > 40:
         return f"suspiciously large intersection for {q} vs {r}"
     return None
@@ -368,21 +367,20 @@ def _law_orthogonality(rng: random.Random) -> Optional[str]:
 def _law_frechet(rng: random.Random) -> Optional[str]:
     e = rand_expr(rng, 6)
     target = trees.compile_ideal(e)
-    q = Schema(prune_schema(rng, target))
+    q = prune_schema(rng, target)
     if membership.subset_of(q, target) is not Ternary.YES:
         return None
     if membership.q_in_wf(q):
         return None  # not a positive query
     w = membership.frechet_witness(q, e)
-    if not check_witness(w, (q, e), Budget(8, 8, 100)):
+    if not check_witness(w, q, Budget(8, 8, 100)):
         return f"witness {w} fails for {q} in {e}"
     return None
 
 
 def _law_id_witness(rng: random.Random) -> Optional[str]:
     t = rand_infinite_schema(rng, 7)
-    q = Schema(t)
-    if not check_witness(membership.id_witness(q), q, WITNESS_BUDGET):
+    if not check_witness(membership.id_witness(t), t, WITNESS_BUDGET):
         return f"id witness fails on {t}"
     return None
 

@@ -1,15 +1,15 @@
 """Membership of finitely presented query sets and witness extraction.
 
 The query terms and their points are in ``queries``; this module holds
-the decision procedures and the witness builders over them.  Containment
-in a target schema is one walk over pairs of derivatives, exact on
-constant tails and bounded past diagonal ones; membership in the
-compiled target ideal then reduces to the two structural predicates.
-Negative membership yields a checkable orthogonal subset, and every
-domination claim ships a branch or an unbounded family that the oracle
-can re-verify at any budget.  Nothing here enumerates a query:
-containment walks derivatives, and the oracle streams a query's
-elements itself.
+the decision procedures and the witness builders over them, which take a
+schema as the query it is.  Containment in a target schema is one walk
+over pairs of derivatives, exact on constant tails and bounded past
+diagonal ones; membership in the compiled target ideal then reduces to
+the two structural predicates.  Negative membership yields a checkable
+orthogonal subset, and every domination claim ships a branch or an
+unbounded family that the oracle can re-verify at any budget.  Nothing
+here enumerates a query: containment walks derivatives, and the oracle
+streams a query's elements itself.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterator, Optional
 from . import ideals, queries, text, trees
 from .errors import NotASubset, UnknownContainment
 from .ideals import IdealExpr
-from .queries import FinSet, QueryTerm, Schema, Transversal
-from .trees import Const, Fan, Rooted, Seq, Spine, TreeSchema
+from .queries import FinSet, Transversal
+from .trees import Const, Fan, QueryTerm, Rooted, Seq, Spine, TreeSchema
 
 
 class Ternary(enum.Enum):
@@ -41,15 +41,15 @@ def _picks(f: Fan) -> Iterator[Seq]:
     stops at a block picked before, as a diagonal tail's blocks hold earlier ones."""
     known: dict = {}
     for n in itertools.count():
-        p = trees.pick_least(trees.block_at(f, n), known)
+        p = queries._transversal_pick(f, n, known)
         if p is not None:
-            yield (n,) + p
+            yield p
 
 
 def q_is_infinite(q: QueryTerm) -> bool:
     # a transversal is infinite when its fan has a tail
-    return any(not trees.is_finite(x.tree) if type(x) is Schema
-               else type(x) is Transversal and not trees.tail_is_trivial(x.fan.tail)
+    return any(not trees.tail_is_trivial(x.fan.tail) if type(x) is Transversal
+               else type(x) is not FinSet and not trees.is_finite(x)
                for x in queries._leaves(q))
 
 
@@ -60,13 +60,13 @@ def q_is_infinite(q: QueryTerm) -> bool:
 def q_in_wf(q: QueryTerm) -> bool:
     # finite sets are; so are transversals, by distinct first coordinates:
     # every branch of the generated tree stops inside one pick
-    return all(trees.in_wf(x.tree) for x in queries._leaves(q) if type(x) is Schema)
+    return all(trees.in_wf(x) for x in queries._leaves(q) if isinstance(x, TreeSchema))
 
 
 def q_in_id(q: QueryTerm) -> bool:
     # finite sets are; a transversal is when its fan has finitely many blocks
-    return all(trees.in_id(x.tree) if type(x) is Schema
-               else type(x) is FinSet or trees.tail_is_trivial(x.fan.tail)
+    return all(trees.tail_is_trivial(x.fan.tail) if type(x) is Transversal
+               else type(x) is FinSet or trees.in_id(x)
                for x in queries._leaves(q))
 
 
@@ -111,8 +111,8 @@ def _containment(q: QueryTerm, s: TreeSchema) -> tuple[Ternary, Optional[Seq]]:
                 verdict = _walk(fan, s)
                 if verdict[0] is not Ternary.YES:
                     verdict = _picks_in(fan, s, verdict[1])
-            case Schema(tree):
-                verdict = _walk(tree, s)
+            case TreeSchema():
+                verdict = _walk(q, s)
         if verdict[0] is Ternary.NO:
             return verdict
         unknown = unknown or (verdict if verdict[0] is Ternary.UNKNOWN else None)
@@ -221,21 +221,18 @@ def member_perp(q: QueryTerm, target: IdealExpr) -> bool:
 # None of them spends a Python frame per level.
 
 
-def frechet_witness(q: QueryTerm, target: IdealExpr) -> QueryTerm:
-    """Infinite branch-dominated subset of a membership-negative query."""
+def frechet_witness(q: QueryTerm, target: IdealExpr) -> TreeSchema:
+    """Infinite branch-dominated subset of a membership-negative query: down
+    from a schema leaf that is not well-founded, through blocks that are
+    not, to a chain, a full set or a spine of well-founded copies; the
+    subset found there is then wrapped back up, alone in the block it was
+    taken from."""
     _require_subset(q, target)
     if q_in_wf(q):
         raise NotASubset(f"{q} already belongs to the ideal; no witness to extract")
     # finite sets and transversals are well-founded: a schema leaf fails
     leaf = next(x for x in queries._leaves(q) if not q_in_wf(x))
-    return Schema(_fw_schema(leaf.tree))
-
-
-def _fw_schema(t: TreeSchema) -> TreeSchema:
-    """Down through blocks that are not well-founded to a chain, a full
-    set or a spine of well-founded copies; the subset found there is then
-    wrapped back up, alone in the block it was taken from."""
-    path, t = trees.walk(t, lambda s: trees.first_failing(s, trees.in_wf),
+    path, t = trees.walk(leaf, lambda s: trees.first_failing(s, trees.in_wf),
                          lambda s: s is trees.CHAIN or s is trees.FULL or type(s) is Spine
                          and all(map(trees.in_wf, (*s.heads, trees.seq_block(s.tail, 0)))))
     out = trees.CHAIN
@@ -271,8 +268,8 @@ def _branch_query(q: QueryTerm) -> witnesses.DominatingBranch:
     branches = [DominatingBranch((), (0,))]
     for x in queries._leaves(q):
         match x:
-            case Schema(tree):
-                branches.append(_branch_schema(tree))
+            case TreeSchema():
+                branches.append(_branch_schema(x))
             case FinSet(elements):
                 branches += (DominatingBranch(u, (0,)) for u in elements)
             case Transversal(fan):
@@ -316,7 +313,7 @@ def _branch_schema(t: TreeSchema) -> witnesses.DominatingBranch:
 def _unb_query(q: QueryTerm) -> Iterator[Seq]:
     # a finite set is dominated: a schema or a transversal leaf fails
     leaf = next(x for x in queries._leaves(q) if not q_in_id(x))
-    return _unb_schema(leaf.tree) if type(leaf) is Schema else _picks(leaf.fan)
+    return _picks(leaf.fan) if type(leaf) is Transversal else _unb_schema(leaf)
 
 
 def _unb_schema(t: TreeSchema) -> Iterator[Seq]:

@@ -4,17 +4,17 @@ Enumeration follows a budget-independent canonical order (by stage, then
 shortlex) so that enlarging any budget field never removes elements.
 Only this module enumerates queries, and it reads them through the query
 terms of ``queries``, never through the decision procedures of
-``membership`` that it checks.  The explicit derivative iterates removal
-on the finite block quotient using only the domination test on surviving
-cones, with no ordinal arithmetic; it must agree with the symbolic rank
-whenever the quotient is finite.  The law suite replays every
-cross-module invariant on seeded random instances and reports failures
-with their first counterexample; its laws and generators are in
-``laws``, which it imports on its first call.  Witness checks import
-``witnesses``, and the explicit derivative ``quotient``, inside the
-function, so enumeration loads neither.  The Frechet check reads the
-subset's entry bound, the fact enumeration already trusts, and imports
-nothing.
+``membership`` that it checks; a schema is a query as it stands.  The
+explicit derivative iterates removal on the finite block quotient using
+only the domination test on surviving cones, with no ordinal arithmetic;
+it must agree with the symbolic rank whenever the quotient is finite.
+The law suite replays every cross-module invariant on seeded random
+instances and reports failures with their first counterexample; its laws
+and generators are in ``laws``, which it imports on its first call.
+Witness checks import ``witnesses``, and the explicit derivative
+``quotient``, inside the function, so enumeration loads neither.  The
+Frechet check reads the subset's entry bound, the fact enumeration
+already trusts, and imports nothing.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from . import ordinals, queries, trees
 from .errors import BadArgument
 from .hashcons import Interned
 from .ordinals import Ordinal
-from .queries import FinSet, QueryTerm, Schema
-from .trees import Seq, TreeSchema
+from .queries import FinSet, Transversal
+from .trees import QueryTerm, Seq, TreeSchema
 
 
 class Budget(Interned):
@@ -51,7 +51,7 @@ WITNESS_BUDGET = Budget(8, 8, 200)
 # budget enumeration
 
 
-def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
+def enumerate_schema(q: QueryTerm, b: Budget) -> list[Seq]:
     """First ``count`` canonical elements, filtered to the depth/width box.
 
     The canonical order ignores the budget, so each field is monotone:
@@ -67,14 +67,14 @@ def enumerate_schema(x: TreeSchema | QueryTerm, b: Budget) -> list[Seq]:
     classifier.
     """
     stage_cap = max(b.depth, b.width + 1)
-    return _box(itertools.islice(_iter_canonical(x, stage_cap), b.count), b.depth, b.width)
+    return _box(itertools.islice(_iter_canonical(q, stage_cap), b.count), b.depth, b.width)
 
 
 def _box(elems, depth: int, width: int) -> list[Seq]:
     return [u for u in elems if len(u) <= depth and all(e <= width for e in u)]
 
 
-def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
+def _iter_canonical(q: QueryTerm, stage_cap: int) -> Iterator[Seq]:
     """Budget-independent canonical order: by stage, shortlex within.
 
     Stage k holds the sequences of length at most k with entries below k
@@ -91,7 +91,6 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
     bucket and one stream per schema or transversal leaf; a query of
     finite sets alone opens a probe per bucket and no other.
     """
-    q = Schema(x) if isinstance(x, TreeSchema) else x
     facts = []  # (least length, depth bound, entry bound) of each nonempty leaf and finite set element
     cones = []  # (forced prefix, the leaf of the cone below it) of each nonempty leaf
     finite: dict = {}  # (stage, length) -> finite set elements
@@ -100,7 +99,7 @@ def _iter_canonical(x: TreeSchema | QueryTerm, stage_cap: int) -> Iterator[Seq]:
             facts += ((len(u), len(u), max(u, default=-1)) for u in leaf.elements)
             for u in leaf.elements:  # stage(u) = max(len(u), max(u) + 1)
                 finite.setdefault((max(len(u), max(u, default=-1) + 1), len(u)), set()).add(u)
-        elif not trees.is_empty(t := leaf.tree if type(leaf) is Schema else leaf.fan):
+        elif not trees.is_empty(t := leaf.fan if type(leaf) is Transversal else leaf):
             facts.append((trees.least_length(t), trees._fold(t, trees._DEPTH), trees._entry_bound(t)))
             cones.append(_forced(leaf))
     if not facts:
@@ -124,8 +123,8 @@ def _leaf_iter_len(leaf: QueryTerm, length: int, max_entry: int, need: bool) -> 
     """Elements of a schema or transversal leaf of exact length in lex
     order, each holding an entry equal to ``max_entry`` when ``need`` is
     set (see ``trees.iter_len``); a transversal builds only the picks that fit."""
-    if type(leaf) is Schema:
-        return trees.iter_len(leaf.tree, length, max_entry, need)
+    if type(leaf) is not Transversal:
+        return trees.iter_len(leaf, length, max_entry, need)
     f = leaf.fan
     picks = (queries._transversal_pick(f, n) for n in trees._indices(f, length, max_entry)
              if trees.least_length(trees.block_at(f, n)) == length - 1)
@@ -139,18 +138,18 @@ def _merged(streams: list) -> Iterator[Seq]:
     return (u for u, _ in itertools.groupby(heapq.merge(*streams)))
 
 
-def _forced(leaf: QueryTerm) -> tuple[Seq, QueryTerm]:
-    """The forced prefix of a schema leaf and the leaf of the cone below it:
-    the word of the run of fans and spines that each have exactly one
-    nonempty block and a trivial tail, read from emptiness alone."""
-    path, t = [], leaf.tree if type(leaf) is Schema else None
+def _forced(t: QueryTerm) -> tuple[Seq, QueryTerm]:
+    """The forced prefix of a schema leaf and the cone below it: the word
+    of the run of fans and spines that each have exactly one nonempty
+    block and a trivial tail, read from emptiness alone."""
+    path = []
     while type(t) in (trees.Fan, trees.Spine) and trees.tail_is_trivial(t.tail):
         live = [n for n, h in enumerate(t.heads) if not trees.is_empty(h)]
         if len(live) != 1:
             break
         path.append((t, live[0]))
         t = t.heads[live[0]]
-    return (trees.word(path), Schema(t)) if path else ((), leaf)
+    return trees.word(path), t
 
 
 # --------------------------------------------------------------------------
@@ -181,23 +180,22 @@ def explicit_derivative(t: TreeSchema, b: Budget) -> tuple[Ordinal, bool]:
 # witness checking
 
 
-def check_witness(w, claim, b: Budget) -> bool:
-    """Re-verify a witness against its claim at the given budget."""
+def check_witness(w, q: Optional[QueryTerm], b: Budget) -> bool:
+    """Re-verify a witness of a claim about ``q`` (None for an embedding) at the given budget."""
     from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily
 
     if isinstance(w, DominatingBranch):
-        return all(w.dominates(u) for u in enumerate_schema(claim, b))
+        return all(w.dominates(u) for u in enumerate_schema(q, b))
     if isinstance(w, UnboundedFamily):
         elems = w.elements(b.count)
         if len(elems) < min(b.count, b.depth):
             return False
         maxima = [max(u) if u else -1 for u in elems]
-        members = all(queries.q_member(u, claim) for u in elems) if claim else True
+        members = all(queries.q_member(u, q) for u in elems) if q else True
         return members and all(a < c for a, c in zip(maxima, maxima[1:]))
     if isinstance(w, EmbeddingWitness):
         return _check_embedding(w, b)
     if isinstance(w, QueryTerm):
-        q, _target = claim
         return _check_frechet(w, q, b)
     raise TypeError(f"not a witness: {w!r}")
 
@@ -230,11 +228,11 @@ def _check_embedding(w: EmbeddingWitness, b: Budget) -> bool:
     return True
 
 
-def _frechet_boxes(w: Schema, b: Budget) -> tuple[list[Seq], list[Seq]]:
+def _frechet_boxes(w: TreeSchema, b: Budget) -> tuple[list[Seq], list[Seq]]:
     """``enumerate_schema`` of ``w`` in the box widened until its least
     element fits and in one twice as deep, from one stream: the order
     ignores the budget, so the first list is the second's elements that fit."""
-    least = trees.pick_least(w.tree)
+    least = trees.pick_least(w)
     if least is None:
         return [], []
     depth = max(b.depth, len(least) + b.depth)
@@ -244,14 +242,14 @@ def _frechet_boxes(w: Schema, b: Budget) -> tuple[list[Seq], list[Seq]]:
 
 
 def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
-    if not isinstance(w, Schema):  # not an assert: the check must run under python -O too
+    if not isinstance(w, TreeSchema):  # not an assert: the check must run under python -O too
         raise TypeError(f"not a witness: {w!r}")
     small, grown = _frechet_boxes(w, b)
     if not small or len(grown) <= len(small):
         return False  # not visibly infinite at the budget
     # bounded entries are branch domination (see trees._ID): each element
     # grown lies in the query and below the constant branch at the bound
-    bound = trees._entry_bound(w.tree)
+    bound = trees._entry_bound(w)
     return bound < math.inf and all(max(u, default=-1) <= bound and queries.q_member(u, q)
                                     for u in grown)
 

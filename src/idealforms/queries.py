@@ -1,9 +1,10 @@
 """Query terms: finitely presented sets of sequences, and their points.
 
-A query is a schema, an explicit finite set, a fan transversal or a
-finite union.  This module holds the terms and their denotation, which
-both the decision procedures of ``membership`` and the oracle that
-re-checks them read; it decides no containment and builds no witness.
+A query is a schema as it stands (``trees.QueryTerm``), an explicit
+finite set, a fan transversal or a finite union.  This module holds the
+terms and their denotation, which both the decision procedures of
+``membership`` and the oracle that re-checks them read; it decides no
+containment and builds no witness.
 """
 
 from __future__ import annotations
@@ -12,18 +13,7 @@ from typing import Optional
 
 from . import trees
 from .errors import BadArgument
-from .hashcons import Term
-from .trees import Fan, Seq, TreeSchema
-
-
-class QueryTerm(Term):
-    """Base class for finitely presented query sets; all subtypes are interned."""
-
-    __slots__ = ()
-
-
-class Schema(QueryTerm):
-    __slots__ = __match_args__ = ("tree",)
+from .trees import Fan, QueryTerm, Seq, TreeSchema
 
 
 class FinSet(QueryTerm):
@@ -85,15 +75,16 @@ def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
     return q._leaves
 
 
-def _transversal_pick(f: Fan, n: int) -> Optional[Seq]:
-    p = trees.pick_least(trees.block_at(f, n))
+def _transversal_pick(f: Fan, n: int, known: Optional[dict] = None) -> Optional[Seq]:
+    # known: trees.pick_least's map of picks, shared by one walk over the blocks
+    p = trees.pick_least(trees.block_at(f, n), known)
     return None if p is None else (n,) + p
 
 
 def q_member(u: Seq, q: QueryTerm) -> bool:
     for x in _leaves(q):
         match x:
-            case Schema(tree) if trees.member_elem(u, tree):
+            case TreeSchema() if trees.member_elem(u, x):
                 return True
             case FinSet(elements) if u in elements:
                 return True

@@ -20,9 +20,8 @@ from .ordinals import Ordinal
 
 if TYPE_CHECKING:
     from .ideals import IdealExpr
-    from .queries import QueryTerm
     from .orders import LinTerm
-    from .trees import Seq, TreeSchema
+    from .trees import QueryTerm, Seq, TreeSchema
 
 # whitespace is space, tab, CR and LF only (docs/grammar.md)
 _SPACE = " \t\r\n"
@@ -134,7 +133,7 @@ def _times(a: Ordinal, n: int) -> Ordinal:
 # sort: (module, {keyword: "Class shape"}).  A shape item is a literal
 # token, a sort or leaf read once, or a comma list X* (maybe empty) or X+
 # up to the next token; each item but a literal fills the next field of
-# the class.  A query with no keyword is a tree.
+# the class; a bare sort builds nothing, so a query with no keyword is a tree.
 _EXPR = {
     "FIN": "Fin", "POW": "Pow", "P": "P ( ord )", "Q": "Q ( ord )",
     "perp": "Perp ( expr )", "sum": "Sum ( expr+ )", "omega": "OmegaSum ( expr )",
@@ -152,7 +151,7 @@ _GRAMMARS = {
         "const": "Const ( tree )", "qdiag": "QDiag ( ord ,nat )", "pdiag": "PDiag ( ord ,nat )",
     }),
     "query": ("queries", {
-        "": "Schema tree", "finset": "FinSet { seq+ }", "transversal": "Transversal ( tree )",
+        "": "tree", "finset": "FinSet { seq+ }", "transversal": "Transversal ( tree )",
         "union": "Union ( query , query )",
     }),
     "order": ("orders", {
@@ -197,6 +196,9 @@ def _compile(sort: str) -> dict:
     name, spec = _GRAMMARS[sort]
     module, table = import_module(f".{name}", __package__), {}
     for keyword, shape in spec.items():
+        if shape in _GRAMMARS:
+            table[keyword] = (shape,)
+            continue
         name, *items = shape.split()
         cls = getattr(module, name)
         fields, todo, plan, kids = iter(cls.__match_args__), [], [keyword], []

@@ -23,7 +23,13 @@ from .ordinals import Ordinal, OrdKind
 Seq = tuple[int, ...]
 
 
-class TreeSchema(Term):
+class QueryTerm(Term):
+    """Base class for finitely presented query sets (``queries``), schemas included."""
+
+    __slots__ = ()
+
+
+class TreeSchema(QueryTerm):
     """Base class for schema terms; all subtypes are immutable and interned."""
 
     # one slot per schema Algebra: the facts _fold memoizes on each term

@@ -19,7 +19,7 @@ from idealforms.errors import QuotientOverflow
 from idealforms.ideals import CanonicalForm, Kind
 from idealforms.membership import Ternary
 from idealforms.oracle import Budget
-from idealforms.queries import Schema, Transversal
+from idealforms.queries import Transversal
 from idealforms.text import parse_expr, parse_ordinal, parse_tree
 
 WITNESS_BUDGET = Budget(8, 8, 200)
@@ -153,7 +153,7 @@ def test_criterion_5_derivative_oracle():
 
 def test_criterion_6_standard_copy_membership():
     p1 = parse_expr("P(1)")
-    block0 = Schema(parse_tree("fan([chain];const(empty))"))
+    block0 = parse_tree("fan([chain];const(empty))")
     assert membership.member_of(block0, p1) is False
     assert membership.member_perp(block0, p1) is True
     transversal = Transversal(trees.compile_ideal(p1))
@@ -180,13 +180,13 @@ def test_criterion_7_frechet_witnesses():
     while produced < 50:
         e = laws.rand_expr(rng, 6)
         target = trees.compile_ideal(e)
-        q = Schema(laws.prune_schema(rng, target))
+        q = laws.prune_schema(rng, target)
         if membership.subset_of(q, target) is not Ternary.YES or membership.q_in_wf(q):
             continue
         w = membership.frechet_witness(q, e)
-        assert membership.subset_of(w, q.tree) is Ternary.YES
+        assert membership.subset_of(w, q) is Ternary.YES
         assert membership.q_in_id(w)
-        assert oracle.check_witness(w, (q, e), Budget(8, 8, 100)), f"{q} in {e}"
+        assert oracle.check_witness(w, q, Budget(8, 8, 100)), f"{q} in {e}"
         produced += 1
     _report(7, "50 orthogonal-subset witnesses verified mechanically")
 

@@ -51,9 +51,9 @@ def _interned_records():
         lambda: ideals.Perp(ideals.Fin()), lambda: ideals.Sum((ideals.Fin(), ideals.P(ONE))),
         lambda: ideals.OmegaSum(ideals.Q(ONE)), lambda: ideals.LimSum(OMEGA),
         lambda: ideals.MixSum((ideals.Pow(),), ideals.OmegaSum(ideals.Fin())),
-        lambda: queries.Schema(FAN), lambda: queries.FinSet(((0, 3), ())),
+        lambda: trees.Fan((trees.EPS,), trees.Const(trees.CHAIN)), lambda: queries.FinSet(((0, 3), ())),
         lambda: queries.Transversal(FAN),
-        lambda: queries.Union(queries.Schema(trees.CHAIN), queries.FinSet(((1,),))),
+        lambda: queries.Union(trees.CHAIN, queries.FinSet(((1,),))),
         lambda: orders.Nat(), lambda: orders.Rev(orders.Nat()), lambda: orders.Cat((orders.Nat(), orders.RatQ())),
         lambda: orders.OmegaCat((orders.Nat(),), orders.Rev(orders.Nat())), lambda: orders.RatQ(),
         lambda: classification.Borel(ideals.CanonicalForm(ideals.Kind.P, ONE)),

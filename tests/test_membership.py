@@ -14,7 +14,7 @@ from idealforms.errors import NotASubset, UnknownContainment
 from idealforms.membership import Ternary
 from idealforms.laws import rand_expr, rand_query, rand_schema
 from idealforms.oracle import WITNESS_BUDGET, Budget, check_witness, enumerate_schema
-from idealforms.queries import FinSet, Schema, Transversal, Union
+from idealforms.queries import FinSet, Transversal, Union
 from idealforms.text import parse_expr, parse_query, parse_tree
 from idealforms.trees import CONST_EMPTY, Const, Fan, Spine
 from idealforms.witnesses import DominatingBranch, UnboundedFamily
@@ -29,9 +29,9 @@ BLOCK0_CHAIN = t("fan([chain];const(empty))")
 def test_subset_examples():
     assert membership.subset_of(FinSet(((0, 0),)), trees.CHAIN) is Ternary.YES
     assert membership.subset_of(FinSet(((0,), (1,))), trees.CHAIN) is Ternary.NO
-    assert membership.subset_of(Schema(trees.CHAIN), trees.FULL) is Ternary.YES
-    assert membership.subset_of(Schema(trees.CHAIN), t("fan([];const(eps))")) is Ternary.NO
-    assert membership.subset_of(Schema(BLOCK0_CHAIN), P1) is Ternary.YES
+    assert membership.subset_of(trees.CHAIN, trees.FULL) is Ternary.YES
+    assert membership.subset_of(trees.CHAIN, t("fan([];const(eps))")) is Ternary.NO
+    assert membership.subset_of(BLOCK0_CHAIN, P1) is Ternary.YES
     assert membership.subset_of(Transversal(P1), P1) is Ternary.YES
 
 
@@ -45,11 +45,11 @@ def _refuted(q: str, target: str) -> tuple[int, ...]:
 
 
 def test_subset_blockwise_and_unknown():
-    assert membership.subset_of(Schema(t("fan([];const(chain))")), t("fan([];const(full))")) is Ternary.YES
-    assert membership.subset_of(Schema(t("fan([];const(chain))")), t("fan([chain];const(empty))")) is Ternary.NO
+    assert membership.subset_of(t("fan([];const(chain))"), t("fan([];const(full))")) is Ternary.YES
+    assert membership.subset_of(t("fan([];const(chain))"), t("fan([chain];const(empty))")) is Ternary.NO
     # the counterexample here is longer than any bounded search would try
     deep = "fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(fan([];const(chain))))))))))))"
-    assert membership.subset_of(Schema(t(deep)), t("spine([];const(chain))")) is Ternary.NO
+    assert membership.subset_of(t(deep), t("spine([];const(chain))")) is Ternary.NO
     assert len(_refuted(deep, "spine([];const(chain))")) == 7
 
 
@@ -58,7 +58,7 @@ def test_subset_past_diagonal_tails():
     # only align after the head offset: <1,1,0> is in the first alone
     assert _refuted("fan([empty];qdiag(w))", "fan([];qdiag(w))") == (1, 1, 0)
     # a target whose tail blocks are full takes every tail letter
-    q = Schema(t("fan([];pdiag(w^3*3))"))
+    q = t("fan([];pdiag(w^3*3))")
     assert membership.subset_of(q, t("fan([full];const(full))")) is Ternary.YES
     _refuted("fan([spine([];const(empty))];pdiag(w*2))", "fan([full,full];qdiag(w))")
 
@@ -102,19 +102,53 @@ def test_containment_is_one_procedure():
     assert "membership._walk" in seen and "membership._one" in seen
 
 
+# each standard copy as a query: member, member of the orthogonal,
+# contained in FIN's copy, its domination witness (a branch, or the first
+# four of its family), its orthogonal subset, and enumerate_schema at
+# Budget(3, 2, 6); the answers the copy gave when a query wrapped it
+COPIES = [
+    ("FIN", False, True, Ternary.YES, "[](0)*", "chain", [(0,), (0, 0), (0, 0, 0)]),
+    ("P(1)", False, False, Ternary.NO, [(0, 0), (1, 0), (2, 0), (3, 0)], "fan([chain];const(empty))",
+     [(0, 0), (1, 0), (2, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)]),
+    ("Q(1)", False, False, Ternary.NO, [(1, 0), (1, 2), (1, 3), (1, 4)],
+     "spine([];const(fan([eps];const(empty))))",
+     [(1, 0), (1, 1), (1, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]),
+    ("sum(P(1),Q(1))", False, False, Ternary.NO, [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)],
+     "fan([fan([chain];const(empty))];const(empty))",
+     [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 1, 1), (1, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("src, member, perp, in_fin, branch, subset, elements", COPIES,
+                         ids=[c[0] for c in COPIES])
+def test_a_compiled_schema_is_a_query_as_it_stands(src, member, perp, in_fin, branch, subset, elements):
+    target = e(src)
+    copy = trees.compile_ideal(target)
+    assert membership.member_of(copy, target) is member
+    assert membership.member_perp(copy, target) is perp
+    assert membership.subset_of(copy, trees.compile_ideal(e("FIN"))) is in_fin
+    w = membership.id_witness(copy)
+    assert (str(w) if isinstance(w, DominatingBranch) else w.elements(4)) == branch
+    assert check_witness(w, copy, WITNESS_BUDGET)
+    fw = membership.frechet_witness(copy, target)
+    assert isinstance(fw, trees.TreeSchema) and str(fw) == subset
+    assert check_witness(fw, copy, Budget(8, 8, 100))
+    assert enumerate_schema(copy, Budget(3, 2, 6)) == elements
+
+
 def test_q_predicates_examples():
     q = parse_query("finset{<9,9,9>}")
     assert membership.q_in_wf(q) and membership.q_in_id(q)
     tr = Transversal(P1)
     assert membership.q_in_wf(tr) and not membership.q_in_id(tr)
-    u = Union(Schema(trees.CHAIN), FinSet(((1,),)))
+    u = Union(trees.CHAIN, FinSet(((1,),)))
     assert not membership.q_in_wf(u) and membership.q_in_id(u)
 
 
 def test_member_examples():
     # the block-0 chain misses the ideal but meets the orthogonal
-    assert membership.member_of(Schema(BLOCK0_CHAIN), e("P(1)")) is False
-    assert membership.member_perp(Schema(BLOCK0_CHAIN), e("P(1)")) is True
+    assert membership.member_of(BLOCK0_CHAIN, e("P(1)")) is False
+    assert membership.member_perp(BLOCK0_CHAIN, e("P(1)")) is True
     # the transversal is the opposite corner
     assert membership.member_of(Transversal(P1), e("P(1)")) is True
     assert membership.member_perp(Transversal(P1), e("P(1)")) is False
@@ -130,36 +164,36 @@ def test_member_preconditions():
     with pytest.raises(NotASubset):
         membership.member_of(FinSet(((1, 1),)), e("FIN"))
     with pytest.raises(NotASubset):
-        membership.member_of(Schema(t("spine([];const(chain))")), e("Q(1)"))
+        membership.member_of(t("spine([];const(chain))"), e("Q(1)"))
     # a fan whose single block is the chain denotes a subset of the chain
-    sneaky = Schema(t("fan([chain];const(empty))"))
+    sneaky = t("fan([chain];const(empty))")
     assert membership.subset_of(sneaky, trees.CHAIN) is Ternary.YES
     # the error names the sequence the query holds and the target misses
     with pytest.raises(NotASubset, match="<1,1,0>"):
-        membership.member_of(Schema(t("fan([empty];qdiag(w))")), e("P(w)"))
+        membership.member_of(t("fan([empty];qdiag(w))"), e("P(w)"))
     # every block of the query's diagonal tail is new against the target's
     # constant tail: the walk stops at its bound, and says where
     with pytest.raises(UnknownContainment, match="stopped at <"):
-        membership.member_of(Schema(t("fan([];qdiag(w^(w*3)*3))")), e("P(w^2+w+1)"))
+        membership.member_of(t("fan([];qdiag(w^(w*3)*3))"), e("P(w^2+w+1)"))
 
 
 def test_frechet_examples():
-    w = membership.frechet_witness(Schema(BLOCK0_CHAIN), e("P(1)"))
-    assert w == Schema(BLOCK0_CHAIN)  # the chain itself is already orthogonal
-    w = membership.frechet_witness(Schema(P1), e("P(1)"))
-    assert w == Schema(BLOCK0_CHAIN)  # recursion descends into block 0
-    q = Union(Schema(BLOCK0_CHAIN), Schema(t("fan([empty,chain];const(empty))")))
+    w = membership.frechet_witness(BLOCK0_CHAIN, e("P(1)"))
+    assert w == BLOCK0_CHAIN  # the chain itself is already orthogonal
+    w = membership.frechet_witness(P1, e("P(1)"))
+    assert w == BLOCK0_CHAIN  # recursion descends into block 0
+    q = Union(BLOCK0_CHAIN, t("fan([empty,chain];const(empty))"))
     w = membership.frechet_witness(q, e("P(1)"))
-    assert w == Schema(BLOCK0_CHAIN)  # first positive side wins
+    assert w == BLOCK0_CHAIN  # first positive side wins
 
 
 def test_frechet_spine_pick():
     # copies are well-founded antichains: the witness picks one point each
-    q = Schema(t("spine([];const(fan([];const(eps))))"))
+    q = t("spine([];const(fan([];const(eps))))")
     w = membership.frechet_witness(q, e("Q(1)"))
-    assert membership.subset_of(w, q.tree) is Ternary.YES
+    assert membership.subset_of(w, q) is Ternary.YES
     assert membership.q_in_id(w)
-    assert check_witness(w, (q, e("Q(1)")), Budget(8, 8, 100))
+    assert check_witness(w, q, Budget(8, 8, 100))
 
 
 def test_frechet_rejects_positive_queries():
@@ -168,13 +202,13 @@ def test_frechet_rejects_positive_queries():
 
 
 def test_id_witness_examples():
-    w = membership.id_witness(Schema(trees.CHAIN))
+    w = membership.id_witness(trees.CHAIN)
     assert isinstance(w, DominatingBranch)
     assert w.prefix == () and set(w.period) == {0}
-    w = membership.id_witness(Schema(t("spine([];const(chain))")))
+    w = membership.id_witness(t("spine([];const(chain))"))
     assert isinstance(w, DominatingBranch)
     assert all(w.value(i) == 1 for i in range(10))
-    w = membership.id_witness(Schema(t("fan([];const(eps))")))
+    w = membership.id_witness(t("fan([];const(eps))"))
     assert isinstance(w, UnboundedFamily)
     assert w.elements(3) == [(0,), (1,), (2,)]
 
@@ -207,8 +241,8 @@ def test_never_both_for_infinite_queries():
 
 def test_orthogonality_stabilizes():
     # a dominated query meets a well-founded query in a finite stable set
-    q = Schema(t("spine([];const(chain))"))
-    r = Schema(t("fan([];const(fan([];const(eps))))"))
+    q = t("spine([];const(chain))")
+    r = t("fan([];const(fan([];const(eps))))")
     assert membership.q_in_id(q) and membership.q_in_wf(r)
     sizes = []
     for depth in (3, 5, 8):
@@ -220,7 +254,7 @@ def test_orthogonality_stabilizes():
 
 def test_restriction_coherence():
     # perp membership forces finite stable intersections with ideal members
-    q = Schema(BLOCK0_CHAIN)
+    q = BLOCK0_CHAIN
     assert membership.member_perp(q, e("P(1)"))
     r = Transversal(P1)
     assert membership.member_of(r, e("P(1)"))
@@ -238,15 +272,15 @@ def test_witnesses_of_deep_schemas():
     # P(2k) compiles to fan([];const(spine([];const(P(2k-2))))) and P(0) is
     # well-founded: the subset takes block 0 down to P(2)'s spine and there
     # the pick <0> of every copy
-    w = membership.frechet_witness(Schema(trees.compile_ideal(e(f"P({n})"))), e(f"P({n})"))
+    w = membership.frechet_witness(trees.compile_ideal(e(f"P({n})")), e(f"P({n})"))
     want = Fan((Spine((), Const(trees.singleton((0,)))),), CONST_EMPTY)
     for _ in range(n // 2 - 1):
         want = Fan((Spine((want,), CONST_EMPTY),), CONST_EMPTY)
-    assert w is Schema(want)
+    assert w is want
     nest = trees.CHAIN
     for _ in range(n):
         nest = Spine((), Const(nest))
-    assert str(membership.id_witness(Schema(nest))) == "[](1)*"
+    assert str(membership.id_witness(nest)) == "[](1)*"
 
 
 def test_witnesses_cost_the_length_of_the_text():
@@ -257,7 +291,7 @@ def test_witnesses_cost_the_length_of_the_text():
     n = 5000
     long = (0,) * (n - 1) + (2,)
     want = f"[{'0,' * (n - 1)}2](0)*"
-    nest = Schema(trees.singleton(long))
+    nest = trees.singleton(long)
     tracemalloc.start()
     try:
         assert membership.member_of(FinSet(((10**9,),)), e("POW"))
@@ -279,8 +313,8 @@ def test_finite_containment_checks_blocks_against_cones():
     assert trees.member_elem(inside, target)
     tracemalloc.start()
     try:
-        assert membership.subset_of(Schema(trees.singleton(inside)), target) is Ternary.YES
-        assert membership.subset_of(Schema(trees.singleton((0,) * n)), target) is Ternary.NO
+        assert membership.subset_of(trees.singleton(inside), target) is Ternary.YES
+        assert membership.subset_of(trees.singleton((0,) * n), target) is Ternary.NO
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

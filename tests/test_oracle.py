@@ -17,7 +17,6 @@ from idealforms import classification, laws, membership, oracle, queries, quotie
 from idealforms.errors import FiniteSchema, NotASubset, QuotientOverflow, UnknownContainment
 from idealforms.membership import Ternary
 from idealforms.oracle import Budget
-from idealforms.queries import Schema
 from idealforms.text import parse_expr, parse_query, parse_tree
 from idealforms.witnesses import (
     DominatingBranch, EmbeddingWitness, PrefixEmbedding, UnboundedFamily, iter_domain,
@@ -219,11 +218,11 @@ def test_rank_agreement_sampled():
 
 
 def test_check_witness_branch():
-    q = Schema(t("spine([];const(chain))"))
+    q = t("spine([];const(chain))")
     assert oracle.check_witness(DominatingBranch((), (1,)), q, oracle.WITNESS_BUDGET)
     # the zero branch misses the copy roots, whose entry is 1
     assert not oracle.check_witness(DominatingBranch((), (0,)), q, oracle.WITNESS_BUDGET)
-    anti = Schema(t("fan([];const(eps))"))
+    anti = t("fan([];const(eps))")
     assert not oracle.check_witness(DominatingBranch((), (0,)), anti, oracle.WITNESS_BUDGET)
 
 
@@ -231,29 +230,29 @@ def test_check_witness_frechet_rejects():
     # the standard copy of P(1) holds <n,0,...,0> for every n, and each
     # witness below fails one check of _check_frechet in turn
     e = parse_expr("P(1)")
-    q = Schema(trees.compile_ideal(e))
+    q = trees.compile_ideal(e)
     w = membership.frechet_witness(q, e)
-    assert oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
+    assert oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
     rejected = [
         trees.EMPTY,
         trees.singleton((1, 0, 0)),  # finite
-        q.tree,  # infinite, but its entries are unbounded
+        q,  # infinite, but its entries are unbounded
         t("chain"),  # dominated and infinite, but <0> is not in q
     ]
     for bad in rejected:
-        assert not oracle.check_witness(Schema(bad), (q, e), oracle.WITNESS_BUDGET), str(bad)
+        assert not oracle.check_witness(bad, q, oracle.WITNESS_BUDGET), str(bad)
 
 
 def test_the_frechet_check_holds_each_element_to_the_entry_bound(monkeypatch):
     # the witness fan([chain];const(empty)) has entry bound 0; an element
     # grown past it fails the check although it lies in the query
     e = parse_expr("P(1)")
-    q = Schema(trees.compile_ideal(e))
+    q = trees.compile_ideal(e)
     w = membership.frechet_witness(q, e)
     small, grown = oracle._frechet_boxes(w, oracle.WITNESS_BUDGET)
-    assert queries.q_member((1, 0, 0), q) and trees._entry_bound(w.tree) == 0
+    assert queries.q_member((1, 0, 0), q) and trees._entry_bound(w) == 0
     monkeypatch.setattr(oracle, "_frechet_boxes", lambda w, b: (small, grown + [(1, 0, 0)]))
-    assert not oracle.check_witness(w, (q, e), oracle.WITNESS_BUDGET)
+    assert not oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
 
 
 def test_a_query_not_a_schema_is_no_frechet_witness_under_python_O():
@@ -265,7 +264,7 @@ def test_a_query_not_a_schema_is_no_frechet_witness_under_python_O():
     script = ("from idealforms import oracle\n"
               "from idealforms.queries import FinSet\n"
               "for check in (lambda w: oracle._check_frechet(w, None, oracle.WITNESS_BUDGET),\n"
-              "              lambda w: oracle.check_witness(w, (None, None), oracle.WITNESS_BUDGET)):\n"
+              "              lambda w: oracle.check_witness(w, None, oracle.WITNESS_BUDGET)):\n"
               "    try:\n"
               "        check(FinSet(((1,),)))\n"
               "    except TypeError as exc:\n"
@@ -276,7 +275,7 @@ def test_a_query_not_a_schema_is_no_frechet_witness_under_python_O():
 
 
 def test_check_witness_family():
-    q = Schema(t("fan([];const(eps))"))
+    q = t("fan([];const(eps))")
     w = membership.id_witness(q)
     assert isinstance(w, UnboundedFamily)
     assert oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
@@ -595,13 +594,13 @@ def _witness_text(build) -> str:
 def _schema_parts(q):
     if isinstance(q, queries.Union):
         return _schema_parts(q.left) + _schema_parts(q.right)
-    return [q.tree] if type(q) is Schema else []  # a finite set's branch is pinned at any depth
+    return [q] if isinstance(q, trees.TreeSchema) else []  # a finite set's branch is pinned at any depth
 
 
 def test_witness_answers_pinned():
     h = hashlib.sha256()
     for s in _facts_corpus():
-        text = _witness_text(lambda: membership.id_witness(Schema(s)))
+        text = _witness_text(lambda: membership.id_witness(s))
         if trees.depth_bound(s) != 0:
             h.update(f"{s}:{text}\n".encode())
         else:  # s denotes the empty set or {()}: the zero branch
@@ -630,13 +629,13 @@ def test_containment_answers_pinned():
     small = _constant_tail_schemas(4)
     for s in small[::7]:
         for u in small:
-            h.update(f"{u}<{s}:{membership.subset_of(Schema(u), s).value}\n".encode())
+            h.update(f"{u}<{s}:{membership.subset_of(u, s).value}\n".encode())
     rng = random.Random(12)
     drawn = [laws.rand_schema(rng, 7) for _ in range(400)]
     for s in drawn:
         for _ in range(5):
             u = laws.prune_schema(rng, s) if rng.random() < 0.5 else rng.choice(drawn)
-            h.update(f"{u}<{s}:{membership.subset_of(Schema(u), s).value}\n".encode())
+            h.update(f"{u}<{s}:{membership.subset_of(u, s).value}\n".encode())
     for _ in range(600):
         target = trees.compile_ideal(laws.rand_expr(rng, 6))
         q, w = laws.rand_query(rng, target), laws.rand_query(rng, target)
@@ -645,13 +644,13 @@ def test_containment_answers_pinned():
     assert h.hexdigest() == CONTAIN_DIGEST
 
 
-def _outside_leaf(rng: random.Random, target, other) -> tuple[str, queries.QueryTerm]:
+def _outside_leaf(rng: random.Random, target, other) -> tuple[str, trees.QueryTerm]:
     """A query leaf drawn without regard to ``target``, and its kind: a
     pruned ``other``, a finite set mixing elements of both, or the
     transversal of a random constant-tail or diagonal-tail fan."""
     roll = rng.random()
     if roll < 1 / 3:
-        return "schema", Schema(laws.prune_schema(rng, other))
+        return "schema", laws.prune_schema(rng, other)
     if roll < 2 / 3:
         pool = oracle.enumerate_schema(target, Budget(4, 4, 12)) + oracle.enumerate_schema(
             other, Budget(4, 4, 12))
@@ -740,7 +739,7 @@ def _query_kinds(q) -> set[str]:
         return {"finset"}
     if isinstance(q, queries.Transversal):
         return {"transversal"}
-    text = str(q.tree)
+    text = str(q)
     return {"schema"} | {k for k in ("diag", "full", "rooted", "spine") if k in text}
 
 
@@ -758,11 +757,11 @@ def test_enumerate_matches_brute_force_reference():
     drawn = [parse_query(src) for src in fixed]
     for _ in range(160):
         target = laws.rand_schema(rng, 7)
-        q = laws.rand_query(rng, target) if rng.random() < 0.6 else Schema(target)
-        if rng.random() < 0.2 and isinstance(q, Schema):
+        q = laws.rand_query(rng, target) if rng.random() < 0.6 else target
+        if rng.random() < 0.2 and isinstance(q, trees.TreeSchema):
             u = next(iter(oracle.enumerate_schema(target, Budget(3, 2, 5))), None)
             if u:
-                q = Schema(trees.cone_of(target, u[:1]))
+                q = trees.cone_of(target, u[:1])
         drawn.append(q)
     seen: set[str] = set()
     for q in drawn:
@@ -792,7 +791,7 @@ def test_enumeration_skips_no_element_of_the_whole_box():
         if rng.random() < 0.3:  # bounded entries: a few heads and no tail
             heads = tuple(laws.rand_schema(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 5)))
             target = rng.choice([trees.Fan, trees.Spine])(heads, trees.CONST_EMPTY)
-        q = laws.rand_query(rng, target) if rng.random() < 0.7 else Schema(target)
+        q = laws.rand_query(rng, target) if rng.random() < 0.7 else target
         depth, width = rng.randrange(1, 5), rng.randrange(1, 5)
         cap = max(depth, width + 1)
         b = Budget(depth, width, len(universes[cap]) + 1)
@@ -887,7 +886,7 @@ def _deep_reference(q, b: Budget) -> list:
     for k in range(cap + 1):
         stage = {u for x in leaves if isinstance(x, queries.FinSet)
                  for u in x.elements if _stage(u) == k}
-        todo = [((), x.tree) for x in leaves if isinstance(x, Schema)]
+        todo = [((), x) for x in leaves if isinstance(x, trees.TreeSchema)]
         while todo:
             u, c = todo.pop()
             if _stage(u) == k and queries.q_member(u, q):
@@ -922,7 +921,7 @@ def _forced_prefix_corpus(rng: random.Random, n: int) -> list:
                 t = trees.Fan((trees.EMPTY,) * rng.randrange(0, 3) + (t,), trees.CONST_EMPTY)
             else:
                 t = trees.Spine((t,), trees.CONST_EMPTY)
-        q: queries.QueryTerm = Schema(t)
+        q: trees.QueryTerm = t
         if rng.random() < 0.3:
             elems = {tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 4))) for _ in range(5)}
             elems.add(trees.pick_least(t))  # an element the schema holds too
@@ -967,7 +966,7 @@ def test_frechet_boxes_are_two_enumerations(monkeypatch):
     checks = _frechet_law_checks(monkeypatch)
     assert len(checks) >= 40
     for w, b in checks:
-        least = trees.pick_least(w.tree)
+        least = trees.pick_least(w)
         depth, width = len(least) + b.depth, max(b.width, max(least, default=0), 1)
         small = oracle.enumerate_schema(w, Budget(depth, width, b.count))
         grown = oracle.enumerate_schema(w, Budget(2 * depth, width, b.count))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from idealforms import cli, classification, ideals, laws, oracle, ordinals, orders, text, trees
 from idealforms.errors import IdealFormsError, ParseError
-from idealforms.queries import FinSet, QueryTerm, Schema, Transversal, Union
+from idealforms.queries import FinSet, Transversal, Union
 from idealforms.witnesses import DominatingBranch
 
 
@@ -61,6 +61,15 @@ def test_query_round_trip():
         assert text.parse_query(str(q)) == q
 
 
+def test_a_tree_is_a_query_as_it_stands():
+    # the query grammar's keyword-less entry reads a tree and builds nothing
+    for src in TREES:
+        assert text.parse_query(src) is text.parse_tree(src), src
+    q = text.parse_query("union(fan([];const(chain)),finset{<1>})")
+    assert q.left is text.parse_tree("fan([];const(chain))")
+    assert str(q) == "union(fan([];const(chain)),finset{<1>})" and text.parse_query(str(q)) is q
+
+
 def test_order_round_trip():
     for src in ORDERS:
         t = text.parse_order(src)
@@ -85,7 +94,7 @@ def test_random_round_trips():
 
 # the sort of each grammar's terms, and the name _parse reads it by
 SORTS = {ordinals.Ordinal: "ord", ideals.IdealExpr: "expr", trees.TreeSchema: "tree",
-         trees.SchemaSeq: "tail", QueryTerm: "query", orders.LinTerm: "order"}
+         trees.SchemaSeq: "tail", trees.QueryTerm: "query", orders.LinTerm: "order"}
 
 
 def test_repr_of_every_sort_is_its_class_around_its_text():
@@ -138,6 +147,9 @@ def test_each_plan_names_every_field_once_in_order():
     for sort, (_, spec) in text._GRAMMARS.items():
         table = text._compile(sort)
         for keyword, shape in spec.items():
+            if shape in text._GRAMMARS:  # a bare sort builds nothing: the entry reads it
+                assert table[keyword] == (shape,), (sort, keyword)
+                continue
             _, cls, size = table[keyword][0]  # the build item, read last
             assert size == len(cls.__match_args__)
             _, pieces, kids = text._PLANS[cls]
@@ -399,7 +411,7 @@ schemas = st.recursive(
 fans = st.builds(trees.Fan, _tuples(schemas), schemas.map(trees.Const))
 queries = st.recursive(
     st.one_of(
-        schemas.map(Schema), fans.map(Transversal),
+        schemas, fans.map(Transversal),
         st.lists(_tuples(st.integers(0, 12)), min_size=1, max_size=3, unique=True)
         .map(lambda us: FinSet(tuple(us))),
     ),
