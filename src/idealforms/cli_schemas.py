@@ -19,11 +19,11 @@ def _cmd_classify(args) -> dict:
         return {"text": f"BOREL {out.form}",
                 "json": {"verdict": "borel", "form": out.form.to_json()}}
     w = out.witness
-    sample = [list(w.map((k,))) for k in range(4)]
+    data = _witness_json(w, checked=None)
+    sample = ", ".join(map(text.format_seq_elem, data["data"]["sampleImages"]))
     return {
-        "text": f"NON-BOREL (embedding witness: {w.label}; "
-                f"images of <0>..<3>: {', '.join(text.format_seq_elem(tuple(u)) for u in sample)})",
-        "json": {"verdict": "non-borel", "witness": _witness_json(w, checked=None)},
+        "text": f"NON-BOREL (embedding witness: {w.label}; images of <0>..<3>: {sample})",
+        "json": {"verdict": "non-borel", "witness": data},
     }
 
 
@@ -76,12 +76,13 @@ def _cmd_idwitness(args) -> dict:
     checked = oracle.check_witness(w, q, oracle.WITNESS_BUDGET)
     if not checked:
         raise AssertionError("emitted domination witness failed its own check")
+    data = _witness_json(w, checked=oracle.WITNESS_BUDGET)
     if isinstance(w, witnesses.DominatingBranch):
         txt = f"dominating branch {w}"
-    else:
-        sample = ", ".join(text.format_seq_elem(u) for u in w.elements(4))
+    else:  # a family lists its elements in one order, so the JSON's first 4 are its first 4
+        sample = ", ".join(map(text.format_seq_elem, data["data"]["elements"][:4]))
         txt = f"unbounded family: {sample}, ..."
-    return {"text": txt, "json": _witness_json(w, checked=oracle.WITNESS_BUDGET)}
+    return {"text": txt, "json": data}
 
 
 def _witness_json(w, checked: oracle.Budget | None) -> dict:

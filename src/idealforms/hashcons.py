@@ -20,7 +20,16 @@ names its own term, which would then outlive ``gc.collect()``.
 Every sort of term is a term algebra, so every fact computed bottom-up
 over a sort is one ``Algebra`` run by the one traversal ``_fold``
 (a catamorphism; Meijer, Fokkinga & Paterson, FPCA 1991), which stores
-each answer in a slot of the term.
+each answer in a slot of the term.  ``_fold`` alone asks whether a slot
+is filled, and fills all but the seeded ones; a fact read off one term,
+such as a union's leaves or a vertex's quotient classes, is an
+``Algebra`` with no children.  A diagonal tail's ``_blocks`` and a rank's
+``_levels`` are set when the term is built.  Seeded facts, each for its
+reason: ``trees._level`` sets a chain level's ``_empty`` and ``_depth``,
+so neither folds the levels below it (``P(100000000)``);
+``trees._Algebra`` stores its leaf answers when made, and its folds set
+``_empty``, which the next fold reads to find live heads; a level's
+``Const`` tail builds its block when first read.
 
 ``str`` and ``repr`` of a ``Term`` both call the grammars' one printer,
 ``text.format_term``, whose text names the term: ``parse(str(t)) is t``.

@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import trees
 from .errors import BadArgument
+from .hashcons import Algebra, _fold
 from .trees import Fan, QueryTerm, Seq, TreeSchema
 
 
@@ -41,7 +42,7 @@ class Transversal(QueryTerm):
 
 
 class Union(QueryTerm):
-    __slots__ = ("left", "right", "_leaves")  # _leaves: see _leaves
+    __slots__ = ("left", "right", "_leaves")  # _leaves: the _LEAVES fact
     __match_args__ = ("left", "right")
 
 
@@ -52,16 +53,7 @@ class Union(QueryTerm):
 # its union nest, which one loop lists, and never walks the nest itself.
 
 
-def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
-    """The schemas, finite sets and transversals of a union nest, left to
-    right, each once: leaves are interned, and a repeated one adds nothing.
-    The union asked keeps them, and the unions below it stay bare."""
-    if type(q) is not Union and isinstance(q, QueryTerm):
-        return (q,)
-    try:
-        return q._leaves
-    except AttributeError:
-        pass
+def _flatten(q: Union, answers: list) -> tuple[QueryTerm, ...]:
     out, stack = [], [q]
     while stack:
         x = stack.pop()
@@ -71,8 +63,20 @@ def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
             out.append(x)
         else:
             raise TypeError(f"not a query term: {x!r}")
-    q._leaves = tuple(dict.fromkeys(out))
-    return q._leaves
+    return tuple(dict.fromkeys(out))
+
+
+_LEAVES = Algebra("_leaves", _flatten, kids=lambda q: ())
+
+
+def _leaves(q: QueryTerm) -> tuple[QueryTerm, ...]:
+    """The schemas, finite sets and transversals of a union nest, left to
+    right, each once: leaves are interned, and a repeated one adds nothing.
+    A union's are its ``_LEAVES`` fact, which one loop fills on the union
+    asked alone: the unions below it stay bare."""
+    if type(q) is not Union and isinstance(q, QueryTerm):
+        return (q,)
+    return _fold(q, _LEAVES)
 
 
 def _transversal_pick(f: Fan, n: int, known: Optional[dict] = None) -> Optional[Seq]:

@@ -84,9 +84,7 @@ def build_quotient(t: TreeSchema, max_vertices: int) -> Quotient:
     q.vertices.append(root)
     index = {root: 0}
     for v, s in enumerate(q.vertices):
-        fact = getattr(s, "_classes", None)
-        if fact is None:
-            fact = _fold(s, _CLASSES)
+        fact = _fold(s, _CLASSES)
         if type(fact) is not tuple:
             raise _overflow(t, max_vertices)
         pairs = iter(fact)

@@ -55,10 +55,7 @@ def tree_rank(t: TreeSchema) -> tuple[Ordinal, bool]:
 
 
 def rank_info(t: TreeSchema) -> RankInfo:
-    try:
-        return t._rank
-    except AttributeError:
-        return _fold(t, _RANK)
+    return _fold(t, _RANK)
 
 
 def _node(t: Fan | Spine, heads: list[tuple[int, RankInfo]], tail: RankInfo | None) -> RankInfo:

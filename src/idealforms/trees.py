@@ -128,8 +128,8 @@ class Const(SchemaSeq):
 class _Diag(SchemaSeq):
     """Block n is the compiled schema at stage ``rank[n + offset]``."""
 
-    # _blocks: the tail of block i by index, whose key holds the block's
-    # rank; never on that rank, which a client may hold apart from the tail
+    # _blocks: the tail of block i by index, empty when built, whose key holds
+    # the block's rank; never on that rank, which a client may hold apart
     __slots__ = ("rank", "offset", "_blocks")
     __match_args__ = ("rank", "offset")
     rank: Ordinal
@@ -141,7 +141,7 @@ class _Diag(SchemaSeq):
     def _init(self, rank: Ordinal, offset: int) -> None:
         if ordinals.kind(rank) is not OrdKind.LIMIT:
             raise NotLimit(f"diagonal tail needs a limit rank, got {rank}")
-        self.rank, self.offset = rank, offset
+        self.rank, self.offset, self._blocks = rank, offset, {}
 
 
 class QDiag(_Diag):
@@ -289,10 +289,7 @@ def seq_block(tail: SchemaSeq, i: int) -> TreeSchema:
         return tail.block
     if not isinstance(tail, _Diag):
         raise TypeError(f"not a schema sequence: {tail!r}")
-    try:
-        memo = tail._blocks
-    except AttributeError:
-        memo = tail._blocks = {}
+    memo = tail._blocks
     out = memo.get(i)
     if out is None:
         rank = ordinals.fund_seq(tail.rank, i + tail.offset)
@@ -333,10 +330,7 @@ _EMPTY = _Algebra(
 
 
 def is_empty(t: TreeSchema) -> bool:
-    try:
-        return t._empty
-    except AttributeError:
-        return _fold(t, _EMPTY)
+    return _fold(t, _EMPTY)
 
 
 def is_finite(t: TreeSchema) -> bool:
@@ -599,10 +593,7 @@ _ENTRY = _Algebra(
 def _entry_bound(t: TreeSchema) -> float:
     """Largest entry of any element: -1 when no element has one, ``inf``
     when entries are unbounded."""
-    try:
-        return t._bound
-    except AttributeError:
-        return _fold(t, _ENTRY)
+    return _fold(t, _ENTRY)
 
 
 def _least_node(t: Fan | Spine, heads: list, tail) -> Optional[tuple[int, int]]:
@@ -626,10 +617,7 @@ _LEAST = _Algebra("_pick", {EMPTY: None, EPS: (0, None), CHAIN: (1, None), FULL:
 
 def least_length(t: TreeSchema) -> Optional[int]:
     """Length of the shortlex-least denoted element; None for the empty set."""
-    try:
-        least = t._pick
-    except AttributeError:
-        least = _fold(t, _LEAST)
+    least = _fold(t, _LEAST)
     return None if least is None else least[0]
 
 

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from idealforms import (
-    classification, hashcons, ideals, laws, membership, orders, ordinals, quotient, rank, trees,
+    classification, hashcons, ideals, laws, membership, orders, ordinals, queries, quotient, rank,
+    trees,
 )
 from idealforms.errors import NotLimit
 from idealforms.laws import rand_infinite_schema
@@ -296,7 +297,7 @@ def test_diagonal_blocks_live_with_their_tail():
     gc.collect()
     size = len(hashcons._TABLE)
     tail = QDiag(ordinals.OMEGA, offset)
-    assert not hasattr(tail, "_blocks")  # fresh: no earlier blocks
+    assert tail._blocks == {}  # fresh: no earlier blocks
     blocks = [trees.seq_block(tail, i) for i in range(201)]
     # Q(k + 1) compiles to spine([];const(fan([];const(Q(k - 1)))))
     assert blocks[-1] is Spine((), Const(Fan((), Const(blocks[-3]))))
@@ -529,6 +530,69 @@ def test_every_function_is_referenced():
     # table's rows are its references, so a handler with no row is dead
     public |= {f"_cmd_{verb}" for verb in (*cli._VERBS, *cli._WO) if verb != "wo"}
     assert _unreferenced(Path(trees.__file__).parent, public) == []
+
+
+def _memo_checks(src: Path) -> list[str]:
+    """Where the package asks by hand whether a memo slot is filled: a
+    ``try`` that handles ``AttributeError``, or a ``getattr``/``hasattr``
+    that names a memo slot by a literal.  The memo slots are the private
+    names of every ``__slots__`` and the slot of every ``Algebra``."""
+    tree = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    nodes = [(m, n) for m, t in tree.items() for n in ast.walk(t)]
+
+    def strings(node: ast.AST) -> set[str]:
+        return {c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and type(c.value) is str}
+
+    slots = set().union(*(strings(n.value) for _, n in nodes if isinstance(n, ast.Assign)
+                          and any(isinstance(x, ast.Name) and x.id == "__slots__" for x in n.targets)))
+    slots |= {n.args[0].value for _, n in nodes if isinstance(n, ast.Call) and n.args
+              and isinstance(n.args[0], ast.Constant) and type(n.args[0].value) is str
+              and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", ""))
+              in ("Algebra", "_Algebra")}
+    slots = {s for s in slots if s.startswith("_") and not s.startswith("__")}
+    out = []
+    for m, n in nodes:
+        if isinstance(n, ast.ExceptHandler) and n.type is not None:
+            names = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            if any(isinstance(x, ast.Name) and x.id == "AttributeError" for x in names):
+                out.append(f"{m}:{n.lineno} except AttributeError")
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id in ("getattr", "hasattr") and len(n.args) > 1
+              and isinstance(n.args[1], ast.Constant) and n.args[1].value in slots):
+            out.append(f"{m}:{n.lineno} {n.func.id} {n.args[1].value}")
+    return out
+
+
+def test_only_fold_asks_whether_a_memo_slot_is_filled():
+    # every memoized fact is a fold slot or a field set when its term is
+    # built, so hashcons._fold is the one reader that asks whether a slot
+    # is filled; its own hasattr names the slot by a variable
+    assert _memo_checks(Path(trees.__file__).parent) == []
+
+
+def test_memo_checks_finds_hand_written_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class T:\n    __slots__ = ('child', '_fact')\n\n"
+        "A = Algebra('_other', None, None)\n\n"
+        "def f(t):\n    try:\n        return t._fact\n    except (KeyError, AttributeError):\n"
+        "        return None\n\n"
+        "def g(t, slot):\n    return getattr(t, '_other', None), hasattr(t, 'child'), hasattr(t, slot)\n")
+    assert _memo_checks(tmp_path) == ["a:9 except AttributeError", "a:13 getattr _other"]
+
+
+def test_union_leaves_are_kept_on_the_union_asked_alone():
+    # a left-deep nest deeper than the recursion limit, each leaf twice
+    leaves = [queries.FinSet(((n % 25_000,),)) for n in range(50_000)]
+    unions = [queries.Union(leaves[0], leaves[1])]
+    for x in leaves[2:]:
+        unions.append(queries.Union(unions[-1], x))
+    top = unions[-1]
+    assert sys.getrecursionlimit() < len(unions)
+    out = queries._leaves(top)
+    assert out == tuple(leaves[:25_000])
+    assert top._leaves is out
+    assert not any(hasattr(u, "_leaves") for u in unions[:-1])
+    assert queries._leaves(top) is out
 
 
 def test_unreferenced_finds_dead_and_self_calling_functions(tmp_path):
