@@ -212,10 +212,9 @@ def _assemble_fan(t: Fan, heads: list, tail, beta: Ordinal) -> _Pieces:
         return acc
     c = tail[0]
     # every tail block falls before beta (rank_info counts a fan tail with
-    # its rank, one more than a block's domination stage), so each hangs
-    if not isinstance(t.tail, Const):
-        return _hang(acc, c)  # diagonal piece classes: ranks cofinal in the limit
-    # omega many finite pieces give the power set
+    # its rank, one more than a block's domination stage), so each hangs;
+    # omega many finite pieces give the power set, and a diagonal tail's
+    # answer P(lambda) is its own omega-sum
     return _hang(acc, POW_FORM if c == FINITE_CLS else ideals.omega_sum(c))
 
 

@@ -140,15 +140,16 @@ def _merged(streams: list) -> Iterator[Seq]:
 
 def _forced(t: QueryTerm) -> tuple[Seq, QueryTerm]:
     """The forced prefix of a schema leaf and the cone below it: the word
-    of the run of fans and spines that each have exactly one nonempty
-    block and a trivial tail, read from emptiness alone."""
-    path = []
-    while type(t) in (trees.Fan, trees.Spine) and trees.tail_is_trivial(t.tail):
-        live = [n for n, h in enumerate(t.heads) if not trees.is_empty(h)]
-        if len(live) != 1:
-            break
-        path.append((t, live[0]))
-        t = t.heads[live[0]]
+    of the ``trees.walk`` through the run of fans and spines that each have
+    exactly one nonempty block and a trivial tail, read from emptiness
+    alone.  A rooted layer or a transversal stops it at once."""
+    def only(s: QueryTerm) -> Optional[int]:  # the one nonempty block, else None
+        if type(s) not in (trees.Fan, trees.Spine) or not trees.tail_is_trivial(s.tail):
+            return None
+        live = [n for n, h in enumerate(s.heads) if not trees.is_empty(h)]
+        return live[0] if len(live) == 1 else None
+
+    path, t = trees.walk(t, only, lambda s: only(s) is None)
     return trees.word(path), t
 
 

@@ -338,41 +338,6 @@ def is_finite(t: TreeSchema) -> bool:
     return _fold(t, _DEPTH) < math.inf and _entry_bound(t) < math.inf
 
 
-def _descend(t: TreeSchema, u: Seq) -> tuple[TreeSchema, int]:
-    """Follow ``u`` down from ``t`` to the first node that decides: the node
-    reached and the index of the first entry of ``u`` not consumed.
-
-    The walk carries its position in ``u`` instead of slicing it, and
-    builds no cone term.  It stops when ``u`` is consumed, at a leaf, or
-    at a spine with only zeros left (``u`` still on its zero branch); a
-    sequence that leaves a spine's zero branch by an entry other than 1
-    falls out of every block, which reads as EMPTY with ``u`` consumed.
-    """
-    i, end = 0, len(u)
-    while i < end:
-        kind = type(t)
-        if kind is Fan:
-            t = block_at(t, u[i])
-            i += 1
-        elif kind is Spine:
-            j = i
-            while j < end and u[j] == 0:
-                j += 1
-            if j == end:
-                break
-            if u[j] != 1:
-                return EMPTY, end
-            t = block_at(t, j - i)
-            i = j + 1
-        elif kind is Rooted:
-            t = t.child
-        else:
-            break
-    if not isinstance(t, TreeSchema):
-        raise TypeError(f"not a schema: {t!r}")
-    return t, i
-
-
 def member_elem(u: Seq, t: TreeSchema) -> bool:
     """Point membership of a sequence in the denoted set: its cone holds
     the empty sequence (Brzozowski, 1964)."""
@@ -385,19 +350,45 @@ def spine_root(n: int) -> Seq:
 
 
 def cone_of(t: TreeSchema, u: Seq) -> TreeSchema:
-    """Schema of the elements extending ``u``, re-rooted at ``u``."""
-    t, i = _descend(t, u)
-    if i == len(u):
-        return t
-    if type(t) is Spine:
-        # still on the spine: blocks below index ``zeros`` fall away
-        zeros, heads = len(u) - i, t.heads
-        if zeros < len(heads):
-            return Spine(heads[zeros:], t.tail)
-        return Spine((), shift_tail(t.tail, zeros - len(heads)))
-    if t is CHAIN:
-        return EMPTY if any(u[i:]) else Rooted(CHAIN)
-    return FULL if t is FULL else EMPTY
+    """Schema of the elements extending ``u``, re-rooted at ``u`` (the
+    derivative of Brzozowski, 1964).
+
+    The walk carries its position in ``u`` instead of slicing it, and
+    builds a term only where it stops.  At a spine it reads the run of
+    zeros at once: a run that ends ``u`` leaves the spine with its blocks
+    below the run's length fallen away, a run ended by 1 enters the copy it
+    names, and one ended by any other entry falls out of every block.
+    """
+    i, end = 0, len(u)
+    while i < end:
+        kind = type(t)
+        if kind is Fan:
+            t = block_at(t, u[i])
+            i += 1
+        elif kind is Spine:
+            j = i
+            while j < end and u[j] == 0:
+                j += 1
+            if j == end:
+                zeros, heads = end - i, t.heads
+                if zeros < len(heads):
+                    return Spine(heads[zeros:], t.tail)
+                return Spine((), shift_tail(t.tail, zeros - len(heads)))
+            if u[j] != 1:
+                return EMPTY
+            t = block_at(t, j - i)
+            i = j + 1
+        elif kind is Rooted:
+            t = t.child
+        elif t is CHAIN:
+            return EMPTY if any(u[i:]) else Rooted(CHAIN)
+        elif not isinstance(t, TreeSchema):
+            raise TypeError(f"not a schema: {t!r}")
+        else:
+            return FULL if t is FULL else EMPTY
+    if not isinstance(t, TreeSchema):
+        raise TypeError(f"not a schema: {t!r}")
+    return t
 
 
 def gen_member(u: Seq, t: TreeSchema) -> bool:
@@ -557,10 +548,10 @@ def iter_len(t: TreeSchema, length: int, max_entry: int, need: bool = False) -> 
 def _indices(t: Fan | Spine, length: int, max_entry: int) -> Iterator[int]:
     """The blocks of ``t`` that hold elements of ``length`` with entries at
     most ``max_entry``, in lex order of their elements; no tail block is
-    shorter than the first, so its least length bounds them all."""
-    heads, tail = len(t.heads), t.tail
-    block = tail.block if type(tail) is Const else seq_block(tail, 0)
-    least, deepest = least_length(block), _fold(block, _DEPTH) if type(tail) is Const else math.inf
+    shorter or deeper than the first (a diagonal tail's blocks are levels
+    at ranks >= 1, of unbounded depth), so its facts bound them all."""
+    heads, block = len(t.heads), seq_block(t.tail, 0)
+    least, deepest = least_length(block), _fold(block, _DEPTH)
     if type(t) is Fan:
         stop = max_entry + 1
         if least is None or not least <= length - 1 <= deepest:
@@ -643,10 +634,11 @@ def singleton(u: Seq) -> TreeSchema:
 
 
 def walk(t: TreeSchema, choose: Callable, stop: Callable) -> tuple[list, TreeSchema]:
-    """The one walk down a schema to its least element or a witness (an
-    apomorphism; Vene & Uustalu, 1998): through rooted layers and, at each fan
-    or spine, into the block ``choose`` names, until ``stop`` holds.  Returns
-    each fan and spine passed with the index taken, and the term reached."""
+    """The one walk down a schema into chosen blocks, to its least element,
+    a witness or a forced prefix (an apomorphism; Vene & Uustalu, 1998):
+    through rooted layers and, at each fan or spine, into the block
+    ``choose`` names, until ``stop`` holds.  Returns each fan and spine
+    passed with the index taken, and the term reached."""
     path = []
     while not stop(t):
         if type(t) is Rooted:

@@ -102,10 +102,8 @@ def _quotient_line(s: trees.TreeSchema, cap: int) -> str:
 
 
 def test_quotients_pinned():
-    from test_acceptance import _schemas_of_size
-
     h = hashlib.sha256()
-    for s in (s for size in range(1, 6) for s in _schemas_of_size(size)):
+    for s in _constant_tail_schemas(5):
         h.update(f"{_quotient_line(s, 64)}\n".encode())
     rng = random.Random(22)
     for cap in (16, 64):
@@ -414,30 +412,12 @@ def test_per_vertex_stage_agreement():
 # enumeration: pinned output, brute-force reference, least-length prune
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    return [
-        (first,) + rest
-        for first in range(1, total - parts + 2)
-        for rest in _compositions(total - first, parts - 1)
-    ]
-
-
 def _constant_tail_schemas(max_size: int) -> list[trees.TreeSchema]:
     """Every constant-tail schema of at most ``max_size`` constructor nodes,
     by size, then constructor, head count, size split and children."""
-    by_size = {1: [trees.EMPTY, trees.EPS, trees.CHAIN, trees.FULL]}
-    for size in range(2, max_size + 1):
-        out = []
-        for ctor in (trees.Fan, trees.Spine):
-            for n_heads in range(3):
-                for *head_sizes, tail_size in _compositions(size - 1, n_heads + 1):
-                    for heads in itertools.product(*(by_size[s] for s in head_sizes)):
-                        for block in by_size[tail_size]:
-                            out.append(ctor(tuple(heads), trees.Const(block)))
-        by_size[size] = out
-    return [s for size in range(1, max_size + 1) for s in by_size[size]]
+    from test_acceptance import _schemas_of_size
+
+    return [s for size in range(1, max_size + 1) for s in _schemas_of_size(size)]
 
 
 # sha256 of "<schema>:<enumerate_schema output>" lines over the corpus, one

@@ -55,6 +55,16 @@ def test_cone_examples():
     assert trees.cone_of(CHAIN, (1,)) == EMPTY
     assert trees.cone_of(t("spine([];const(chain))"), (0,)) == t("spine([];const(chain))")
     assert trees.cone_of(t("spine([chain,eps];const(chain))"), (0,)) == t("spine([eps];const(chain))")
+    for u in ((), (0,)):  # a tail sequence is no schema, whether the walk stops at once or not
+        with pytest.raises(TypeError, match="not a schema"):
+            trees.cone_of(CONST_EMPTY, u)
+
+
+def test_the_entry_bound_of_a_set_without_entries_is_minus_one():
+    # no element holds an entry, however the empty set or EPS is written
+    for s in (EMPTY, EPS, Rooted(EMPTY), Fan((EMPTY, EMPTY), CONST_EMPTY), Fan((), CONST_EMPTY),
+              Spine((EMPTY,), CONST_EMPTY), Spine((), CONST_EMPTY)):
+        assert trees._entry_bound(s) == -1, str(s)
 
 
 def test_cone_agrees_with_membership():
@@ -578,6 +588,65 @@ def test_memo_checks_finds_hand_written_reads(tmp_path):
         "        return None\n\n"
         "def g(t, slot):\n    return getattr(t, '_other', None), hasattr(t, 'child'), hasattr(t, slot)\n")
     assert _memo_checks(tmp_path) == ["a:9 except AttributeError", "a:13 getattr _other"]
+
+
+_TAIL_CLASSES = {"Const", "_Diag", "QDiag", "PDiag"}
+
+# the functions and classes that may ask a tail's class, and why the answer
+# depends on it there; everywhere else a tail is read through seq_block,
+# shift_tail, block_at, tail_is_trivial or a fold's answer
+TAIL_CLASS_TESTS = {
+    "trees._level_of": "tail protocol: a level's tail names its kind and rank",
+    "trees._Algebra": "the fold's hook: a constant tail folds its block, a diagonal one calls diag",
+    "trees.seq_block": "tail protocol",
+    "trees.shift_tail": "tail protocol",
+    "trees.block_at": "tail protocol",
+    "trees.tail_is_trivial": "tail protocol",
+    "classification._node": "a diagonal tail's answer is already the sum of its blocks",
+    "classification._assemble_spine": "a diagonal tail's answer is already the sum of its blocks",
+    "classification.find_expansion": "only a constant tail repeats one block; cheaper than "
+                                     "folding a diagonal block's rank",
+    "membership._picks_in": "the picks are exact over a constant tail, bounded over a diagonal one",
+    "membership._walk": "the pair budget",
+    "quotient._classes": "a diagonal vertex overflows every cap at once",
+    "laws.prune_schema": "a generator",
+}
+
+
+def _tail_class_tests(src: Path) -> list[str]:
+    """The top-level functions and classes of the package that test a
+    tail's class: ``type(x) is`` or ``is not``, or ``isinstance(x, ...)``,
+    against ``Const``, ``_Diag``, ``QDiag`` or ``PDiag``."""
+    def classes(node: ast.AST) -> set[str]:
+        return _TAIL_CLASSES & {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def tests(n: ast.AST) -> bool:
+        if isinstance(n, ast.Compare):
+            return (isinstance(n.left, ast.Call) and isinstance(n.left.func, ast.Name)
+                    and n.left.func.id == "type"
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) and classes(c)
+                            for op, c in zip(n.ops, n.comparators)))
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+                and len(n.args) == 2 and bool(classes(n.args[1])))
+
+    return [f"{p.stem}.{d.name}" for p in sorted(src.glob("*.py")) for d in ast.parse(p.read_text()).body
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and any(map(tests, ast.walk(d)))]
+
+
+def test_only_the_allowlist_asks_a_tails_class():
+    # one walk follows a sequence (cone_of) and one picks a block (walk);
+    # no other consumer splits on a tail's class where its answer does not depend on it
+    assert sorted(_tail_class_tests(Path(trees.__file__).parent)) == sorted(TAIL_CLASS_TESTS)
+
+
+def test_tail_class_tests_finds_each_kind_of_test(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    return type(x) is Const\n\n"
+        "def g(x, p):\n    return type(x.tail) is not (trees.QDiag if p else trees.PDiag)\n\n"
+        "class C:\n    def m(self, x):\n        return isinstance(x, (int, _Diag))\n\n"
+        "def h(x):\n    return type(x) is Fan or isinstance(x, Spine) or Const(x) or x is Const\n")
+    assert _tail_class_tests(tmp_path) == ["a.f", "a.g", "a.C"]
 
 
 def test_union_leaves_are_kept_on_the_union_asked_alone():
