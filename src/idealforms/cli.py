@@ -6,10 +6,15 @@ machine-readable output validating against docs/schemas/.  Exit codes:
 memory, 3 internal failure (a broken law or any other exception, which
 is always a bug).  Every error is one line on stderr, never a traceback.
 
-A process that runs one verb compiles and loads only what it runs:
-``main`` builds that verb's subparser alone, imports the one handler
-module (``cli_*``) that its row of ``_VERBS`` names, and calls that
-module's ``_cmd_<verb>``.  No handler module imports this one, which
+A process that runs one verb compiles and loads only what it runs.
+``main`` reads a well-formed argv straight from the verb's row of
+``_VERBS`` or ``_WO`` into the namespace that argparse would return.  Any
+other argv (help, a usage error, an option spelled otherwise) goes to
+argparse, which is imported only then and builds that verb's subparser
+alone, so the verb table is the one description of a verb and argparse
+the one printer of help and usage.  ``main`` then imports the one
+handler module (``cli_*``) that the row names and calls that module's
+``_cmd_<verb>``.  No handler module imports this one, which
 ``python -m`` would compile a second time.  ``python -m`` and the
 installed script run ``entry``, which freezes the collector however
 ``main`` ends: the interpreter's shutdown collections then skip the
@@ -18,19 +23,23 @@ verb's heap.  ``main`` and the package leave the collector alone.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import _submodule
 from .errors import IdealFormsError, ParseError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _table_args(argv) or _build_parser(argv).parse_args(argv)
         module, verb = args.handler
         payload = getattr(_submodule(module), f"_cmd_{verb}")(args)
     except ParseError as exc:
@@ -126,10 +135,59 @@ _WO = {
 }
 
 
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser(argv).parse_args(argv)`` returns for a
+    well-formed ``argv``, read from the verb's row; None for an argv that
+    argparse alone must parse, print or reject.  A converter's ParseError
+    propagates, as it does through argparse."""
+    as_json = argv[:1] == ["--json"]
+    name, *rest = argv[as_json:] or [None]
+    row = _VERBS.get(name)
+    if row is not None and row[0] is None:  # "wo", then one verb of _WO
+        name, *rest = rest or [None]
+        row = _WO.get(name)
+    if row is None or any(len(names) != 1 or kw.get("action") not in (None, "store_true")
+                          or kw.keys() - {"action", "choices", "default", "metavar", "type"}
+                          for names, kw in row[2:]):
+        return None  # an unknown verb, or a spec that only argparse reads
+    specs = {names[0]: (names[0].lstrip("-").replace("-", "_"), kw)  # spec name: (dest, kwargs)
+             for names, kw in row[2:]}
+    free = [key for key in specs if key[0] != "-"]  # the positionals, in order
+    args, tokens = {"json": as_json, "handler": (row[0], name)}, iter(rest)
+    try:
+        for token in tokens:
+            # the next positional, or an option spelled out in full and given once
+            key = token if token[:1] == "-" else free.pop(0) if free else None
+            dest, kw = specs.get(key, (None, None))
+            if kw is None or dest in args:  # help, an unknown or repeated option, a token too many
+                return None
+            if "action" in kw:  # a flag
+                args[dest] = True
+                continue
+            text = token if token[:1] != "-" else next(tokens, "-")
+            if text[:1] == "-":  # a value that argparse would take for an option
+                return None
+            args[dest] = kw["type"](text) if "type" in kw else text
+            if "choices" in kw and args[dest] not in kw["choices"]:
+                return None
+        if free:
+            return None
+        for dest, kw in specs.values():
+            if dest not in args:  # argparse passes a string default through the type
+                default = kw.get("default", False if "action" in kw else None)
+                typed = isinstance(default, str) and "type" in kw
+                args[dest] = kw["type"](default) if typed else default
+    except ValueError:  # argparse prints the usage and the error
+        return None
+    return SimpleNamespace(**args)
+
+
 def _build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentParser:
     """The parser of every verb, or of the one verb that ``argv`` names
     first after ``--json``: parsing that argv reads no other subparser,
     and each one built costs start-up time."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="idealforms",
         description="canonical forms, tree classification and scattered orders",

@@ -4,8 +4,6 @@ them."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import orders, text
 from .errors import BadArgument
 
@@ -21,6 +19,8 @@ def _wo_payload(out: orders.WoClass) -> dict:
             "text": f"scattered, {out.form}",
             "json": {"scattered": True, "form": out.form.to_json()},
         }
+    from fractions import Fraction
+
     emb = out.embedding
     sample = [str(emb.map(Fraction(k))) for k in (-1, 0, 1)]
     return {

@@ -19,7 +19,6 @@ already trusts, and imports nothing.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import Iterator, Optional
@@ -135,6 +134,8 @@ def _merged(streams: list) -> Iterator[Seq]:
     """One lex-ordered stream of lex-ordered streams, each element once."""
     if len(streams) == 1:
         return streams[0]
+    import heapq
+
     return (u for u, _ in itertools.groupby(heapq.merge(*streams)))
 
 

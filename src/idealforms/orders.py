@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterator, Optional, Union as TUnion
+from typing import TYPE_CHECKING, Iterator, Optional, Union as TUnion
 
 from . import ideals, text
 from .hashcons import Algebra, Interned, Term, _fold
 from .ideals import CanonicalForm, POW_FORM
 
-Interval = tuple[Optional[Fraction], Optional[Fraction]]
+if TYPE_CHECKING:  # a Fraction is built, and fractions loaded, only by the embeddings
+    from fractions import Fraction
+
+    Interval = tuple[Optional[Fraction], Optional[Fraction]]
+
 Pos = tuple
 
 
@@ -164,11 +167,13 @@ def wo_self_dual(t: LinTerm) -> tuple[LinTerm, WoClass]:
 def _point(lo: Optional[Fraction], hi: Optional[Fraction], j: int = 1) -> Optional[Fraction]:
     """``j`` halving steps from ``lo`` to ``hi`` (unit steps where an end is
     missing): j - 1 with neither, lo + j, hi - 2^(1-j), hi - (hi - lo)/2^j."""
+    import fractions  # per call, a tenth of the cost of `from fractions import Fraction`
+
     if j == 0:
         return lo
     if hi is None:
-        return Fraction(j - 1) if lo is None else lo + j
-    return hi - (Fraction(2, 1 << j) if lo is None else (hi - lo) / (1 << j))
+        return fractions.Fraction(j - 1) if lo is None else lo + j
+    return hi - (fractions.Fraction(2, 1 << j) if lo is None else (hi - lo) / (1 << j))
 
 
 def _cut(interval: Interval, k: int, last: bool = False) -> Interval:
@@ -301,6 +306,8 @@ class OrderEmbedding:
         # under an odd number of reversals the atom frame runs backwards;
         # feeding -q and negating the result keeps the map order-preserving.
         # x = 1/2 + q / (2 (1 + |q|)) in (0, 1) is up / 2s and 1 - x is down / 2s
+        import fractions
+
         a = -q.numerator if self.flips else q.numerator
         s = q.denominator + abs(a)  # b + |a| for q = a / b
         up, down = s + a, s - a
@@ -314,7 +321,7 @@ class OrderEmbedding:
         else:  # lo (1 - x) + hi x
             num = lo.numerator * hi.denominator * down + hi.numerator * lo.denominator * up
             den = 2 * s * lo.denominator * hi.denominator
-        return Fraction(-num if self.flips else num, den)
+        return fractions.Fraction(-num if self.flips else num, den)
 
 
 def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -10,12 +11,14 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from idealforms import cli, laws, trees
+from idealforms.errors import ParseError
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -230,6 +233,125 @@ def test_seeded_terms_whole_and_cut_keep_the_exit_code_contract(capsys):
                 assert err.splitlines()[-1].startswith("idealforms"), (args, err)
             assert code in (0, 1, 2) and "Traceback" not in err, (args, err)
         assert code == 1, (cut, err)
+
+
+# the argv corpus of the verb table: a term for each positional, by its
+# name, and a value besides the default for each converter
+TERMS = {"expr": "P(1)", "expr1": "P(1)", "expr2": "Q(1)", "tree": "fan([];const(chain))",
+         "query": "fan([chain];const(empty))", "in_kw": "in", "order": "cat(N,QQ)"}
+OTHER = {cli._integer: "3", cli._budget: "3,3,10"}
+REFUSED = {"x", "png"}  # a value that each converter or choice refuses
+
+
+def _option_values(kw: dict) -> list[list[str]]:
+    """The value tokens of an option: none for a flag; else its default or
+    each choice, one other value, and one that is refused."""
+    if "action" in kw:
+        return [[]]
+    if "choices" in kw:
+        return [[c] for c in (*kw["choices"], "png")]
+    return [[str(kw["default"])], [OTHER[kw["type"]]], ["x"]]
+
+
+def _argv_corpus(seed: int = 39) -> tuple[list[list[str]], list[list[str]]]:
+    """Every verb's argv, with and without ``--json``, each option at each
+    of its values before, between and after the positionals, and all of a
+    verb's options at once; then token-level mutations of each, at seeded
+    places: an inserted help flag, ``--``, abbreviation, ``=``-joined value,
+    repeated option or ``-1``, and a dropped or repeated token."""
+    rng = random.Random(seed)
+    rows = [([verb], row) for verb, row in cli._VERBS.items() if verb != "wo"]
+    rows += [(["wo", verb], row) for verb, row in cli._WO.items()]
+    whole: dict[tuple[str, ...], list[str]] = {}  # argv -> the option group its mutants repeat
+    for path, (_, _, *specs) in rows:
+        free = [TERMS[names[0]] for names, _ in specs if names[0][0] != "-"]
+        opts = [(names[0], kw) for names, kw in specs if names[0][0] == "-"]
+        groups = [[opt, *value] for opt, kw in opts for value in _option_values(kw)]
+        for head in ([], ["--json"]):
+            start = (*head, *path)
+            whole.setdefault((*start, *free), head)
+            for group in groups:
+                for k in range(len(free) + 1):
+                    whole.setdefault((*start, *free[:k], *group, *free[k:]), group)
+            gaps = [[] for _ in range(len(free) + 1)]  # the options before each positional
+            for opt, kw in opts:
+                rng.choice(gaps).extend([opt, *rng.choice(_option_values(kw))])
+            whole.setdefault((*start, *gaps[0], *(t for term, gap in zip(free, gaps[1:])
+                                                  for t in (term, *gap))), head)
+    mutants = []
+    for argv, group in whole.items():
+        group = group or ["--json"]
+        for extra in (["-h"], ["--help"], ["--"], [group[0][:4]], ["--count=3"], group, ["-1"]):
+            k = rng.randrange(len(argv) + 1)
+            mutants.append((*argv[:k], *extra, *argv[k:]))
+        k = rng.randrange(len(argv))
+        mutants += [argv[:k] + argv[k + 1:], argv[:k + 1] + argv[k:]]
+    return [list(argv) for argv in whole], [list(argv) for argv in dict.fromkeys(mutants)]
+
+
+def _namespace(parse, argv: list[str]):
+    """The attributes that ``parse(argv)`` returns, its ParseError, or the
+    code with which argparse exits."""
+    try:
+        args = parse(argv)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+    return args if args is None else vars(args)
+
+
+def test_the_verb_table_parses_as_argparse_wherever_it_accepts():
+    # main reads a well-formed argv from the verb's row without argparse;
+    # where it does, it must return argparse's namespace or ParseError
+    whole, mutants = _argv_corpus()
+    for argv in whole:
+        if not REFUSED & set(argv):
+            assert isinstance(_namespace(cli._table_args, argv), dict), argv
+    accepted = 0
+    for argv in whole + mutants:
+        fast = _namespace(cli._table_args, argv)
+        if fast is not None:
+            accepted += 1
+            assert fast == _namespace(lambda a: cli._build_parser(a).parse_args(a), argv), argv
+    assert (len(whole), len(mutants), accepted) == (134, 1192, 140)
+
+
+@pytest.mark.parametrize("spec, argv", [
+    ((["expr"], {"nargs": 2}), ["normalize", "P(1)"]),
+    ((["-e", "--expr"], {}), ["normalize", "-e", "P(1)"]),
+    ((["--all"], {"action": "count"}), ["normalize", "--all"]),
+])
+def test_the_verb_table_leaves_to_argparse_what_it_does_not_read(monkeypatch, spec, argv):
+    # a spec key, an alias or an action that _table_args does not interpret
+    monkeypatch.setitem(cli._VERBS, "normalize", ("cli_ideals", "", spec))
+    assert cli._table_args(argv) is None
+
+
+def test_mutated_argv_keep_the_exit_code_contract(capsys, monkeypatch):
+    # argparse's help or usage text, an answer, or one error line.  selftest
+    # at its default 50 trials is the dearest verb here, and a seeded law
+    # suite answers the same to the same arguments: run it once for each
+    from idealforms import cli_oracle
+
+    run = cli_oracle._cmd_selftest
+    selftest = functools.cache(lambda key: run(SimpleNamespace(**dict(key))))
+    monkeypatch.setattr(cli_oracle, "_cmd_selftest",
+                        lambda args: selftest(tuple(sorted(vars(args).items()))))
+    _, mutants = _argv_corpus()
+    for argv in mutants:
+        try:
+            code = cli.main(argv)
+            usage = False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+        err = capsys.readouterr().err
+        # 3, an internal failure, is always a bug
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if usage and code:
+            assert err.startswith("usage: idealforms") and err.count(": error: ") == 1, (argv, err)
+        else:
+            assert len(err.splitlines()) == (code != 0), (argv, err)
 
 
 def test_running_out_of_memory_is_no_internal_failure(capsys, monkeypatch):

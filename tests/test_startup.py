@@ -21,14 +21,18 @@ from idealforms import cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
-# run one verb in-process with its output swallowed, then list every
-# loaded module; the probe itself imports nothing that the CLI may not
+# run one verb in-process with its output swallowed, then print its exit
+# code and every loaded module; the probe itself imports nothing that the
+# CLI may not
 LOADED_AFTER = """
 import contextlib, io, sys
 from idealforms import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(sys.argv[1:]) == 0
-print(" ".join(sys.modules))
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's help or usage error
+        code = exc.code
+print(code, " ".join(sys.modules))
 """
 
 
@@ -37,10 +41,17 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 @functools.cache  # one interpreter per argv, however many tests read it
-def _modules_after(*argv: str) -> frozenset[str]:
+def _exit_and_modules(*argv: str) -> tuple[int, frozenset[str]]:
     proc = _python("-c", LOADED_AFTER, *argv)
     assert proc.returncode == 0, proc.stderr
-    return frozenset(proc.stdout.split())
+    code, *modules = proc.stdout.split()
+    return int(code), frozenset(modules)
+
+
+def _modules_after(*argv: str) -> frozenset[str]:
+    code, modules = _exit_and_modules(*argv)
+    assert code == 0, argv
+    return modules
 
 
 def _loaded_after(*argv: str) -> set[str]:
@@ -185,6 +196,37 @@ def test_no_verb_loads_dataclasses_and_json_only_on_request(argv):
     loaded = _modules_after(*argv)
     assert not loaded & {"dataclasses", "inspect"}
     assert ("json" in loaded) == ("json" in argv or "--json" in argv)
+
+
+# what only help and usage errors load
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in VERB_ARGV],
+                         ids=[" ".join(a) for a, _, _ in VERB_ARGV])
+def test_no_well_formed_argv_loads_argparse(argv):
+    assert not _modules_after(*argv) & PARSER_MODULES
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["normalize", "--help"], 0), (["compile", "P(1)", "--emit", "png"], 2),
+])
+def test_help_and_usage_errors_still_load_argparse(argv, code):
+    got, modules = _exit_and_modules(*argv)
+    assert got == code and PARSER_MODULES <= modules
+
+
+def test_fractions_and_heapq_load_only_where_they_are_used():
+    # a scattered order builds no Fraction; one stream needs no merge
+    assert not _modules_after("wo", "classify", "cat(N,rev(N))") & {"fractions", "decimal"}
+    assert "fractions" in _modules_after("wo", "reverse", "cat(N,QQ)")
+    assert "heapq" not in _modules_after("enumerate", "chain", "--budget", "4,4,20")
+
+
+def test_importing_the_cli_loads_no_parser():
+    proc = _python("-c", f"import sys, idealforms.cli\nprint(sorted({PARSER_MODULES!r} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_bare_import_loads_no_submodule():
