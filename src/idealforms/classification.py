@@ -267,9 +267,8 @@ def find_expansion(c: TreeSchema) -> witnesses.Expansion:
                          lambda s: s is trees.FULL or type(s) is Fan and type(s.tail) is Const
                          and not _core_empty(s.tail.block))
     if c is trees.FULL:
-        return Expansion(trees.word(path), lambda k: k, trees.FULL)
-    base = len(c.heads)
-    return Expansion(trees.word(path), lambda k: base + k, c.tail.block)
+        return Expansion(trees.word(path), 0, trees.FULL)
+    return Expansion(trees.word(path), len(c.heads), c.tail.block)
 
 
 def _core_empty(t: TreeSchema) -> bool:

@@ -27,13 +27,9 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import _submodule
 from .errors import IdealFormsError, ParseError
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,41 +93,41 @@ def _budget(text: str) -> tuple[int, int, int]:
     return d, w, c
 
 
-# verb -> (handler module, help, argument specs); "wo" holds the verbs of _WO
+# verb -> (handler module, help, (name, kwargs) per argument); "wo" holds the verbs of _WO
 _VERBS = {
-    "normalize": ("cli_ideals", "canonical form of an ideal expression", (["expr"], {})),
-    "rank": ("cli_ideals", "rank of an ideal expression", (["expr"], {})),
-    "perp": ("cli_ideals", "canonical form of the orthogonal", (["expr"], {})),
-    "iso": ("cli_ideals", "isomorphism of two expressions", (["expr1"], {}), (["expr2"], {})),
+    "normalize": ("cli_ideals", "canonical form of an ideal expression", ("expr", {})),
+    "rank": ("cli_ideals", "rank of an ideal expression", ("expr", {})),
+    "perp": ("cli_ideals", "canonical form of the orthogonal", ("expr", {})),
+    "iso": ("cli_ideals", "isomorphism of two expressions", ("expr1", {}), ("expr2", {})),
     "compile": ("cli_ideals", "schema of the standard copy",
-                (["expr"], {}),
-                (["--emit"], {"choices": ["dot", "json"], "default": None}),
-                (["--depth"], {"type": _integer, "default": 6}),
-                (["--width"], {"type": _integer, "default": 6}),
-                (["--count"], {"type": _integer, "default": 200})),
+                ("expr", {}),
+                ("--emit", {"choices": ["dot", "json"], "default": None}),
+                ("--depth", {"type": _integer, "default": 6}),
+                ("--width", {"type": _integer, "default": 6}),
+                ("--count", {"type": _integer, "default": 200})),
     "classify": ("cli_schemas", "classification of a schema's restriction",
-                 (["tree"], {}),
-                 (["--via"], {"choices": ["derivative"], "default": None})),
-    "treerank": ("cli_schemas", "derivative rank of the generated tree", (["tree"], {})),
+                 ("tree", {}),
+                 ("--via", {"choices": ["derivative"], "default": None})),
+    "treerank": ("cli_schemas", "derivative rank of the generated tree", ("tree", {})),
     "member": ("cli_schemas", "membership of a query in a target's copy",
-               (["query"], {}), (["in_kw"], {"metavar": "in"}), (["expr"], {}),
-               (["--perp"], {"action": "store_true"})),
+               ("query", {}), ("in_kw", {"metavar": "in"}), ("expr", {}),
+               ("--perp", {"action": "store_true"})),
     "frechet": ("cli_schemas", "orthogonal infinite subset of a negative query",
-                (["query"], {}), (["in_kw"], {"metavar": "in"}), (["expr"], {})),
-    "idwitness": ("cli_schemas", "domination or unboundedness witness", (["query"], {})),
+                ("query", {}), ("in_kw", {"metavar": "in"}), ("expr", {})),
+    "idwitness": ("cli_schemas", "domination or unboundedness witness", ("query", {})),
     "enumerate": ("cli_oracle", "budgeted enumeration of a schema or query",
-                  (["query"], {}),
-                  (["--budget"], {"type": _budget, "default": "6,6,200", "metavar": "D,W,C"})),
+                  ("query", {}),
+                  ("--budget", {"type": _budget, "default": (6, 6, 200), "metavar": "D,W,C"})),
     "selftest": ("cli_oracle", "seeded law suite across all modules",
-                 (["--seed"], {"type": _integer, "default": 42}),
-                 (["--trials"], {"type": _integer, "default": 50})),
+                 ("--seed", {"type": _integer, "default": 42}),
+                 ("--trials", {"type": _integer, "default": 50})),
     "wo": (None, "well-ordered-subset ideals of linear orders"),
 }
 _WO = {
-    "classify": ("cli_orders", "classification of a linear order term", (["order"], {})),
-    "reverse": ("cli_orders", "reversal and its classification", (["order"], {})),
+    "classify": ("cli_orders", "classification of a linear order term", ("order", {})),
+    "reverse": ("cli_orders", "reversal and its classification", ("order", {})),
     "rationalize": ("cli_orders", "embed the order into the rationals",
-                    (["order"], {}), (["--count"], {"type": _integer, "default": 10})),
+                    ("order", {}), ("--count", {"type": _integer, "default": 10})),
 }
 
 
@@ -146,12 +142,9 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     if row is not None and row[0] is None:  # "wo", then one verb of _WO
         name, *rest = rest or [None]
         row = _WO.get(name)
-    if row is None or any(len(names) != 1 or kw.get("action") not in (None, "store_true")
-                          or kw.keys() - {"action", "choices", "default", "metavar", "type"}
-                          for names, kw in row[2:]):
-        return None  # an unknown verb, or a spec that only argparse reads
-    specs = {names[0]: (names[0].lstrip("-").replace("-", "_"), kw)  # spec name: (dest, kwargs)
-             for names, kw in row[2:]}
+    if row is None:
+        return None  # an unknown verb
+    specs = {spec: (spec.lstrip("-"), kw) for spec, kw in row[2:]}  # spec name: (dest, kwargs)
     free = [key for key in specs if key[0] != "-"]  # the positionals, in order
     args, tokens = {"json": as_json, "handler": (row[0], name)}, iter(rest)
     try:
@@ -173,16 +166,13 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
         if free:
             return None
         for dest, kw in specs.values():
-            if dest not in args:  # argparse passes a string default through the type
-                default = kw.get("default", False if "action" in kw else None)
-                typed = isinstance(default, str) and "type" in kw
-                args[dest] = kw["type"](default) if typed else default
+            args.setdefault(dest, kw.get("default", False if "action" in kw else None))
     except ValueError:  # argparse prints the usage and the error
         return None
     return SimpleNamespace(**args)
 
 
-def _build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | tuple[str, ...] = ()):
     """The parser of every verb, or of the one verb that ``argv`` names
     first after ``--json``: parsing that argv reads no other subparser,
     and each one built costs start-up time."""
@@ -197,8 +187,8 @@ def _build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentPa
 
     def add(subs, name, module, help_, *specs):
         p = subs.add_parser(name, help=help_)
-        for spec in specs:
-            p.add_argument(*spec[0], **spec[1])
+        for spec, kw in specs:
+            p.add_argument(spec, **kw)
         p.set_defaults(handler=(module, name))
 
     first = next((a for a in argv if a != "--json"), None)

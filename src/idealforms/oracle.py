@@ -183,7 +183,7 @@ def explicit_derivative(t: TreeSchema, b: Budget) -> tuple[Ordinal, bool]:
 
 
 def check_witness(w, q: Optional[QueryTerm], b: Budget) -> bool:
-    """Re-verify a witness of a claim about ``q`` (None for an embedding) at the given budget."""
+    """Re-verify a witness of a claim about ``q`` at budget ``b`` (None only for an embedding)."""
     from .witnesses import DominatingBranch, EmbeddingWitness, UnboundedFamily
 
     if isinstance(w, DominatingBranch):
@@ -193,8 +193,8 @@ def check_witness(w, q: Optional[QueryTerm], b: Budget) -> bool:
         if len(elems) < min(b.count, b.depth):
             return False
         maxima = [max(u) if u else -1 for u in elems]
-        members = all(queries.q_member(u, q) for u in elems) if q else True
-        return members and all(a < c for a, c in zip(maxima, maxima[1:]))
+        return (all(queries.q_member(u, q) for u in elems)
+                and all(a < c for a, c in zip(maxima, maxima[1:])))
     if isinstance(w, EmbeddingWitness):
         return _check_embedding(w, b)
     if isinstance(w, QueryTerm):

@@ -114,12 +114,12 @@ class PrefixEmbedding(EmbeddingWitness):
 class Expansion:
     """A core node (relative path) with infinitely many core children.
 
-    ``index`` maps k to the concrete child coordinate; every child has the
-    same cone schema ``child``.
+    Child k is the coordinate ``offset + k`` below ``path``; every child
+    has the same cone schema ``child``.
     """
 
-    def __init__(self, path: Seq, index: Callable[[int], int], child: TreeSchema) -> None:
-        self.path, self.index, self.child = path, index, child
+    def __init__(self, path: Seq, offset: int, child: TreeSchema) -> None:
+        self.path, self.offset, self.child = path, offset, child
 
 
 class CoreEmbedding(EmbeddingWitness):
@@ -127,7 +127,9 @@ class CoreEmbedding(EmbeddingWitness):
 
     At every image node an extension with infinitely many surviving
     children is chosen; level n of the domain maps bijectively onto those
-    children, so comparability is preserved and reflected.
+    children, so comparability is preserved and reflected.  The map walks
+    down from the target and finds each cone's expansion once, so it keeps
+    nothing per mapped sequence.
     """
 
     generated = True
@@ -135,24 +137,17 @@ class CoreEmbedding(EmbeddingWitness):
     def __init__(self, target: TreeSchema, expander: Callable[[TreeSchema], Expansion]):
         super().__init__(target, (), "derivative-core expansion")
         self._expander = expander
-        # a trie of the sequences mapped so far: each node holds the image
-        # entries its own entry adds, its cone and its children by entry
-        self._root: tuple[Seq, TreeSchema, dict] = ((), target, {})
         self._expansions: dict[TreeSchema, Expansion] = {}
 
     def map(self, u: Seq) -> Seq:
-        """The image of ``u``: a walk down the trie from its root, with one
-        expansion per entry not mapped before, so each entry costs one step."""
-        node, out = self._root, []
+        cone, out = self.target, []
         for x in u:
-            child = node[2].get(x)
-            if child is None:
-                exp = self._expansions.get(node[1])
-                if exp is None:
-                    exp = self._expansions[node[1]] = self._expander(node[1])
-                child = node[2][x] = (exp.path + (exp.index(x),), exp.child, {})
-            out += child[0]
-            node = child
+            exp = self._expansions.get(cone)
+            if exp is None:
+                exp = self._expansions[cone] = self._expander(cone)
+            out += exp.path
+            out.append(exp.offset + x)
+            cone = exp.child
         return tuple(out)
 
 

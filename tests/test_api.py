@@ -10,7 +10,8 @@ import pickle
 import pytest
 
 import idealforms
-from idealforms import classification, ideals, oracle, orders, queries, quotient, rank, text, trees, witnesses
+from idealforms import (classification, ideals, membership, oracle, orders, ordinals, queries, quotient, rank,
+                        text, trees, witnesses)
 from idealforms.errors import BadArgument
 from idealforms.ordinals import OMEGA, ONE, ZERO
 
@@ -102,6 +103,36 @@ def test_record_validation(build, error, message):
         assert type(exc.value) is error and str(exc.value) == message
 
 
+def _family_without_its_query():
+    q = text.parse_tree("fan([];const(eps))")
+    return oracle.check_witness(membership.id_witness(q), None, oracle.WITNESS_BUDGET)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: trees.is_empty(trees.CONST_EMPTY), TypeError, "not a schema: Const[const(empty)]"),
+    (lambda: trees.derivatives(trees.CONST_EMPTY), TypeError, "not a schema: Const[const(empty)]"),
+    (lambda: trees.seq_block(trees.EMPTY, 0), TypeError, "not a schema sequence: Empty[empty]"),
+    (lambda: trees.shift_tail(trees.EMPTY, 1), TypeError, "not a schema sequence: Empty[empty]"),
+    (lambda: queries._leaves(queries.Union(trees.CHAIN, 5)), TypeError, "not a query term: 5"),
+    (lambda: ordinals.from_int(-1), ValueError, "ordinals are non-negative, got -1"),
+    (lambda: ordinals.fund_seq(OMEGA, -1), ValueError, "index must be >= 0"),
+    (lambda: ideals.combine_all([]), ValueError, "empty sum has no canonical form"),
+    (lambda: ideals.normalize(orders.NAT), TypeError, "not an ideal expression: Nat[N]"),
+    (lambda: orders.wo_classify(ideals.Fin()), TypeError, "not an order term: Fin[FIN]"),
+    (lambda: orders.reverse_term(ideals.Fin()), TypeError, "not an order term: Fin[FIN]"),
+    (lambda: orders.rationalize(ideals.Fin(), 1), TypeError, "not an order term: Fin[FIN]"),
+    (lambda: orders.pos_cmp(ideals.Fin(), (0,), (1,)), TypeError, "not an order term: Fin[FIN]"),
+    (lambda: orders.embed_position(ideals.Fin(), (0,)), TypeError, "not an order term: Fin[FIN]"),
+    (_family_without_its_query, TypeError, "not a query term: None"),
+])
+def test_guards_reject_what_their_callers_never_pass(call, error, message):
+    # no other test reaches these guards: each one stands between a
+    # malformed argument and a wrong answer
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.mark.parametrize("build", [
     lambda: ideals.CanonicalForm(ideals.Kind.PQ, OMEGA),
     lambda: rank.RankInfo(OMEGA, True, ONE),
@@ -126,8 +157,8 @@ def test_plain_records_take_their_fields_positionally():
     source = lambda: iter([(0,), (1,)])  # noqa: E731
     family = witnesses.UnboundedFamily(source)
     assert family.source == source
-    exp = witnesses.Expansion((0, 1), abs, trees.FULL)
-    assert (exp.path, exp.index, exp.child) == ((0, 1), abs, trees.FULL)
+    exp = witnesses.Expansion((0, 1), 3, trees.FULL)
+    assert (exp.path, exp.offset, exp.child) == ((0, 1), 3, trees.FULL)
     law = oracle.LawReport("idempotence", 5, 1, "FIN")
     report = oracle.SuiteReport(7, 5, [law])
     assert (report.seed, report.trials, report.laws, report.all_pass) == (7, 5, [law], False)

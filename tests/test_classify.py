@@ -129,8 +129,8 @@ def test_core_embedding_extends_inputs():
 
 
 def test_core_embedding_maps_long_sequences():
-    # the map walks down its trie of mapped prefixes with a loop, not one
-    # frame per entry, so a sequence longer than the recursion limit maps
+    # the map walks down from its target with a loop, not one frame per
+    # entry, so a sequence longer than the recursion limit maps
     u = (0,) * 5000
     assert sys.getrecursionlimit() < len(u)
     w = classify.classify_via_derivative(t("full")).witness
@@ -139,6 +139,20 @@ def test_core_embedding_maps_long_sequences():
     w = classify.classify_via_derivative(t("fan([chain];const(full))")).witness
     assert w.map(u) == (1,) + u[1:]
     assert w.map((2,) + u) == (3,) + u
+
+
+def test_core_embedding_keeps_nothing_per_mapped_sequence():
+    # the map keeps one expansion per cone and nothing per sequence, so a
+    # fresh 40 000-entry sequence leaves no more than its cones behind
+    w = classify.classify_via_derivative(t("full")).witness
+    u = (0,) * 40_000
+    tracemalloc.start()
+    try:
+        assert w.map(u) == u
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
 
 
 def test_core_expansion_walks_deep_terms():
@@ -236,9 +250,9 @@ def test_rooted_classification():
 
 
 def _slicing_map(w, state: dict, expansions: dict, u: tuple) -> tuple:
-    """The image of ``u`` as the map found it before its trie: the longest
-    prefix of ``u`` already mapped, by slicing ``u`` from its full length
-    down, then one expansion per further entry."""
+    """The image of ``u`` from the longest prefix of ``u`` already mapped,
+    found by slicing ``u`` from its full length down, then one expansion
+    per further entry: a reference that shares no walk with the map."""
     k = len(u)
     while u[:k] not in state:
         k -= 1
@@ -249,7 +263,7 @@ def _slicing_map(w, state: dict, expansions: dict, u: tuple) -> tuple:
         if exp is None:
             exp = expansions[cone] = w._expander(cone)
         pos += exp.path
-        pos.append(exp.index(x))
+        pos.append(exp.offset + x)
         cone = exp.child
     state[u] = (tuple(pos), cone)
     return state[u][0]
