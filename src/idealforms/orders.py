@@ -7,13 +7,19 @@ to the canonical form of the ideal of well-ordered subsets of any copy of
 the order inside the rationals: reversal is the orthogonal, sums are
 direct sums.  A term containing the dense atom instead yields an order
 embedding of the rationals routed through that occurrence.
+
+Two folds read a term bottom up, its classification and its reversal;
+enumeration, comparison, images and the dense witness go down one walk
+(``_walk``), each naming the part it takes at every sum.  The images and
+the witness narrow one frame along it; the comparison shares only the
+walk, so it checks the embedding rather than restating it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterator, Optional, Union as TUnion
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union as TUnion
 
 from . import ideals, text
 from .hashcons import Algebra, Interned, Term, _fold
@@ -183,9 +189,44 @@ def _cut(interval: Interval, k: int, last: bool = False) -> Interval:
     return (_point(lo, hi, k), hi if last else _point(lo, hi, k + 1))
 
 
-def _mirror(interval: Interval) -> Interval:
-    lo, hi = interval
-    return (None if hi is None else -hi, None if lo is None else -lo)
+def _walk(t: LinTerm, choose: Callable, state) -> tuple[list, object]:
+    """The one walk down an order term, the counterpart of ``trees.walk``:
+    past each reversal and, at a concatenation or omega sum, into the part
+    ``k`` that ``choose(t, state)`` names as ``(k, state)``, to an atom or
+    where ``choose`` declines with None.  Returns the steps (reversals so
+    far, sum, ``k``), the last (reversals, term reached, None), and the state."""
+    steps, revs = [], 0
+    while True:
+        kind = type(t)
+        if kind is Rev:
+            t, revs = t.child, revs + 1
+        elif kind is Cat or kind is OmegaCat:
+            got = choose(t, state)
+            if got is None:
+                break
+            k, state = got
+            steps.append((revs, t, k))
+            t = t.parts[k] if kind is Cat else t.heads[k] if k < len(t.heads) else t.tail
+        elif t is NAT or t is RATQ:
+            break
+        else:
+            raise TypeError(f"not an order term: {t!r}")
+    steps.append((revs, t, None))
+    return steps, state
+
+
+def _frame(steps: list) -> tuple[Interval, bool]:
+    """The interval a walk's steps narrow ``(None, None)`` to, and whether
+    it runs backwards: mirrored under each reversal, cut at each part
+    taken, a concatenation's last part ending at the endpoint."""
+    interval, flipped = (None, None), False
+    for revs, t, k in steps:
+        if revs % 2 != flipped:
+            lo, hi = interval
+            interval, flipped = (None if hi is None else -hi, None if lo is None else -lo), not flipped
+        if k is not None:
+            interval = _cut(interval, k, type(t) is Cat and k == len(t.parts) - 1)
+    return interval, flipped
 
 
 def enumerate_positions(t: LinTerm) -> Iterator[Pos]:
@@ -195,98 +236,56 @@ def enumerate_positions(t: LinTerm) -> Iterator[Pos]:
 
 
 def _position(t: LinTerm, n: int) -> Pos:
-    """The ``n``-th position of the enumeration, by one walk down the term.
-    A concatenation takes its parts round-robin, an omega sum runs its
-    blocks diagonally (total index, then block), the rationals list the
-    binary tree paths by length, then lexicographically."""
-    blocks = []  # the part or block taken at each level
-    while True:
-        if type(t) is Rev:
-            t = t.child
-        elif type(t) is Cat:
-            k = n % len(t.parts)
-            blocks.append(k)
-            t, n = t.parts[k], n // len(t.parts)
-        elif type(t) is OmegaCat:
-            total = (math.isqrt(8 * n + 1) - 1) // 2
-            k = n - total * (total + 1) // 2
-            blocks.append(k)
-            t, n = _block_of(t, k), total - k
-        elif t is NAT:
-            out: Pos = (n,)
-            break
-        elif t is RATQ:
-            depth = (n + 1).bit_length() - 1
-            row = n + 1 - (1 << depth)  # the path's index among those of its length
-            out = tuple((row >> (depth - 1 - i)) & 1 for i in range(depth))
-            break
-        else:
-            raise TypeError(f"not an order term: {t!r}")
-    for k in reversed(blocks):
+    """The ``n``-th position: the part taken at each level, around the atom's
+    own.  The rationals list the binary tree paths by length, then
+    lexicographically: path n is n + 1 in binary without its leading 1."""
+    steps, n = _walk(t, _nth, n)
+    out: Pos = (n,) if steps[-1][1] is NAT else tuple(map(int, bin(n + 1)[3:]))
+    for _, _, k in steps[-2::-1]:
         out = (k, out)
     return out
 
 
-def _block_of(t: OmegaCat, k: int) -> LinTerm:
-    return t.heads[k] if k < len(t.heads) else t.tail
+def _nth(t: Cat | OmegaCat, n: int) -> tuple[int, int]:
+    """Round-robin over a concatenation; diagonally over an omega sum."""
+    if type(t) is Cat:
+        return n % len(t.parts), n // len(t.parts)
+    total = (math.isqrt(8 * n + 1) - 1) // 2
+    k = n - total * (total + 1) // 2
+    return k, total - k
 
 
 def pos_cmp(t: LinTerm, p: Pos, q: Pos) -> int:
-    """Abstract order comparison of two positions; independent of embed."""
-    sign = 1  # flipped by each reversal passed
-    while True:
-        if t is NAT:
-            return sign * ((p[0] > q[0]) - (p[0] < q[0]))
-        if t is RATQ:
-            return sign * _bst_cmp(p, q)
-        if type(t) is Rev:
-            sign, t = -sign, t.child
-            continue
-        if type(t) is not Cat and type(t) is not OmegaCat:
-            raise TypeError(f"not an order term: {t!r}")
+    """Abstract order comparison of two positions; independent of embed.
+    The walk takes the part both name until they part or reach an atom;
+    there a part or natural compares by index, and a binary tree path p
+    sorts as ``p + (1,)``: after its left subtree, before its right one."""
+    def along(_, p: Pos) -> Optional[Pos]:  # follow p while q takes the same part
+        nonlocal q
         if p[0] != q[0]:
-            return sign if p[0] > q[0] else -sign
-        t = t.parts[p[0]] if type(t) is Cat else _block_of(t, p[0])
-        p, q = p[1], q[1]
+            return None
+        q = q[1]
+        return p
 
-
-def _bst_cmp(p: Pos, q: Pos) -> int:
-    """In-order comparison of binary tree paths: left subtree < node < right."""
-    for a, b in zip(p, q):
-        if a != b:
-            return 1 if a > b else -1
-    if len(p) == len(q):
-        return 0
-    if len(p) < len(q):
-        return -1 if q[len(p)] == 1 else 1
-    return 1 if p[len(q)] == 1 else -1
+    steps, p = _walk(t, along, p)
+    p, q = p + (1,), q + (1,)
+    c = (p > q) - (p < q)
+    return -c if steps[-1][0] % 2 else c
 
 
 def embed_position(t: LinTerm, p: Pos) -> Fraction:
-    """Order-faithful image of a position in the rationals: one walk down
-    the term, narrowing an interval, mirrored under each reversal."""
-    interval, flipped = (None, None), False
-    while True:
-        if type(t) is Rev:
-            interval, flipped, t = _mirror(interval), not flipped, t.child
-            continue
-        if type(t) is Cat:
-            interval, t = _cut(interval, p[0], p[0] == len(t.parts) - 1), t.parts[p[0]]
-        elif type(t) is OmegaCat:
-            interval, t = _cut(interval, p[0]), _block_of(t, p[0])
-        elif t is NAT:
-            v = _cut(interval, p[0])[1]
-            break
-        elif t is RATQ:
-            lo, hi = interval
+    """Order-faithful image of a position in the rationals: the walk to its
+    atom narrows the frame, where a natural n takes the point n + 1 steps
+    in and a binary tree path halves down to its node."""
+    steps, p = _walk(t, lambda _, p: p, p)
+    (lo, hi), flipped = _frame(steps)
+    if steps[-1][1] is NAT:
+        v = _point(lo, hi, p[0] + 1)
+    else:
+        v = _point(lo, hi)
+        for bit in p:
+            lo, hi = (lo, v) if bit == 0 else (v, hi)
             v = _point(lo, hi)
-            for bit in p:
-                lo, hi = (lo, v) if bit == 0 else (v, hi)
-                v = _point(lo, hi)
-            break
-        else:
-            raise TypeError(f"not an order term: {t!r}")
-        p = p[1]
     return -v if flipped else v
 
 
@@ -325,22 +324,22 @@ class OrderEmbedding:
 
 
 def _dense_occurrence(t: LinTerm) -> tuple[tuple, Interval, bool]:
-    """Path, target interval and net reversal of the first dense atom: one
-    walk down into the first part that is not scattered, which holds the
-    first ``QQ`` from the left.  The classification of every part is a
-    slot that ``wo_classify`` has filled."""
+    """Path, target interval and net reversal of the first dense atom: the
+    walk into the first part that is not scattered, which holds the first
+    ``QQ`` from the left.  The classification of every part is a slot that
+    ``wo_classify`` has filled."""
     if _fold(t, _WO) is not None:
         raise AssertionError(f"no dense occurrence in {t}")
-    path: list = []
-    interval, flipped = (None, None), False
-    while t is not RATQ:
-        if type(t) is Rev:
-            path.append("rev")
-            interval, flipped, t = _mirror(interval), not flipped, t.child
-            continue
-        parts = t.parts if type(t) is Cat else (*t.heads, t.tail)
-        k = next(k for k, p in enumerate(parts) if _fold(p, _WO) is None)
-        path.append(("cat" if type(t) is Cat else "block", k))
-        interval = _cut(interval, k, type(t) is Cat and k == len(parts) - 1)
-        t = parts[k]
-    return tuple(path), interval, flipped
+    steps, _ = _walk(t, _first_dense, None)
+    path, before = [], 0
+    for revs, s, k in steps:
+        path += ["rev"] * (revs - before)
+        if k is not None:
+            path.append(("cat" if type(s) is Cat else "block", k))
+        before = revs
+    return (tuple(path), *_frame(steps))
+
+
+def _first_dense(t: Cat | OmegaCat, _) -> tuple[int, None]:
+    parts = t.parts if type(t) is Cat else (*t.heads, t.tail)
+    return next(k for k, p in enumerate(parts) if _fold(p, _WO) is None), None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from idealforms import ideals, laws, orders
@@ -155,6 +156,51 @@ def test_dense_occurrences_pinned():
             seen += 1
     assert seen > 500
     assert h.hexdigest() == DENSE_DIGEST
+
+
+# sha256 of "<term>:<positions>:<images>:<comparisons>" over seeded orders,
+# with and without the dense atom: the first 24 positions, their images and
+# pos_cmp of every pair of the first 12; recorded while each of the three
+# still walked the term with its own dispatch
+WALK_DIGEST = "b330120485f8c95321eef644741ce5136054da4fc44cc8ae4772f239c574c70e"
+
+
+def test_walk_outputs_pinned():
+    rng = random.Random(41)
+    h = hashlib.sha256()
+    for dense in (False, True):
+        for _ in range(200):
+            term = laws._rand_order(rng, 8, dense)
+            positions = list(itertools.islice(orders.enumerate_positions(term), 24))
+            cmps = [orders.pos_cmp(term, p, q) for p in positions[:12] for q in positions[:12]]
+            h.update(f"{term}:{positions}:{orders.rationalize(term, 24)}:{cmps}\n".encode())
+    assert h.hexdigest() == WALK_DIGEST
+
+
+def _nest(build, leaf, depth):
+    for _ in range(depth):
+        leaf = build(leaf)
+    return leaf
+
+
+def test_order_walks_past_the_recursion_limit():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    # an even nest of reversals is N itself
+    assert orders.rationalize(_nest(Rev, orders.NAT, depth), 50) == list(range(50))
+    out = orders.wo_classify(_nest(lambda x: Cat((orders.NAT, x)), orders.RATQ, depth))
+    assert isinstance(out, NonScattered) and out.embedding.path == (("cat", 1),) * depth
+    # every element of an omega-sum nest sits at its bottom, one block per level
+    term = _nest(lambda x: OmegaCat((), x), orders.NAT, depth)
+    positions = list(itertools.islice(orders.enumerate_positions(term), 8))
+    for p in positions:
+        for _ in range(depth):
+            p = p[1]
+        assert len(p) == 1
+    # positions nest deeper than the limit, so they are told apart by index
+    for (i, p), (j, q) in itertools.product(enumerate(positions), repeat=2):
+        c = orders.pos_cmp(term, p, q)
+        assert c == -orders.pos_cmp(term, q, p) and (c == 0) == (i == j)
 
 
 def test_dense_occurrence_classifies_each_part_once(monkeypatch):

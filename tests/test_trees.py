@@ -234,6 +234,32 @@ def test_iter_len_lex_order():
                 assert trees.member_elem(u, schema)
 
 
+def _tail_copies(t: trees.Spine, length: int, max_entry: int) -> list[int]:
+    """The tail copies a spine's enumeration visits at ``length``, each
+    checked to leave its block a length between the first tail block's
+    least length and depth: copy n takes n + 1 of the length for its root."""
+    block = trees.seq_block(t.tail, 0)
+    least, deepest = trees.least_length(block), trees._fold(block, trees._DEPTH)
+    copies = [n for n in trees._indices(t, length, max_entry) if n >= len(t.heads)]
+    for n in copies:
+        assert least <= length - 1 - n <= deepest, (str(t), length, max_entry, n)
+    return copies
+
+
+def test_spine_tail_copies_fit_the_length():
+    # the block fan([eps];const(empty)) holds only (0), of length 1, so of
+    # the copies 0^n 1 only n = 3 reaches length 5
+    assert _tail_copies(parse_tree("spine([];const(fan([eps];const(empty))))"), 5, 5) == [3]
+    rng, seen = random.Random(16), 0
+    while seen < 300:
+        t = laws.rand_schema(rng, 7)
+        if type(t) is trees.Spine:
+            seen += 1
+            for length in range(9):
+                for max_entry in range(3):
+                    _tail_copies(t, length, max_entry)
+
+
 def test_equal_schemas_are_one_object():
     src = "spine([chain,fan([];qdiag(w^2,3))];const(rooted(eps)))"
     assert parse_tree(src) is parse_tree(src)
@@ -613,22 +639,27 @@ TAIL_CLASS_TESTS = {
 }
 
 
-def _tail_class_tests(src: Path) -> list[str]:
+def _class_tests(src: Path, classes: set[str], atoms: frozenset[str] = frozenset()) -> list[str]:
     """The top-level functions and classes of the package that test a
-    tail's class: ``type(x) is`` or ``is not``, or ``isinstance(x, ...)``,
-    against ``Const``, ``_Diag``, ``QDiag`` or ``PDiag``."""
-    def classes(node: ast.AST) -> set[str]:
-        return _TAIL_CLASSES & {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                                if isinstance(n, (ast.Name, ast.Attribute))}
+    term's class against one of ``classes`` (``type(x) is`` or ``is not``,
+    or ``isinstance(x, ...)``) or its identity against one of ``atoms``
+    (``x is`` or ``is not``)."""
+    def named(node: ast.AST, names: set[str]) -> set[str]:
+        return names & {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def atom(node: ast.AST) -> bool:
+        return isinstance(node, (ast.Name, ast.Attribute)) and bool(named(node, atoms))
 
     def tests(n: ast.AST) -> bool:
         if isinstance(n, ast.Compare):
-            return (isinstance(n.left, ast.Call) and isinstance(n.left.func, ast.Name)
-                    and n.left.func.id == "type"
-                    and any(isinstance(op, (ast.Is, ast.IsNot)) and classes(c)
-                            for op, c in zip(n.ops, n.comparators)))
+            of_type = (isinstance(n.left, ast.Call) and isinstance(n.left.func, ast.Name)
+                       and n.left.func.id == "type")
+            return any(isinstance(op, (ast.Is, ast.IsNot))
+                       and (of_type and bool(named(c, classes)) or atom(n.left) or atom(c))
+                       for op, c in zip(n.ops, n.comparators))
         return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
-                and len(n.args) == 2 and bool(classes(n.args[1])))
+                and len(n.args) == 2 and bool(named(n.args[1], classes)))
 
     return [f"{p.stem}.{d.name}" for p in sorted(src.glob("*.py")) for d in ast.parse(p.read_text()).body
             if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and any(map(tests, ast.walk(d)))]
@@ -637,7 +668,7 @@ def _tail_class_tests(src: Path) -> list[str]:
 def test_only_the_allowlist_asks_a_tails_class():
     # one walk follows a sequence (cone_of) and one picks a block (walk);
     # no other consumer splits on a tail's class where its answer does not depend on it
-    assert sorted(_tail_class_tests(Path(trees.__file__).parent)) == sorted(TAIL_CLASS_TESTS)
+    assert sorted(_class_tests(Path(trees.__file__).parent, _TAIL_CLASSES)) == sorted(TAIL_CLASS_TESTS)
 
 
 def test_tail_class_tests_finds_each_kind_of_test(tmp_path):
@@ -646,7 +677,43 @@ def test_tail_class_tests_finds_each_kind_of_test(tmp_path):
         "def g(x, p):\n    return type(x.tail) is not (trees.QDiag if p else trees.PDiag)\n\n"
         "class C:\n    def m(self, x):\n        return isinstance(x, (int, _Diag))\n\n"
         "def h(x):\n    return type(x) is Fan or isinstance(x, Spine) or Const(x) or x is Const\n")
-    assert _tail_class_tests(tmp_path) == ["a.f", "a.g", "a.C"]
+    assert _class_tests(tmp_path, _TAIL_CLASSES) == ["a.f", "a.g", "a.C"]
+
+
+_ORDER_CLASSES, _ORDER_ATOMS = {"Nat", "Rev", "Cat", "OmegaCat", "RatQ"}, {"NAT", "RATQ"}
+
+# the functions that may ask an order term's class or which atom it is, and
+# why the answer depends on it there; everywhere else a term is read down
+# orders._walk or through a fold's answer
+ORDER_CLASS_TESTS = {
+    "orders._walk": "the one walk: it passes each reversal, enters a sum's chosen part "
+                    "and stops at an atom",
+    "orders._wo_node": "the classification fold's node rule",
+    "orders._rev_node": "the reversal fold's node rule",
+    "orders._frame": "a concatenation's last part ends at the endpoint; an omega sum has no last block",
+    "orders._nth": "round-robin over a concatenation's parts, diagonal over an omega sum's blocks",
+    "orders._dense_occurrence": "the path names a concatenation's part \"cat\" and an omega sum's "
+                                "block \"block\"",
+    "orders._first_dense": "it scans a concatenation's parts, or an omega sum's heads and then its tail "
+                           "(text.children reads the same through the grammar table, about 10 % slower)",
+    "orders._position": "the leaf rule: a natural's position is its number, a rational's a tree path",
+    "orders.embed_position": "the leaf rule: a natural is a point of the frame, a tree path halves it",
+}
+
+
+def test_only_the_allowlist_asks_an_order_terms_class():
+    # one walk goes down an order term (orders._walk); the four jobs on it
+    # split on a term's class only where their own rule depends on it
+    found = _class_tests(Path(trees.__file__).parent, _ORDER_CLASSES, _ORDER_ATOMS)
+    assert sorted(found) == sorted(ORDER_CLASS_TESTS)
+
+
+def test_class_tests_find_identity_tests_against_atoms(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(t):\n    return t is NAT\n\n"
+        "def g(steps):\n    return steps[-1][1] is not orders.RATQ\n\n"
+        "def h(t, forms):\n    return t is None or t == NAT or NAT(t) or forms[0] is NATS\n")
+    assert _class_tests(tmp_path, set(), _ORDER_ATOMS) == ["a.f", "a.g"]
 
 
 def test_union_leaves_are_kept_on_the_union_asked_alone():
