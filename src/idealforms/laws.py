@@ -1,10 +1,13 @@
 """The seeded generators and the laws that ``oracle.law_suite`` replays.
 
-Each law draws its instances from the ``random.Random`` it is given and
-returns None when it holds, else its counterexample.  The suite imports
-this module on its first call, so the checker kernel in ``oracle``
-compiles none of it, nor the ``orders``, ``rank`` and ``classification``
-that only the laws use.
+A law is a draw and a check.  The draw takes a trial's instances from
+the ``random.Random`` it is given and returns them as a tuple of args;
+the check reads those args alone, never the generator, and answers
+whether the law holds on them, or ``VACUOUS`` when a guard leaves it
+nothing to check.  The suite decides each trial's outcome and writes its
+counterexample from the args.  The suite imports this module on its
+first call, so the checker kernel in ``oracle`` compiles none of it, nor
+the ``orders``, ``rank`` and ``classification`` that only the laws use.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional
 
 from . import ideals, membership, orders, ordinals, rank, trees
 from .classification import Borel, NonBorel, classify, classify_via_derivative, scaffold_class
@@ -24,6 +26,10 @@ from .ordinals import Ordinal
 from .queries import FinSet, Transversal, Union
 from .trees import QueryTerm, TreeSchema
 from .witnesses import DominatingBranch
+
+
+# a check's answer when its guard leaves nothing to check: a pass, not counted as checked
+VACUOUS = object()
 
 
 # --------------------------------------------------------------------------
@@ -154,237 +160,6 @@ def rand_query(rng: random.Random, target: TreeSchema) -> QueryTerm:
     return Union(prune_schema(rng, target), prune_schema(rng, target))
 
 
-# --------------------------------------------------------------------------
-# the laws
-
-
-def _law_ord_order(rng: random.Random) -> Optional[str]:
-    a, b, c = (rand_ordinal(rng) for _ in range(3))
-    if ordinals.compare(a, b) != -ordinals.compare(b, a):
-        return f"antisymmetry: {a}, {b}"
-    if ordinals.compare(a, b) <= 0 and ordinals.compare(b, c) <= 0:
-        if ordinals.compare(a, c) > 0:
-            return f"transitivity: {a}, {b}, {c}"
-    if (ordinals.compare(a, b) == 0) != (a == b):
-        return f"equality mismatch: {a}, {b}"
-    return None
-
-
-def _law_ord_add(rng: random.Random) -> Optional[str]:
-    a, b, c = (rand_ordinal(rng) for _ in range(3))
-    z = ordinals.ZERO
-    if ordinals.add(ordinals.add(a, b), c) != ordinals.add(a, ordinals.add(b, c)):
-        return f"associativity: {a}, {b}, {c}"
-    if ordinals.add(a, z) != a or ordinals.add(z, a) != a:
-        return f"identity: {a}"
-    return None
-
-
-def _law_sequence_monotone(rng: random.Random) -> Optional[str]:
-    a = rand_limit(rng)
-    idx = sorted(rng.sample(range(64), 4))
-    values = [ordinals.fund_seq(a, n) for n in idx]
-    for v, w in zip(values, values[1:]):
-        if ordinals.compare(v, w) >= 0:
-            return f"not increasing at {a}: {v} !< {w}"
-    if any(ordinals.compare(v, a) >= 0 for v in values):
-        return f"value reaches {a}"
-    return None
-
-
-def _law_idempotence(rng: random.Random) -> Optional[str]:
-    b = rand_ordinal_small(rng)
-    a = ordinals.add(b, rand_ordinal_small(rng))  # a >= b
-    P, Q, Sum = ideals.P, ideals.Q, ideals.Sum
-    checks = [
-        (Sum((P(a), P(b))), CanonicalForm(Kind.P, a)),
-        (Sum((Q(a), Q(b))), CanonicalForm(Kind.Q, a)),
-    ]
-    if a != b:
-        checks.append((Sum((P(a), Q(b))), CanonicalForm(Kind.P, a)))
-        checks.append((Sum((Q(a), P(b))), CanonicalForm(Kind.Q, a)))
-    for expr, want in checks:
-        if ideals.normalize(expr) != want:
-            return f"{expr} -> {ideals.normalize(expr)} != {want}"
-    return None
-
-
-def _law_double_perp(rng: random.Random) -> Optional[str]:
-    e = rand_expr(rng, 12)
-    if ideals.normalize(ideals.Perp(ideals.Perp(e))) != ideals.normalize(e):
-        return str(e)
-    return None
-
-
-def _law_perp_sum(rng: random.Random) -> Optional[str]:
-    e1, e2 = rand_expr(rng, 5), rand_expr(rng, 5)
-    lhs = ideals.normalize(ideals.Perp(ideals.Sum((e1, e2))))
-    rhs = ideals.normalize(ideals.Sum((ideals.Perp(e1), ideals.Perp(e2))))
-    if lhs != rhs:
-        return f"{e1}; {e2}"
-    return None
-
-
-def _law_combine(rng: random.Random) -> Optional[str]:
-    forms = [
-        CanonicalForm(rng.choice(list(Kind)), rand_ordinal_small(rng)) for _ in range(3)
-    ]
-    c1, c2, c3 = forms
-    if ideals.combine(c1, c2) != ideals.combine(c2, c1):
-        return f"commutativity: {c1}, {c2}"
-    if ideals.combine(ideals.combine(c1, c2), c3) != ideals.combine(c1, ideals.combine(c2, c3)):
-        return f"associativity: {c1}, {c2}, {c3}"
-    if ideals.combine(c1, c1) != c1:
-        return f"absorption: {c1}"
-    return None
-
-
-def _law_omega_regroup(rng: random.Random) -> Optional[str]:
-    e = rand_expr(rng, 6)
-    lhs = ideals.normalize(ideals.OmegaSum(ideals.OmegaSum(e)))
-    rhs = ideals.normalize(ideals.OmegaSum(e))
-    if lhs != rhs:
-        return str(e)
-    return None
-
-
-def _law_round_trip(rng: random.Random) -> Optional[str]:
-    e = rand_expr(rng, 10)
-    want = ideals.normalize(e)
-    got = classify(trees.compile_ideal(e))
-    if not isinstance(got, Borel) or got.form != want:
-        return f"{e}: {got} != Borel({want})"
-    return None
-
-
-def _law_two_path(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 8)
-    left = classify(t)
-    right = classify_via_derivative(t)
-    if isinstance(left, Borel) != isinstance(right, Borel):
-        return f"verdict split on {t}"
-    if isinstance(left, Borel):
-        scaffold = scaffold_class(t)
-        expected = left.form
-        if isinstance(scaffold, CanonicalForm):
-            expected = ideals.combine(expected, scaffold)
-        if right.form != expected:
-            return f"{t}: {right.form} != {left.form} + scaffold {scaffold}"
-    return None
-
-
-def _law_trichotomy(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 8)
-    _, core_empty = rank.tree_rank(t)
-    borel = isinstance(classify(t), Borel)
-    if core_empty != borel:
-        return f"{t}: core_empty={core_empty}, borel={borel}"
-    via = classify_via_derivative(t)
-    if isinstance(via, NonBorel):
-        if not check_witness(via.witness, None, WITNESS_BUDGET):
-            return f"embedding witness fails on {t}"
-    return None
-
-
-def _law_domination_budget(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 7)
-    if not trees.in_id(t) and not trees.in_wf(t):
-        return None  # no claim to check against the elements
-    elems = enumerate_schema(t, Budget(6, 6, 80))
-    if trees.in_id(t):
-        branch = membership.id_witness(t)
-        if not isinstance(branch, DominatingBranch):
-            return f"no branch for dominated {t}"
-        if not all(branch.dominates(u) for u in elems):
-            return f"branch fails on {t}"
-    if trees.in_wf(t):
-        bound = trees.depth_bound(t)
-        if bound is None:
-            return f"well-founded schema without depth bound: {t}"
-        if any(len(u) > bound for u in elems):
-            return f"element beyond depth bound in {t}"
-    return None
-
-
-def _law_rank_agreement(rng: random.Random) -> Optional[str]:
-    t = rand_schema(rng, 6)
-    try:
-        got = explicit_derivative(t, Budget(6, 6, 64))
-    except QuotientOverflow:
-        return None  # quotient too large at this budget: vacuous
-    want = rank.tree_rank(t)
-    if got != want:
-        return f"{t}: oracle {got[0]},{got[1]} != rank {want[0]},{want[1]}"
-    return None
-
-
-def _law_enum_monotone(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 6)
-    base = Budget(rng.randrange(2, 5), rng.randrange(2, 5), rng.randrange(5, 40))
-    grown = Budget(
-        base.depth + rng.randrange(0, 3),
-        base.width + rng.randrange(0, 3),
-        base.count + rng.randrange(0, 40),
-    )
-    small = set(enumerate_schema(t, base))
-    large = set(enumerate_schema(t, grown))
-    if not small <= large:
-        return f"{t}: budget {base} not below {grown}"
-    return None
-
-
-def _law_never_both(rng: random.Random) -> Optional[str]:
-    e = rand_expr(rng, 6)
-    target = trees.compile_ideal(e)
-    q = rand_query(rng, target)
-    if not membership.q_is_infinite(q):
-        return None
-    if membership.subset_of(q, target) is not Ternary.YES:
-        return None
-    if membership.member_of(q, e) and membership.member_perp(q, e):
-        return f"{q} in both {e} and its orthogonal"
-    return None
-
-
-def _law_orthogonality(rng: random.Random) -> Optional[str]:
-    q = rand_infinite_schema(rng, 6)
-    r = rand_infinite_schema(rng, 6)
-    if not membership.q_in_id(q) or not membership.q_in_wf(r):
-        return None
-    sizes = []
-    for depth in (3, 5, 7):
-        b = Budget(depth, 6, 400)
-        qs = set(enumerate_schema(q, b))
-        rs = set(enumerate_schema(r, b))
-        sizes.append(len(qs & rs))
-    if not (sizes[0] <= sizes[1] <= sizes[2]):
-        return f"intersection not monotone for {q}"
-    if sizes[2] > 40:
-        return f"suspiciously large intersection for {q} vs {r}"
-    return None
-
-
-def _law_frechet(rng: random.Random) -> Optional[str]:
-    e = rand_expr(rng, 6)
-    target = trees.compile_ideal(e)
-    q = prune_schema(rng, target)
-    if membership.subset_of(q, target) is not Ternary.YES:
-        return None
-    if membership.q_in_wf(q):
-        return None  # not a positive query
-    w = membership.frechet_witness(q, e)
-    if not check_witness(w, q, Budget(8, 8, 100)):
-        return f"witness {w} fails for {q} in {e}"
-    return None
-
-
-def _law_id_witness(rng: random.Random) -> Optional[str]:
-    t = rand_infinite_schema(rng, 7)
-    if not check_witness(membership.id_witness(t), t, WITNESS_BUDGET):
-        return f"id witness fails on {t}"
-    return None
-
-
 def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.LinTerm:
     if size <= 1:
         if dense and rng.random() < 0.3:
@@ -405,28 +180,163 @@ def _rand_order(rng: random.Random, size: int, dense: bool = False) -> orders.Li
     )
 
 
-def _law_wo_duality(rng: random.Random) -> Optional[str]:
-    t = _rand_order(rng, 7)
+# --------------------------------------------------------------------------
+# the draws: each takes a trial's randomness and returns the check's args
+
+
+def _draw(gen, *args, times: int = 1):
+    """The draw of ``times`` instances of ``gen(rng, *args)``, in order."""
+    return lambda rng: tuple(gen(rng, *args) for _ in range(times))
+
+
+def _ordinal_pair(rng: random.Random) -> tuple:
+    b = rand_ordinal_small(rng)
+    return ordinals.add(b, rand_ordinal_small(rng)), b  # a >= b
+
+
+def _budget_pair(rng: random.Random) -> tuple:
+    t = rand_infinite_schema(rng, 6)
+    base = Budget(rng.randrange(2, 5), rng.randrange(2, 5), rng.randrange(5, 40))
+    grown = Budget(
+        base.depth + rng.randrange(0, 3),
+        base.width + rng.randrange(0, 3),
+        base.count + rng.randrange(0, 40),
+    )
+    return t, base, grown
+
+
+def _query_in(pick):
+    """The draw of an expression, its schema and the query ``pick`` takes in that."""
+    def draw(rng: random.Random) -> tuple:
+        e = rand_expr(rng, 6)
+        target = trees.compile_ideal(e)
+        return e, target, pick(rng, target)
+    return draw
+
+
+# --------------------------------------------------------------------------
+# the checks: each reads its drawn args alone
+
+
+def _total_order(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
+    cmp = ordinals.compare
+    return (cmp(a, b) == -cmp(b, a) and not (cmp(a, b) <= 0 and cmp(b, c) <= 0 and cmp(a, c) > 0)
+            and (cmp(a, b) == 0) == (a == b))
+
+
+def _add_identities(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
+    add, z = ordinals.add, ordinals.ZERO
+    return add(add(a, b), c) == add(a, add(b, c)) and add(a, z) == a == add(z, a)
+
+
+def _fundseq_monotone(a: Ordinal, idx: list) -> bool:
+    values = [ordinals.fund_seq(a, n) for n in idx]
+    return (all(ordinals.compare(v, w) < 0 for v, w in zip(values, values[1:]))
+            and all(ordinals.compare(v, a) < 0 for v in values))
+
+
+def _idempotence(a: Ordinal, b: Ordinal) -> bool:
+    P, Q, Sum = ideals.P, ideals.Q, ideals.Sum
+    checks = [(Sum((P(a), P(b))), Kind.P), (Sum((Q(a), Q(b))), Kind.Q)]
+    if a != b:
+        checks += [(Sum((P(a), Q(b))), Kind.P), (Sum((Q(a), P(b))), Kind.Q)]
+    return all(ideals.normalize(expr) == CanonicalForm(kind, a) for expr, kind in checks)
+
+
+def _perp_sum(e1: IdealExpr, e2: IdealExpr) -> bool:
+    lhs = ideals.normalize(ideals.Perp(ideals.Sum((e1, e2))))
+    return lhs == ideals.normalize(ideals.Sum((ideals.Perp(e1), ideals.Perp(e2))))
+
+
+def _combine(c1: CanonicalForm, c2: CanonicalForm, c3: CanonicalForm) -> bool:
+    comb = ideals.combine
+    return (comb(c1, c2) == comb(c2, c1) and comb(comb(c1, c2), c3) == comb(c1, comb(c2, c3))
+            and comb(c1, c1) == c1)
+
+
+def _omega_regroup(e: IdealExpr) -> bool:
+    lhs = ideals.normalize(ideals.OmegaSum(ideals.OmegaSum(e)))
+    return lhs == ideals.normalize(ideals.OmegaSum(e))
+
+
+def _round_trip(e: IdealExpr) -> bool:
+    want = ideals.normalize(e)
+    got = classify(trees.compile_ideal(e))
+    return isinstance(got, Borel) and got.form == want
+
+
+def _two_path(t: TreeSchema) -> bool:
+    left, right = classify(t), classify_via_derivative(t)
+    if not isinstance(left, Borel) or not isinstance(right, Borel):
+        return isinstance(left, Borel) == isinstance(right, Borel)
+    scaffold = scaffold_class(t)
+    want = ideals.combine(left.form, scaffold) if isinstance(scaffold, CanonicalForm) else left.form
+    return right.form == want
+
+
+def _trichotomy(t: TreeSchema) -> bool:
+    core_empty = rank.tree_rank(t)[1]
+    if core_empty != isinstance(classify(t), Borel):
+        return False
+    via = classify_via_derivative(t)
+    return not isinstance(via, NonBorel) or check_witness(via.witness, None, WITNESS_BUDGET)
+
+
+def _domination_budget(t: TreeSchema):
+    dominated, wf = trees.in_id(t), trees.in_wf(t)
+    if not dominated and not wf:
+        return VACUOUS  # no claim to check against the elements
+    elems = enumerate_schema(t, Budget(6, 6, 80))
+    if dominated:
+        branch = membership.id_witness(t)
+        if not isinstance(branch, DominatingBranch) or not all(map(branch.dominates, elems)):
+            return False
+    if not wf:
+        return True
+    bound = trees.depth_bound(t)
+    return bound is not None and all(len(u) <= bound for u in elems)
+
+
+def _rank_agreement(t: TreeSchema):
+    try:
+        got = explicit_derivative(t, Budget(6, 6, 64))
+    except QuotientOverflow:
+        return VACUOUS  # quotient too large at this budget
+    return got == rank.tree_rank(t)
+
+
+def _never_both(e: IdealExpr, target: TreeSchema, q: QueryTerm):
+    if not membership.q_is_infinite(q) or membership.subset_of(q, target) is not Ternary.YES:
+        return VACUOUS
+    return not (membership.member_of(q, e) and membership.member_perp(q, e))
+
+
+def _orthogonality(q: TreeSchema, r: TreeSchema):
+    if not membership.q_in_id(q) or not membership.q_in_wf(r):
+        return VACUOUS
+    budgets = [Budget(depth, 6, 400) for depth in (3, 5, 7)]
+    sizes = [len(set(enumerate_schema(q, b)) & set(enumerate_schema(r, b))) for b in budgets]
+    return sizes[0] <= sizes[1] <= sizes[2] <= 40
+
+
+def _frechet(e: IdealExpr, target: TreeSchema, q: TreeSchema):
+    if membership.subset_of(q, target) is not Ternary.YES or membership.q_in_wf(q):
+        return VACUOUS  # not a positive query
+    return check_witness(membership.frechet_witness(q, e), q, Budget(8, 8, 100))
+
+
+def _wo_duality(t: orders.LinTerm) -> bool:
     left = orders.wo_classify(orders.reverse_term(t))
-    right = orders.wo_classify(t)
-    assert isinstance(left, orders.Scattered) and isinstance(right, orders.Scattered)
-    if left.form != ideals.perp(right.form):
-        return f"{t}: rev -> {left.form} != perp {right.form}"
-    return None
+    return left.form == ideals.perp(orders.wo_classify(t).form)
 
 
-def _law_wo_sum(rng: random.Random) -> Optional[str]:
-    t1, t2 = _rand_order(rng, 5), _rand_order(rng, 5)
+def _wo_sum(t1: orders.LinTerm, t2: orders.LinTerm) -> bool:
     whole = orders.wo_classify(orders.Cat((t1, t2)))
     a, b = orders.wo_classify(t1), orders.wo_classify(t2)
-    assert isinstance(whole, orders.Scattered)
-    if whole.form != ideals.combine(a.form, b.form):
-        return f"{t1} + {t2}"
-    return None
+    return whole.form == ideals.combine(a.form, b.form)
 
 
-def _law_rationalize(rng: random.Random) -> Optional[str]:
-    t = _rand_order(rng, 6)
+def _rationalize(t: orders.LinTerm) -> bool:
     positions = list(itertools.islice(orders.enumerate_positions(t), 20))
     values = [orders.embed_position(t, p) for p in positions]
     # rank the images once, equal images sharing a rank, and compare ranks
@@ -434,54 +344,54 @@ def _law_rationalize(rng: random.Random) -> Optional[str]:
     ranks = [0] * len(values)
     for a, b in zip(order, order[1:]):
         ranks[b] = ranks[a] + (values[b] != values[a])
-    for (i, p), (j, q) in itertools.combinations(enumerate(positions), 2):
-        want = orders.pos_cmp(t, p, q)
-        if want != (ranks[i] > ranks[j]) - (ranks[i] < ranks[j]):
-            return f"{t}: positions {p} vs {q}"
-    return None
+    return all(orders.pos_cmp(t, p, q) == (ranks[i] > ranks[j]) - (ranks[i] < ranks[j])
+               for (i, p), (j, q) in itertools.combinations(enumerate(positions), 2))
 
 
-def _law_dense(rng: random.Random) -> Optional[str]:
-    t = _rand_order(rng, 6, dense=True)
+def _dense(t: orders.LinTerm):
     if orders.scattered_check(t):
-        return None
+        return VACUOUS
     out = orders.wo_classify(t)
     if not isinstance(out, orders.NonScattered):
-        return f"{t} not flagged dense"
+        return False
     samples = [Fraction(k, 7) for k in range(-10, 11)]
     images = [out.embedding.map(q) for q in samples]
     if sorted(images) != images or len(set(images)) != len(images):
-        return f"embedding not order-faithful on {t}"
+        return False
     for a, b in zip(samples, samples[1:]):
         mid = out.embedding.map((a + b) / 2)
-        lo, hi = out.embedding.map(a), out.embedding.map(b)
-        if not (lo < mid < hi):
-            return f"no image between {lo} and {hi}"
-    return None
+        if not out.embedding.map(a) < mid < out.embedding.map(b):
+            return False
+    return True
 
 
-# name and law, in report order
+# name, draw and check of each law, in report order
 LAWS = (
-    ("ordinal-total-order", _law_ord_order),
-    ("ordinal-add-identities", _law_ord_add),
-    ("fundseq-monotone", _law_sequence_monotone),
-    ("idempotence", _law_idempotence),
-    ("double-perp", _law_double_perp),
-    ("perp-sum-distribution", _law_perp_sum),
-    ("combine-laws", _law_combine),
-    ("omega-regroup", _law_omega_regroup),
-    ("compile-round-trip", _law_round_trip),
-    ("two-path-agreement", _law_two_path),
-    ("derivative-trichotomy", _law_trichotomy),
-    ("domination-budget", _law_domination_budget),
-    ("rank-oracle-agreement", _law_rank_agreement),
-    ("enumeration-monotone", _law_enum_monotone),
-    ("membership-never-both", _law_never_both),
-    ("orthogonality-stabilizes", _law_orthogonality),
-    ("frechet-witness-sound", _law_frechet),
-    ("id-witness-checks", _law_id_witness),
-    ("wo-duality", _law_wo_duality),
-    ("wo-sum-law", _law_wo_sum),
-    ("rationalize-order-faithful", _law_rationalize),
-    ("dense-embedding", _law_dense),
+    ("ordinal-total-order", _draw(rand_ordinal, times=3), _total_order),
+    ("ordinal-add-identities", _draw(rand_ordinal, times=3), _add_identities),
+    ("fundseq-monotone", lambda rng: (rand_limit(rng), sorted(rng.sample(range(64), 4))),
+     _fundseq_monotone),
+    ("idempotence", _ordinal_pair, _idempotence),
+    ("double-perp", _draw(rand_expr, 12),
+     lambda e: ideals.normalize(ideals.Perp(ideals.Perp(e))) == ideals.normalize(e)),
+    ("perp-sum-distribution", _draw(rand_expr, 5, times=2), _perp_sum),
+    ("combine-laws", _draw(lambda rng: CanonicalForm(rng.choice(list(Kind)), rand_ordinal_small(rng)),
+                           times=3), _combine),
+    ("omega-regroup", _draw(rand_expr, 6), _omega_regroup),
+    ("compile-round-trip", _draw(rand_expr, 10), _round_trip),
+    ("two-path-agreement", _draw(rand_infinite_schema, 8), _two_path),
+    ("derivative-trichotomy", _draw(rand_infinite_schema, 8), _trichotomy),
+    ("domination-budget", _draw(rand_infinite_schema, 7), _domination_budget),
+    ("rank-oracle-agreement", _draw(rand_schema, 6), _rank_agreement),
+    ("enumeration-monotone", _budget_pair,
+     lambda t, base, grown: set(enumerate_schema(t, base)) <= set(enumerate_schema(t, grown))),
+    ("membership-never-both", _query_in(rand_query), _never_both),
+    ("orthogonality-stabilizes", _draw(rand_infinite_schema, 6, times=2), _orthogonality),
+    ("frechet-witness-sound", _query_in(prune_schema), _frechet),
+    ("id-witness-checks", _draw(rand_infinite_schema, 7),
+     lambda t: check_witness(membership.id_witness(t), t, WITNESS_BUDGET)),
+    ("wo-duality", _draw(_rand_order, 7), _wo_duality),
+    ("wo-sum-law", _draw(_rand_order, 5, times=2), _wo_sum),
+    ("rationalize-order-faithful", _draw(_rand_order, 6), _rationalize),
+    ("dense-embedding", _draw(_rand_order, 6, True), _dense),
 )

@@ -9,8 +9,10 @@ explicit derivative iterates removal on the finite block quotient using
 only the domination test on surviving cones, with no ordinal arithmetic;
 it must agree with the symbolic rank whenever the quotient is finite.
 The law suite replays every cross-module invariant on seeded random
-instances and reports failures with their first counterexample; its laws
-and generators are in ``laws``, which it imports on its first call.
+instances; its laws and generators are in ``laws``, which it imports on
+its first call.  A law is a draw and a check, and the suite alone
+decides each trial's outcome, counts the trials each law checked and
+writes the first counterexample from the drawn args.
 Witness checks import ``witnesses``, and the explicit derivative
 ``quotient``, inside the function, so enumeration loads neither.  The
 Frechet check reads the subset's entry bound, the fact enumeration
@@ -261,9 +263,10 @@ def _check_frechet(w: QueryTerm, q: QueryTerm, b: Budget) -> bool:
 
 
 class LawReport:
-    def __init__(self, name: str, trials: int, failures: int, first_counterexample: Optional[str]):
+    def __init__(self, name: str, trials: int, failures: int, first_counterexample: Optional[str],
+                 checked: int):
         self.name, self.trials, self.failures = name, trials, failures
-        self.first_counterexample = first_counterexample
+        self.first_counterexample, self.checked = first_counterexample, checked
 
     def to_json(self) -> dict:
         return {
@@ -293,7 +296,10 @@ class SuiteReport:
 
 def law_suite(seed: int, trials: int) -> SuiteReport:
     """Replay every cross-module invariant on seeded random instances; the
-    laws and their generators load on the first call (see ``laws``)."""
+    laws and their generators load on the first call (see ``laws``).  A
+    trial fails when its check answers falsy or raises, and is checked
+    unless the check answers ``laws.VACUOUS``; its counterexample is its
+    args in the term grammar, separated by ``; ``, or the exception."""
     import random
 
     from . import laws
@@ -301,18 +307,21 @@ def law_suite(seed: int, trials: int) -> SuiteReport:
     if trials < 0:
         raise BadArgument(f"trials must be >= 0, got {trials}")
     reports = []
-    for name, law in laws.LAWS:
+    for name, draw, check in laws.LAWS:
         rng = random.Random(f"{seed}:{name}")
-        failures = 0
+        failures = checked = 0
         first = None
         for _ in range(trials):
             try:
-                counterexample = law(rng)
+                args = draw(rng)
+                holds = check(*args)
+                counterexample = None if holds else "; ".join(map(str, args))
             except Exception as exc:  # a law runner must never raise
-                counterexample = f"exception: {exc!r}"
+                holds, counterexample = None, f"exception: {exc!r}"
+            checked += holds is not laws.VACUOUS
             if counterexample is not None:
                 failures += 1
                 if first is None:
                     first = counterexample
-        reports.append(LawReport(name, trials, failures, first))
+        reports.append(LawReport(name, trials, failures, first, checked))
     return SuiteReport(seed, trials, reports)

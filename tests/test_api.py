@@ -159,9 +159,10 @@ def test_plain_records_take_their_fields_positionally():
     assert family.source == source
     exp = witnesses.Expansion((0, 1), 3, trees.FULL)
     assert (exp.path, exp.offset, exp.child) == ((0, 1), 3, trees.FULL)
-    law = oracle.LawReport("idempotence", 5, 1, "FIN")
+    law = oracle.LawReport("idempotence", 5, 1, "FIN", 4)
     report = oracle.SuiteReport(7, 5, [law])
     assert (report.seed, report.trials, report.laws, report.all_pass) == (7, 5, [law], False)
+    assert law.checked == 4  # counted, but not in the JSON report
     assert law.to_json() == {"name": "idempotence", "trials": 5, "failures": 1, "firstCounterexample": "FIN"}
     a, b = quotient.Quotient(), quotient.Quotient()
     a.vertices.append(trees.EPS)

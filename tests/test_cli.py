@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import random
@@ -17,8 +18,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from idealforms import cli, laws, trees
+from idealforms import cli, laws, oracle, trees
 from idealforms.errors import ParseError
+from idealforms.text import parse_tree
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -151,6 +153,54 @@ def test_wo_verbs(capsys):
 def test_selftest(capsys):
     payload = run_json(capsys, "selftest.json", "selftest", "--seed", "5", "--trials", "2")
     assert payload["allPass"] is True
+
+
+def test_selftest_reports_the_failures_of_a_planted_law_table(monkeypatch, capsys):
+    # the suite alone decides a trial's outcome and writes its text: a
+    # falsy answer fails with the drawn args, a raise with the exception,
+    # and VACUOUS passes without counting as checked
+    drawn = []
+
+    def draw(rng):
+        drawn.append(laws.rand_schema(rng, 4))
+        return (drawn[-1],)
+
+    monkeypatch.setattr(laws, "LAWS", (
+        ("no-chain", draw, lambda t: "chain" not in str(t)),
+        ("raises", draw, lambda t: 1 // 0),
+        ("vacuous", draw, lambda t: laws.VACUOUS),
+    ))
+    report = oracle.law_suite(3, 20)
+    chains = [t for t in drawn[:20] if "chain" in str(t)]
+    no_chain, raises, vacuous = report.laws
+    assert 0 < no_chain.failures == len(chains) < 20 and no_chain.checked == 20
+    assert parse_tree(no_chain.first_counterexample) is chains[0]
+    assert (raises.failures, raises.checked) == (20, 20)
+    assert raises.first_counterexample.startswith("exception: ZeroDivisionError")
+    assert (vacuous.failures, vacuous.checked, vacuous.first_counterexample) == (0, 0, None)
+    assert not report.all_pass
+    code, out = run(capsys, "selftest", "--seed", "3", "--trials", "20")
+    assert code == 3 and out.splitlines()[-1] == "LAW VIOLATED"
+    assert f"  first: {no_chain.first_counterexample}" in out and "ok   vacuous: 20/20" in out
+    code, out = run(capsys, "--json", "selftest", "--seed", "3", "--trials", "20")
+    assert code == 3
+    _validate(json.loads(out), "selftest.json")
+
+
+SELFTEST_SHA = "d3cb29b28e6bb278"  # sha256 prefix of `--json selftest --seed 42 --trials 50`
+
+
+def test_the_selftest_report_is_pinned_also_under_python_O(capsys):
+    # the laws hold no assert that python -O strips: both runs print the same bytes
+    argv = ["--json", "selftest", "--seed", "42", "--trials", "50"]
+    assert cli.main(argv) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-m", "idealforms.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    outs = [capsys.readouterr().out, proc.stdout]
+    assert [hashlib.sha256(o.encode()).hexdigest()[:16] for o in outs] == [SELFTEST_SHA] * 2
 
 
 def test_exit_codes(capsys):

@@ -373,15 +373,73 @@ def test_law_suite_deterministic_and_empty():
     assert all(law.trials == 0 and law.failures == 0 for law in empty.laws)
 
 
+LAW_DRAWS_DIGEST = "bcd0ca9b32eb989c"  # sha256 prefix over the generator state each law is left in
+
+
+def test_every_law_draws_the_same_trials(monkeypatch):
+    # each law's generator, after law_suite(s, 1) for s = 0..49 and after
+    # law_suite(42, 50), is left in the state pinned here: the laws take the
+    # same randomness in the same order, so they run the same trials.  The
+    # state is hashed through its repr: it ends in None, and hash(None)
+    # follows its address on Python 3.11, so hash() would differ between processes
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append((seed.split(":", 1)[1], self))
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    for seed, trials in [(s, 1) for s in range(50)] + [(42, 50)]:
+        oracle.law_suite(seed, trials)
+    per_law: dict = {}
+    for name, rng in made:
+        per_law.setdefault(name, hashlib.sha256()).update(repr(rng.getstate()).encode())
+    assert len(made) == 51 * len(per_law) == 51 * 22
+    digest = hashlib.sha256("".join(f"{n} {h.hexdigest()}\n" for n, h in per_law.items()).encode())
+    assert digest.hexdigest()[:16] == LAW_DRAWS_DIGEST
+
+
+def _law(name: str) -> tuple:
+    """The draw and the check of the law ``name`` in the law table."""
+    return next((draw, check) for n, draw, check in laws.LAWS if n == name)
+
+
 def test_the_domination_budget_law_runs_its_body():
     # every law_suite call of this suite draws, for this law, a schema in
-    # neither ideal and returns at the guard; the first trial of
-    # law_suite(s, 1) passes it at these seeds alone of 0..49
+    # neither ideal, where the check answers VACUOUS; the first trial of
+    # law_suite(s, 1) passes the guard at these seeds alone of 0..49
+    draw, check = _law("domination-budget")
     for s in (10, 11, 35, 44):
-        seed = f"{s}:domination-budget"
-        schema = laws.rand_infinite_schema(random.Random(seed), 7)  # the law's first draw
+        (schema,) = draw(random.Random(f"{s}:domination-budget"))
         assert trees.in_id(schema) or trees.in_wf(schema), str(schema)
-        assert laws._law_domination_budget(random.Random(seed)) is None, str(schema)
+        assert check(schema) is True, str(schema)
+
+
+# trials of law_suite(s, 1), s = 0..49, that a law's guard leaves vacuous;
+# every law not named here checks all 50
+CHECKED_OF_50 = {"domination-budget": 4, "rank-oracle-agreement": 41,
+                 "membership-never-both": 47, "orthogonality-stabilizes": 0, "dense-embedding": 36}
+
+
+def test_the_suite_counts_the_trials_each_law_checked():
+    checked = {name: 0 for name, _, _ in laws.LAWS}
+    for s in range(50):
+        for law in oracle.law_suite(s, 1).laws:
+            checked[law.name] += law.checked
+    assert checked == {name: CHECKED_OF_50.get(name, 50) for name in checked}
+
+
+def test_no_check_reads_the_generator():
+    # a check reads its drawn args alone: the trials a law runs are the
+    # draws, so no check may take randomness of its own
+    def names(code) -> set:
+        inner = (names(c) for c in code.co_consts if hasattr(c, "co_names"))
+        return set(code.co_names + code.co_varnames + code.co_freevars).union(*inner)
+
+    assert all(len(law) == 3 for law in laws.LAWS)
+    assert [name for name, _, check in laws.LAWS if "rng" in names(check.__code__)] == []
+    assert "rng" in names(_law("enumeration-monotone")[0].__code__)  # the test sees a draw's
 
 
 def test_per_vertex_stage_agreement():
@@ -937,8 +995,9 @@ def _frechet_law_checks(monkeypatch) -> list:
         return real(w, q, b)
 
     monkeypatch.setattr(oracle, "_check_frechet", recorded)
+    draw, check = _law("frechet-witness-sound")
     for s in range(50):
-        assert laws._law_frechet(random.Random(f"{s}:frechet-witness-sound")) is None
+        assert check(*draw(random.Random(f"{s}:frechet-witness-sound")))
     return seen
 
 
@@ -974,8 +1033,9 @@ def test_frechet_checks_walk_few_blocks(monkeypatch):
 
     monkeypatch.setattr(trees, "block_at", block_at)
     monkeypatch.setattr(oracle, "_check_frechet", check)
+    draw, law = _law("frechet-witness-sound")
     for s in range(50):
-        assert laws._law_frechet(random.Random(f"{s}:frechet-witness-sound")) is None
+        assert law(*draw(random.Random(f"{s}:frechet-witness-sound")))
     assert 0 < count[0] <= 24_000, count
 
 
