@@ -78,7 +78,7 @@ def _sum(parts: list[Cls]) -> Cls:
     forms = [p for p in parts if isinstance(p, CanonicalForm)]
     if forms:
         return ideals.combine_all(forms)
-    if any(p == FINITE_CLS for p in parts):
+    if any(p is FINITE_CLS for p in parts):
         return FINITE_CLS
     return EMPTY_CLS
 
@@ -91,18 +91,24 @@ def _node(t: Fan | Spine, heads: list[tuple[int, Cls]], tail: Cls | None) -> Cls
     FINITE (a fan's root, a finite spine) or FIN (an infinite spine's
     zero branch).  They are the scaffold's share and are absorbed in the
     class of a nonempty denoted set."""
-    if tail == FULL_CLS or any(c == FULL_CLS for _, c in heads):
+    # the markers are module constants, and a form is never one of them
+    if tail is FULL_CLS or heads and any(c is FULL_CLS for _, c in heads):
         return FULL_CLS
     spine = isinstance(t, Spine)
     if tail is None:
         return _sum([FINITE_CLS] + [c for _, c in heads]) if heads else EMPTY_CLS
     if not isinstance(t.tail, Const):
-        rest = [tail]  # a diagonal tail's answer already is its blocks' sum
+        rest = tail  # a diagonal tail's answer already is its blocks' sum
     elif isinstance(tail, CanonicalForm):
-        rest = [ideals.omega_sum(ideals.perp(tail) if spine else tail)]
+        rest = ideals.omega_sum(ideals.perp(tail) if spine else tail)
     else:
         # omega many finite power sets sum to the power set
-        rest = [POW_FORM] if tail == FINITE_CLS else []
+        rest = POW_FORM if tail is FINITE_CLS else None
+    if not heads:  # no live head, as at a chain level: its prefix nodes and its tail's part
+        if rest is None:
+            return FIN_FORM if spine else FINITE_CLS
+        return ideals.combine(FIN_FORM, ideals.perp(rest)) if spine else rest
+    rest = [] if rest is None else [rest]
     if not spine:
         return _sum([FINITE_CLS] + [c for _, c in heads] + rest)
     # finite copies are absorbed into the infinite tail part

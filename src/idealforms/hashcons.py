@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import weakref
 from importlib import import_module
+from operator import attrgetter
 from _weakref import _remove_dead_weakref
 from typing import Callable
 
@@ -134,25 +135,29 @@ class Algebra:
     children ``kids(t)``, in order.  For expressions and orders the
     children are ``text.children``: the fields the grammar's shape reads
     as a sort, so a rank in an expression is data, not a child.
+    ``answer`` reads the slot off a term.  The algebra builds it once:
+    built in each fold, it made a fold that finds its slot filled about
+    50 % slower.
     """
 
-    __slots__ = ("slot", "node", "kids")
+    __slots__ = ("slot", "node", "kids", "answer")
 
     def __init__(self, slot: str, node: Callable, kids: Callable[[Interned], list]) -> None:
-        self.slot, self.node, self.kids = slot, node, kids
+        self.slot, self.node, self.kids, self.answer = slot, node, kids, attrgetter(slot)
 
 
 def _fold(t: Interned, alg: Algebra):
     """The answer of ``alg`` at ``t``, read from the slot when an earlier
     fold reached ``t``.  The walk keeps its own stack, so depth costs no
-    Python frames, and visits the children left to right."""
-    slot, kids_of, node = alg.slot, alg.kids, alg.node
+    Python frames, and visits the children left to right; a node's answers
+    are gathered by ``map``, which adds no frame per node."""
+    slot, kids_of, node, answer = alg.slot, alg.kids, alg.node, alg.answer
     stack: list = [t]
     while stack:
         x = stack.pop()
         if type(x) is tuple:  # a term whose children are all done
             x, kids = x
-            setattr(x, slot, node(x, [getattr(k, slot) for k in kids]))
+            setattr(x, slot, node(x, [*map(answer, kids)]))
         elif not hasattr(x, slot):
             kids = kids_of(x)
             stack.append((x, kids))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from .errors import NotLimit
-from .hashcons import Term, _intern
+from .hashcons import Term
 
 
 class OrdKind(enum.Enum):
@@ -29,9 +29,6 @@ class Ordinal(Term):
     __slots__ = ("terms", "_levels")
     __match_args__ = ("terms",)
     terms: tuple[tuple[Ordinal, int], ...]
-
-    def __new__(cls, terms: tuple[tuple[Ordinal, int], ...] = ()) -> Ordinal:
-        return _intern(cls, terms)
 
     def _init(self, terms: tuple[tuple[Ordinal, int], ...]) -> None:
         self.terms, self._levels = terms, None
@@ -62,7 +59,7 @@ class Ordinal(Term):
         return add(self, other)
 
 
-ZERO = Ordinal()
+ZERO = Ordinal(())
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
@@ -128,7 +125,11 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def succ(a: Ordinal) -> Ordinal:
-    return add(a, ONE)
+    """Successor: one more on the last term when it is finite."""
+    terms = a.terms
+    if terms and terms[-1][0] is ZERO:
+        return Ordinal(terms[:-1] + ((ZERO, terms[-1][1] + 1),))
+    return Ordinal(terms + ((ZERO, 1),))
 
 
 def kind(a: Ordinal) -> OrdKind:

@@ -59,14 +59,19 @@ def rank_info(t: TreeSchema) -> RankInfo:
 
 
 def _node(t: Fan | Spine, heads: list[tuple[int, RankInfo]], tail: RankInfo | None) -> RankInfo:
+    if not heads:  # no live head, as at a chain level: the tail alone decides
+        if tail is None:
+            return _EMPTY_INFO
+        if not tail.core_empty:
+            return tail  # a surviving core keeps its rank, with no domination stage
+        # a fan's root waits for every tail block to be fully gone, as below
+        return _from_dom(tail.rank if isinstance(t, Fan) else tail.dom_stage)
     if tail is not None:
         if isinstance(t, Fan):
             # infinitely many nonempty blocks keep the first coordinates
             # unbounded, so the root needs every tail block to be fully gone
             tail = RankInfo(tail.rank, tail.core_empty, tail.rank)
         heads = heads + [(len(t.heads), tail)]
-    if not heads:
-        return _EMPTY_INFO
     if all(i.core_empty for _, i in heads):
         # the root falls once every block is dominated; a spine
         # accommodates dominated copies, so no emptiness is needed there

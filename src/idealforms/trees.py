@@ -226,14 +226,14 @@ class _Algebra(Algebra):
                 raise TypeError(f"not a schema: {t!r}")
             tail = t.tail
             if type(tail) is Const:
-                return t.heads + (tail.block,)
+                return t.heads + (tail.block,) if t.heads else (tail.block,)
             return t.heads + (seq_block(tail, 0),) if diag is None else t.heads
 
         def whole(t: TreeSchema, answers: list):
             if type(t) is Rooted:
                 t._empty = False
                 return eps if t.child._empty else rooted(answers[0])
-            heads = [(n, answers[n]) for n, h in enumerate(t.heads) if not h._empty]
+            heads = [(n, answers[n]) for n, h in enumerate(t.heads) if not h._empty] if t.heads else []
             tail = t.tail
             if type(tail) is Const:
                 last = None if tail.block._empty else answers[-1]
@@ -270,11 +270,12 @@ def _level(p: bool, rank: Ordinal) -> TreeSchema:
     rank down when first read.  A level is never empty, and above zero its
     lengths are unbounded: saying so keeps ``is_empty`` and ``is_finite``
     from folding the levels below."""
-    if rank.is_zero():
+    terms = rank.terms
+    if not terms:
         return Fan((), Const(EPS)) if p else CHAIN
-    if ordinals.kind(rank) is OrdKind.LIMIT:
+    if terms[-1][0] is not ordinals.ZERO:  # a limit rank
         return Fan((), QDiag(rank)) if p else Spine((), PDiag(rank))
-    out = (Fan if p else Spine)((), _intern(Const, not p, ordinals.pred(rank)))
+    out = _intern(Fan if p else Spine, (), _intern(Const, not p, ordinals.pred(rank)))
     out._empty, out._depth = False, math.inf
     return out
 

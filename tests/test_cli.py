@@ -245,6 +245,16 @@ def test_exit_codes(capsys):
         assert err.startswith("usage: idealforms") and "Traceback" not in err, err
 
 
+def test_an_undecided_containment_names_where_the_pair_budget_ran_out(capsys):
+    # the walk spends the last pair of its budget on <2,0,1,0,0,1>; one
+    # pair fewer would stop it at <2,0,1,0,0,0>
+    q, target = "fan([];qdiag(w^(w^w^2*3+2)))", "P(w^(w^w^2*3+2)+1)"
+    assert cli.main(["member", q, "in", target]) == 2
+    assert capsys.readouterr().err == (
+        f"UnknownContainment: containment of {q} in {target} undecided: "
+        "the walk stopped at <2,0,1,0,0,1>\n")
+
+
 # seeded term texts of each sort, and the 17 verb forms they fill
 DRAW = {
     "expr": lambda rng: str(laws.rand_expr(rng, 6)),

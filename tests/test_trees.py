@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import copy
 import gc
+import hashlib
 import math
 import os
 import pickle
@@ -777,3 +778,143 @@ def test_racing_builders_get_one_object():
     assert all(len(out) == len(srcs) for out in built)
     for same in zip(*built):
         assert all(t is same[0] for t in same)
+
+
+# --------------------------------------------------------------------------
+# chain levels: pinned answers and the parent's node rules as reference
+
+
+def _chain_forms() -> list[ideals.CanonicalForm]:
+    """P, Q and PQ at the ranks 0..200, w*k+j (k = 1..3, j = 0..5), w^2,
+    w^w+3 and w^(w^w): finite, successor and limit ranks of the chains."""
+    ranks = [ordinals.from_int(n) for n in range(201)]
+    ranks += [ordinals.add(ordinals.omega_power(ordinals.ONE, k), ordinals.from_int(j))
+              for k in (1, 2, 3) for j in range(6)]
+    ranks += [parse_ordinal(s) for s in ("w^2", "w^w+3", "w^(w^w)")]
+    return [ideals.CanonicalForm(kind, r) for r in ranks for kind in ideals.Kind]
+
+
+def _fold_nodes(top: trees.TreeSchema, alg: trees._Algebra) -> set:
+    """Every term the fold of ``alg`` reaches from ``top``."""
+    seen, stack = set(), [top]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if type(x) in (Fan, Spine, Rooted):
+                stack += alg.kids(x)
+    return seen
+
+
+# sha256 of "<form>:<classify>,<via derivative>,<scaffold>,<tree rank>"
+# lines over _chain_forms(); recorded before the head-less node rules
+CHAIN_DIGEST = "a00f36d0e25b8f4cd822caf2dd562f535e42f5e45c54ac78692a178a85be2f43"
+
+
+def test_chain_answers_pinned():
+    h = hashlib.sha256()
+    markers = (classification.EMPTY_CLS, classification.FINITE_CLS, classification.FULL_CLS)
+    for c in _chain_forms():
+        s = trees.compile_form(c)
+        r, core_empty = rank.tree_rank(s)
+        h.update((f"{c}:{classification.classify(s)},{classification.classify_via_derivative(s)},"
+                  f"{classification.scaffold_class(s)},{r},{core_empty}\n").encode())
+        # the node rules compare these answers with the markers by identity
+        for alg in (classification._CLASS, classification._SCAFFOLD):
+            for x in _fold_nodes(s, alg):
+                a = getattr(x, alg.slot)
+                assert type(a) is ideals.CanonicalForm or any(a is m for m in markers), (x, a)
+    assert h.hexdigest() == CHAIN_DIGEST
+
+
+def _ref_sum(parts: list) -> object:
+    """``classification._sum`` before the head-less node rules, unchanged."""
+    forms = [p for p in parts if isinstance(p, ideals.CanonicalForm)]
+    if forms:
+        return ideals.combine_all(forms)
+    if any(p == classification.FINITE_CLS for p in parts):
+        return classification.FINITE_CLS
+    return classification.EMPTY_CLS
+
+
+def _ref_cls_node(t: Fan | Spine, heads: list, tail: object) -> object:
+    """``classification._node`` before the head-less node rules, unchanged."""
+    FINITE_CLS, FULL_CLS, EMPTY_CLS = (
+        classification.FINITE_CLS, classification.FULL_CLS, classification.EMPTY_CLS)
+    if tail == FULL_CLS or any(c == FULL_CLS for _, c in heads):
+        return FULL_CLS
+    spine = isinstance(t, Spine)
+    if tail is None:
+        return _ref_sum([FINITE_CLS] + [c for _, c in heads]) if heads else EMPTY_CLS
+    if not isinstance(t.tail, Const):
+        rest = [tail]
+    elif isinstance(tail, ideals.CanonicalForm):
+        rest = [ideals.omega_sum(ideals.perp(tail) if spine else tail)]
+    else:
+        rest = [ideals.POW_FORM] if tail == FINITE_CLS else []
+    if not spine:
+        return _ref_sum([FINITE_CLS] + [c for _, c in heads] + rest)
+    inner = [ideals.perp(c) for _, c in heads if isinstance(c, ideals.CanonicalForm)] + rest
+    return _ref_sum([ideals.FIN_FORM] + ([ideals.perp(ideals.combine_all(inner))] if inner else []))
+
+
+def _ref_rank_node(t: Fan | Spine, heads: list, tail: rank.RankInfo | None) -> rank.RankInfo:
+    """``rank._node`` before the head-less node rules, unchanged."""
+    RankInfo = rank.RankInfo
+    if tail is not None:
+        if isinstance(t, Fan):
+            tail = RankInfo(tail.rank, tail.core_empty, tail.rank)
+        heads = heads + [(len(t.heads), tail)]
+    if not heads:
+        return rank._EMPTY_INFO
+    if all(i.core_empty for _, i in heads):
+        return rank._from_dom(max([i.dom_stage for _, i in heads]))
+    ranks = [i.rank for _, i in heads]
+    if isinstance(t, Spine):
+        last_bad = max(n for n, i in heads if not i.core_empty)
+        late = [i.dom_stage for n, i in heads if n > last_bad]
+        if late:
+            ranks.append(ordinals.succ(max(late)))
+    return RankInfo(max(ranks), False, None)
+
+
+def test_node_rules_agree_with_the_reference_rules():
+    # the inputs each fold gave its node rule, rebuilt from the answers it
+    # stored: the live heads' answers, and the tail's (None when trivial)
+    from test_oracle import _facts, _facts_corpus
+
+    tops = _facts_corpus()
+    for s in tops:
+        _facts(s)
+    for c in _chain_forms():
+        s = trees.compile_form(c)
+        classification.classify(s), classification.scaffold_class(s), rank.rank_info(s)
+        tops.append(s)
+    cases = (
+        (classification._CLASS, classification._node, _ref_cls_node, classification._p_limit),
+        (classification._SCAFFOLD, classification._node, _ref_cls_node, classification._p_limit),
+        (rank._RANK, rank._node, _ref_rank_node,
+         lambda tail: rank.RankInfo(tail.rank, True, tail.rank)),
+    )
+    met = Counter()
+    for alg, node, ref, diag in cases:
+        answer = alg.slot
+        nodes = set().union(*(_fold_nodes(s, alg) for s in tops))
+        for x in nodes:
+            if type(x) not in (Fan, Spine) or not hasattr(x, answer):
+                continue
+            heads = [(n, getattr(h, answer)) for n, h in enumerate(x.heads) if not h._empty]
+            if type(x.tail) is Const:
+                tail = None if x.tail.block._empty else getattr(x.tail.block, answer)
+            else:
+                tail = diag(x.tail)
+            want = ref(x, heads, tail)
+            assert node(x, list(heads), tail) == want == getattr(x, answer), (x, answer)
+            # the sum rule alone, on the parts a node sums
+            parts = [c for _, c in heads] + ([] if tail is None else [tail])
+            if node is classification._node and all(p != classification.FULL_CLS for p in parts):
+                assert classification._sum(parts) == _ref_sum(parts), (x, parts)
+            met[answer, bool(heads), type(x).__name__] += 1
+    # both node shapes of both kinds, with and without live heads
+    assert all(met[slot, h, k] for slot in ("_cls", "_scaffold", "_rank")
+               for h in (False, True) for k in ("Fan", "Spine")), met
