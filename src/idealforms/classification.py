@@ -24,7 +24,7 @@ from typing import Union
 from . import ideals, rank, trees
 from .errors import FiniteSchema
 from .hashcons import Interned, _fold
-from .ideals import CanonicalForm, FIN_FORM, Kind, POW_FORM
+from .ideals import CanonicalForm, FIN_FORM, POW_FORM
 from .ordinals import Ordinal
 from .trees import Const, Fan, Spine, TreeSchema
 
@@ -107,7 +107,7 @@ def _node(t: Fan | Spine, heads: list[tuple[int, Cls]], tail: Cls | None) -> Cls
     if not heads:  # no live head, as at a chain level: its prefix nodes and its tail's part
         if rest is None:
             return FIN_FORM if spine else FINITE_CLS
-        return ideals.combine(FIN_FORM, ideals.perp(rest)) if spine else rest
+        return ideals.perp(rest) if spine else rest  # a P-form's orthogonal absorbs FIN
     rest = [] if rest is None else [rest]
     if not spine:
         return _sum([FINITE_CLS] + [c for _, c in heads] + rest)
@@ -119,7 +119,7 @@ def _node(t: Fan | Spine, heads: list[tuple[int, Cls]], tail: Cls | None) -> Cls
 def _p_limit(tail) -> CanonicalForm:
     # block classes along a diagonal tail, and their orthogonals, have
     # ranks cofinal in the limit rank
-    return CanonicalForm(Kind.P, tail.rank)
+    return ideals.lim_sum(tail.rank)
 
 
 _CLASS = trees._Algebra(

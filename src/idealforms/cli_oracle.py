@@ -23,6 +23,7 @@ def _cmd_selftest(args) -> dict:
     lines = [
         f"{'ok  ' if law.failures == 0 else 'FAIL'} {law.name}: "
         f"{law.trials - law.failures}/{law.trials}"
+        + (f" ({law.checked} checked)" if law.checked < law.trials else "")
         + (f"  first: {law.first_counterexample}" if law.failures else "")
         for law in report.laws
     ]

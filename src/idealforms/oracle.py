@@ -205,22 +205,23 @@ def check_witness(w, q: Optional[QueryTerm], b: Budget) -> bool:
 
 
 def _check_embedding(w: EmbeddingWitness, b: Budget) -> bool:
-    """An embedding must be injective on the sampled domain and preserve
-    and reflect strict prefixes.  Given injectivity, the second holds iff
-    for each sampled u the sampled u' whose image is a strict prefix of
-    u's image are exactly the sampled strict prefixes of u; an inverse
-    image dict answers that by lookup instead of comparing every pair
-    (Fredkin, "Trie Memory", 1960), at the few lengths that images have,
-    so a long image costs no lookup per entry."""
-    from .witnesses import iter_domain
-
-    domain = iter_domain(min(b.depth, 4), min(b.width, 4), b.count)
+    """An embedding must map the sampled domain, the first ``count``
+    sequences by length of the box capped at depth and width 4, into its
+    target (the generated tree if ``w.generated``), each sequence mapped
+    once, injectively, and preserve and reflect strict prefixes.  Given
+    injectivity, the last holds iff for each sampled u the sampled u' whose
+    image is a strict prefix of u's image are exactly the sampled strict
+    prefixes of u; an inverse image dict answers that by lookup instead of
+    comparing every pair (Fredkin, "Trie Memory", 1960), at the few lengths
+    that images have, so a long image costs no lookup per entry."""
+    depth, width = min(b.depth, 4), min(b.width, 4)
+    every = (u for n in range(depth + 1) for u in trees.iter_len(trees.FULL, n, width))
+    member = trees.gen_member if w.generated else trees.member_elem
     images = {}
-    for u in domain:
-        v = w.map(u)
-        if not w.image_member(u):
+    for u in itertools.islice(every, b.count):
+        v = images[u] = w.map(u)
+        if not member(v, w.target):
             return False
-        images[u] = v
     inverse = {v: u for u, v in images.items()}
     if len(inverse) != len(images):
         return False  # not injective on the sampled domain

@@ -298,7 +298,6 @@ class OrderEmbedding:
     """Order embedding of the rationals through the first dense occurrence."""
 
     def __init__(self, term: LinTerm):
-        self.term = term
         self.path, self.interval, self.flips = _dense_occurrence(term)
 
     def map(self, q: Fraction) -> Fraction:

@@ -8,12 +8,11 @@ maps realized lazily with memoized expansion state.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import Callable, Iterator
 
-from . import text, trees
+from . import text
 from .hashcons import Interned
 from .trees import Seq, TreeSchema
 
@@ -91,12 +90,6 @@ class EmbeddingWitness:
     def map(self, u: Seq) -> Seq:
         raise NotImplementedError
 
-    def image_member(self, u: Seq) -> bool:
-        v = self.map(u)
-        if self.generated:
-            return trees.gen_member(v, self.target)
-        return trees.member_elem(v, self.target)
-
 
 class PrefixEmbedding(EmbeddingWitness):
     """Identity embedding re-rooted under a fixed prefix (full sub-block)."""
@@ -150,9 +143,3 @@ class CoreEmbedding(EmbeddingWitness):
             cone = exp.child
         return tuple(out)
 
-
-def iter_domain(depth: int, width: int, count: int) -> list[Seq]:
-    """Deterministic sample of the sequence tree for witness checking: its
-    first ``count`` sequences by length, then lexicographically."""
-    every = (u for n in range(depth + 1) for u in trees.iter_len(trees.FULL, n, width))
-    return list(itertools.islice(every, count))

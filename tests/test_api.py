@@ -124,6 +124,12 @@ def _family_without_its_query():
     (lambda: orders.pos_cmp(ideals.Fin(), (0,), (1,)), TypeError, "not an order term: Fin[FIN]"),
     (lambda: orders.embed_position(ideals.Fin(), (0,)), TypeError, "not an order term: Fin[FIN]"),
     (_family_without_its_query, TypeError, "not a query term: None"),
+    (lambda: oracle.check_witness(3, trees.CHAIN, oracle.WITNESS_BUDGET), TypeError, "not a witness: 3"),
+    (lambda: oracle.check_witness(queries.FinSet(((0,),)), trees.CHAIN, oracle.WITNESS_BUDGET), TypeError,
+     "not a witness: FinSet[finset{<0>}]"),
+    (lambda: orders._dense_occurrence(orders.NAT), AssertionError, "no dense occurrence in N"),
+    (lambda: trees.walk(trees.EMPTY, lambda s: 0, lambda s: False), AssertionError,
+     "the walk has no block to enter at empty"),
 ])
 def test_guards_reject_what_their_callers_never_pass(call, error, message):
     # no other test reaches these guards: each one stands between a

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +291,28 @@ def test_core_embedding_map_matches_the_slicing_map():
                 u = v[:rng.randrange(len(v) + 1)] + (() if roll < 0.6 else (rng.randrange(4),) * 3)
             assert w.map(u) == _slicing_map(w, state, expansions, u), (w.target, len(u))
             done.append(u)
+
+
+def test_only_ideals_and_laws_build_canonical_forms():
+    # every rule that makes a form from a rank is in ideals (laws draws
+    # forms at random): the classifiers ask ideals for each one
+    src = Path(ideals.__file__).parent
+    callers = {p.stem for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))
+               if isinstance(n, ast.Call) and "CanonicalForm" in (getattr(n.func, "id", None),
+                                                                  getattr(n.func, "attr", None))}
+    assert callers == {"ideals", "laws"}
+
+
+def test_chain_levels_classify_without_combining(monkeypatch):
+    # a head-less spine's tail part is a P-form, whose orthogonal absorbs
+    # the FIN summand: compiling and classifying a chain sums forms only
+    # where the expression does
+    calls = []
+    combine = ideals.combine
+    monkeypatch.setattr(ideals, "combine", lambda c1, c2: calls.append(1) or combine(c1, c2))
+    gc.collect()  # no chain level of an earlier test keeps its class
+    for src, want in (("Q(200)", 0), ("P(200)", 0), ("sum(P(200),Q(200))", 2)):
+        expr = e(src)
+        calls.clear()
+        out = classify.classify(trees.compile_ideal(expr))
+        assert len(calls) == want and out == Borel(ideals.normalize(expr)), (src, len(calls))

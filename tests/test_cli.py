@@ -181,7 +181,8 @@ def test_selftest_reports_the_failures_of_a_planted_law_table(monkeypatch, capsy
     assert not report.all_pass
     code, out = run(capsys, "selftest", "--seed", "3", "--trials", "20")
     assert code == 3 and out.splitlines()[-1] == "LAW VIOLATED"
-    assert f"  first: {no_chain.first_counterexample}" in out and "ok   vacuous: 20/20" in out
+    assert f"  first: {no_chain.first_counterexample}" in out
+    assert "ok   vacuous: 20/20 (0 checked)" in out.splitlines()
     code, out = run(capsys, "--json", "selftest", "--seed", "3", "--trials", "20")
     assert code == 3
     _validate(json.loads(out), "selftest.json")
@@ -201,6 +202,19 @@ def test_the_selftest_report_is_pinned_also_under_python_O(capsys):
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     outs = [capsys.readouterr().out, proc.stdout]
     assert [hashlib.sha256(o.encode()).hexdigest()[:16] for o in outs] == [SELFTEST_SHA] * 2
+
+
+def test_selftest_says_how_many_trials_a_law_checked(capsys):
+    # a law whose guard leaves trials vacuous says how many it checked;
+    # the JSON report keeps its pinned bytes
+    code, out = run(capsys, "selftest", "--seed", "42", "--trials", "50")
+    assert code == 0 and [line for line in out.splitlines() if line.endswith(" checked)")] == [
+        "ok   domination-budget: 50/50 (4 checked)",
+        "ok   rank-oracle-agreement: 50/50 (38 checked)",
+        "ok   membership-never-both: 50/50 (49 checked)",
+        "ok   orthogonality-stabilizes: 50/50 (1 checked)",
+        "ok   dense-embedding: 50/50 (31 checked)",
+    ]
 
 
 def test_exit_codes(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import itertools
@@ -18,9 +19,7 @@ from idealforms.errors import FiniteSchema, NotASubset, QuotientOverflow, Unknow
 from idealforms.membership import Ternary
 from idealforms.oracle import Budget
 from idealforms.text import parse_expr, parse_query, parse_tree
-from idealforms.witnesses import (
-    DominatingBranch, EmbeddingWitness, PrefixEmbedding, UnboundedFamily, iter_domain,
-)
+from idealforms.witnesses import DominatingBranch, EmbeddingWitness, PrefixEmbedding, UnboundedFamily
 
 
 t = parse_tree
@@ -112,11 +111,21 @@ def test_quotients_pinned():
     assert h.hexdigest() == QUOTIENT_DIGEST
 
 
-def test_witness_domain_is_the_first_sequences_by_length():
-    for depth, width in itertools.product(range(4), range(3)):
-        every = [u for n in range(depth + 1) for u in itertools.product(range(width + 1), repeat=n)]
+def _first_by_length(depth: int, width: int) -> list:
+    """Every sequence of the box capped at depth and width 4, by length,
+    then lexicographically: the domain an embedding check samples."""
+    depth, width = min(depth, 4), min(width, 4)
+    return [u for n in range(depth + 1) for u in itertools.product(range(width + 1), repeat=n)]
+
+
+def test_the_embedding_check_maps_the_first_sequences_by_length_once():
+    for depth, width in itertools.product(range(1, 6), repeat=2):
+        every = _first_by_length(depth, width)
         for count in (1, len(every) // 2 + 1, len(every), len(every) + 5):
-            assert iter_domain(depth, width, count) == every[:count], (depth, width, count)
+            seen = []
+            w = _Mapped(lambda u: seen.append(u) or u)
+            assert oracle.check_witness(w, None, Budget(depth, width, count))
+            assert seen == every[:count], (depth, width, count)
 
 
 @pytest.mark.parametrize("text", ["fan([chain];qdiag(w))", "spine([];pdiag(w^2))"])
@@ -301,13 +310,13 @@ def _pairwise_embedding_check(w, b: Budget) -> bool:
     def is_prefix(u, v):
         return len(u) <= len(v) and v[: len(u)] == u
 
-    domain = iter_domain(min(b.depth, 4), min(b.width, 4), b.count)
+    domain = _first_by_length(b.depth, b.width)[: b.count]
+    member = trees.gen_member if w.generated else trees.member_elem
     images = {}
     for u in domain:
-        v = w.map(u)
-        if not w.image_member(u):
+        v = images[u] = w.map(u)
+        if not member(v, w.target):
             return False
-        images[u] = v
     if len(set(images.values())) != len(images):
         return False
     for u, v in itertools.combinations(domain, 2):
@@ -850,7 +859,7 @@ def test_enumerate_skips_schemas_longer_than_the_box():
 # the package modules that loading the checker kernel loads
 KERNEL_MODULES = {"errors", "hashcons", "ideals", "oracle", "ordinals", "queries", "text", "trees"}
 # every module that the kernel's calls reach
-KERNEL_REACH = {"hashcons", "oracle", "ordinals", "queries", "quotient", "trees", "witnesses"}
+KERNEL_REACH = {"hashcons", "oracle", "ordinals", "queries", "quotient", "trees"}
 
 
 def test_the_checker_kernel_trust_base_is_pinned():
@@ -888,6 +897,24 @@ def test_the_checker_kernel_trust_base_is_pinned():
     seen = reach("oracle.enumerate_schema", "oracle.check_witness", "oracle.explicit_derivative")
     assert {(f, g) for f in seen for g in graph.get(f, ()) if g.startswith("membership.")} == set()
     assert {f.split(".")[0] for f in seen} == KERNEL_REACH
+
+
+def test_witnesses_hold_data_and_the_maps_they_denote():
+    # the checker kernel samples a witness's domain and tests each image
+    # itself: no function of witnesses reads the schema predicates, the
+    # oracle or the procedures whose answers the witnesses back
+    from idealforms import witnesses
+
+    checked = {"trees", "oracle", "membership", "classification"}
+    tree = ast.parse(Path(witnesses.__file__).read_text())
+    reads = sorted(f"{d.name}: {n.value.id}.{n.attr}" for d in ast.walk(tree)
+                   if isinstance(d, ast.FunctionDef) for n in ast.walk(d)
+                   if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                   and n.value.id in checked)
+    imports = sorted(f"{d.name}: {n.module}" for d in ast.walk(tree)
+                     if isinstance(d, ast.FunctionDef) for n in ast.walk(d)
+                     if isinstance(n, ast.ImportFrom) and n.module in checked)
+    assert reads == imports == []
 
 
 def test_enumeration_opens_few_empty_probes(monkeypatch):

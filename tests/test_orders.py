@@ -8,6 +8,8 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 from idealforms import ideals, laws, orders
 from idealforms.ideals import CanonicalForm, Kind
 from idealforms.orders import Cat, NonScattered, OmegaCat, Rev, Scattered
@@ -27,7 +29,7 @@ def test_classify_examples():
     assert orders.wo_classify(t("osum([];rev(N))")) == Scattered(form("P", "1"))
     assert orders.wo_classify(t("cat(N,rev(N))")) == Scattered(form("PQ", "0"))
     out = orders.wo_classify(t("QQ"))
-    assert isinstance(out, NonScattered)
+    assert isinstance(out, NonScattered) and str(out) == "NonScattered(dense-order embedding)"
 
 
 def test_scattered_check():
@@ -44,6 +46,17 @@ def test_reverse_examples():
     assert out == Scattered(form("Q", "1"))
     rev, out = orders.wo_self_dual(t("QQ"))
     assert rev == t("QQ") and isinstance(out, NonScattered)
+
+
+@pytest.mark.parametrize("source, reversal", [
+    ("osum([];N)", lambda t: t),  # a scattered class that is not its own orthogonal
+    ("QQ", lambda t: orders.NAT),  # a dense order reversed to a scattered one
+])
+def test_self_duality_raises_on_a_broken_reversal(monkeypatch, source, reversal):
+    # a reversal that breaks duality is an engine bug, reported even under python -O
+    monkeypatch.setattr(orders, "reverse_term", reversal)
+    with pytest.raises(AssertionError):
+        orders.wo_self_dual(t(source))
 
 
 def test_rationalize_examples():
