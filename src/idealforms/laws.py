@@ -59,9 +59,10 @@ def rand_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
 
 def rand_limit(rng: random.Random) -> Ordinal:
     a = rand_ordinal(rng)
-    terms = tuple((e, c) for e, c in a.terms if not e.is_zero())
-    if terms:
-        return Ordinal(terms)
+    while ordinals.kind(a) is ordinals.OrdKind.SUCCESSOR:  # drop the finite part
+        a = ordinals.pred(a)
+    if not a.is_zero():
+        return a
     return rng.choice(
         [ordinals.OMEGA, ordinals.omega_power(ordinals.from_int(2)),
          ordinals.add(ordinals.OMEGA, ordinals.OMEGA)]

@@ -1,8 +1,10 @@
 """Countable ordinals below epsilon_0 in Cantor normal form.
 
-An ordinal is a finite sum ``w^e1*c1 + ... + w^ek*ck`` with strictly
-decreasing exponents (themselves ordinals) and positive integer
-coefficients; the empty sum is 0.  This representation is closed under
+An ordinal is a finite sum ``w^e1*c1 + ... + w^ek*ck + n`` with strictly
+decreasing positive exponents (themselves ordinals), positive integer
+coefficients and a natural ``n``; the empty sum is 0.  An ``Ordinal``
+holds the pairs ``(ei, ci)`` as ``terms`` and ``n`` as ``nat``, interned
+under ``(Ordinal, terms, nat)``.  This representation is closed under
 comparison, addition and the fundamental-sequence assignment used by the
 canonical-form engine, which is all the rest of the package needs.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 
 from .errors import NotLimit
-from .hashcons import Term
+from .hashcons import Term, _intern
 
 
 class OrdKind(enum.Enum):
@@ -22,18 +24,28 @@ class OrdKind(enum.Enum):
 
 
 class Ordinal(Term):
-    """Cantor normal form: tuple of (exponent, coefficient) pairs."""
+    """Cantor normal form: ``terms``, the (exponent, coefficient) pairs with
+    positive, strictly decreasing exponents, plus ``nat``, the coefficient
+    of w^0.  Interned under ``(Ordinal, terms, nat)``."""
 
     # _levels: the top chain levels compiled at this rank, which unfold
     # on demand, see trees.compile_form
-    __slots__ = ("terms", "_levels")
-    __match_args__ = ("terms",)
+    __slots__ = ("terms", "nat", "_levels")
+    __match_args__ = ("terms", "nat")
     terms: tuple[tuple[Ordinal, int], ...]
+    nat: int
 
-    def _init(self, terms: tuple[tuple[Ordinal, int], ...]) -> None:
-        self.terms, self._levels = terms, None
+    def __new__(cls, terms: tuple[tuple[Ordinal, int], ...] = (), nat: int = 0) -> Ordinal:
+        return _intern(cls, terms, nat)
+
+    def _init(self, terms: tuple[tuple[Ordinal, int], ...], nat: int) -> None:
+        self.terms, self.nat, self._levels = terms, nat, None
+        if nat < 0:
+            raise ValueError(f"ordinals are non-negative, got {nat}")
+        if terms and terms[-1][0] is ZERO:
+            raise ValueError("the coefficient of w^0 is nat, not a pair")
         prev = None
-        for exponent, coeff in self.terms:
+        for exponent, coeff in terms:
             if coeff < 1:
                 raise ValueError(f"coefficient {coeff} < 1")
             if prev is not None and compare(prev, exponent) <= 0:
@@ -41,7 +53,7 @@ class Ordinal(Term):
             prev = exponent
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self is ZERO
 
     def __lt__(self, other: Ordinal) -> bool:
         return compare(self, other) < 0
@@ -59,38 +71,24 @@ class Ordinal(Term):
         return add(self, other)
 
 
-ZERO = Ordinal(())
-ONE = Ordinal(((ZERO, 1),))
+ZERO = Ordinal()
+ONE = Ordinal((), 1)
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if n < 0:
-        raise ValueError(f"ordinals are non-negative, got {n}")
-    return ZERO if n == 0 else Ordinal(((ZERO, n),))
+    return Ordinal((), n)
 
 
 def omega_power(exponent: Ordinal, coeff: int = 1) -> Ordinal:
-    return Ordinal(((exponent, coeff),))
-
-
-def _nat(a: Ordinal) -> int | None:
-    """The value of a finite ordinal, None for an infinite one: a leading
-    exponent of 0 is the only term."""
-    terms = a.terms
-    if not terms:
-        return 0
-    return terms[0][1] if terms[0][0] is ZERO else None
+    return Ordinal((), coeff) if exponent is ZERO else Ordinal(((exponent, coeff),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total CNF order; returns -1, 0 or 1.  Equal ordinals are one object,
     so the first pair of exponents that differ decides, and the loop walks
-    down to it."""
+    down to it; past equal pairs, more pairs and then a larger ``nat`` win."""
     while a is not b:
-        m, n = _nat(a), _nat(b)
-        if m is not None and n is not None:
-            return -1 if m < n else 1
         for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
             if ea is not eb:
                 a, b = ea, eb
@@ -98,57 +96,39 @@ def compare(a: Ordinal, b: Ordinal) -> int:
             if ca != cb:
                 return -1 if ca < cb else 1
         else:
-            return -1 if len(a.terms) < len(b.terms) else 1
+            m, n = len(a.terms), len(b.terms)
+            return -1 if m < n or m == n and a.nat < b.nat else 1
     return 0
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition; terms of ``a`` below b's lead exponent are absorbed."""
-    n = _nat(b)
-    if n is not None:
-        # a finite b only adds to a's finite last term
-        if n == 0:
-            return a
-        terms = a.terms
-        if terms and terms[-1][0] is ZERO:
-            return Ordinal(terms[:-1] + ((ZERO, terms[-1][1] + n),))
-        return Ordinal(terms + ((ZERO, n),))
-    if a.is_zero():
-        return b
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if compare(t[0], lead) > 0]
-    merged = list(b.terms)
+    if not b.terms:  # a finite b only adds to a's finite part
+        return Ordinal(a.terms, a.nat + b.nat)
+    lead, coeff = b.terms[0]
+    kept = tuple(t for t in a.terms if compare(t[0], lead) > 0)
+    rest = a.terms[len(kept):]
     # a's term at the lead exponent merges coefficients instead of vanishing
-    if len(kept) < len(a.terms) and compare(a.terms[len(kept)][0], lead) == 0:
-        merged[0] = (lead, a.terms[len(kept)][1] + b.terms[0][1])
-    return Ordinal(tuple(kept) + tuple(merged))
+    if rest and rest[0][0] is lead:
+        return Ordinal(kept + ((lead, rest[0][1] + coeff),) + b.terms[1:], b.nat)
+    return Ordinal(kept + b.terms, b.nat)
 
 
 def succ(a: Ordinal) -> Ordinal:
-    """Successor: one more on the last term when it is finite."""
-    terms = a.terms
-    if terms and terms[-1][0] is ZERO:
-        return Ordinal(terms[:-1] + ((ZERO, terms[-1][1] + 1),))
-    return Ordinal(terms + ((ZERO, 1),))
+    return Ordinal(a.terms, a.nat + 1)
 
 
 def kind(a: Ordinal) -> OrdKind:
-    if not a.terms:
-        return OrdKind.ZERO
-    if a.terms[-1][0] is ZERO:
+    if a.nat:
         return OrdKind.SUCCESSOR
-    return OrdKind.LIMIT
+    return OrdKind.LIMIT if a.terms else OrdKind.ZERO
 
 
 def pred(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
-    terms = a.terms
-    if not terms or terms[-1][0] is not ZERO:
+    if not a.nat:
         raise ValueError(f"{a} has no predecessor")
-    coeff = terms[-1][1]
-    if coeff > 1:
-        return Ordinal(terms[:-1] + ((ZERO, coeff - 1),))
-    return Ordinal(terms[:-1])
+    return Ordinal(a.terms, a.nat - 1)
 
 
 def fund_seq(a: Ordinal, n: int) -> Ordinal:

@@ -121,10 +121,10 @@ def _ordinal(s: _Stream) -> Ordinal:
 
 def _times(a: Ordinal, n: int) -> Ordinal:
     # multiplication by a natural scales the leading coefficient
-    if n == 0 or a.is_zero():
-        return ordinals.ZERO
+    if n == 0 or not a.terms:
+        return ordinals.from_int(a.nat * n)
     (e, c), rest = a.terms[0], a.terms[1:]
-    return Ordinal(((e, c * n),) + rest)
+    return Ordinal(((e, c * n),) + rest, a.nat)
 
 
 # --------------------------------------------------------------------------
@@ -281,17 +281,15 @@ def children(x) -> list:
 def _ordinal_pieces(a: Ordinal) -> list:
     """The text of ``a`` last first: strings, and each exponent that prints
     in full as itself, so no level copies the text below it."""
-    out: list = []
+    out: list = [str(a.nat), "+"] if a.nat else []
     for exponent, coeff in reversed(a.terms):
-        if coeff != 1 and exponent is not ordinals.ZERO:
+        if coeff != 1:
             out.append(f"*{coeff}")
-        if exponent is ordinals.ZERO:
-            out.append(str(coeff))
-        elif exponent is ordinals.ONE:
+        if exponent is ordinals.ONE:
             out.append("w")
-        elif exponent.terms[0][0] is ordinals.ZERO:
-            out.append(f"w^{exponent.terms[0][1]}")  # finite exponent
-        elif len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
+        elif not exponent.terms:
+            out.append(f"w^{exponent.nat}")  # finite exponent
+        elif not exponent.nat and len(exponent.terms) == 1 and exponent.terms[0][1] == 1:
             out += (exponent, "w^")  # pure power: right-assoc chain
         else:
             out += (")", exponent, "w^(")

@@ -270,10 +270,9 @@ def _level(p: bool, rank: Ordinal) -> TreeSchema:
     rank down when first read.  A level is never empty, and above zero its
     lengths are unbounded: saying so keeps ``is_empty`` and ``is_finite``
     from folding the levels below."""
-    terms = rank.terms
-    if not terms:
+    if rank is ordinals.ZERO:
         return Fan((), Const(EPS)) if p else CHAIN
-    if terms[-1][0] is not ordinals.ZERO:  # a limit rank
+    if not rank.nat:  # a limit rank
         return Fan((), QDiag(rank)) if p else Spine((), PDiag(rank))
     out = _intern(Fan if p else Spine, (), _intern(Const, not p, ordinals.pred(rank)))
     out._empty, out._depth = False, math.inf
@@ -456,11 +455,13 @@ def in_id(t: TreeSchema) -> bool:
 
 def _depth_node(t: Fan | Spine, heads: list, tail):
     if isinstance(t, Fan):
-        bounds = [b for _, b in heads] + ([] if tail is None else [tail])
-        return 1 + max(bounds) if bounds else 0
-    if tail is not None:
+        bounds = [1 + b for _, b in heads] + ([] if tail is None else [1 + tail])
+    elif tail is not None:
         return math.inf  # copy roots alone have unbounded length
-    return max((n + 1 + b for n, b in heads), default=0)
+    else:
+        bounds = [n + 1 + b for n, b in heads]
+    deepest = max(bounds, default=0)
+    return math.inf if deepest == math.inf else deepest  # one inf, not a new one per node
 
 
 _DEPTH = _Algebra(

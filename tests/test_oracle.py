@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from idealforms import classification, laws, membership, oracle, queries, quotient, rank, trees
+from idealforms import classification, laws, membership, oracle, ordinals, queries, quotient, rank, trees
 from idealforms.errors import FiniteSchema, NotASubset, QuotientOverflow, UnknownContainment
 from idealforms.membership import Ternary
 from idealforms.oracle import Budget
@@ -423,6 +423,47 @@ def test_the_domination_budget_law_runs_its_body():
         (schema,) = draw(random.Random(f"{s}:domination-budget"))
         assert trees.in_id(schema) or trees.in_wf(schema), str(schema)
         assert check(schema) is True, str(schema)
+
+
+def _compare_ties_low(a, b):
+    # ordinals.compare answering -1 on every tie of equal pairs, whatever
+    # the lengths and the finite parts
+    while a is not b:
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            if ea is not eb:
+                a, b = ea, eb
+                break
+            if ca != cb:
+                return -1 if ca < cb else 1
+        else:
+            return -1
+    return 0
+
+
+def _add_finite_twice(a, b, add=ordinals.add):
+    # ordinals.add counting a finite right side twice
+    return add(a, b) if b.terms else add(add(a, b), b)
+
+
+def _fund_seq_ignores_n(a, n, fund_seq=ordinals.fund_seq):
+    return fund_seq(a, 0)
+
+
+@pytest.mark.parametrize("name, kernel, fault", [
+    ("ordinal-total-order", "compare", _compare_ties_low),
+    ("ordinal-add-identities", "add", _add_finite_twice),
+    ("fundseq-monotone", "fund_seq", _fund_seq_ignores_n),
+])
+def test_each_ordinal_law_refutes_a_broken_kernel(monkeypatch, name, kernel, fault):
+    # law_suite(1, 20) passes the law on the real kernel and reports it
+    # failed, by its own check and with a counterexample, on the broken one
+    monkeypatch.setattr(laws, "LAWS", tuple(law for law in laws.LAWS if law[0] == name))
+    (law,) = oracle.law_suite(1, 20).laws
+    assert (law.name, law.failures, law.checked) == (name, 0, 20)
+    monkeypatch.setattr(ordinals, kernel, fault)
+    (law,) = oracle.law_suite(1, 20).laws
+    assert law.failures > 0 and law.checked == 20
+    assert law.first_counterexample and not law.first_counterexample.startswith("exception")
 
 
 # trials of law_suite(s, 1), s = 0..49, that a law's guard leaves vacuous;

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +130,82 @@ def test_deep_towers_under_the_default_recursion_limit():
     # the rule for a limit exponent applies at every level down to w^w,
     # whose member 3 is w^4
     assert ordinals.fund_seq(low, 3) is parse_ordinal("w^" * (depth - 1) + "4")
+
+
+def _to_sympy(a: Ordinal):
+    """``a`` as a sympy ordinal: one OmegaPower a pair, a finite exponent an int."""
+    from sympy.sets.ordinals import OmegaPower, Ordinal as SympyOrdinal
+
+    def exponent(e: Ordinal):
+        return e.nat if not e.terms else _to_sympy(e)
+
+    powers = [OmegaPower(exponent(e), c) for e, c in a.terms]
+    return SympyOrdinal(*powers, *([OmegaPower(0, a.nat)] if a.nat else []))
+
+
+def _tower(height: int, top: Ordinal) -> Ordinal:
+    for _ in range(height):
+        top = ordinals.omega_power(top)
+    return top
+
+
+def _differential_draw(rng: random.Random) -> Ordinal:
+    pick = rng.randrange(5)
+    if pick < 3:
+        return rand_ordinal(rng, pick + 1)
+    if pick == 3:
+        return ordinals.from_int(rng.randrange(6))
+    return ordinals.add(_tower(rng.randrange(1, 5), ordinals.from_int(rng.randrange(1, 4))),
+                        rand_ordinal(rng, 1))
+
+
+def test_compare_add_and_fund_seq_agree_with_sympy():
+    # an independent Cantor normal form implementation decides the order
+    # and the sums of 2 400 seeded pairs: rand_ordinal at depths 1-3,
+    # naturals and w^w^... towers, mixed
+    rng = random.Random(4714)
+    pairs = [(_differential_draw(rng), _differential_draw(rng)) for _ in range(2400)]
+    kinds = {(ordinals.kind(a), ordinals.kind(b)) for a, b in pairs}
+    assert len(kinds) == 9 and sum(a is b for a, b in pairs) >= 50
+    limits = set()
+    for a, b in pairs:
+        sa, sb = _to_sympy(a), _to_sympy(b)
+        assert ordinals.compare(a, b) == (-1 if sa < sb else 0 if sa == sb else 1), (a, b)
+        assert _to_sympy(ordinals.add(a, b)) == sa + sb, (a, b)
+        limits |= {x for x in (a, b) if ordinals.kind(x) is OrdKind.LIMIT}
+    limits |= {rand_limit(rng) for _ in range(200)}
+    for a in limits:
+        sa = _to_sympy(a)
+        for n in (0, 1, 5, 40):
+            assert _to_sympy(ordinals.fund_seq(a, n)) < sa, (a, n)
+
+
+# the functions outside ordinals.py that take an ordinal's Cantor normal
+# form apart, and why; everywhere else an ordinal is read through the
+# kernel's functions and its finite part ``nat``
+TERMS_READERS = {
+    "text._times": "the reader: a natural scales the leading coefficient",
+    "text._ordinal_pieces": "the printer writes each pair",
+}
+
+
+def _terms_readers(src: Path) -> list[str]:
+    """The top-level functions and classes, outside ``ordinals.py``, that
+    read an attribute named ``terms``."""
+    return [f"{p.stem}.{d.name}" for p in sorted(src.glob("*.py")) if p.name != "ordinals.py"
+            for d in ast.parse(p.read_text()).body
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(n, ast.Attribute) and n.attr == "terms" for n in ast.walk(d))]
+
+
+def test_only_the_grammar_reads_an_ordinals_pairs():
+    assert sorted(_terms_readers(Path(ordinals.__file__).parent)) == sorted(TERMS_READERS)
+
+
+def test_terms_readers_finds_each_read(tmp_path):
+    (tmp_path / "ordinals.py").write_text("def f(a):\n    return a.terms\n")
+    (tmp_path / "b.py").write_text(
+        "def f(a):\n    return a.nat\n\n"
+        "def g(a):\n    return Ordinal(a.terms)\n\n"
+        "class C:\n    def m(self, a):\n        return [e for e, _ in a.terms]\n")
+    assert _terms_readers(tmp_path) == ["b.g", "b.C"]

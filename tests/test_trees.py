@@ -167,6 +167,14 @@ def test_pick_least():
     assert trees.pick_least(q1) == (1, 0)
 
 
+def test_unbounded_depth_is_the_one_inf():
+    # a fan or spine whose deepest block is unbounded answers math.inf
+    # itself, not a new float for each node
+    for text in ("fan([];const(chain))", "fan([eps];const(chain))", "fan([chain,eps];const(empty))",
+                 "spine([eps,chain];const(empty))"):
+        assert trees._fold(t(text), trees._DEPTH) is math.inf, text
+
+
 # the tracemalloc peak of pick_least on compiled Q(n), and the pick's length
 PICK_PEAK = """
 import sys, tracemalloc
@@ -190,6 +198,34 @@ def _pick_peak(n: int) -> int:
     # each level of a compiled chain adds one entry: 0 under a fan, 1 under a spine
     assert length == n + 1
     return peak
+
+
+# the GC-tracked objects that compiling, classifying and ranking P(n) leaves
+CHAIN_OBJECTS = """
+import gc, sys
+from idealforms import classification, rank, trees
+from idealforms.text import parse_expr
+e = parse_expr(f"P({sys.argv[1]})")
+gc.collect()
+before = len(gc.get_objects())
+t = trees.compile_ideal(e)
+classification.classify(t), rank.tree_rank(t)
+gc.collect()
+print(len(gc.get_objects()) - before)
+"""
+
+
+def test_a_chain_level_holds_at_most_eleven_tracked_objects():
+    # a level holds three terms, their three _Refs and three keys, one
+    # RankInfo and one CanonicalForm; its rank is an Ordinal whose finite
+    # part is an int field, so the rank adds no tuple of pairs
+    n = 20000
+    src = str(Path(trees.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", CHAIN_OBJECTS, str(n)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 11 * n
 
 
 def test_pick_least_memory_grows_with_depth_not_its_square():
