@@ -124,8 +124,9 @@ def _picks_in(fan: Fan, s: TreeSchema, stop: Seq) -> tuple[Ternary, Optional[Seq
     UNKNOWN keeps ``stop``, the sequence where the fan's walk stopped."""
     if type(fan.tail) is Const:
         return _walk(Fan(tuple(_one(h) for h in fan.heads), Const(_one(fan.tail.block))), s)
+    known: dict = {}  # pick n ends in pick n-1: one map of cones serves them all
     bad = next((p for p in itertools.islice(_picks(fan), _DIAG_PAIRS)
-                if not trees.member_elem(p, s)), None)
+                if not trees.member_elem(p, s, known)), None)
     return (Ternary.UNKNOWN, stop) if bad is None else (Ternary.NO, bad)
 
 

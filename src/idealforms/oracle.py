@@ -191,11 +191,12 @@ def check_witness(w, q: Optional[QueryTerm], b: Budget) -> bool:
     if isinstance(w, DominatingBranch):
         return all(w.dominates(u) for u in enumerate_schema(q, b))
     if isinstance(w, UnboundedFamily):
-        elems = w.elements(b.count)
+        # one map of cones serves the family, whose element n ends in element n-1's suffix
+        elems, known = w.elements(b.count), {}
         if len(elems) < min(b.count, b.depth):
             return False
         maxima = [max(u) if u else -1 for u in elems]
-        return (all(queries.q_member(u, q) for u in elems)
+        return (all(queries.q_member(u, q, known) for u in elems)
                 and all(a < c for a, c in zip(maxima, maxima[1:])))
     if isinstance(w, EmbeddingWitness):
         return _check_embedding(w, b)

@@ -89,6 +89,8 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     so the first pair of exponents that differ decides, and the loop walks
     down to it; past equal pairs, more pairs and then a larger ``nat`` win."""
     while a is not b:
+        if a.terms == b.terms:  # two finite ordinals, say, differ in nat alone
+            return -1 if a.nat < b.nat else 1
         for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
             if ea is not eb:
                 a, b = ea, eb

@@ -85,10 +85,10 @@ def _transversal_pick(f: Fan, n: int, known: Optional[dict] = None) -> Optional[
     return None if p is None else (n,) + p
 
 
-def q_member(u: Seq, q: QueryTerm) -> bool:
+def q_member(u: Seq, q: QueryTerm, known: Optional[dict] = None) -> bool:
     for x in _leaves(q):
         match x:
-            case TreeSchema() if trees.member_elem(u, x):
+            case TreeSchema() if trees.member_elem(u, x, known):
                 return True
             case FinSet(elements) if u in elements:
                 return True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import tracemalloc
@@ -85,6 +86,18 @@ def test_transversals_are_decided_by_their_picks():
         elif not all(trees.member_elem(v, s) for v in enumerate_schema(q, Budget(4, 4, 60))):
             wrong.append((q, s))
     assert not undecided[True] and len(undecided[False]) <= 3 and not wrong, (undecided, wrong[:5])
+
+
+def test_the_picks_of_a_diagonal_fan_are_walked_with_one_map():
+    # pick n ends in pick n-1, so their walks share one map of cones: each
+    # of the 300 picks lies in the fan itself and the verdict stays open,
+    # while a target one rank up refutes the first pick, as a lone walk does
+    f = t("fan([];qdiag(w^2))")
+    picks = list(itertools.islice(membership._picks(f), membership._DIAG_PAIRS))
+    assert all(trees.member_elem(p, f) for p in picks)
+    assert membership._picks_in(f, f, (7,)) == (Ternary.UNKNOWN, (7,))
+    s = t("fan([];qdiag(w^3))")
+    assert membership._picks_in(f, s, ()) == (Ternary.NO, picks[0]) and not trees.member_elem(picks[0], s)
 
 
 def test_containment_is_one_procedure():

@@ -291,6 +291,45 @@ def test_check_witness_family():
     assert not oracle.check_witness(stalled, q, oracle.WITNESS_BUDGET)
 
 
+def test_a_family_wrong_deep_in_its_shared_suffix_fails_the_check():
+    # element n ends in element n-1's suffix, so element 100's walk meets
+    # the walk of element 99 before the planted entry: the check must
+    # compare the rest of the sequence there, not stop at the term alone
+    q = t("fan([];qdiag(w^2))")
+    good = membership.id_witness(q).elements(oracle.WITNESS_BUDGET.count)
+    u = good[100]
+    bad = good[:100] + [u[:-9] + (2,) + u[-8:]] + good[101:]
+    assert max(bad[100]) == max(u) and trees.member_elem(u, q) and not trees.member_elem(bad[100], q)
+    assert oracle.check_witness(UnboundedFamily(lambda: iter(good)), q, oracle.WITNESS_BUDGET)
+    assert not oracle.check_witness(UnboundedFamily(lambda: iter(bad)), q, oracle.WITNESS_BUDGET)
+    assert not oracle.check_witness(UnboundedFamily(lambda: iter(good[:5])), q, oracle.WITNESS_BUDGET)
+    # a union asks its finite set and transversal leaves before its schema
+    union = parse_query("union(finset{<0>},union(transversal(fan([];const(eps))),fan([];qdiag(w^2))))")
+    assert oracle.check_witness(UnboundedFamily(lambda: iter(good)), union, oracle.WITNESS_BUDGET)
+
+
+def test_one_map_of_cones_per_batch_answers_as_the_plain_walks():
+    # the batches law_suite(s, 1), s = 0..49, checks with a map: every
+    # unbounded family that id-witness-checks draws, and, though their
+    # check walks them alone, every grown box of frechet-witness-sound
+    (id_draw, _), (frechet_draw, _) = _law("id-witness-checks"), _law("frechet-witness-sound")
+    families, boxes = [], []
+    for s in range(50):
+        (q,) = id_draw(random.Random(f"{s}:id-witness-checks"))
+        w = membership.id_witness(q)
+        if isinstance(w, UnboundedFamily):
+            families.append((q, w.elements(oracle.WITNESS_BUDGET.count)))
+        e, target, q = frechet_draw(random.Random(f"{s}:frechet-witness-sound"))
+        if membership.subset_of(q, target) is Ternary.YES and not membership.q_in_wf(q):
+            _, grown = oracle._frechet_boxes(membership.frechet_witness(q, e), Budget(8, 8, 100))
+            boxes.append((q, grown))
+    assert (len(families), len(boxes)) == (48, 50)
+    for q, elems in families + boxes:
+        known = {}
+        for u in elems:
+            assert trees.cone_of(q, u, known) is trees.cone_of(q, u), (str(q), u)
+
+
 def test_check_witness_embedding_rejects_collapse():
     from idealforms.witnesses import EmbeddingWitness
 
@@ -463,6 +502,36 @@ def test_each_ordinal_law_refutes_a_broken_kernel(monkeypatch, name, kernel, fau
     monkeypatch.setattr(ordinals, kernel, fault)
     (law,) = oracle.law_suite(1, 20).laws
     assert law.failures > 0 and law.checked == 20
+    assert law.first_counterexample and not law.first_counterexample.startswith("exception")
+
+
+def _family_one_block_right(q, id_witness=membership.id_witness):
+    # membership.id_witness handing out its family one root block to the right
+    w = id_witness(q)
+    if not isinstance(w, UnboundedFamily):
+        return w
+    return UnboundedFamily(lambda: ((u[0] + 1,) + u[1:] if u else u for u in w.source()))
+
+
+def _frechet_one_block_right(q, e, frechet_witness=membership.frechet_witness):
+    # membership.frechet_witness wrapping its subset back up one block to the right at the root
+    w = frechet_witness(q, e)
+    return type(w)((trees.EMPTY,) + w.heads, w.tail) if isinstance(w, (trees.Fan, trees.Spine)) else w
+
+
+@pytest.mark.parametrize("name, kernel, fault", [
+    ("id-witness-checks", "id_witness", _family_one_block_right),
+    ("frechet-witness-sound", "frechet_witness", _frechet_one_block_right),
+])
+def test_each_witness_law_refutes_a_broken_builder(monkeypatch, name, kernel, fault):
+    # as for the ordinal laws: the law passes on the real witness builder
+    # and reports the broken one failed, by its own check
+    monkeypatch.setattr(laws, "LAWS", tuple(law for law in laws.LAWS if law[0] == name))
+    (law,) = oracle.law_suite(1, 20).laws
+    assert (law.name, law.failures) == (name, 0) and law.checked > 0
+    monkeypatch.setattr(membership, kernel, fault)
+    (law,) = oracle.law_suite(1, 20).laws
+    assert law.failures > 0
     assert law.first_counterexample and not law.first_counterexample.startswith("exception")
 
 

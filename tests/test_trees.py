@@ -61,6 +61,29 @@ def test_cone_examples():
             trees.cone_of(CONST_EMPTY, u)
 
 
+def test_a_shared_map_of_cones_stops_only_where_the_rest_agrees():
+    # every long walk of the batch reaches a rooted chain block with ten
+    # entries left; b differs there from a and walks on, c agrees with b
+    # and stops with its cone, and a repeat stops at the root.  The last
+    # entries of a walk, and so the short walks, leave the map alone
+    fan, block, known = t("fan([];const(rooted(chain)))"), Rooted(CHAIN), {}
+    zeros = (0,) * (trees._WALKED_ALONE + 1)
+    a, b, c, d = (0, *zeros, 0), (3, *zeros, 2), (5, *zeros, 2), (7, *zeros, 0)
+    batch = [a, b, c, d, d, (1,), ()]
+    cones = []
+    for u in batch:
+        cones.append(trees.cone_of(fan, u, known))
+        if u == c:
+            assert known[(block, len(c) - 1)] == (b, EMPTY)
+    assert cones == [trees.cone_of(fan, u) for u in batch]
+    assert cones == [block, EMPTY, EMPTY, block, block, block, fan]
+    assert known == {(fan, len(d)): (d, block), (block, len(d) - 1): (d, block), (CHAIN, len(d) - 1): (d, block)}
+    assert [trees.member_elem(u, fan, {}) for u in batch] == [trees.member_elem(u, fan) for u in batch]
+    for u in ((), (0,) * len(a)):  # a map changes no error
+        with pytest.raises(TypeError, match="not a schema"):
+            trees.cone_of(CONST_EMPTY, u, known)
+
+
 def test_the_entry_bound_of_a_set_without_entries_is_minus_one():
     # no element holds an entry, however the empty set or EPS is written
     for s in (EMPTY, EPS, Rooted(EMPTY), Fan((EMPTY, EMPTY), CONST_EMPTY), Fan((), CONST_EMPTY),
