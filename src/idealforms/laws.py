@@ -226,8 +226,9 @@ def _total_order(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
 
 
 def _add_identities(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
-    add, z = ordinals.add, ordinals.ZERO
-    return add(add(a, b), c) == add(a, add(b, c)) and add(a, z) == a == add(z, a)
+    add, z, one = ordinals.add, ordinals.ZERO, ordinals.ONE
+    return (add(add(a, b), c) == add(a, add(b, c)) and add(a, z) == a == add(z, a)
+            and (b is z or add(a, b) > a) and (b < ordinals.OMEGA or add(add(a, one), b) == add(a, b)))
 
 
 def _fundseq_monotone(a: Ordinal, idx: list) -> bool:

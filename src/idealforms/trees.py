@@ -177,9 +177,8 @@ CHAIN = Chain()
 FULL = Full()
 CONST_EMPTY = Const(EMPTY)
 CONST_FULL = Const(FULL)
-# the entries a walk reads last without its batch's map (see cone_of): a missed
-# lookup costs about two steps, and the elements of a batch often differ near their ends
-_WALKED_ALONE = 8
+# the entries member_elem walks between lookups in a batch's map: a miss costs about two steps
+_CHUNK = 8
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +342,30 @@ def is_finite(t: TreeSchema) -> bool:
 
 def member_elem(u: Seq, t: TreeSchema, known: Optional[dict] = None) -> bool:
     """Point membership of a sequence in the denoted set: its cone holds
-    the empty sequence (Brzozowski, 1964).  ``known`` is as for ``cone_of``."""
-    t = cone_of(t, u, known)
+    the empty sequence (Brzozowski, 1964).
+
+    ``known``, shared by one batch, maps (cone, entries left) at each chunk
+    boundary an earlier sequence passed to it and its final cone.  A sequence
+    longer than ``_CHUNK`` walks ``cone_of`` a chunk at a time, the boundaries
+    lying where a multiple of ``_CHUNK`` entries is left, and stops with the
+    stored cone where the stored sequence has the same rest.  This is exact:
+    the cone of ``v + w`` is the cone of ``w`` in the cone of ``v``."""
+    end = len(u)
+    if known is None or end <= _CHUNK:
+        t = cone_of(t, u)
+    else:
+        i, passed = end % _CHUNK, []
+        if i:
+            t = cone_of(t, u[:i])
+        while i < end:
+            key = (t, end - i)
+            if (hit := known.get(key)) is not None and hit[0][i - end:] == u[i:]:
+                t = hit[1]
+                break
+            passed.append(key)
+            t = cone_of(t, u[i:i + _CHUNK])
+            i += _CHUNK
+        known.update(dict.fromkeys(passed, (u, t)))
     return t is EPS or t is FULL or type(t) is Rooted
 
 
@@ -352,7 +373,7 @@ def spine_root(n: int) -> Seq:
     return (0,) * n + (1,)
 
 
-def cone_of(t: TreeSchema, u: Seq, known: Optional[dict] = None) -> TreeSchema:
+def cone_of(t: TreeSchema, u: Seq) -> TreeSchema:
     """Schema of the elements extending ``u``, re-rooted at ``u`` (the
     derivative of Brzozowski, 1964).
 
@@ -361,23 +382,9 @@ def cone_of(t: TreeSchema, u: Seq, known: Optional[dict] = None) -> TreeSchema:
     zeros at once: a run that ends ``u`` leaves the spine with its blocks
     below the run's length fallen away, a run ended by 1 enters the copy it
     names, and one ended by any other entry falls out of every block.
-
-    ``known``, shared by the walks of one batch, maps (term, entries left)
-    at each step boundary an earlier walk passed, with more than
-    ``_WALKED_ALONE`` left, to its sequence and cone; a walk standing there
-    with the same rest stops with that cone.  This is exact: from a step
-    boundary on, a walk reads nothing but its term and the rest of ``u``.
     """
     i, end = 0, len(u)
-    passed = [] if known is not None and end > _WALKED_ALONE else None
     while i < end:
-        if passed is not None and end - i > _WALKED_ALONE:
-            key = (t, end - i)
-            hit = known.get(key)
-            if hit is not None and hit[0][i - end:] == u[i:]:
-                t = hit[1]
-                break
-            passed.append(key)
         kind = type(t)
         if kind is Fan:
             t = block_at(t, u[i])
@@ -388,28 +395,21 @@ def cone_of(t: TreeSchema, u: Seq, known: Optional[dict] = None) -> TreeSchema:
                 j += 1
             if j == end:
                 zeros, heads = end - i, t.heads
-                t = Spine(heads[zeros:], shift_tail(t.tail, max(zeros - len(heads), 0)))
-                break
+                return Spine(heads[zeros:], shift_tail(t.tail, max(zeros - len(heads), 0)))
             if u[j] != 1:
-                t = EMPTY
-                break
+                return EMPTY
             t = block_at(t, j - i)
             i = j + 1
         elif kind is Rooted:
             t = t.child
         elif t is CHAIN:
-            t = EMPTY if any(u[i:]) else Rooted(CHAIN)
-            break
+            return EMPTY if any(u[i:]) else Rooted(CHAIN)
         elif not isinstance(t, TreeSchema):
             raise TypeError(f"not a schema: {t!r}")
         else:
-            t = FULL if t is FULL else EMPTY
-            break
-    else:
-        if not isinstance(t, TreeSchema):
-            raise TypeError(f"not a schema: {t!r}")
-    if passed:
-        known.update(dict.fromkeys(passed, (u, t)))
+            return FULL if t is FULL else EMPTY
+    if not isinstance(t, TreeSchema):
+        raise TypeError(f"not a schema: {t!r}")
     return t
 
 

@@ -115,6 +115,7 @@ def _family_without_its_query():
     (lambda: trees.shift_tail(trees.EMPTY, 1), TypeError, "not a schema sequence: Empty[empty]"),
     (lambda: queries._leaves(queries.Union(trees.CHAIN, 5)), TypeError, "not a query term: 5"),
     (lambda: ordinals.from_int(-1), ValueError, "ordinals are non-negative, got -1"),
+    (lambda: ordinals.Ordinal(((ONE, 0),)), ValueError, "coefficient 0 < 1"),
     (lambda: ordinals.fund_seq(OMEGA, -1), ValueError, "index must be >= 0"),
     (lambda: ideals.combine_all([]), ValueError, "empty sum has no canonical form"),
     (lambda: ideals.normalize(orders.NAT), TypeError, "not an ideal expression: Nat[N]"),

@@ -6,15 +6,19 @@ import ast
 import hashlib
 import json
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from idealforms import classification, laws, membership, oracle, ordinals, queries, quotient, rank, trees
+from idealforms import (
+    classification, laws, membership, oracle, orders, ordinals, queries, quotient, rank, trees, witnesses,
+)
 from idealforms.errors import FiniteSchema, NotASubset, QuotientOverflow, UnknownContainment
 from idealforms.membership import Ternary
 from idealforms.oracle import Budget
@@ -327,7 +331,8 @@ def test_one_map_of_cones_per_batch_answers_as_the_plain_walks():
     for q, elems in families + boxes:
         known = {}
         for u in elems:
-            assert trees.cone_of(q, u, known) is trees.cone_of(q, u), (str(q), u)
+            assert trees.member_elem(u, q, known) == trees.member_elem(u, q), (str(q), u)
+        assert all(cone is trees.cone_of(q, v) for v, cone in known.values()), str(q)
 
 
 def test_check_witness_embedding_rejects_collapse():
@@ -484,6 +489,20 @@ def _add_finite_twice(a, b, add=ordinals.add):
     return add(a, b) if b.terms else add(add(a, b), b)
 
 
+def _add_drops_the_merge(a, b, add=ordinals.add):
+    # ordinals.add dropping a's term at b's lead exponent instead of merging coefficients
+    if not b.terms:
+        return add(a, b)
+    lead = b.terms[0][0]
+    return ordinals.Ordinal(tuple(t for t in a.terms if t[0] > lead) + b.terms, b.nat)
+
+
+def _add_keeps_the_finite_part(a, b, add=ordinals.add):
+    # ordinals.add keeping a's finite part under an infinite b
+    out = add(a, b)
+    return ordinals.Ordinal(out.terms, out.nat + a.nat) if b.terms else out
+
+
 def _fund_seq_ignores_n(a, n, fund_seq=ordinals.fund_seq):
     return fund_seq(a, 0)
 
@@ -491,6 +510,8 @@ def _fund_seq_ignores_n(a, n, fund_seq=ordinals.fund_seq):
 @pytest.mark.parametrize("name, kernel, fault", [
     ("ordinal-total-order", "compare", _compare_ties_low),
     ("ordinal-add-identities", "add", _add_finite_twice),
+    ("ordinal-add-identities", "add", _add_drops_the_merge),
+    ("ordinal-add-identities", "add", _add_keeps_the_finite_part),
     ("fundseq-monotone", "fund_seq", _fund_seq_ignores_n),
 ])
 def test_each_ordinal_law_refutes_a_broken_kernel(monkeypatch, name, kernel, fault):
@@ -531,6 +552,53 @@ def test_each_witness_law_refutes_a_broken_builder(monkeypatch, name, kernel, fa
     assert (law.name, law.failures) == (name, 0) and law.checked > 0
     monkeypatch.setattr(membership, kernel, fault)
     (law,) = oracle.law_suite(1, 20).laws
+    assert law.failures > 0
+    assert law.first_counterexample and not law.first_counterexample.startswith("exception")
+
+
+def _every_core_empty(t, tree_rank=rank.tree_rank):
+    # rank.tree_rank reporting the core of every generated tree empty
+    return tree_rank(t)[0], True
+
+
+def _merge_keeps_the_first_period(branches, merge=witnesses.merge_branches):
+    # witnesses.merge_branches keeping the first branch's period, not the pointwise maximum
+    return DominatingBranch(merge(branches).prefix, branches[0].period)
+
+
+def _rationals_read_as_nat(t, wo_classify=orders.wo_classify):
+    # orders.wo_classify classing a term that holds the rationals as an
+    # omega-chain, whose every subset is well-ordered
+    return wo_classify(t) if orders.scattered_check(t) else orders.Scattered(orders.POW_FORM)
+
+
+def _map_flipped_twice(self, q, map=orders.OrderEmbedding.map):
+    # the embedding negating its image once more under an odd number of
+    # reversals, so that a reversed frame runs backwards
+    return -map(self, q) if self.flips else map(self, q)
+
+
+def _map_reads_sevenths(self, q, map=orders.OrderEmbedding.map):
+    # the embedding rounding its argument down to a multiple of 1/7
+    return map(self, Fraction(math.floor(q * 7), 7))
+
+
+@pytest.mark.parametrize("name, seed, owner, kernel, fault", [
+    ("derivative-trichotomy", 1, rank, "tree_rank", _every_core_empty),
+    ("domination-budget", 2, witnesses, "merge_branches", _merge_keeps_the_first_period),
+    ("dense-embedding", 1, orders, "wo_classify", _rationals_read_as_nat),
+    ("dense-embedding", 1, orders.OrderEmbedding, "map", _map_flipped_twice),
+    ("dense-embedding", 1, orders.OrderEmbedding, "map", _map_reads_sevenths),
+])
+def test_the_trichotomy_domination_and_dense_laws_refute_a_broken_engine(monkeypatch, name, seed, owner,
+                                                                          kernel, fault):
+    # as for the ordinal laws; each fault of dense-embedding reaches another of
+    # its refuting branches, and law_suite(1, 20) draws no dominated schema
+    monkeypatch.setattr(laws, "LAWS", tuple(law for law in laws.LAWS if law[0] == name))
+    (law,) = oracle.law_suite(seed, 20).laws
+    assert (law.name, law.failures) == (name, 0) and law.checked > 0
+    monkeypatch.setattr(owner, kernel, fault)
+    (law,) = oracle.law_suite(seed, 20).laws
     assert law.failures > 0
     assert law.first_counterexample and not law.first_counterexample.startswith("exception")
 

@@ -62,26 +62,53 @@ def test_cone_examples():
 
 
 def test_a_shared_map_of_cones_stops_only_where_the_rest_agrees():
-    # every long walk of the batch reaches a rooted chain block with ten
-    # entries left; b differs there from a and walks on, c agrees with b
-    # and stops with its cone, and a repeat stops at the root.  The last
-    # entries of a walk, and so the short walks, leave the map alone
+    # every 17-entry sequence of the batch reaches a rooted chain block at
+    # both its chunk boundaries, 16 and 8 entries left; b differs there from
+    # a and walks on, c agrees with b and stops with its cone at the first
+    # boundary, and so does a repeat.  Sequences of at most _CHUNK entries
+    # leave the map alone
     fan, block, known = t("fan([];const(rooted(chain)))"), Rooted(CHAIN), {}
-    zeros = (0,) * (trees._WALKED_ALONE + 1)
+    zeros = (0,) * (2 * trees._CHUNK - 1)
     a, b, c, d = (0, *zeros, 0), (3, *zeros, 2), (5, *zeros, 2), (7, *zeros, 0)
-    batch = [a, b, c, d, d, (1,), ()]
-    cones = []
+    batch = [a, b, c, d, d, (0,) * trees._CHUNK, (1,), ()]
+    answers = []
     for u in batch:
-        cones.append(trees.cone_of(fan, u, known))
+        answers.append(trees.member_elem(u, fan, known))
         if u == c:
-            assert known[(block, len(c) - 1)] == (b, EMPTY)
-    assert cones == [trees.cone_of(fan, u) for u in batch]
-    assert cones == [block, EMPTY, EMPTY, block, block, block, fan]
-    assert known == {(fan, len(d)): (d, block), (block, len(d) - 1): (d, block), (CHAIN, len(d) - 1): (d, block)}
-    assert [trees.member_elem(u, fan, {}) for u in batch] == [trees.member_elem(u, fan) for u in batch]
-    for u in ((), (0,) * len(a)):  # a map changes no error
+            assert known == {(block, 16): (b, EMPTY), (block, 8): (b, EMPTY)}
+    assert answers == [trees.member_elem(u, fan) for u in batch]
+    assert answers == [True, False, False, True, True, True, True, False]
+    assert known == {(block, 16): (d, block), (block, 8): (d, block)}
+    for u in ((), a, (0,) * 16):  # a map changes no error, at the root or past a first chunk
         with pytest.raises(TypeError, match="not a schema"):
-            trees.cone_of(CONST_EMPTY, u, known)
+            trees.member_elem(u, CONST_EMPTY, known)
+
+
+def test_a_walk_split_anywhere_reaches_the_same_cone():
+    # the cone of v + w is the cone of w in the cone of v (Brzozowski, 1964),
+    # which member_elem's chunked walk rests on.  The splits fall inside a
+    # spine's zero run over a constant tail and over a diagonal tail with an
+    # offset, inside a rooted layer and inside a chain
+    rng, inside = random.Random(48), set()
+    schemas = ["spine([chain,eps];const(chain))", "spine([];pdiag(w^2,3))",
+               "fan([rooted(rooted(chain))];const(rooted(spine([];qdiag(w^w,1)))))",
+               "spine([rooted(fan([];const(chain)))];qdiag(w^2))", "chain"]
+    for s in map(t, schemas):
+        seqs = _elements(s, 5, 2)[:40] + [tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rng.randrange(14)))
+                                          for _ in range(40)]
+        for u in seqs:
+            cone = trees.cone_of(s, u)
+            for k in range(len(u) + 1):
+                head = trees.cone_of(s, u[:k])
+                assert trees.cone_of(head, u[k:]) is cone, (str(s), u, k)
+                if not 0 < k < len(u):
+                    continue
+                if type(head) is Spine and u[k - 1] == u[k] == 0:
+                    inside.add("constant run" if type(head.tail) is Const else
+                               "diagonal run" if head.tail.offset else "diagonal run, no offset")
+                elif type(head) is Rooted:
+                    inside.add("chain" if head.child is CHAIN else "rooted layer")
+    assert {"constant run", "diagonal run", "rooted layer", "chain"} <= inside
 
 
 def test_the_entry_bound_of_a_set_without_entries_is_minus_one():
